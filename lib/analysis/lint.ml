@@ -264,7 +264,7 @@ let make_ctx cfg g =
     if not dag then None
     else
       try Some (Cycles.enumerate ~max_cycles:cfg.max_cycles g)
-      with Failure _ ->
+      with Cycles.Budget_exceeded _ ->
         incomplete :=
           Some
             (Printf.sprintf

@@ -70,25 +70,9 @@ let rec pp_route ppf = function
   | Min_route { exact; lp } ->
     Format.fprintf ppf "edge-wise min of %a and %a" pp_route exact pp_route lp
 
-let run_cs4 algorithm g (cls : Cs4.t) =
+let run_general algorithm ~max_cycles g =
   let ivals = Array.make (Graph.num_edges g) Interval.inf in
-  List.iter
-    (fun (_, _, b) ->
-      match (b, algorithm) with
-      | Cs4.Sp_block tree, Propagation -> Sp_prop.update ivals tree
-      | Cs4.Sp_block tree, Non_propagation -> Sp_nonprop.update ivals tree
-      | Cs4.Sp_block tree, Relay_propagation ->
-        Sp_nonprop.update_relay ivals tree
-      | Cs4.Ladder_block lad, Propagation -> Ladder_prop.update ivals lad
-      | Cs4.Ladder_block lad, Non_propagation -> Ladder_nonprop.update ivals lad
-      | Cs4.Ladder_block lad, Relay_propagation ->
-        Ladder_nonprop.update_relay ivals lad)
-    cls.Cs4.blocks;
-  ivals
-
-let run_general algorithm ?max_cycles g =
-  let ivals = Array.make (Graph.num_edges g) Interval.inf in
-  let cycles = Cycles.enumerate ?max_cycles g in
+  let cycles = Cycles.enumerate ~max_cycles g in
   let fold =
     match algorithm with
     | Propagation -> General.update_propagation
@@ -100,18 +84,6 @@ let run_general algorithm ?max_cycles g =
     algorithm;
     intervals = ivals;
     route = General_route { cycles = List.length cycles };
-    fused = None;
-  }
-
-(* The LP table bounds the run sums themselves, so one table serves all
-   three avoidance algorithms; [algorithm] is recorded for the
-   threshold-derivation step downstream. *)
-let run_lp algorithm g =
-  let intervals, (stats : Lp.stats) = Lp.intervals g in
-  {
-    algorithm;
-    intervals;
-    route = Lp_route { components = stats.components; rows = stats.rows };
     fused = None;
   }
 
@@ -153,69 +125,14 @@ module Options = struct
     }
 end
 
-let compile ?(options = Options.default) algorithm g =
-  let attach_fusion p =
-    if not options.Options.fuse then p
-    else
-      let fusion =
-        Fusion.fuse ?pin:options.Options.pin
-          ?filter_class:options.Options.filter_class g
-      in
-      let fused_intervals = Fusion.derive_intervals fusion p.intervals in
-      { p with fused = Some { fusion; fused_intervals } }
-  in
-  if not (Topo.is_dag g) then Error Not_a_dag
-  else if not (Topo.connected g) then Error Disconnected
+let attach_fusion (options : Options.t) g p =
+  if not options.fuse then p
   else
-    match options.Options.backend with
-    | Lp -> Ok (attach_fusion (run_lp algorithm g))
-    | (Exact | Auto) as backend -> (
-      match Cs4.classify g with
-      | Ok cls ->
-        let exact_plan =
-          {
-            algorithm;
-            intervals = run_cs4 algorithm g cls;
-            route = Cs4_route cls;
-            fused = None;
-          }
-        in
-        Ok
-          (attach_fusion
-             (match backend with
-             | Auto -> min_combine exact_plan (run_lp algorithm g)
-             | Exact | Lp -> exact_plan))
-      | Error failure -> (
-        match backend with
-        | Auto when not options.Options.allow_general ->
-          (* exact would reject outright; the LP accepts any DAG *)
-          Ok (attach_fusion (run_lp algorithm g))
-        | Auto -> (
-          try
-            Ok
-              (attach_fusion
-                 (min_combine
-                    (run_general algorithm
-                       ~max_cycles:options.Options.max_cycles g)
-                    (run_lp algorithm g)))
-          with Failure _ ->
-            (* the budget the exact route gives up at is exactly where
-               the polynomial backend takes over *)
-            Ok (attach_fusion (run_lp algorithm g)))
-        | Exact | Lp ->
-          if options.Options.allow_general then
-            try
-              Ok
-                (attach_fusion
-                   (run_general algorithm
-                      ~max_cycles:options.Options.max_cycles g))
-            with Failure _ ->
-              Error (Cycle_budget_exceeded options.Options.max_cycles)
-          else
-            Error
-              (match failure with
-              | Cs4.Not_two_terminal -> Not_two_terminal
-              | Cs4.Bad_block _ -> Non_cs4_rejected failure)))
+    let fusion =
+      Fusion.fuse ?pin:options.pin ?filter_class:options.filter_class g
+    in
+    let fused_intervals = Fusion.derive_intervals fusion p.intervals in
+    { p with fused = Some { fusion; fused_intervals } }
 
 let send_thresholds g intervals =
   Thresholds.of_array g (Array.map Interval.threshold intervals)
@@ -223,7 +140,7 @@ let send_thresholds g intervals =
 let sdf_thresholds g =
   Thresholds.of_array g (Array.make (Graph.num_edges g) (Some 1))
 
-(* ---------------- incremental recompilation ----------------------- *)
+(* ---------------- the compile route ------------------------------- *)
 
 module Sp_tree = Fstream_spdag.Sp_tree
 
@@ -277,9 +194,16 @@ let algo_of = function
   | Non_propagation -> Sp_incremental.Nonprop
   | Relay_propagation -> Sp_incremental.Relay
 
+let ladder_update = function
+  | Propagation -> Ladder_prop.update
+  | Non_propagation -> Ladder_nonprop.update
+  | Relay_propagation -> Ladder_nonprop.update_relay
+
 let block_edges = function
   | Cs4.Sp_block t -> Sp_tree.edges t
   | Cs4.Ladder_block l -> Ladder.edges l
+
+let sorted_ids ids = List.sort Stdlib.compare ids
 
 let intern_cls builder (cls : Cs4.t) =
   {
@@ -294,149 +218,146 @@ let intern_cls builder (cls : Cs4.t) =
         cls.Cs4.blocks;
   }
 
-(* The incremental CS4 table. Per serial block of the new
-   classification, cheapest sound route first:
+(* a capacity-only edit leaves the record at a surviving id unchanged
+   iff its capacity is *)
+let same_record base (e : Graph.edge) =
+  e.id < Graph.num_edges base && (Graph.edge base e.id).cap = e.cap
 
-   - {e clean} (every edge non-dirty with a surviving origin, and the
-     origin set is exactly one previous block's edge set): the block's
-     subgraph is the previous block's up to id translation, and block
-     values are block-local, so the previous values splice across —
-     no interval arithmetic at all;
-   - dirty SP block with {e stable ids} (every surviving base edge
-     kept its id): pre-copy the block's surviving values at their
-     identical positions, then run the memoized update — subtrees
-     physically shared with the previous tree and reached under an
-     unchanged context skip wholesale. Stability matters: under
-     shifted ids a renumbered edge's leaf record can coincide with a
-     different previous edge's record (parallel twins), and a memo hit
-     would then vouch for array positions the pre-copy never filled;
-   - dirty SP block with shifted ids: memoized update against an empty
-     previous memo — a full recompute of the block that still records
-     this epoch's memo for the next one;
-   - dirty ladder block: the classic ladder sweep (the fresh table
-     starts at [Inf], exactly the state the sweep expects). *)
-let run_cs4_incremental builder algorithm g (cls : Cs4.t) ~prev =
-  let cls = intern_cls builder cls in
-  let n = Graph.num_edges g in
-  let ivals = Array.make n Interval.inf in
-  let next = Sp_incremental.memo_create () in
-  let empty_memo = Sp_incremental.memo_create () in
-  let spliced = ref 0 and recomputed = ref 0 in
-  let origin, is_dirty, old_vals, old_blocks, ids_stable, prev_memo =
-    match prev with
-    | None ->
-      ( (fun _ -> None),
-        (fun _ -> true),
-        [||],
-        Hashtbl.create 1,
-        false,
-        empty_memo )
-    | Some ((delta : Edit.delta), (pe : exact_snap)) ->
-      let rev = Hashtbl.create 64 in
-      Array.iteri
-        (fun o -> function
-          | Some nid -> Hashtbl.replace rev nid o
-          | None -> ())
-        delta.Edit.edge_map;
-      let old_blocks = Hashtbl.create 16 in
-      List.iter
-        (fun (_, _, b) ->
-          let ids =
-            List.map (fun (e : Graph.edge) -> e.id) (block_edges b)
-            |> List.sort Stdlib.compare
-          in
-          Hashtbl.replace old_blocks ids ())
-        pe.scls.Cs4.blocks;
-      (* stable = every base edge survives at its own id. This is
-         deliberately stricter than "no survivor moved": a removal (or
-         an in-place Add_stage replacement) makes it possible for a
-         later op to recreate a record the previous epoch's memo still
-         has entries for, and a memo hit would then vouch for a
-         position the pre-copy below never filled. With all base ids
-         intact, appended edges have ids the previous epoch never
-         used, so their records cannot alias any previous-epoch memo
-         entry. *)
-      let stable = ref true in
-      Array.iteri
-        (fun o -> function
-          | Some nid when nid = o -> ()
-          | _ -> stable := false)
-        delta.Edit.edge_map;
-      ( Hashtbl.find_opt rev,
-        (fun e -> delta.Edit.dirty.(e)),
-        pe.stable,
-        old_blocks,
-        !stable,
-        pe.smemo )
-  in
-  (* the record at a stable id is unchanged iff its capacity is (under
-     stable ids an in-place dirty edge can only come from [Resize] —
-     the replacing ops break stability — so endpoints never moved) *)
-  let unchanged_record =
-    match prev with
-    | None -> fun _ -> false
-    | Some ((delta : Edit.delta), _) ->
-      let base = delta.Edit.base in
-      fun (e : Graph.edge) ->
-        e.id < Graph.num_edges base && (Graph.edge base e.id).cap = e.cap
-  in
+let refresh_block builder g = function
+  | Cs4.Sp_block t -> Cs4.Sp_block (Sp_tree.Builder.refresh builder g t)
+  | Cs4.Ladder_block l -> Cs4.Ladder_block (Ladder.refresh builder g l)
+
+(* What the previous epoch lends the per-block loop. A block whose
+   edges pass [clean] is the previous block's subgraph up to id
+   translation, and block values are block-local, so it splices [vals]
+   read at [origin] — no interval arithmetic at all. A recomputed SP
+   block first pre-loads [vals] at the ids [precopy] accepts, then runs
+   the memoized update against [memo]: subtrees physically shared with
+   the previous tree and reached under an unchanged context skip
+   wholesale, and a skip vouches for exactly the pre-loaded positions
+   beneath it. A fresh compile borrows nothing. *)
+type reuse = {
+  vals : Interval.t array;
+  memo : Sp_incremental.memo;
+  clean : Graph.edge list -> bool;
+  origin : int -> int;
+  precopy : Graph.edge -> bool;
+}
+
+let no_reuse () =
+  {
+    vals = [||];
+    memo = Sp_incremental.memo_create ();
+    clean = (fun _ -> false);
+    origin = Fun.id;
+    precopy = (fun _ -> false);
+  }
+
+(* A capacity-only edit: every id survives in place, so a block is
+   clean iff none of its edges is dirty, and a position pre-copies iff
+   its record kept its capacity (a [Resize] back to the current
+   capacity is marked dirty by the edit layer yet leaves the record —
+   and so the hash-consed leaf and any memo hit over it — identical).
+   No origin bookkeeping at all. *)
+let in_place_reuse (delta : Edit.delta) pe =
+  {
+    vals = pe.stable;
+    memo = pe.smemo;
+    clean =
+      List.for_all (fun (e : Graph.edge) -> not delta.Edit.dirty.(e.id));
+    origin = Fun.id;
+    precopy = same_record delta.Edit.base;
+  }
+
+(* Any other edit: origins come from the edit's edge map, and a block
+   is clean when every edge is non-dirty with a surviving origin and
+   the origin set is exactly one previous block's edge set. Pre-copy
+   and memo are trusted only under stable ids — every base edge
+   survives at its own id. This is deliberately stricter than "no
+   survivor moved": a removal (or an in-place Add_stage replacement)
+   makes it possible for a later op to recreate a record the previous
+   memo still has entries for, and a memo hit would then vouch for a
+   position the pre-copy never filled. With all base ids intact,
+   appended edges have ids the previous epoch never used, so their
+   records cannot alias any previous-epoch memo entry; and an in-place
+   dirty edge can only come from [Resize], so [same_record] still
+   decides. With shifted ids a dirty SP block recomputes fully
+   against an empty memo (still recording this epoch's). *)
+let remapped_reuse (delta : Edit.delta) pe =
+  let rev = Hashtbl.create 64 in
+  let stable = ref true in
+  Array.iteri
+    (fun o -> function
+      | Some nid ->
+        Hashtbl.replace rev nid o;
+        if nid <> o then stable := false
+      | None -> stable := false)
+    delta.Edit.edge_map;
+  let origin = Hashtbl.find_opt rev in
+  let old_blocks = Hashtbl.create 16 in
   List.iter
     (fun (_, _, b) ->
-      let edges = block_edges b in
-      let nedges = List.length edges in
-      let clean =
-        prev <> None
-        && List.for_all
-             (fun (e : Graph.edge) ->
-               (not (is_dirty e.id)) && origin e.id <> None)
-             edges
-        &&
-        let ids =
-          List.filter_map (fun (e : Graph.edge) -> origin e.id) edges
-          |> List.sort Stdlib.compare
-        in
-        Hashtbl.mem old_blocks ids
-      in
-      if clean then begin
-        List.iter
+      Hashtbl.replace old_blocks
+        (sorted_ids (List.map (fun (e : Graph.edge) -> e.id) (block_edges b)))
+        ())
+    pe.scls.Cs4.blocks;
+  {
+    vals = pe.stable;
+    memo = (if !stable then pe.smemo else Sp_incremental.memo_create ());
+    clean =
+      (fun edges ->
+        List.for_all
           (fun (e : Graph.edge) ->
-            ivals.(e.id) <- old_vals.(Option.get (origin e.id)))
-          edges;
-        spliced := !spliced + nedges
-      end
-      else
-        match b with
-        | Cs4.Sp_block tree ->
-          let prev_m = if ids_stable then prev_memo else empty_memo in
-          (* pre-copy every survivor whose record is unchanged — not
-             merely every non-dirty survivor: a [Resize] back to the
-             current capacity is marked dirty by the edit layer yet
-             leaves the record (and so the hash-consed leaf, and so any
-             memo hit over it) identical, and a skipped subtree vouches
-             for exactly the unchanged-record positions beneath it *)
-          if ids_stable then
-            List.iter
-              (fun (e : Graph.edge) ->
-                if
-                  e.id < Array.length old_vals
-                  && origin e.id = Some e.id
-                  && unchanged_record e
-                then ivals.(e.id) <- old_vals.(e.id))
-              edges;
-          let r, s =
-            Sp_incremental.update (algo_of algorithm) ~prev:prev_m ~next
-              ivals tree
-          in
-          recomputed := !recomputed + r;
-          spliced := !spliced + s
-        | Cs4.Ladder_block lad ->
-          (match algorithm with
-          | Propagation -> Ladder_prop.update ivals lad
-          | Non_propagation -> Ladder_nonprop.update ivals lad
-          | Relay_propagation -> Ladder_nonprop.update_relay ivals lad);
-          recomputed := !recomputed + nedges)
-    cls.Cs4.blocks;
-  (ivals, cls, next, !spliced, !recomputed)
+            (not delta.Edit.dirty.(e.id)) && origin e.id <> None)
+          edges
+        && Hashtbl.mem old_blocks
+             (sorted_ids
+                (List.filter_map (fun (e : Graph.edge) -> origin e.id) edges)));
+    origin = (fun id -> Option.get (origin id));
+    precopy = (fun e -> !stable && same_record delta.Edit.base e);
+  }
+
+(* The CS4 table, one serial block at a time: a clean block splices, a
+   dirty SP block runs the memoized update (with nothing to reuse, a
+   straight derivation of SETIVALS / SP Non-Propagation that records
+   this epoch's memo), a dirty ladder block runs the classic sweep on a
+   table still at [Inf] there, exactly the state it expects. [refresh]
+   rebuilds a recomputed block against [g]'s records: the identity on a
+   fresh classification, leaf substitution through the builder on the
+   previous epoch's blocks. *)
+let run_cs4 ~refresh algorithm g (cls : Cs4.t) r =
+  let ivals = Array.make (Graph.num_edges g) Interval.inf in
+  let next = Sp_incremental.memo_create () in
+  let spliced = ref 0 and recomputed = ref 0 in
+  let block (s, d, b) =
+    let edges = block_edges b in
+    if r.clean edges then begin
+      List.iter
+        (fun (e : Graph.edge) -> ivals.(e.id) <- r.vals.(r.origin e.id))
+        edges;
+      spliced := !spliced + List.length edges;
+      (s, d, b)
+    end
+    else
+      match refresh b with
+      | Cs4.Sp_block tree as b ->
+        Sp_tree.iter_edges tree (fun e ->
+            if r.precopy e then ivals.(e.id) <- r.vals.(e.id));
+        let rc, sk =
+          Sp_incremental.update (algo_of algorithm) ~prev:r.memo ~next ivals
+            tree
+        in
+        recomputed := !recomputed + rc;
+        spliced := !spliced + sk;
+        (s, d, b)
+      | Cs4.Ladder_block lad as b ->
+        ladder_update algorithm ivals lad;
+        recomputed := !recomputed + List.length edges;
+        (s, d, b)
+  in
+  let blocks = List.map block cls.Cs4.blocks in
+  ({ scls = { cls with Cs4.blocks }; stable = ivals; smemo = next },
+   !spliced, !recomputed)
 
 (* Every edge and node kept its own id: the script only changed
    capacities, so the edited graph's topology — and therefore its
@@ -454,73 +375,17 @@ let structure_preserving (d : Edit.delta) g =
   && ident d.Edit.edge_map
   && ident d.Edit.node_map
 
-(* The structure-preserving fast path: reuse the previous epoch's
-   decomposition wholesale instead of re-classifying the graph —
-   untouched blocks splice their values, blocks containing a resized
-   edge are [refresh]ed (leaf substitution through the hash-consing
-   builder, so subtrees with unchanged records keep their uid and the
-   memo still hits) and recomputed. This is what makes a single-edge
-   reconfigure sublinear in the graph size: no recognition pass, no
-   per-block origin bookkeeping, work proportional to the edited block
-   plus one table copy. *)
-let run_cs4_fast builder algorithm g ~(delta : Edit.delta) ~(pe : exact_snap) =
-  let n = Graph.num_edges g in
-  let ivals = Array.make n Interval.inf in
-  let next = Sp_incremental.memo_create () in
-  let spliced = ref 0 and recomputed = ref 0 in
-  let base = delta.Edit.base in
-  let blocks =
-    List.map
-      (fun (bs, bt, b) ->
-        let edges = block_edges b in
-        if
-          List.for_all
-            (fun (e : Graph.edge) -> not delta.Edit.dirty.(e.id))
-            edges
-        then begin
-          List.iter
-            (fun (e : Graph.edge) -> ivals.(e.id) <- pe.stable.(e.id))
-            edges;
-          spliced := !spliced + List.length edges;
-          (bs, bt, b)
-        end
-        else
-          match b with
-          | Cs4.Sp_block tree ->
-            let tree = Sp_tree.Builder.refresh builder g tree in
-            (* unchanged records pre-copy, exactly as in the slow path:
-               a memo hit vouches for the positions beneath it *)
-            Sp_tree.iter_edges tree (fun e ->
-                if (Graph.edge base e.id).cap = e.cap then
-                  ivals.(e.id) <- pe.stable.(e.id));
-            let r, s =
-              Sp_incremental.update (algo_of algorithm) ~prev:pe.smemo ~next
-                ivals tree
-            in
-            recomputed := !recomputed + r;
-            spliced := !spliced + s;
-            (bs, bt, Cs4.Sp_block tree)
-          | Cs4.Ladder_block lad ->
-            let lad = Ladder.refresh builder g lad in
-            (match algorithm with
-            | Propagation -> Ladder_prop.update ivals lad
-            | Non_propagation -> Ladder_nonprop.update ivals lad
-            | Relay_propagation -> Ladder_nonprop.update_relay ivals lad);
-            recomputed := !recomputed + List.length edges;
-            (bs, bt, Cs4.Ladder_block lad))
-      pe.scls.Cs4.blocks
-  in
-  let cls = { pe.scls with Cs4.blocks } in
-  (ivals, cls, next, !spliced, !recomputed)
-
-(* One epoch's compile through the cache; caller holds [clock]. *)
-let compile_locked cache options algorithm ~(delta : Edit.delta option) g =
-  let fp = Thresholds.graph_fingerprint g in
-  let backend = options.Options.backend in
-  (* the previous epoch is usable only when it describes exactly the
-     graph the edit script was applied to, under the same algorithm
-     and backend — anything else is a fresh compile through the same
-     builder (subtree sharing still helps, value reuse does not) *)
+(* The one compile route; caller holds [clock]. Every public entry
+   point lands here, and a usable previous epoch changes only what the
+   route starts from — the memo, the spliced blocks, the LP's warm
+   basis — never which route runs. The previous epoch is usable only
+   when it describes exactly the graph the edit script was applied to,
+   under the same algorithm and backend; anything else is a fresh
+   compile through the same builder (subtree sharing still helps,
+   value reuse does not). *)
+let compile_locked cache (options : Options.t) algorithm
+    ~(delta : Edit.delta option) g =
+  let backend = options.backend in
   let prev =
     match (delta, cache.snap) with
     | Some d, Some snap
@@ -530,127 +395,111 @@ let compile_locked cache options algorithm ~(delta : Edit.delta option) g =
     | _ -> None
   in
   let prev_exact =
-    Option.bind prev (fun (d, s) ->
-        Option.map (fun pe -> (d, pe)) s.sexact)
-  in
-  let run_lp_inc () =
-    let warm = Option.bind prev (fun (_, s) -> s.slp) in
-    let edge_map, node_map, dirty =
-      match prev with
-      | Some (d, _) ->
-        (Some d.Edit.edge_map, Some d.Edit.node_map, Some d.Edit.dirty)
-      | None -> (None, None, None)
-    in
-    let intervals, st, state =
-      Lp.resolve ?warm ?edge_map ?node_map ?dirty g
-    in
-    ( {
-        algorithm;
-        intervals;
-        route =
-          Lp_route { components = st.Lp.rcomponents; rows = st.Lp.rrows };
-        fused = None;
-      },
-      st,
-      state )
-  in
-  let store sexact slp plan =
-    cache.snap <-
-      Some { sfp = fp; salgo = algorithm; sbackend = backend; sexact; slp;
-             splan = plan }
+    match prev with
+    | Some (d, { sexact = Some pe; _ }) -> Some (d, pe)
+    | _ -> None
   in
   (* a structure-preserving edit of a previously classified graph
      cannot change DAG-ness, connectivity or the classification: skip
-     all three and reuse the previous decomposition *)
-  let fast_prev =
+     all three and refresh the previous decomposition in place — the
+     reason a single-edge resize is sublinear in the graph size *)
+  let in_place =
     match prev_exact with
     | Some (d, _) when structure_preserving d g -> prev_exact
     | _ -> None
   in
-  if Option.is_none fast_prev && not (Topo.is_dag g) then Error Not_a_dag
-  else if Option.is_none fast_prev && not (Topo.connected g) then
-    Error Disconnected
-  else
-    match backend with
-    | Lp ->
-      let plan, st, state = run_lp_inc () in
-      store None (Some state) plan;
-      Ok (plan, { spliced_edges = 0; recomputed_edges = 0;
-                  lp_stats = Some st })
-    | (Exact | Auto) as backend -> (
-      let finish (ivals, cls, memo, spliced_edges, recomputed_edges) =
-        let exact_plan =
-          { algorithm; intervals = ivals; route = Cs4_route cls;
-            fused = None }
-        in
-        let pe = { scls = cls; stable = ivals; smemo = memo } in
-        match backend with
-        | Auto ->
-          let lp_plan, st, state = run_lp_inc () in
-          let plan = min_combine exact_plan lp_plan in
-          store (Some pe) (Some state) plan;
-          Ok (plan, { spliced_edges; recomputed_edges; lp_stats = Some st })
-        | Exact | Lp ->
-          store (Some pe) None exact_plan;
-          Ok (exact_plan,
-              { spliced_edges; recomputed_edges; lp_stats = None })
-      in
-      match fast_prev with
-      | Some (d, pe) ->
-        finish (run_cs4_fast cache.builder algorithm g ~delta:d ~pe)
-      | None -> (
+  (* [Ok None]: the Auto backend hands over to the LP exactly where the
+     exact route gives up *)
+  let give_up e = if backend = Auto then Ok None else Error e in
+  let cs4 (pe, spliced, recomputed) =
+    let plan =
+      { algorithm; intervals = pe.stable; route = Cs4_route pe.scls;
+        fused = None }
+    in
+    Ok (Some (plan, Some pe, spliced, recomputed))
+  in
+  let exact () =
+    match in_place with
+    | Some (d, pe) ->
+      cs4
+        (run_cs4 ~refresh:(refresh_block cache.builder g) algorithm g pe.scls
+           (in_place_reuse d pe))
+    | None -> (
       match Cs4.classify g with
       | Ok cls ->
-        finish
-          (run_cs4_incremental cache.builder algorithm g cls
-             ~prev:prev_exact)
-      | Error failure -> (
-        match backend with
-        | Auto when not options.Options.allow_general ->
-          let plan, st, state = run_lp_inc () in
-          store None (Some state) plan;
-          Ok (plan, { spliced_edges = 0; recomputed_edges = 0;
-                      lp_stats = Some st })
-        | Auto -> (
-          match
-            try
-              Some
-                (run_general algorithm
-                   ~max_cycles:options.Options.max_cycles g)
-            with Failure _ -> None
-          with
-          | Some general_plan ->
-            let lp_plan, st, state = run_lp_inc () in
-            let plan = min_combine general_plan lp_plan in
-            store None (Some state) plan;
-            Ok (plan,
-                { spliced_edges = 0;
-                  recomputed_edges = Graph.num_edges g;
-                  lp_stats = Some st })
-          | None ->
-            let plan, st, state = run_lp_inc () in
-            store None (Some state) plan;
-            Ok (plan, { spliced_edges = 0; recomputed_edges = 0;
-                        lp_stats = Some st }))
-        | Exact | Lp ->
-          if options.Options.allow_general then
-            try
-              let plan =
-                run_general algorithm ~max_cycles:options.Options.max_cycles
-                  g
-              in
-              store None None plan;
-              Ok (plan,
-                  { spliced_edges = 0;
-                    recomputed_edges = Graph.num_edges g;
-                    lp_stats = None })
-            with Failure _ ->
-              Error (Cycle_budget_exceeded options.Options.max_cycles)
-          else
-            Error
-              (match failure with
-              | Cs4.Not_two_terminal -> Not_two_terminal
-              | Cs4.Bad_block _ -> Non_cs4_rejected failure))))
+        let reuse =
+          match prev_exact with
+          | Some (d, pe) -> remapped_reuse d pe
+          | None -> no_reuse ()
+        in
+        cs4
+          (run_cs4 ~refresh:Fun.id algorithm g
+             (intern_cls cache.builder cls) reuse)
+      | Error failure when not options.allow_general ->
+        give_up
+          (match failure with
+          | Cs4.Not_two_terminal -> Not_two_terminal
+          | Cs4.Bad_block _ -> Non_cs4_rejected failure)
+      | Error _ -> (
+        match run_general algorithm ~max_cycles:options.max_cycles g with
+        | plan -> Ok (Some (plan, None, 0, Graph.num_edges g))
+        | exception Cycles.Budget_exceeded budget ->
+          give_up (Cycle_budget_exceeded budget)))
+  in
+  (* The LP table bounds the run sums themselves, so one table serves
+     all three avoidance algorithms; [algorithm] is recorded for the
+     threshold-derivation step downstream. *)
+  let lp () =
+    let warm = Option.bind prev (fun (_, s) -> s.slp) in
+    let d = Option.map fst prev in
+    let intervals, st, state =
+      Lp.resolve ?warm
+        ?edge_map:(Option.map (fun d -> d.Edit.edge_map) d)
+        ?node_map:(Option.map (fun d -> d.Edit.node_map) d)
+        ?dirty:(Option.map (fun d -> d.Edit.dirty) d)
+        g
+    in
+    let route =
+      Lp_route { components = st.Lp.rcomponents; rows = st.Lp.rrows }
+    in
+    ({ algorithm; intervals; route; fused = None }, st, state)
+  in
+  let recheck = Option.is_none in_place in
+  if recheck && not (Topo.is_dag g) then Error Not_a_dag
+  else if recheck && not (Topo.connected g) then Error Disconnected
+  else
+    match if backend = Lp then Ok None else exact () with
+    | Error e -> Error e
+    | Ok exact ->
+      let lp = if backend = Exact then None else Some (lp ()) in
+      let plan, sexact, spliced_edges, recomputed_edges =
+        match (exact, lp) with
+        | Some (p, pe, s, r), None -> (p, pe, s, r)
+        | Some (p, pe, s, r), Some (lp_plan, _, _) ->
+          (min_combine p lp_plan, pe, s, r)
+        | None, Some (lp_plan, _, _) -> (lp_plan, None, 0, 0)
+        | None, None ->
+          (* only Auto hands over to the LP, and Auto runs it *)
+          assert false
+      in
+      let plan = attach_fusion options g plan in
+      cache.snap <-
+        Some
+          {
+            sfp = Thresholds.graph_fingerprint g;
+            salgo = algorithm;
+            sbackend = backend;
+            sexact;
+            slp = Option.map (fun (_, _, state) -> state) lp;
+            splan = plan;
+          };
+      Ok
+        ( plan,
+          {
+            spliced_edges;
+            recomputed_edges;
+            lp_stats = Option.map (fun (_, st, _) -> st) lp;
+          } )
 
 let with_clock cache f =
   Mutex.lock cache.clock;
@@ -665,6 +514,9 @@ let recompile ?(options = Options.default) cache algorithm
   with_clock cache (fun () ->
       compile_locked cache options algorithm ~delta:(Some delta)
         delta.Edit.graph)
+
+let compile ?options algorithm g =
+  Result.map fst (compile_cached ?options (cache_create ()) algorithm g)
 
 let propagation_thresholds g intervals =
   let on_cycle = Array.make (Graph.num_edges g) false in

@@ -8,7 +8,16 @@
     family sweep on ladder blocks). Non-CS4 DAGs fall back — when
     permitted — to the exponential general-DAG baseline, which is the
     situation the paper tells programmers to redesign their topology to
-    avoid. *)
+    avoid.
+
+    There is one compile route. {!compile}, {!compile_cached} and
+    {!recompile} all run the same dispatch: DAG and connectivity
+    checks, classification, then the CS4 blocks, the general fallback
+    or the LP according to {!backend}, the Auto backend's edge-wise
+    min, and finally {!Options.fuse}. A usable previous epoch (see
+    {!recompile}) changes only what that dispatch starts from — the
+    memo, the blocks it may splice, the LP's warm basis — never which
+    route runs. *)
 
 open Fstream_graph
 open Fstream_ladder
@@ -129,7 +138,8 @@ end
 val compile :
   ?options:Options.t -> algorithm -> Graph.t -> (plan, error) result
 (** Classify the topology and compute its interval table under
-    [options] (default {!Options.default}). The general fallback only
+    [options] (default {!Options.default}): {!compile_cached} on a
+    fresh {!cache_create}, its stats dropped. The general fallback only
     needs acyclicity and connectivity. Thresholds for a fused run must
     be built against [fusion.graph] and [fused_intervals]; the
     {!Thresholds.t} graph fingerprint then rejects any attempt to run a
@@ -179,9 +189,8 @@ val compile_cached :
   Graph.t ->
   (plan * recompile_stats, error) result
 (** Compile fresh through the cache, recording the epoch residue that
-    a later {!recompile} reuses. Equivalent to {!compile} on the same
-    arguments except that [options.fuse] is ignored (reconfiguration
-    serves unfused plans; fuse explicitly via {!compile}). *)
+    a later {!recompile} reuses. The plan is the one {!compile} returns
+    on the same arguments. *)
 
 val recompile :
   ?options:Options.t ->

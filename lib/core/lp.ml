@@ -199,7 +199,7 @@ module Simplex = struct
      non-negative (the interval LP): the slack basis is feasible, so
      there is never a phase 1. Cold solves replicate [maximize]'s
      phase-2 rules exactly (same Bland entering column, same ratio
-     test with basis-index ties), so [Lp.intervals] keeps producing
+     test with basis-index ties), so a cold [Lp.resolve] keeps producing
      bit-identical tables through this path.
 
      A warm solve crash-loads a suggested basis (the previous optimum
@@ -382,8 +382,6 @@ end
 (* ------------------------------------------------------------------ *)
 (* The deadlock-avoidance encoding (see the interface comment for the
    constraint system and the conservativeness argument). *)
-
-type stats = { components : int; rows : int }
 
 (* Per-component bookkeeping shared by the three entry points: local
    contiguous indices for the component's edges and nodes, and the
@@ -703,10 +701,6 @@ let resolve ?warm ?edge_map ?node_map ?dirty g =
             :: !rev_state))
     comps;
   (ivals, !stats, List.rev !rev_state)
-
-let intervals g =
-  let ivals, st, _ = resolve g in
-  (ivals, { components = st.rcomponents; rows = st.rrows })
 
 (* --- dimensioning: minimal capacities for a given table ----------- *)
 

@@ -42,7 +42,7 @@ open Fstream_graph
 (** Dense two-phase primal simplex over {!Rational}, Bland's rule (so
     it terminates on degenerate bases). Exposed for unit tests and for
     callers with bespoke programs; the interval encoding above is
-    {!intervals}. *)
+    {!resolve}. *)
 module Simplex : sig
   type outcome =
     | Optimal of {
@@ -90,11 +90,6 @@ module Simplex : sig
       right-hand side. *)
 end
 
-type stats = {
-  components : int;  (** biconnected components with at least 2 edges *)
-  rows : int;  (** total simplex rows across all component programs *)
-}
-
 type state
 (** Opaque per-component solver state — the optimum's interval values
     and final simplex basis, keyed by the graph's edge and node ids —
@@ -116,30 +111,27 @@ val resolve :
   ?dirty:bool array ->
   Graph.t ->
   Interval.t array * resolve_stats * state
-(** [resolve ?warm ?edge_map ?node_map ?dirty g] computes the same
-    table as {!intervals} and additionally returns reusable solver
-    state. With [warm] (the state of a previous solve of the graph
-    this one was edited from), [edge_map] / [node_map] (old id ->
-    surviving new id, as in {!Fstream_graph.Edit.delta}) and [dirty]
-    (new edge ids whose records changed), each biconnected component
-    of [g] is handled by the cheapest sound route: a component whose
-    edges all survive unedited from exactly one old component is
-    {e spliced} — previous optimum copied, no simplex at all; any
-    other component with an identifiable ancestor is re-solved
-    {e warm} from the ancestor's translated basis (falling back to a
-    cold solve if the crash is neither primal- nor dual-feasible);
-    components with no ancestor solve cold. Splicing is exact, not
-    approximate: the component's program is syntactically identical
-    to the old one's, so its optimum is the old optimum. Omitting all
-    optional arguments is exactly {!intervals}.
-    @raise Invalid_argument if [g] has a directed cycle. *)
-
-val intervals : Graph.t -> Interval.t array * stats
 (** The backend entry point: a safe-interval table for any connected
-    DAG, one LP per biconnected component, bridges [Inf]. Total work is
+    DAG, one LP per biconnected component, bridges [Inf], plus the
+    solver state a later call can warm-start from. Total work is
     polynomial in nodes + edges. The table is valid for all three
     avoidance algorithms (it bounds the run sums themselves, not any
-    per-algorithm refinement).
+    per-algorithm refinement). With no optional argument every
+    component solves cold.
+
+    With [warm] (the state of a previous solve of the graph this one
+    was edited from), [edge_map] / [node_map] (old id -> surviving new
+    id, as in {!Fstream_graph.Edit.delta}) and [dirty] (new edge ids
+    whose records changed), each biconnected component of [g] is
+    handled by the cheapest sound route: a component whose edges all
+    survive unedited from exactly one old component is {e spliced} —
+    previous optimum copied, no simplex at all; any other component
+    with an identifiable ancestor is re-solved {e warm} from the
+    ancestor's translated basis (falling back to a cold solve if the
+    crash is neither primal- nor dual-feasible); components with no
+    ancestor solve cold. Splicing is exact, not approximate: the
+    component's program is syntactically identical to the old one's,
+    so its optimum is the old optimum.
     @raise Invalid_argument if [g] has a directed cycle (the LP's
     demand chains presuppose acyclicity). *)
 

@@ -15,15 +15,13 @@ type algo = Prop | Nonprop | Relay
 
 let update algo ~(prev : memo) ~(next : memo) ivals (tree : Sp_tree.t) =
   let recomputed = ref 0 and skipped = ref 0 in
+  (* an empty [prev] cannot hit: spare the cold route the lookup *)
+  let cold = Hashtbl.length prev = 0 in
   let visit (t : Sp_tree.t) key descend =
-    if Hashtbl.mem prev key then begin
-      skipped := !skipped + t.n_edges;
-      if not (Hashtbl.mem next key) then Hashtbl.add next key ()
-    end
-    else begin
-      if not (Hashtbl.mem next key) then Hashtbl.add next key ();
-      descend ()
-    end
+    Hashtbl.replace next key ();
+    if (not cold) && Hashtbl.mem prev key then
+      skipped := !skipped + t.n_edges
+    else descend ()
   in
   (match algo with
   | Prop ->

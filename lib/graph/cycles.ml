@@ -2,6 +2,8 @@ type oriented = { edge : Graph.edge; fwd : bool }
 
 type t = oriented list
 
+exception Budget_exceeded of int
+
 type run = {
   run_source : Graph.node;
   run_sink : Graph.node;
@@ -27,8 +29,7 @@ let enumerate ?(max_cycles = 10_000_000) g =
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
       incr found;
-      if !found > max_cycles then
-        failwith "Cycles.enumerate: max_cycles exceeded";
+      if !found > max_cycles then raise (Budget_exceeded max_cycles);
       results := cycle :: !results
     end
   in

@@ -26,10 +26,16 @@ type run = {
 }
 (** A maximal directed path along a cycle. *)
 
+exception Budget_exceeded of int
+(** Raised by {!enumerate} (and so {!count}) once more than the given
+    budget of distinct simple cycles has been found; carries the
+    budget. *)
+
 val enumerate : ?max_cycles:int -> Graph.t -> t list
 (** All undirected simple cycles, each reported once (arbitrary start
     vertex and direction). [max_cycles] bounds the enumeration as a
-    safety valve; exceeding it raises [Failure]. Default 10_000_000. *)
+    safety valve (default 10_000_000).
+    @raise Budget_exceeded when the graph has more cycles than that. *)
 
 val count : ?max_cycles:int -> Graph.t -> int
 

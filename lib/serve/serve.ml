@@ -46,6 +46,9 @@ type entry = {
   eepoch : int;
 }
 
+(* (graph fingerprint, mode, backend) *)
+type key = int * mode * Compiler.backend
+
 type t = {
   pool : Pool.t;
   grain : int;
@@ -57,9 +60,8 @@ type t = {
      different intervals) — a per-tenant backend override or an
      epoch-scoped option change must never be served another
      backend's cached result. *)
-  registry : (int * mode * Compiler.backend, entry) Hashtbl.t;
-  lint_cache : (int * mode * Compiler.backend, Lint.report) Hashtbl.t;
-      (* spec-less verdicts *)
+  registry : (key, entry) Hashtbl.t;
+  lint_cache : (key, Lint.report) Hashtbl.t; (* spec-less verdicts *)
   mutable tenants : int;
   mutable rejections : int;
   mutable compiles : int;
@@ -110,7 +112,7 @@ let lint_algorithm = function
    on what the cache key covers (structure + capacities + mode +
    backend), so they are cached; a spec brings tenant-specific
    behaviours (rules FS401-FS403) and is always linted fresh. *)
-let lint_verdict t ~fp ~mode ~backend ~spec g =
+let lint_verdict t ((_, mode, backend) as key) ~spec g =
   let config =
     {
       Lint.default_config with
@@ -124,15 +126,13 @@ let lint_verdict t ~fp ~mode ~backend ~spec g =
     match spec with
     | Some _ -> fresh ()
     | None -> (
-      match
-        locked t (fun () -> Hashtbl.find_opt t.lint_cache (fp, mode, backend))
-      with
+      match locked t (fun () -> Hashtbl.find_opt t.lint_cache key) with
       | Some r -> r
       | None ->
         let r = fresh () in
         locked t (fun () ->
-            if not (Hashtbl.mem t.lint_cache (fp, mode, backend)) then
-              Hashtbl.add t.lint_cache (fp, mode, backend) r);
+            if not (Hashtbl.mem t.lint_cache key) then
+              Hashtbl.add t.lint_cache key r);
         r)
   in
   match report.incomplete with
@@ -157,41 +157,63 @@ let avoidance_of_plan ~epoch mode g (plan : Compiler.plan) =
     Engine.Non_propagation
       (stamp (Compiler.send_thresholds g plan.Compiler.intervals))
 
-(* Admission step 2: the shared threshold table. One compile per
-   distinct (fingerprint, mode, backend); every later key-equal tenant
-   gets the physically same avoidance value. The table stays bound to
-   the first tenant's graph object — Thresholds compatibility is by
-   fingerprint, so the pool accepts it for every structural twin. *)
-let shared_entry t ~fp ~mode ~backend g =
+(* Admission step 2, and a reconfigure's table: the shared registry
+   entry for [key]. One compile per distinct key; every later key-equal
+   tenant gets the physically same avoidance value. The table stays
+   bound to the first tenant's graph object — Thresholds compatibility
+   is by fingerprint, so the pool accepts it for every structural twin.
+   A miss compiles fresh on a new cache, or — given the edit [delta] —
+   recompiles incrementally on the cache of the session's current entry
+   (whose epoch is [delta.base]); either way the insert is first-wins
+   and only the winner is counted. The stats are those of this call's
+   compile, absent on a hit. *)
+let resolve_entry t ((_, mode, backend) as key) ?delta g =
   match mode with
   | No_avoidance -> Ok None
   | Propagation | Non_propagation -> (
-    match
-      locked t (fun () -> Hashtbl.find_opt t.registry (fp, mode, backend))
-    with
-    | Some e -> Ok (Some e)
+    match locked t (fun () -> Hashtbl.find_opt t.registry key) with
+    | Some e -> Ok (Some (e, None))
     | None -> (
       let options =
         { t.options with Compiler.Options.fuse = false; backend }
       in
-      let cache = Compiler.cache_create () in
-      match
-        Compiler.compile_cached ~options cache (lint_algorithm mode) g
-      with
+      let algorithm = lint_algorithm mode in
+      let cache, eepoch, compiled =
+        match delta with
+        | None ->
+          let cache = Compiler.cache_create () in
+          (cache, 0, Compiler.compile_cached ~options cache algorithm g)
+        | Some delta ->
+          let base_key =
+            (Thresholds.graph_fingerprint delta.Edit.base, mode, backend)
+          in
+          let cache, epoch =
+            match locked t (fun () -> Hashtbl.find_opt t.registry base_key) with
+            | Some e -> (e.cache, e.eepoch)
+            | None -> (Compiler.cache_create (), 0)
+          in
+          (cache, epoch + 1, Compiler.recompile ~options cache algorithm delta)
+      in
+      match compiled with
       | Error e -> Error (Plan_rejected e)
-      | Ok (plan, _) ->
-        let av = avoidance_of_plan ~epoch:0 mode g plan in
-        let entry = { av; cache; eepoch = 0 } in
-        Ok
-          (Some
-             (locked t (fun () ->
-                  (* a racing admission may have won; keep the first *)
-                  match Hashtbl.find_opt t.registry (fp, mode, backend) with
-                  | Some prior -> prior
-                  | None ->
-                    Hashtbl.add t.registry (fp, mode, backend) entry;
-                    t.compiles <- t.compiles + 1;
-                    entry)))))
+      | Ok (plan, stats) ->
+        let entry =
+          { av = avoidance_of_plan ~epoch:eepoch mode g plan; cache; eepoch }
+        in
+        locked t (fun () ->
+            match Hashtbl.find_opt t.registry key with
+            | Some prior -> Ok (Some (prior, Some stats))
+            | None ->
+              Hashtbl.add t.registry key entry;
+              (match delta with
+              | None -> t.compiles <- t.compiles + 1
+              | Some _ ->
+                t.recompiles <- t.recompiles + 1;
+                Option.iter
+                  (fun (lp : Fstream_core.Lp.resolve_stats) ->
+                    t.warm_pivots <- t.warm_pivots + lp.rpivots)
+                  stats.Compiler.lp_stats);
+              Ok (Some (entry, Some stats)))))
 
 let admit t ?name ?spec ?backend ~mode g =
   let backend =
@@ -205,10 +227,11 @@ let admit t ?name ?spec ?backend ~mode g =
     when Thresholds.graph_fingerprint s.graph <> fp ->
     invalid_arg "Serve.admit: spec describes a different graph"
   | _ -> ());
+  let key = (fp, mode, backend) in
   let verdict =
-    match lint_verdict t ~fp ~mode ~backend ~spec g with
+    match lint_verdict t key ~spec g with
     | Error _ as e -> e
-    | Ok () -> shared_entry t ~fp ~mode ~backend g
+    | Ok () -> resolve_entry t key g
   in
   match verdict with
   | Error r ->
@@ -234,7 +257,7 @@ let admit t ?name ?spec ?backend ~mode g =
         graph = g;
         savoidance =
           (match entry with
-          | Some e -> e.av
+          | Some (e, _) -> e.av
           | None -> Engine.No_avoidance);
         sepoch = 0;
         job = None;
@@ -336,63 +359,18 @@ let reconfigure t s ops =
   | Error msg -> reject (Edit_rejected msg)
   | Ok delta -> (
     let g = delta.Edit.graph in
-    let fp = Thresholds.graph_fingerprint g in
-    let mode = s.smode and backend = s.sbackend in
-    match lint_verdict t ~fp ~mode ~backend ~spec:None g with
+    let key = (Thresholds.graph_fingerprint g, s.smode, s.sbackend) in
+    match lint_verdict t key ~spec:None g with
     | Error r -> reject r
     | Ok () -> (
-      let resolved =
-        match mode with
-        | No_avoidance -> Ok (Engine.No_avoidance, None)
-        | Propagation | Non_propagation -> (
-          match
-            locked t (fun () ->
-                Hashtbl.find_opt t.registry (fp, mode, backend))
-          with
-          | Some e -> Ok (e.av, None)
-          | None -> (
-            (* the session's current entry carries the cache whose
-               epoch is [delta.base] — recompile incrementally *)
-            let old_fp = Thresholds.graph_fingerprint base in
-            let cache, old_epoch =
-              match
-                locked t (fun () ->
-                    Hashtbl.find_opt t.registry (old_fp, mode, backend))
-              with
-              | Some e -> (e.cache, e.eepoch)
-              | None -> (Compiler.cache_create (), 0)
-            in
-            let options =
-              { t.options with Compiler.Options.fuse = false; backend }
-            in
-            match
-              Compiler.recompile ~options cache (lint_algorithm mode) delta
-            with
-            | Error e -> Error (Plan_rejected e)
-            | Ok (plan, stats) ->
-              let eepoch = old_epoch + 1 in
-              let av = avoidance_of_plan ~epoch:eepoch mode g plan in
-              let entry = { av; cache; eepoch } in
-              let entry =
-                locked t (fun () ->
-                    match
-                      Hashtbl.find_opt t.registry (fp, mode, backend)
-                    with
-                    | Some prior -> prior
-                    | None ->
-                      Hashtbl.add t.registry (fp, mode, backend) entry;
-                      t.recompiles <- t.recompiles + 1;
-                      (match stats.Compiler.lp_stats with
-                      | Some lp ->
-                        t.warm_pivots <- t.warm_pivots + lp.Fstream_core.Lp.rpivots
-                      | None -> ());
-                      entry)
-              in
-              Ok (entry.av, Some stats)))
-      in
-      match resolved with
+      match resolve_entry t key ~delta g with
       | Error r -> reject r
-      | Ok (av, stats) ->
+      | Ok resolved ->
+        let av, stats =
+          match resolved with
+          | Some (e, stats) -> (e.av, stats)
+          | None -> (Engine.No_avoidance, None)
+        in
         (* drain to the run boundary: a started, uncollected session is
            joined here (its report stays cached for the user's await) *)
         Mutex.lock s.slock;

@@ -109,6 +109,106 @@ let prop_finite_iff_on_cycle =
              (fun i v -> Interval.is_finite v = on_cycle.(i))
              p.intervals))
 
+(* ----- typed cycle budget ----- *)
+
+let tight_budget backend =
+  { Compiler.Options.default with max_cycles = 2; backend }
+
+let test_budget_exact_errors () =
+  match
+    Compiler.compile ~options:(tight_budget Compiler.Exact)
+      Compiler.Non_propagation (Topo_gen.fig4_butterfly ~cap:2)
+  with
+  | Error (Compiler.Cycle_budget_exceeded 2) -> ()
+  | Error e ->
+    Alcotest.failf "wrong error: %s" (Compiler.error_to_string e)
+  | Ok _ -> Alcotest.fail "7 cycles past a budget of 2 must not compile"
+
+let test_budget_auto_falls_back () =
+  let g = Topo_gen.fig4_butterfly ~cap:2 in
+  let lp = { Compiler.Options.default with backend = Compiler.Lp } in
+  match
+    ( Compiler.compile ~options:(tight_budget Compiler.Auto)
+        Compiler.Non_propagation g,
+      Compiler.compile ~options:lp Compiler.Non_propagation g )
+  with
+  | Error e, _ | _, Error e -> Alcotest.fail (Compiler.error_to_string e)
+  | Ok ({ route = Compiler.Lp_route _; _ } as auto), Ok lp ->
+    Tutil.check_intervals "auto past the budget = the LP table"
+      lp.intervals auto.intervals
+  | Ok p, Ok _ ->
+    Alcotest.failf "expected the LP route, got %a" Compiler.pp_route p.route
+
+(* ----- an independent oracle for the cold route ----- *)
+
+(* [Compiler.compile] runs the memoized single-visit recursion of
+   [Sp_incremental]; the oracle builds the table the classic way: the
+   paper's per-block updates over [Cs4.classify]'s blocks, or a fold of
+   the general-DAG constraints over every simple cycle. *)
+let classic_cs4_table algorithm g =
+  let open Fstream_ladder in
+  let ivals = Array.make (Fstream_graph.Graph.num_edges g) Interval.inf in
+  (match Cs4.classify g with
+  | Error _ -> QCheck.assume_fail ()
+  | Ok cls ->
+    List.iter
+      (fun (_, _, b) ->
+        match (b, algorithm) with
+        | Cs4.Sp_block t, Compiler.Propagation -> Sp_prop.update ivals t
+        | Cs4.Sp_block t, Compiler.Non_propagation -> Sp_nonprop.update ivals t
+        | Cs4.Sp_block t, Compiler.Relay_propagation ->
+          Sp_nonprop.update_relay ivals t
+        | Cs4.Ladder_block l, Compiler.Propagation -> Ladder_prop.update ivals l
+        | Cs4.Ladder_block l, Compiler.Non_propagation ->
+          Ladder_nonprop.update ivals l
+        | Cs4.Ladder_block l, Compiler.Relay_propagation ->
+          Ladder_nonprop.update_relay ivals l)
+      cls.Cs4.blocks);
+  ivals
+
+let classic_general_table algorithm g =
+  let ivals = Array.make (Fstream_graph.Graph.num_edges g) Interval.inf in
+  let fold =
+    match algorithm with
+    | Compiler.Propagation -> General.update_propagation
+    | Compiler.Non_propagation -> General.update_non_propagation
+    | Compiler.Relay_propagation -> General.update_relay_propagation
+  in
+  List.iter (fold ivals) (Fstream_graph.Cycles.enumerate g);
+  ivals
+
+let algorithms =
+  [ ("prop", Compiler.Propagation); ("nonprop", Compiler.Non_propagation);
+    ("relay", Compiler.Relay_propagation) ]
+
+let random_dense_of_seed seed =
+  let rng = Tutil.rng_of seed in
+  Topo_gen.random_dense rng
+    ~layers:(1 + Random.State.int rng 2)
+    ~width:(2 + Random.State.int rng 2)
+    ~max_cap:4
+
+let oracle_families =
+  [ ("sp", Tutil.random_sp_of_seed ?max_edges:None, classic_cs4_table);
+    ("ladder", Tutil.random_ladder_of_seed ?max_rungs:None, classic_cs4_table);
+    ("cs4", Tutil.random_cs4_of_seed ?max_blocks:None, classic_cs4_table);
+    ("butterfly", (fun seed -> Topo_gen.fig4_butterfly ~cap:(1 + (seed mod 7))),
+     classic_general_table);
+    ("random dag", Tutil.random_dag_of_seed, classic_general_table);
+    ("random dense", random_dense_of_seed, classic_general_table) ]
+
+let cold_route_oracle (aname, algorithm) (fname, family, oracle) =
+  Tutil.qtest ~count:300
+    (Printf.sprintf "compile = classic oracle (%s, %s)" aname fname)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      let expected = oracle algorithm g in
+      match Compiler.compile algorithm g with
+      | Error e -> Alcotest.fail (Compiler.error_to_string e)
+      | Ok p ->
+        Tutil.check_intervals "compile = oracle" expected p.intervals;
+        true)
+
 let suite =
   [
     Alcotest.test_case "routing decisions" `Quick test_routes;
@@ -120,4 +220,11 @@ let suite =
       test_propagation_thresholds_bridges;
     prop_nonprop_at_most_prop;
     prop_finite_iff_on_cycle;
+    Alcotest.test_case "cycle budget: Exact errors" `Quick
+      test_budget_exact_errors;
+    Alcotest.test_case "cycle budget: Auto falls back to LP" `Quick
+      test_budget_auto_falls_back;
   ]
+  @ List.concat_map
+      (fun a -> List.map (cold_route_oracle a) oracle_families)
+      algorithms

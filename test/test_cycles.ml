@@ -30,7 +30,7 @@ let test_bypassed_diamond_counts () =
 let test_max_cycles_guard () =
   let g = Topo_gen.diamond_chain ~bypass:true ~diamonds:10 ~cap:1 () in
   Alcotest.check_raises "enumeration bail-out"
-    (Failure "Cycles.enumerate: max_cycles exceeded") (fun () ->
+    (Cycles.Budget_exceeded 100) (fun () ->
       ignore (Cycles.enumerate ~max_cycles:100 g))
 
 let test_runs_hexagon () =

@@ -207,6 +207,45 @@ let prop_derived_equals_recompiled =
           Array.length fused_intervals = Array.length p.Compiler.intervals
           && Array.for_all2 Interval.equal fused_intervals p.Compiler.intervals))
 
+(* Every compile entry point honours [fuse]: the cache-backed compile
+   and an incremental recompile attach the very partition and fused
+   table a plain compile of the same graph attaches. *)
+let prop_fuse_on_every_entry_point =
+  Tutil.qtest ~count:300 "compile_cached and recompile attach compile's fusion"
+    Tutil.seed_gen (fun seed ->
+      let g = graph_of_family seed in
+      let algorithm = algorithm_of (seed / 7) in
+      let options = { Compiler.Options.default with fuse = true } in
+      let fused_of what = function
+        | Ok { Compiler.fused = Some f; _ } -> f
+        | Ok { Compiler.fused = None; _ } ->
+          Alcotest.failf "%s attached no fusion" what
+        | Error e -> Alcotest.failf "%s: %s" what (Compiler.error_to_string e)
+      in
+      let same what (a : Compiler.fused) (b : Compiler.fused) =
+        Alcotest.(check (array (array int)))
+          (what ^ ": members") a.fusion.Fusion.members b.fusion.Fusion.members;
+        Alcotest.(check (array int))
+          (what ^ ": edge map") a.fusion.Fusion.edge_of b.fusion.Fusion.edge_of;
+        Tutil.check_intervals (what ^ ": fused table") a.fused_intervals
+          b.fused_intervals
+      in
+      let module Edit = Fstream_graph.Edit in
+      let cache = Compiler.cache_create () in
+      let cached = Compiler.compile_cached ~options cache algorithm in
+      let recompiled = Compiler.recompile ~options cache algorithm in
+      same "compile_cached"
+        (fused_of "compile" (Compiler.compile ~options algorithm g))
+        (fused_of "compile_cached" (Result.map fst (cached g)));
+      let cap = (Graph.edge g 0).cap + 1 in
+      match Edit.apply g [ Edit.Resize { edge = 0; cap } ] with
+      | Error e -> Alcotest.fail e
+      | Ok delta ->
+        same "recompile"
+          (fused_of "compile" (Compiler.compile ~options algorithm delta.graph))
+          (fused_of "recompile" (Result.map fst (recompiled delta)));
+        true)
+
 (* ----- differential: fused = unfused ----- *)
 
 let domains_of seed = match seed / 5 mod 3 with 0 -> 1 | 1 -> 2 | _ -> 4
@@ -525,6 +564,7 @@ let suite =
     prop_spine_is_bridges;
     prop_partition_well_formed;
     prop_derived_equals_recompiled;
+    prop_fuse_on_every_entry_point;
   ]
   @ differential_suite
   @ [
