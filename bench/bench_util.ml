@@ -12,7 +12,10 @@ let quick = ref false
    enough to wrap whole engine runs. Words are OCaml words (8 bytes on
    64-bit); [minor_words] counts every allocation that went through the
    minor heap, which is the figure of merit for a hot loop that is
-   supposed to allocate nothing. *)
+   supposed to allocate nothing. It comes from [Gc.minor_words]: on
+   OCaml 5 the [quick_stat] field is only brought up to date at minor
+   collections, so its delta drops whatever the thunk allocated after
+   the last one — a figure that moved with unrelated set-up changes. *)
 type gc_stats = {
   minor_words : float;
   major_words : float;
@@ -22,11 +25,11 @@ type gc_stats = {
 }
 
 let with_gc_stats f =
-  let a = Gc.quick_stat () in
+  let a = Gc.quick_stat () and wa = Gc.minor_words () in
   let r = f () in
-  let b = Gc.quick_stat () in
+  let wb = Gc.minor_words () and b = Gc.quick_stat () in
   ( {
-      minor_words = b.Gc.minor_words -. a.Gc.minor_words;
+      minor_words = wb -. wa;
       major_words = b.Gc.major_words -. a.Gc.major_words;
       promoted_words = b.Gc.promoted_words -. a.Gc.promoted_words;
       minor_collections = b.Gc.minor_collections - a.Gc.minor_collections;

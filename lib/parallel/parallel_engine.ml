@@ -1,35 +1,25 @@
 open Fstream_graph
-module Engine = Fstream_runtime.Engine
 module Channel = Fstream_runtime.Channel
-module Message = Fstream_runtime.Message
+module Firing = Fstream_runtime.Firing
 module Report = Fstream_runtime.Report
 module Run = Fstream_runtime.Run
-module Thresholds = Fstream_core.Thresholds
 module Event = Fstream_obs.Event
-module Sink = Fstream_obs.Sink
 
-(* Sharded domain-pool runtime, multiplexing many application
-   instances over one persistent set of worker domains.
-
-   Nodes are lightweight tasks executed by a fixed pool of worker
-   domains; the one-domain-per-node model (and its 64-node cap) is
-   gone. Each submitted instance partitions its graph's nodes into
-   [nshards = domains] contiguous shards, each with its own mutex and
-   a ready-queue of runnable nodes. Workers drain one instance's
-   shards (home shard first, stealing round-robin when it runs dry)
-   and rotate between live instances under the fair-share quota: at
-   most [quota] consecutive task grants to one instance while another
-   instance has queued work, so a hot tenant cannot monopolize the
-   pool — the instance-level analogue of the per-node [grain] bound.
+(* Sharded domain-pool runtime: the interface describes the shards,
+   the stealing and the fair-share quota; this comment records the
+   invariants the implementation hangs off. Each node is a lightweight
+   task running the shared {!Firing} step.
 
    Locking discipline — the single invariant everything hangs off:
 
      every operation on channel [e] happens under the lock of
      [shard (dst e)] (shards, locks and channels are per instance).
 
-   A node's in-edges all terminate at the node, so its firing decision
-   (all inputs non-empty, min head sequence, pops) needs exactly one
-   lock: its own shard's. A push takes the consumer's shard lock. No
+   The step's {!Firing.hooks} carry it out. A node's in-edges all
+   terminate at the node, so its firing decision (all inputs
+   non-empty, min head sequence, pops) needs exactly one lock: its own
+   shard's. A push takes the consumer's shard lock, and narrates the
+   [Push] under it, so the event precedes the consumer's [Pop]. No
    code path ever holds two shard locks at once: pops that free a full
    channel collect the producer node ids and wake them after the
    consumer's lock is released. The event sink and the pool's idle
@@ -49,11 +39,7 @@ module Sink = Fstream_obs.Sink
    make a node runnable again. The worker that releases the last
    ticket finalizes the instance: live nodes remaining at that point
    mean a genuine deadlock of the streaming computation itself. The
-   previous single-run pool detected the same condition globally
-   ("every worker idle and nothing queued"); the ticket count is that
-   check made per-instance, which a shared pool needs because other
-   tenants keep the workers busy. The [stall_ms] timer survives only
-   as an off-by-default backstop that additionally requires zero
+   [stall_ms] timer is only an off-by-default backstop that requires zero
    in-flight kernels and an empty ready-queue for the instance, so a
    kernel that computes for longer than the window can never be
    misreported as a deadlock.
@@ -70,44 +56,11 @@ module Sink = Fstream_obs.Sink
    decrement is ordered after every other worker's release of the same
    atomic. *)
 
-let hole : Message.t = Message.eos ()
-
-let payload_of (m : Message.t) =
-  match m.body with
-  | Message.Data _ -> Event.Data
-  | Message.Dummy -> Event.Dummy
-  | Message.Eos -> Event.Eos
-
 (* Scheduling state of one node, mutated only under its shard's lock.
    [Running_dirty] records a wake that arrived while the task was
    executing, so the finishing worker re-queues it instead of losing
    the wakeup. *)
 type sched = Idle | Queued | Running | Running_dirty
-
-type node_state = {
-  kernel : Engine.kernel;
-  (* pending sends: same per-node ring as the sequential engine — a
-     node cannot fire while non-empty, so capacity [out_degree]
-     suffices (one firing's data, or the EOS fan-out) *)
-  pend_eid : int array;
-  pend_msg : Message.t array;
-  mutable pend_head : int;
-  mutable pend_len : int;
-  mutable next_input : int;
-  mutable finished : bool;
-  mutable slots : int; (* out-edges holding a queued dummy slot *)
-  mutable blocked : bool; (* inside a blocking episode (Blocked emitted) *)
-  mutable fire_id : int; (* per-node firing stamp for validation *)
-  mutable flush_id : int; (* per-node flush stamp for bstamp *)
-  mutable sink_got : int; (* data consumed, if this node is a sink *)
-  mutable reuse : Message.t; (* last popped Data block, reusable *)
-  mutable state : sched;
-  mutable wakes : int; (* tasks this node made runnable, not yet signalled *)
-  got_buf : int array; (* scratch: in-edges that delivered data *)
-  freed_buf : int array; (* scratch: producers freed by our pops *)
-  src : bool;
-  snk : bool;
-}
 
 type shard = {
   lock : Mutex.t;
@@ -124,20 +77,6 @@ type shard = {
   _pad2 : int;
   _pad3 : int;
 }
-
-(* Same packed per-edge layout as the sequential engine (stride 8, one
-   cache line per edge), with the spare slot holding the per-edge
-   dropped-dummy count. [f_thr]/[f_owner]/[f_dst] are set-up-time
-   constants; the rest are written only by the edge's owner node, whose
-   executions are serialized, so they need no lock. *)
-let f_thr = 0
-let f_last = 1
-let f_slot = 2 (* coalescing dummy mouth; -1 = empty *)
-let f_dstamp = 3 (* fire_id stamp: kernel chose this edge *)
-let f_bstamp = 4 (* flush_id stamp: push refused this flush *)
-let f_owner = 5
-let f_dst = 6
-let f_drop = 7 (* dummies superseded before delivery *)
 
 let default_grain = Run.default_grain
 let default_domains = Run.default_domains
@@ -312,87 +251,17 @@ module Pool = struct
 
   let submit t ?(grain = default_grain) ?stall_ms ?sink ~graph:g ~kernels
       ~inputs ~avoidance () =
-    let n = Graph.num_nodes g and m = Graph.num_edges g in
+    Mutex.lock t.idle_lock;
+    let stopped = t.stopping in
+    Mutex.unlock t.idle_lock;
+    if stopped then
+      invalid_arg "Parallel_engine.Pool.submit: pool is shut down";
+    let n = Graph.num_nodes g in
     if grain < 1 then invalid_arg "Parallel_engine.run: grain < 1";
-    let sink =
-      match sink with Some s when not (Sink.is_null s) -> Some s | _ -> None
-    in
-    let obs = sink <> None in
-    let sink_lock = Mutex.create () in
-    (* sink calls are serialized, whatever domain they come from *)
-    let ev e =
-      match sink with
-      | Some s ->
-        Mutex.lock sink_lock;
-        Sink.emit s e;
-        Mutex.unlock sink_lock
-      | None -> ()
-    in
-    let thresholds, forwarding =
-      match avoidance with
-      | Engine.No_avoidance -> (Array.make m None, false)
-      | Engine.Propagation tb ->
-        Thresholds.check tb g;
-        (Thresholds.to_array tb, true)
-      | Engine.Non_propagation tb ->
-        Thresholds.check tb g;
-        (Thresholds.to_array tb, false)
-    in
-    let chans =
-      Array.init m (fun i -> Channel.create ~capacity:(Graph.edge g i).cap)
-    in
-    let ed = Array.make (m * 8) 0 in
-    for i = 0 to m - 1 do
-      let eb = i * 8 in
-      ed.(eb + f_thr) <-
-        (match thresholds.(i) with Some k -> k | None -> max_int);
-      ed.(eb + f_last) <- -1;
-      ed.(eb + f_slot) <- -1;
-      let e = Graph.edge g i in
-      ed.(eb + f_owner) <- e.src;
-      ed.(eb + f_dst) <- e.dst
-    done;
-    (* CSR adjacency, as in the sequential engine *)
-    let out_off = Array.make (n + 1) 0 in
-    let in_off = Array.make (n + 1) 0 in
-    for v = 0 to n - 1 do
-      out_off.(v + 1) <- out_off.(v) + Graph.out_degree g v;
-      in_off.(v + 1) <- in_off.(v) + Graph.in_degree g v
-    done;
-    let out_flat = Array.make m 0 in
-    let in_flat = Array.make m 0 in
-    for v = 0 to n - 1 do
-      let ids = Graph.out_edge_ids g v in
-      Array.blit ids 0 out_flat out_off.(v) (Array.length ids);
-      let ids = Graph.in_edge_ids g v in
-      Array.blit ids 0 in_flat in_off.(v) (Array.length ids)
-    done;
-    let st =
-      Array.init n (fun v ->
-          let deg = Graph.out_degree g v in
-          let in_deg = Graph.in_degree g v in
-          {
-            kernel = kernels v;
-            pend_eid = Array.make deg 0;
-            pend_msg = Array.make deg hole;
-            pend_head = 0;
-            pend_len = 0;
-            next_input = 0;
-            finished = false;
-            slots = 0;
-            blocked = false;
-            fire_id = 0;
-            flush_id = 0;
-            sink_got = 0;
-            reuse = hole;
-            state = Idle;
-            wakes = 0;
-            got_buf = Array.make (max in_deg 1) 0;
-            freed_buf = Array.make (max in_deg 1) 0;
-            src = in_deg = 0;
-            snk = deg = 0;
-          })
-    in
+    let state = Array.make n Idle in
+    (* per node: tasks its current firing made runnable, not yet
+       signalled *)
+    let wakes = Array.make n 0 in
     (* contiguous block partition: neighbours tend to share a shard, so
        a pipeline hop's pop and push often reuse the lock the worker
        already touched; work-stealing evens out any imbalance *)
@@ -413,12 +282,11 @@ module Pool = struct
             _pad3 = 0;
           })
     in
-    let iid = Atomic.fetch_and_add t.next_iid 1 in
     (* instance coordination *)
     let iq = Atomic.make 0 in (* tasks sitting in this instance's queues *)
     let live = Atomic.make 0 in (* tickets: queued + running tasks *)
     let in_flight = Atomic.make 0 in (* tasks being executed *)
-    let progress = Atomic.make 0 in (* pushes + pops; backstop input *)
+    let progress = Atomic.make 0 in (* firings + landed flushes *)
     let halt = Atomic.make false in
     let timed_out = Atomic.make false in
     let finalized = Atomic.make false in
@@ -431,358 +299,93 @@ module Pool = struct
         dog = None;
       }
     in
+    (* Append [v] to its shard [sh]'s ready ring. Caller holds [sh]'s
+       lock, or owns the still-unpublished instance. *)
+    let enqueue sh v =
+      state.(v) <- Queued;
+      let size = Array.length sh.queue in
+      let tail = sh.q_head + sh.q_len in
+      sh.queue.(if tail >= size then tail - size else tail) <- v;
+      sh.q_len <- sh.q_len + 1
+    in
     (* Make [v] runnable. Caller holds [sh] = [v]'s shard lock. Returns
        whether [v] was actually enqueued; signalling idle workers is
-       the caller's job (batched per firing, {!signal_idlers}). An
-       Idle -> Queued transition mints a live ticket. *)
+       the caller's job ({!signal_idlers}). An Idle -> Queued
+       transition mints a live ticket. *)
     let wake_locked sh v =
-      let s = st.(v) in
-      match s.state with
+      match state.(v) with
       | Idle ->
-        s.state <- Queued;
-        let size = Array.length sh.queue in
-        let tail = sh.q_head + sh.q_len in
-        let tail = if tail >= size then tail - size else tail in
-        sh.queue.(tail) <- v;
-        sh.q_len <- sh.q_len + 1;
+        enqueue sh v;
         Atomic.incr live;
         Atomic.incr iq;
         Atomic.incr t.queued;
         true
       | Running ->
-        s.state <- Running_dirty;
+        state.(v) <- Running_dirty;
         false
       | Queued | Running_dirty -> false
     in
-    let flush_wakes s =
-      if s.wakes > 0 then begin
-        let k = s.wakes in
-        s.wakes <- 0;
+    let flush_wakes v =
+      let k = wakes.(v) in
+      if k > 0 then begin
+        wakes.(v) <- 0;
         signal_idlers t k
       end
     in
-    (* Push on [e]. Caller holds [shard (dst e)]'s lock [sh]; [s] is
-       the sending node's state, which accumulates the wakes of this
-       firing. *)
-    let push_now sh s e (msg : Message.t) =
-      let c = chans.(e) in
-      if Channel.push c msg then begin
-        Atomic.incr progress;
-        if Channel.length c = 1 && wake_locked sh ed.((e * 8) + f_dst) then
-          s.wakes <- s.wakes + 1;
-        if obs then
-          ev (Event.Push { edge = e; seq = msg.seq; payload = payload_of msg });
-        true
-      end
-      else false
+    (* The pool's side of the shared step, under the locking
+       discipline above. The consumers a firing's pushes made runnable
+       are signalled in one batch once it ends ({!flush_wakes}), never
+       under a shard lock; the producers its pops freed, in one batch
+       before its kernel runs. *)
+    let hooks =
+      {
+        Firing.guard = Some (fun v -> shards.(shard_of.(v)).lock);
+        woke =
+          Some
+            (fun v dst ->
+              if wake_locked shards.(shard_of.(dst)) dst then
+                wakes.(v) <- wakes.(v) + 1);
+        freed =
+          Some
+            (fun producers k ->
+              let woken = ref 0 in
+              for j = 0 to k - 1 do
+                let p = producers.(j) in
+                let sh = shards.(shard_of.(p)) in
+                Mutex.lock sh.lock;
+                if wake_locked sh p then incr woken;
+                Mutex.unlock sh.lock
+              done;
+              signal_idlers t !woken);
+      }
     in
-    let push_to s e msg =
-      let sh = shards.(shard_of.(ed.((e * 8) + f_dst))) in
-      Mutex.lock sh.lock;
-      let landed = push_now sh s e msg in
-      Mutex.unlock sh.lock;
-      landed
+    let fr =
+      Firing.create ~who:"Parallel_engine" ?sink ~hooks ~graph:g ~kernels
+        ~inputs ~avoidance ()
     in
-    let enqueue s eid msg =
-      let size = Array.length s.pend_eid in
-      assert (s.pend_len < size);
-      let tail = s.pend_head + s.pend_len in
-      let tail = if tail >= size then tail - size else tail in
-      s.pend_eid.(tail) <- eid;
-      s.pend_msg.(tail) <- msg;
-      s.pend_len <- s.pend_len + 1
-    in
-    let drop_slot eid old =
-      ed.((eid * 8) + f_drop) <- ed.((eid * 8) + f_drop) + 1;
-      if obs then ev (Event.Dummy_dropped { edge = eid; seq = old })
-    in
-    (* Attempt every pending send once; a refused channel blocks its
-       later sends this pass (per-channel FIFO), other channels
-       proceed. *)
-    let rec flush_pending s fid size left =
-      if left = 0 then ()
-      else begin
-        let eid = s.pend_eid.(s.pend_head) in
-        let msg = s.pend_msg.(s.pend_head) in
-        s.pend_msg.(s.pend_head) <- hole;
-        s.pend_head <-
-          (if s.pend_head + 1 >= size then 0 else s.pend_head + 1);
-        s.pend_len <- s.pend_len - 1;
-        if ed.((eid * 8) + f_bstamp) <> fid && push_to s eid msg then ()
-        else begin
-          ed.((eid * 8) + f_bstamp) <- fid;
-          enqueue s eid msg
-        end;
-        flush_pending s fid size (left - 1)
-      end
-    in
-    let rec flush_slots s fid k hi =
-      if k >= hi then ()
-      else begin
-        let e = out_flat.(k) in
-        let eb = e * 8 in
-        let seq = ed.(eb + f_slot) in
-        if
-          seq >= 0
-          && ed.(eb + f_bstamp) <> fid
-          && push_to s e (Message.dummy ~seq)
-        then begin
-          ed.(eb + f_slot) <- -1;
-          s.slots <- s.slots - 1
-        end;
-        flush_slots s fid (k + 1) hi
-      end
-    in
-    let flush v s =
-      s.flush_id <- s.flush_id + 1;
-      let fid = s.flush_id in
-      if s.pend_len > 0 then
-        flush_pending s fid (Array.length s.pend_eid) s.pend_len;
-      if s.slots > 0 then flush_slots s fid out_off.(v) out_off.(v + 1)
-    in
-    (* O(ids) kernel-output validation via the owner field, as in the
-       sequential engine; the per-node fire stamp doubles as the
-       duplicate collapser for [emit]. *)
-    let rec validate_ids v stamp ids =
-      match ids with
-      | [] -> ()
-      | id :: rest ->
-        if id < 0 || id >= m || ed.((id * 8) + f_owner) <> v then
-          invalid_arg
-            (Printf.sprintf
-               "Parallel_engine: kernel of node %d returned edge %d" v id);
-        ed.((id * 8) + f_dstamp) <- stamp;
-        validate_ids v stamp rest
-    in
-    let msg_for s seq =
-      let msg = s.reuse in
-      if msg.Message.seq = seq then msg
-      else begin
-        let nm = Message.data ~seq seq in
-        s.reuse <- nm;
-        nm
-      end
-    in
-    let emit v s ~seq ~got_dummy =
-      let stamp = s.fire_id in
-      for k = out_off.(v) to out_off.(v + 1) - 1 do
-        let e = out_flat.(k) in
-        let eb = e * 8 in
-        if ed.(eb + f_dstamp) = stamp then begin
-          (let old = ed.(eb + f_slot) in
-           if old >= 0 then begin
-             ed.(eb + f_slot) <- -1;
-             s.slots <- s.slots - 1;
-             drop_slot e old
-           end);
-          ed.(eb + f_last) <- seq;
-          let msg = msg_for s seq in
-          if not (push_to s e msg) then enqueue s e msg
-        end
-        else begin
-          let due = seq - ed.(eb + f_last) >= ed.(eb + f_thr) in
-          if (forwarding && got_dummy) || due then begin
-            (let old = ed.(eb + f_slot) in
-             if old >= 0 then drop_slot e old else s.slots <- s.slots + 1);
-            ed.(eb + f_slot) <- seq;
-            if obs then ev (Event.Dummy_emitted { node = v; edge = e; seq });
-            ed.(eb + f_last) <- seq;
-            (* immediate delivery attempt, matching the sequential
-               visit's post-firing flush *)
-            if push_to s e (Message.dummy ~seq) then begin
-              ed.(eb + f_slot) <- -1;
-              s.slots <- s.slots - 1
-            end
-          end
-        end
-      done
-    in
-    let send_eos v s =
-      for k = out_off.(v) to out_off.(v + 1) - 1 do
-        let e = out_flat.(k) in
-        let eb = e * 8 in
-        (let old = ed.(eb + f_slot) in
-         if old >= 0 then begin
-           ed.(eb + f_slot) <- -1;
-           s.slots <- s.slots - 1;
-           drop_slot e old
-         end);
-        if not (push_to s e hole) then enqueue s e hole
-      done;
-      if obs then ev (Event.Eos { node = v });
-      s.finished <- true
-    in
-    let fire_source v s =
-      if s.next_input < inputs then begin
-        let seq = s.next_input in
-        s.next_input <- seq + 1;
-        s.fire_id <- s.fire_id + 1;
-        let ids = s.kernel ~seq ~got:[] in
-        validate_ids v s.fire_id ids;
-        if obs then
-          ev
-            (Event.Node_fired
-               {
-                 node = v;
-                 seq;
-                 got = [];
-                 got_dummy = false;
-                 sent = List.sort_uniq compare ids;
-               });
-        emit v s ~seq ~got_dummy:false;
-        true
-      end
-      else if not s.finished then begin
-        send_eos v s;
-        true
-      end
-      else false
-    in
-    (* Head scan / consume, under the node's shard lock. Pops that
-       free a full channel record the producer in [freed_buf]; the
-       wakes are delivered after the lock is dropped (never two shard
-       locks). *)
-    let rec min_head k hi acc =
-      if k >= hi then acc
-      else
-        let c = chans.(in_flat.(k)) in
-        if Channel.is_empty c then min_int
-        else
-          let sq = Channel.peek_seq c in
-          min_head (k + 1) hi (if sq < acc then sq else acc)
-    in
-    let dummy_bit = 1 lsl 62 in
-    let rec consume s i k hi acc nfreed =
-      if k >= hi then (acc, nfreed)
-      else begin
-        let e = in_flat.(k) in
-        let c = chans.(e) in
-        if Channel.peek_seq c = i then begin
-          let was_full = Channel.is_full c in
-          let msg = Channel.pop_exn c in
-          Atomic.incr progress;
-          let nfreed =
-            if was_full then begin
-              s.freed_buf.(nfreed) <- ed.((e * 8) + f_owner);
-              nfreed + 1
-            end
-            else nfreed
-          in
-          if obs then
-            ev
-              (Event.Pop { edge = e; seq = msg.seq; payload = payload_of msg });
-          match msg.body with
-          | Message.Data _ ->
-            s.reuse <- msg;
-            let gn = acc land lnot dummy_bit in
-            s.got_buf.(gn) <- e;
-            if s.snk then s.sink_got <- s.sink_got + 1;
-            consume s i (k + 1) hi (acc + 1) nfreed
-          | Message.Dummy -> consume s i (k + 1) hi (acc lor dummy_bit) nfreed
-          | Message.Eos -> assert false
-        end
-        else consume s i (k + 1) hi acc nfreed
-      end
-    in
-    let rec got_list s k acc =
-      if k < 0 then acc else got_list s (k - 1) (s.got_buf.(k) :: acc)
-    in
-    (* One signalling batch for every producer this pop pass freed. *)
-    let wake_freed s nfreed =
-      for k = 0 to nfreed - 1 do
-        let v = s.freed_buf.(k) in
-        let sh = shards.(shard_of.(v)) in
-        Mutex.lock sh.lock;
-        if wake_locked sh v then s.wakes <- s.wakes + 1;
-        Mutex.unlock sh.lock
-      done;
-      flush_wakes s
-    in
-    let fire_inner v s =
-      let shv = shards.(shard_of.(v)) in
-      let lo = in_off.(v) and hi = in_off.(v + 1) in
-      Mutex.lock shv.lock;
-      let i = min_head lo hi max_int in
-      if i = min_int then begin
-        Mutex.unlock shv.lock;
-        false
-      end
-      else if i = max_int then begin
-        (* every input is at end-of-stream *)
-        let nfreed = ref 0 in
-        for k = lo to hi - 1 do
-          let e = in_flat.(k) in
-          let c = chans.(e) in
-          let was_full = Channel.is_full c in
-          let msg = Channel.pop_exn c in
-          Atomic.incr progress;
-          if was_full then begin
-            s.freed_buf.(!nfreed) <- ed.((e * 8) + f_owner);
-            incr nfreed
-          end;
-          if obs then
-            ev (Event.Pop { edge = e; seq = msg.seq; payload = payload_of msg })
-        done;
-        Mutex.unlock shv.lock;
-        wake_freed s !nfreed;
-        send_eos v s;
-        true
-      end
-      else begin
-        let acc, nfreed = consume s i lo hi 0 0 in
-        Mutex.unlock shv.lock;
-        wake_freed s nfreed;
-        let gn = acc land lnot dummy_bit in
-        let got_dummy = acc land dummy_bit <> 0 in
-        let got = got_list s (gn - 1) [] in
-        s.fire_id <- s.fire_id + 1;
-        (* kernel runs outside every lock: node computations overlap
-           across domains *)
-        let sent =
-          match got with
-          | [] -> []
-          | got ->
-            let ids = s.kernel ~seq:i ~got in
-            validate_ids v s.fire_id ids;
-            if obs then List.sort_uniq compare ids else []
-        in
-        if obs then
-          ev (Event.Node_fired { node = v; seq = i; got; got_dummy; sent });
-        emit v s ~seq:i ~got_dummy;
-        true
-      end
-    in
+    let obs = Firing.observed fr and ev = Firing.event fr in
+    let nodes = Firing.nodes fr in
+    let iid = Atomic.fetch_and_add t.next_iid 1 in
     (* One task execution: retry what was stuck, then fire while the
        node stays runnable, up to [grain] firings (then requeue, for
-       fairness). A firing whose sends left the pending ring non-empty
-       opens a blocking episode: [Event.Blocked] is emitted exactly
-       once per episode, when it opens. *)
+       fairness). A firing that leaves sends pending on a full channel
+       opens a blocking episode — the node cannot fire again until they
+       drain — so [Event.Blocked] is emitted exactly once per episode,
+       when it opens. *)
+    let rec fire_loop v s budget =
+      if budget > 0 && (not (Atomic.get halt)) && Firing.fire fr v s then begin
+        Atomic.incr progress;
+        flush_wakes v;
+        if s.Firing.pend_len = 0 then fire_loop v s (budget - 1)
+        else if obs then
+          ev (Event.Blocked { node = v; edge = s.pend_eid.(s.pend_head) })
+      end
+    in
     let run_node v =
-      let s = st.(v) in
-      if s.pend_len > 0 || s.slots > 0 then flush v s;
-      flush_wakes s;
-      if s.pend_len = 0 && s.blocked then s.blocked <- false;
-      let continue = ref (s.pend_len = 0) in
-      let budget = ref grain in
-      while !continue && !budget > 0 && not (Atomic.get halt) do
-        let fired =
-          if s.src then fire_source v s
-          else if not s.finished then fire_inner v s
-          else false
-        in
-        (* wakes collected during the firing, one signalling batch *)
-        flush_wakes s;
-        decr budget;
-        if not fired then continue := false
-        else if s.pend_len > 0 then begin
-          if not s.blocked then begin
-            s.blocked <- true;
-            if obs then
-              ev (Event.Blocked { node = v; edge = s.pend_eid.(s.pend_head) })
-          end;
-          continue := false
-        end
-      done
+      let s = nodes.(v) in
+      if Firing.flush fr v s then Atomic.incr progress;
+      flush_wakes v;
+      if s.pend_len = 0 then fire_loop v s grain
     in
     (* Finalize once, when the last ticket is released (or from the
        backstop watchdog): drain any queue entries an aborted instance
@@ -816,30 +419,12 @@ module Pool = struct
           match Atomic.get failure with
           | Some ex -> Error ex
           | None ->
-            let completed =
-              (not (Atomic.get timed_out))
-              && Array.for_all (fun s -> s.finished && s.pend_len = 0) st
-              && Array.for_all Channel.is_empty chans
-            in
             let outcome =
-              if completed then Report.Completed else Report.Deadlocked
+              if (not (Atomic.get timed_out)) && Firing.drained fr then
+                Report.Completed
+              else Report.Deadlocked
             in
-            if obs then ev (Event.Run_finished { outcome });
-            let sum f = Array.fold_left (fun a c -> a + f c) 0 chans in
-            let dropped = ref 0 in
-            for i = 0 to m - 1 do
-              dropped := !dropped + ed.((i * 8) + f_drop)
-            done;
-            Ok
-              {
-                Report.outcome;
-                data_messages = sum Channel.data_pushed;
-                dummy_messages = sum Channel.dummies_pushed;
-                sink_data = Array.fold_left (fun a s -> a + s.sink_got) 0 st;
-                dropped_dummies = !dropped;
-                per_edge_dummies = Array.map Channel.dummies_pushed chans;
-                detail = Report.Parallel;
-              }
+            Ok (Firing.report fr outcome Report.Parallel)
         in
         Mutex.lock job.jlock;
         job.jres <- Some res;
@@ -849,39 +434,22 @@ module Pool = struct
     in
     (* Post-execution bookkeeping: consume a missed wake
        ([Running_dirty]) or re-queue ourselves while still runnable
-       (grain exhaustion, sources) — the task keeps its ticket;
+       (grain exhaustion, sources: {!Firing.self_arming}, the rule the
+       sequential worklist re-arms by) — the task keeps its ticket;
        otherwise go idle and release it, finalizing on the last one. *)
-    let all_inputs_ready v =
-      let rec go k hi =
-        k >= hi
-        || ((not (Channel.is_empty chans.(in_flat.(k)))) && go (k + 1) hi)
-      in
-      go in_off.(v) in_off.(v + 1)
-    in
     let finish_task v =
       let sh = shards.(shard_of.(v)) in
-      let s = st.(v) in
       Mutex.lock sh.lock;
-      let rearm =
-        (not (Atomic.get halt))
-        && s.pend_len = 0
-        && (not s.finished)
-        && (s.src || all_inputs_ready v)
-      in
-      if rearm || s.state = Running_dirty then begin
-        s.state <- Queued;
-        let size = Array.length sh.queue in
-        let tail = sh.q_head + sh.q_len in
-        let tail = if tail >= size then tail - size else tail in
-        sh.queue.(tail) <- v;
-        sh.q_len <- sh.q_len + 1;
+      let rearm = (not (Atomic.get halt)) && Firing.self_arming fr v in
+      if rearm || state.(v) = Running_dirty then begin
+        enqueue sh v;
         Atomic.incr iq;
         Atomic.incr t.queued;
         Mutex.unlock sh.lock;
         signal_idlers t 1
       end
       else begin
-        s.state <- Idle;
+        state.(v) <- Idle;
         Mutex.unlock sh.lock;
         if Atomic.fetch_and_add live (-1) = 1 then finalize ()
       end
@@ -901,7 +469,7 @@ module Pool = struct
               (if sh.q_head + 1 >= Array.length sh.queue then 0
                else sh.q_head + 1);
             sh.q_len <- sh.q_len - 1;
-            st.(v).state <- Running;
+            state.(v) <- Running;
             Atomic.decr iq;
             Atomic.decr t.queued;
             Mutex.unlock sh.lock;
@@ -958,12 +526,8 @@ module Pool = struct
        only after the instance array CAS publishes everything. *)
     let seeded = ref 0 in
     for v = 0 to n - 1 do
-      if st.(v).src then begin
-        let sh = shards.(shard_of.(v)) in
-        st.(v).state <- Queued;
-        let tail = sh.q_head + sh.q_len in
-        sh.queue.(tail) <- v;
-        sh.q_len <- sh.q_len + 1;
+      if Graph.in_degree g v = 0 then begin
+        enqueue shards.(shard_of.(v)) v;
         incr seeded
       end
     done;

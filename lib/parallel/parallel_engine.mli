@@ -2,16 +2,17 @@
     driving sharded ready-queues, multiplexing any number of live
     application instances.
 
-    Executes the same model as {!Fstream_runtime.Engine} — min-seq
-    firing rule, per-node pending sends on full channels, coalescing
-    one-slot dummy mouths, EOS termination — but with node kernels
-    running concurrently on OCaml 5 domains. Nodes are lightweight
-    tasks, not domains: each submitted instance's graph is partitioned
-    into [domains] contiguous shards, each with its own lock and
-    ready-queue of runnable nodes maintained from channel occupancy
-    transitions (the parallel analogue of the sequential [Ready]
-    scheduler); workers drain their home shard and steal from the
-    others when it runs dry. There is no limit on graph size.
+    Runs the node step of {!Fstream_runtime.Firing}, the same one as
+    {!Fstream_runtime.Engine} — min-seq firing rule, per-node pending
+    sends on full channels, coalescing one-slot dummy mouths, EOS
+    termination — but with node kernels running concurrently on OCaml
+    5 domains. Nodes are lightweight tasks, not domains: each submitted
+    instance's graph is partitioned into [domains] contiguous shards,
+    each with its own lock and ready-queue of runnable nodes maintained
+    from channel occupancy transitions (the parallel analogue of the
+    sequential [Ready] scheduler); workers drain their home shard and
+    steal from the others when it runs dry. There is no limit on graph
+    size.
 
     Multi-tenancy ({!Pool}): one pool serves many concurrently
     submitted instances. Workers rotate between instances under a
@@ -25,11 +26,10 @@
     or its remaining nodes are genuinely deadlocked (nodes never block
     a worker: a send that finds a full channel parks in the node's
     pending ring and the node leaves the runnable set, so pool-level
-    scheduling cannot wedge). The wall-clock [stall_ms] watchdog of the
-    earlier one-domain-per-node runtime survives only as an opt-in
-    backstop which additionally requires zero in-flight kernels — a
-    kernel that merely computes for longer than the window can no
-    longer be misreported as deadlock.
+    scheduling cannot wedge). The wall-clock [stall_ms] watchdog is
+    only an opt-in backstop which requires zero in-flight kernels, so
+    a kernel that merely computes for longer than the window is never
+    misreported as deadlock.
 
     Determinism: kernels whose decisions depend only on their own
     node's firing history make the data computation a Kahn network, so
@@ -107,8 +107,10 @@ module Pool : sig
       runnable at once; its tasks interleave with every other live
       instance's under the fair-share quota.
 
-      @raise Invalid_argument if [grain < 1] or if [avoidance] carries
-      a threshold table computed for a different graph. *)
+      @raise Invalid_argument if the pool has been {!shutdown} (no
+      worker is left to run the instance), if [grain < 1], or if
+      [avoidance] carries a threshold table computed for a different
+      graph. *)
 
   val await : job -> Fstream_runtime.Report.t
   (** Block until the instance reaches permanent quiescence and return
@@ -120,7 +122,8 @@ module Pool : sig
   val shutdown : t -> unit
   (** Stop and join the worker domains. Call only after every
       submitted job has been awaited; jobs still live at shutdown are
-      abandoned un-finalized and their [await] never returns. *)
+      abandoned un-finalized and their [await] never returns. Every
+      later {!submit} raises [Invalid_argument]. *)
 end
 
 val run :
@@ -150,8 +153,9 @@ val run :
     scheduling overhead against fairness.
 
     [stall_ms] enables the backstop watchdog: abort and report
-    [Deadlocked] if the instance's push/pop progress counter freezes
-    for a full window {e while none of its kernels is in flight}.
+    [Deadlocked] if the instance's progress counter (firings, and
+    retries that delivered a send) freezes for a full window {e while
+    none of its kernels is in flight}.
     Default: disabled — the structural quiescence check is the
     detector of record, and the backstop only matters if that check is
     itself broken (an instance merely starved by other tenants keeps a

@@ -1,5 +1,3 @@
-type event = Became_nonempty | Freed_slot
-
 (* Preallocated circular buffer: [buf] holds [len] messages starting at
    [head], wrapping modulo [capacity]. Steady-state push/pop touch only
    the two indices and the counters — no queue cells, no options, no GC
@@ -18,7 +16,6 @@ type t = {
   mutable dummies_pushed : int;
   mutable data_pushed : int;
   mutable high_watermark : int;
-  mutable notify : event -> unit;
 }
 
 let create ~capacity =
@@ -33,14 +30,12 @@ let create ~capacity =
     dummies_pushed = 0;
     data_pushed = 0;
     high_watermark = 0;
-    notify = ignore;
   }
 
 let capacity c = c.capacity
 let length c = c.len
 let is_full c = c.len >= c.capacity
 let is_empty c = c.len = 0
-let subscribe c f = c.notify <- f
 
 let push c (m : Message.t) =
   if c.len >= c.capacity then false
@@ -58,7 +53,6 @@ let push c (m : Message.t) =
     c.buf.(tail) <- m;
     c.len <- c.len + 1;
     if c.len > c.high_watermark then c.high_watermark <- c.len;
-    if c.len = 1 then c.notify Became_nonempty;
     true
   end
 
@@ -74,12 +68,10 @@ let peek c = if c.len = 0 then None else Some c.buf.(c.head)
 
 let pop_exn c =
   if c.len = 0 then invalid_arg "Channel.pop_exn: empty channel";
-  let was_full = c.len >= c.capacity in
   let m = c.buf.(c.head) in
   c.buf.(c.head) <- hole;
   c.head <- (if c.head + 1 >= c.capacity then 0 else c.head + 1);
   c.len <- c.len - 1;
-  if was_full then c.notify Freed_slot;
   m
 
 let pop c = if c.len = 0 then None else Some (pop_exn c)

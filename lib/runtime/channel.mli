@@ -10,17 +10,13 @@
     option-returning [peek]/[pop] remain for call sites outside the hot
     path.
 
-    Channels report their occupancy {e transitions} to a subscriber:
-    exactly the two state changes that can make an idle node runnable
-    again (its input gained a first message; its clogged output freed a
-    slot). The event-driven scheduler in {!Engine} is built on these
-    facts, so it never has to rescan quiescent nodes. *)
+    Channels are passive: the runtimes ({!Firing} and its schedulers)
+    own every push and pop site, so they observe the two occupancy
+    transitions that can make an idle node runnable again — a push
+    onto an empty channel, a pop from a full one — themselves, from
+    {!length} and {!is_full}. *)
 
 type t
-
-type event =
-  | Became_nonempty  (** a push landed on an empty channel *)
-  | Freed_slot  (** a pop drained a message from a full channel *)
 
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity < 1]. *)
@@ -29,12 +25,6 @@ val capacity : t -> int
 val length : t -> int
 val is_full : t -> bool
 val is_empty : t -> bool
-
-val subscribe : t -> (event -> unit) -> unit
-(** [subscribe c f] makes [c] call [f] on every occupancy transition,
-    after the channel state has been updated (so [f] observes the new
-    state). At most one subscriber; a second call replaces the first.
-    Fresh channels have no subscriber. *)
 
 val push : t -> Message.t -> bool
 (** [false] (and no effect) when full. Enforces sequence-number
@@ -54,8 +44,7 @@ val peek_exn : t -> Message.t
     @raise Invalid_argument on an empty channel. *)
 
 val pop_exn : t -> Message.t
-(** Allocation-free {!pop}: returns the head message directly and fires
-    the [Freed_slot] transition exactly like {!pop}.
+(** Allocation-free {!pop}: returns the head message directly.
     @raise Invalid_argument on an empty channel. *)
 
 val total_pushed : t -> int

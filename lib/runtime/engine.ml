@@ -1,147 +1,26 @@
 open Fstream_graph
-module Thresholds = Fstream_core.Thresholds
 module Event = Fstream_obs.Event
-module Sink = Fstream_obs.Sink
 
-type kernel = seq:int -> got:int list -> int list
+type kernel = Firing.kernel
 
-type avoidance =
+type avoidance = Firing.avoidance =
   | No_avoidance
-  | Propagation of Thresholds.t
-  | Non_propagation of Thresholds.t
+  | Propagation of Fstream_core.Thresholds.t
+  | Non_propagation of Fstream_core.Thresholds.t
 
 type scheduler = Sweep | Ready
-
-(* Pending sends live in a per-node circular buffer instead of a
-   [Queue.t]: a node cannot fire while its pending queue is non-empty,
-   so the queue never holds more than one firing's worth of sends —
-   at most [out_degree] entries (data plus EOS fan-out) — and both
-   arrays are preallocated to exactly that.
-
-   The scalar node state rides in the same record (one block per node,
-   loaded once per visit): [slots] counts this node's out-edges holding
-   a queued dummy slot, [src]/[snk] cache the degree-zero tests. *)
-type node_state = {
-  kernel : kernel;
-  pend_eid : int array;
-  pend_msg : Message.t array;
-  mutable pend_head : int;
-  mutable pend_len : int;
-  mutable next_input : int;
-  mutable finished : bool;
-  mutable slots : int;
-  src : bool;
-  snk : bool;
-}
-
-let hole : Message.t = Message.eos ()
-
-let payload_of (m : Message.t) =
-  match m.body with
-  | Message.Data _ -> Event.Data
-  | Message.Dummy -> Event.Dummy
-  | Message.Eos -> Event.Eos
-
-(* Per-edge scalars are packed into one stride-8 int array ([ed]) so a
-   firing touches one cache line per edge instead of six parallel
-   arrays — the large-graph hot path is memory-bound (bench §C7).
-   Offsets within an edge's stride: *)
-let f_thr = 0 (* dummy threshold; [max_int] = none *)
-let f_last = 1 (* last sequence number sent *)
-let f_slot = 2 (* queued dummy slot; [-1] = empty *)
-let f_dstamp = 3 (* fire_id stamp: kernel chose this edge *)
-let f_bstamp = 4 (* flush_id stamp: push refused this flush *)
-let f_owner = 5 (* source node of the edge *)
-let f_dst = 6 (* destination node of the edge *)
 
 let run ?(scheduler = Ready) ?(dense_below = 512) ?(batch = 1) ?max_rounds
     ?deadlock_dump ?sink ~graph:g ~kernels ~inputs ~avoidance () =
   if batch < 1 then invalid_arg "Engine.run: batch < 1";
-  let sink =
-    match sink with
-    | Some s when not (Sink.is_null s) -> Some s
-    | _ -> None
-  in
-  (* [obs] gates event *construction* — with no sink (or the null
-     sink) the instrumentation costs one branch per potential event
-     (measured in bench O1). *)
-  let obs = sink <> None in
-  let ev e = match sink with Some s -> Sink.emit s e | None -> () in
-  let n = Graph.num_nodes g and m = Graph.num_edges g in
-  let chan =
-    Array.init m (fun i -> Channel.create ~capacity:(Graph.edge g i).cap)
-  in
-  let thresholds, forwarding =
-    match avoidance with
-    | No_avoidance -> (Array.make m None, false)
-    | Propagation t ->
-      Thresholds.check t g;
-      (Thresholds.to_array t, true)
-    | Non_propagation t ->
-      Thresholds.check t g;
-      (Thresholds.to_array t, false)
-  in
-  let ed = Array.make (m * 8) 0 in
-  for i = 0 to m - 1 do
-    let eb = i * 8 in
-    (* [max_int] encodes "no threshold": a gap of [seq - last_sent] can
-       never reach it, so the hot path does one int compare instead of
-       an option match. [f_last] tracks the last sequence number sent
-       on the channel — the dummy rule bounds the *sequence-number* gap
-       between consecutive messages: sequence numbers filtered upstream
-       never reach this node yet still advance the receiver's
-       starvation clock, so counting firings instead would under-send
-       (found by the S1 soundness sweep). *)
-    ed.(eb + f_thr) <- (match thresholds.(i) with Some k -> k | None -> max_int);
-    ed.(eb + f_last) <- -1;
-    ed.(eb + f_slot) <- -1;
-    let e = Graph.edge g i in
-    ed.(eb + f_owner) <- e.src;
-    ed.(eb + f_dst) <- e.dst
-  done;
-  (* CSR adjacency: node [v]'s out-edge ids are
-     [out_flat.(out_off.(v)) .. out_flat.(out_off.(v+1) - 1)], in
-     increasing id order (same for [in_]). One flat array walked
-     sequentially beats per-node arrays, whose scattered headers cost a
-     cache line each on big graphs. *)
-  let out_off = Array.make (n + 1) 0 in
-  let in_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    out_off.(v + 1) <- out_off.(v) + Graph.out_degree g v;
-    in_off.(v + 1) <- in_off.(v) + Graph.in_degree g v
-  done;
-  let out_flat = Array.make m 0 in
-  let in_flat = Array.make m 0 in
-  for v = 0 to n - 1 do
-    let ids = Graph.out_edge_ids g v in
-    Array.blit ids 0 out_flat out_off.(v) (Array.length ids);
-    let ids = Graph.in_edge_ids g v in
-    Array.blit ids 0 in_flat in_off.(v) (Array.length ids)
-  done;
-  let st =
-    Array.init n (fun v ->
-        let deg = Graph.out_degree g v in
-        {
-          kernel = kernels v;
-          pend_eid = Array.make deg 0;
-          pend_msg = Array.make deg hole;
-          pend_head = 0;
-          pend_len = 0;
-          next_input = 0;
-          finished = false;
-          slots = 0;
-          src = Graph.in_degree g v = 0;
-          snk = deg = 0;
-        })
-  in
+  let n = Graph.num_nodes g in
   let order = Topo.order_exn g in
-  (* Ready-scheduler worklist state, defined up front so the push/pop
-     sites below can report occupancy transitions to it directly — the
-     engine knows every site, so it wakes nodes itself instead of going
-     through per-edge {!Channel.subscribe} closures (65k cold closure
-     blocks on the §C7 graphs; the subscription contract remains part
-     of the Channel API for external consumers). [ready] gates every
-     wake so the sweep scheduler pays one dead branch.
+  (* Ready-scheduler worklist state, defined up front so the step's
+     hooks below can report occupancy transitions to it directly: the
+     step owns every push and pop site, so the engine wakes nodes
+     itself with no per-channel callback. Without [ready] the step has
+     no wake hooks at all, so the sweep scheduler pays one dead branch
+     per push.
 
      Per-node scheduler state packs into one int: the topological rank
      in the low bits, membership flags for the current and next round
@@ -213,326 +92,48 @@ let run ?(scheduler = Ready) ?(dense_below = 512) ?(batch = 1) ?max_rounds
       incr next_len
     end
   in
-  let sink_data = ref 0 in
-  let enqueue s eid msg =
-    let size = Array.length s.pend_eid in
-    assert (s.pend_len < size);
-    let tail = s.pend_head + s.pend_len in
-    let tail = if tail >= size then tail - size else tail in
-    s.pend_eid.(tail) <- eid;
-    s.pend_msg.(tail) <- msg;
-    s.pend_len <- s.pend_len + 1
+  (* The engine's side of the shared step: no locks; under the
+     worklist, a landed push onto an empty channel wakes the consumer
+     into the current round, and pops that freed a full channel wake
+     their producers into the next one.
+
+     A visit retries pending sends and dummy slots, then fires while
+     the node stays runnable, up to [batch] firings (a firing "sticks"
+     when its pops freed slots and its pushes all landed — pending
+     empty again). Both schedulers execute exactly this; they differ
+     only in which nodes they bother to visit. With [batch = 1] (the
+     default) a visit is a single fire+flush, the round structure of
+     the unbatched engine. *)
+  let hooks =
+    {
+      Firing.guard = None;
+      woke = (if ready then Some (fun _ dst -> wake_cur dst) else None);
+      freed =
+        (if ready then
+           Some
+             (fun producers k ->
+               for j = 0 to k - 1 do
+                 wake_next producers.(j)
+               done)
+         else None);
+    }
   in
-  let dropped_dummies = ref 0 in
-  let drop_slot eid old =
-    incr dropped_dummies;
-    if obs then ev (Event.Dummy_dropped { edge = eid; seq = old })
+  let fr =
+    Firing.create ~who:"Engine" ?sink ~hooks ~graph:g ~kernels ~inputs
+      ~avoidance ()
   in
-  (* Dummies never enter the blocking pending queue: each channel has a
-     one-slot dummy mouth ([f_slot]). A queued dummy waits for space
-     without blocking its node, coalesces to the newest sequence number
-     if the node emits another one meanwhile, and is superseded
-     entirely when data (or EOS) is sent on the channel — the data
-     carries a larger sequence number, which is all the dummy was
-     communicating. Letting dummies block (like data) wedges deadlock
-     cycles whose full side holds dummies; dropping them instead loses
-     the sequence floor the consumer is waiting for. See DESIGN.md,
-     "Deviations". *)
-  let flush_id = ref 0 in
-  let fire_id = ref 0 in
-  (* Attempt every pending send once; a failed channel blocks its later
-     sends this pass (per-channel FIFO), other channels proceed. Then
-     deliver dummy slots on channels with no data still queued. *)
-  (* The hot-path helpers below thread their accumulators through
-     tail-recursive loops (or reuse setup-time scratch) instead of
-     [ref] cells: without flambda every [ref] is a minor-heap block,
-     and these run once per visit/firing. *)
-  let rec flush_pending s fid size left progress =
-    if left = 0 then progress
-    else begin
-      let eid = s.pend_eid.(s.pend_head) in
-      let msg = s.pend_msg.(s.pend_head) in
-      s.pend_msg.(s.pend_head) <- hole;
-      s.pend_head <- (if s.pend_head + 1 >= size then 0 else s.pend_head + 1);
-      s.pend_len <- s.pend_len - 1;
-      if ed.((eid * 8) + f_bstamp) <> fid && Channel.push chan.(eid) msg
-      then begin
-        if ready && Channel.length chan.(eid) = 1 then
-          wake_cur ed.((eid * 8) + f_dst);
-        if obs then
-          ev (Event.Push { edge = eid; seq = msg.seq; payload = payload_of msg });
-        flush_pending s fid size (left - 1) true
-      end
-      else begin
-        ed.((eid * 8) + f_bstamp) <- fid;
-        enqueue s eid msg;
-        flush_pending s fid size (left - 1) progress
-      end
-    end
-  in
-  let rec flush_slots s fid k hi progress =
-    if k >= hi then progress
-    else begin
-      let e = out_flat.(k) in
-      let eb = e * 8 in
-      let seq = ed.(eb + f_slot) in
-      if
-        seq >= 0
-        && ed.(eb + f_bstamp) <> fid
-        && Channel.push chan.(e) (Message.dummy ~seq)
-      then begin
-        ed.(eb + f_slot) <- -1;
-        s.slots <- s.slots - 1;
-        if ready && Channel.length chan.(e) = 1 then wake_cur ed.(eb + f_dst);
-        if obs then ev (Event.Push { edge = e; seq; payload = Event.Dummy });
-        flush_slots s fid (k + 1) hi true
-      end
-      else flush_slots s fid (k + 1) hi progress
-    end
-  in
-  let flush v s =
-    incr flush_id;
-    let fid = !flush_id in
-    let size = Array.length s.pend_eid in
-    let progress = flush_pending s fid size s.pend_len false in
-    if s.slots = 0 then progress
-    else flush_slots s fid out_off.(v) out_off.(v + 1) progress
-  in
-  (* Kernel output validation: stamp the chosen out-edges (duplicates
-     collapse); O(1) ownership check per id instead of a [List.mem]
-     scan of the node's out list — quadratic on wide split nodes. *)
-  let rec validate_ids v s ids =
-    match ids with
-    | [] -> ()
-    | id :: rest ->
-      if id < 0 || id >= m || ed.((id * 8) + f_owner) <> v then
-        invalid_arg
-          (Printf.sprintf "Engine: kernel of node %d returned edge %d" v id);
-      ed.((id * 8) + f_dstamp) <- s;
-      validate_ids v s rest
-  in
-  let validate v ids = validate_ids v !fire_id ids in
-  (* Messages are immutable and the engine only ever makes Data
-     messages whose payload is the sequence number, so any Data block
-     for a given seq is interchangeable: a firing's sends share one
-     block across its out-edges, and a pass-through hop reuses the very
-     message it just popped instead of re-wrapping it. [reuse] caches
-     the most recent such block ([hole]'s max_int seq never matches a
-     firing). *)
-  let reuse = ref hole in
-  let msg_for seq =
-    let msg = !reuse in
-    if msg.Message.seq = seq then msg
-    else begin
-      let nm = Message.data ~seq seq in
-      reuse := nm;
-      nm
-    end
-  in
-  (* Send phase of one firing: data where the kernel said so (stamped
-     by [validate] under the current [fire_id]); dummies by forwarding
-     (Propagation) or when a finite-interval channel's gap counter
-     comes due. Data and EOS are pushed directly — a node only fires
-     with an empty pending queue and each out-edge is sent at most once
-     per firing, so per-channel FIFO order is preserved; only a refused
-     push falls back to the pending queue for the next flush. *)
-  let emit v s ~seq ~got_dummy =
-    let stamp = !fire_id in
-    for k = out_off.(v) to out_off.(v + 1) - 1 do
-      let e = out_flat.(k) in
-      let eb = e * 8 in
-      if ed.(eb + f_dstamp) = stamp then begin
-        let msg = msg_for seq in
-        let c = chan.(e) in
-        if Channel.push c msg then begin
-          if ready && Channel.length c = 1 then wake_cur ed.(eb + f_dst);
-          if obs then ev (Event.Push { edge = e; seq; payload = Event.Data })
-        end
-        else enqueue s e msg;
-        (let old = ed.(eb + f_slot) in
-         if old >= 0 then begin
-           ed.(eb + f_slot) <- -1;
-           s.slots <- s.slots - 1;
-           drop_slot e old
-         end);
-        ed.(eb + f_last) <- seq
-      end
-      else begin
-        let due = seq - ed.(eb + f_last) >= ed.(eb + f_thr) in
-        if (forwarding && got_dummy) || due then begin
-          (let old = ed.(eb + f_slot) in
-           if old >= 0 then drop_slot e old else s.slots <- s.slots + 1);
-          ed.(eb + f_slot) <- seq;
-          if obs then ev (Event.Dummy_emitted { node = v; edge = e; seq });
-          ed.(eb + f_last) <- seq
-        end
-      end
-    done
-  in
-  let send_eos v s =
-    for k = out_off.(v) to out_off.(v + 1) - 1 do
-      let e = out_flat.(k) in
-      let eb = e * 8 in
-      (let old = ed.(eb + f_slot) in
-       if old >= 0 then begin
-         ed.(eb + f_slot) <- -1;
-         s.slots <- s.slots - 1;
-         drop_slot e old
-       end);
-      (* every EOS fan-out shares the [hole] block *)
-      let c = chan.(e) in
-      if Channel.push c hole then begin
-        if ready && Channel.length c = 1 then wake_cur ed.(eb + f_dst);
-        if obs then
-          ev (Event.Push { edge = e; seq = hole.seq; payload = Event.Eos })
-      end
-      else enqueue s e hole
-    done;
-    if obs then ev (Event.Eos { node = v });
-    s.finished <- true
-  in
-  let fire_source v s =
-    if s.next_input < inputs then begin
-      let seq = s.next_input in
-      s.next_input <- seq + 1;
-      incr fire_id;
-      let ids = s.kernel ~seq ~got:[] in
-      validate v ids;
-      if obs then
-        ev
-          (Event.Node_fired
-             {
-               node = v;
-               seq;
-               got = [];
-               got_dummy = false;
-               sent = List.sort_uniq compare ids;
-             });
-      emit v s ~seq ~got_dummy:false;
-      true
-    end
-    else if not s.finished then begin
-      send_eos v s;
-      true
-    end
-    else false
-  in
-  (* Scratch for the in-edge ids that delivered data this firing; sized
-     to the widest join so the buffer is reused across all visits. *)
-  let max_in_deg =
-    let d = ref 1 in
-    for v = 0 to n - 1 do
-      let deg = in_off.(v + 1) - in_off.(v) in
-      if deg > !d then d := deg
-    done;
-    !d
-  in
-  let got_buf = Array.make max_in_deg 0 in
-  (* One pass over the heads: [min_int] when some input is empty (not
-     runnable), otherwise the minimum head sequence number. *)
-  let rec min_head k hi acc =
-    if k >= hi then acc
-    else
-      let c = chan.(in_flat.(k)) in
-      if Channel.is_empty c then min_int
-      else
-        let sq = Channel.peek_seq c in
-        min_head (k + 1) hi (if sq < acc then sq else acc)
-  in
-  (* Consume every head carrying [i], in increasing edge order (the
-     pops' Freed_slot wakes must fire in that order); data edges land
-     in [got_buf]. Returns the data count, with bit 62 flagging that a
-     dummy was consumed. *)
-  let dummy_bit = 1 lsl 62 in
-  let rec consume snk i k hi acc =
-    if k >= hi then acc
-    else begin
-      let e = in_flat.(k) in
-      let c = chan.(e) in
-      if Channel.peek_seq c = i then begin
-        let was_full = Channel.is_full c in
-        let msg = Channel.pop_exn c in
-        if ready && was_full then wake_next ed.((e * 8) + f_owner);
-        if obs then
-          ev (Event.Pop { edge = e; seq = msg.seq; payload = payload_of msg });
-        match msg.body with
-        | Message.Data _ ->
-          reuse := msg;
-          let gn = acc land lnot dummy_bit in
-          got_buf.(gn) <- e;
-          if snk then incr sink_data;
-          consume snk i (k + 1) hi (acc + 1)
-        | Message.Dummy -> consume snk i (k + 1) hi (acc lor dummy_bit)
-        | Message.Eos -> assert false
-      end
-      else consume snk i (k + 1) hi acc
-    end
-  in
-  let rec got_list k acc =
-    if k < 0 then acc else got_list (k - 1) (got_buf.(k) :: acc)
-  in
-  let fire_inner v s =
-    let lo = in_off.(v) and hi = in_off.(v + 1) in
-    let i = min_head lo hi max_int in
-    if i = min_int then false
-    else if i = max_int then begin
-      (* Every input is at end-of-stream. *)
-      for k = lo to hi - 1 do
-        let e = in_flat.(k) in
-        let c = chan.(e) in
-        let was_full = Channel.is_full c in
-        let msg = Channel.pop_exn c in
-        if ready && was_full then wake_next ed.((e * 8) + f_owner);
-        if obs then
-          ev (Event.Pop { edge = e; seq = msg.seq; payload = payload_of msg })
-      done;
-      send_eos v s;
-      true
-    end
-    else begin
-      let acc = consume s.snk i lo hi 0 in
-      let gn = acc land lnot dummy_bit in
-      let got_dummy = acc land dummy_bit <> 0 in
-      let got = got_list (gn - 1) [] in
-      incr fire_id;
-      let sent =
-        match got with
-        | [] -> []
-        | got ->
-          let ids = s.kernel ~seq:i ~got in
-          validate v ids;
-          if obs then List.sort_uniq compare ids else []
-      in
-      if obs then
-        ev (Event.Node_fired { node = v; seq = i; got; got_dummy; sent });
-      emit v s ~seq:i ~got_dummy;
-      true
-    end
-  in
-  (* One scheduler step for node [v]: retry pending sends and dummy
-     slots, then fire while the node stays runnable, up to [batch]
-     firings (a firing "sticks" when its pops freed slots and its
-     pushes all landed — pending empty again). Both schedulers execute
-     exactly this; they differ only in which nodes they bother to
-     visit. With [batch = 1] (the default) a visit is a single
-     fire+flush, the round structure of the unbatched engine. *)
+  let obs = Firing.observed fr and ev = Firing.event fr in
+  let nodes = Firing.nodes fr in
   let rec fire_loop v s budget fired =
-    let f =
-      if s.src then fire_source v s
-      else if not s.finished then fire_inner v s
-      else false
-    in
-    if f then begin
-      if s.pend_len <> 0 || s.slots <> 0 then ignore (flush v s);
-      if budget <= 1 || s.pend_len <> 0 then true
+    if Firing.fire fr v s then
+      if budget <= 1 || s.Firing.pend_len <> 0 then true
       else fire_loop v s (budget - 1) true
-    end
     else fired
   in
   let visit v =
-    let s = st.(v) in
+    let s = nodes.(v) in
     let progress =
-      if s.pend_len = 0 && s.slots = 0 then false else flush v s
+      if s.pend_len = 0 && s.slots = 0 then false else Firing.flush fr v s
     in
     if s.pend_len = 0 then fire_loop v s batch false || progress
     else begin
@@ -541,6 +142,7 @@ let run ?(scheduler = Ready) ?(dense_below = 512) ?(batch = 1) ?max_rounds
       progress
     end
   in
+  let m = Graph.num_edges g in
   let default_budget = ((inputs + 2) * ((2 * m) + n + 2) * 2) + 64 in
   let budget = Option.value max_rounds ~default:default_budget in
   let rounds = ref 0 in
@@ -573,36 +175,25 @@ let run ?(scheduler = Ready) ?(dense_below = 512) ?(batch = 1) ?max_rounds
   in
   let ready_round =
     if not ready then sweep_round
-    else
-      (* Runnable again next round with no external event needed: only
-         then does the node re-arm itself. Blocked nodes (non-empty
-         pending, or a dummy slot waiting out a full channel) are woken
-         by the freed-slot transition instead. *)
-      let rec all_nonempty k hi =
-        k >= hi
-        || ((not (Channel.is_empty chan.(in_flat.(k))))
-           && all_nonempty (k + 1) hi)
-      in
-      let self_arming v =
-        let s = st.(v) in
-        (not s.finished)
-        && s.pend_len = 0
-        && (s.src || all_nonempty in_off.(v) in_off.(v + 1))
-      in
+    else begin
       (* Round 1 is the sweep's full pass, but every channel starts
          empty, so a non-source node's first visit is a guaranteed
          no-op (it cannot fire, has nothing pending, and emits no
          event): seeding only the sources executes the identical
          transition sequence. Nodes woken by the sources' pushes join
          the current round exactly where the sweep would visit them. *)
-      Array.iter (fun v -> if st.(v).src then wake_cur v) order;
+      Array.iter (fun v -> if Graph.in_degree g v = 0 then wake_cur v) order;
+      (* A visited node re-arms itself only when it can fire again with
+         no outside event ({!Firing.self_arming}). Blocked nodes
+         (non-empty pending, or a dummy slot waiting out a full
+         channel) are woken by the freed-slot transition instead. *)
       fun () ->
         let progress = ref false in
         while !hlen > 0 do
           let v = order.(heap_pop ()) in
           rank_flags.(v) <- rank_flags.(v) land lnot cur_bit;
           if visit v then progress := true;
-          if self_arming v then wake_next v
+          if Firing.self_arming fr v then wake_next v
         done;
         for k = 0 to !next_len - 1 do
           let v = next_buf.(k) in
@@ -611,6 +202,7 @@ let run ?(scheduler = Ready) ?(dense_below = 512) ?(batch = 1) ?max_rounds
         done;
         next_len := 0;
         !progress
+    end
   in
   while !outcome = None do
     incr rounds;
@@ -619,59 +211,14 @@ let run ?(scheduler = Ready) ?(dense_below = 512) ?(batch = 1) ?max_rounds
     else begin
       let progress = ready_round () in
       if not progress then
-        if
-          Array.for_all (fun s -> s.finished && s.pend_len = 0) st
-          && Array.for_all Channel.is_empty chan
-        then outcome := Some Report.Completed
+        if Firing.drained fr then outcome := Some Report.Completed
         else begin
           outcome := Some Report.Deadlocked;
           if obs then ev (Event.Wedge { round = !rounds });
-          wedge :=
-            Some
-              {
-                Report.channel_lengths = Array.map Channel.length chan;
-                node_blocked = Array.map (fun s -> s.pend_len > 0) st;
-                node_finished = Array.map (fun s -> s.finished) st;
-              };
-          Option.iter
-            (fun ppf ->
-              Format.fprintf ppf "@[<v>deadlock state:";
-              Array.iteri
-                (fun i c ->
-                  let e = Graph.edge g i in
-                  Format.fprintf ppf
-                    "@,  e%d %d->%d cap=%d len=%d head=%s last_sent=%d" i
-                    e.src e.dst e.cap (Channel.length c)
-                    (match Channel.peek c with
-                    | None -> "-"
-                    | Some msg -> Format.asprintf "%a" Message.pp msg)
-                    ed.((i * 8) + f_last);
-                  if ed.((i * 8) + f_slot) >= 0 then
-                    Format.fprintf ppf " slot=#%d" ed.((i * 8) + f_slot))
-                chan;
-              Array.iteri
-                (fun v s ->
-                  if s.pend_len > 0 then
-                    Format.fprintf ppf "@,  node %d pending:%d next_in=%d" v
-                      s.pend_len s.next_input)
-                st;
-              Format.fprintf ppf "@]@.")
-            deadlock_dump
+          wedge := Some (Firing.snapshot fr);
+          Option.iter (fun ppf -> Firing.pp_state ppf fr) deadlock_dump
         end
     end
   done;
-  let outcome = Option.get !outcome in
-  if obs then ev (Event.Run_finished { outcome });
-  let data = Array.fold_left (fun a c -> a + Channel.data_pushed c) 0 chan in
-  let dummies =
-    Array.fold_left (fun a c -> a + Channel.dummies_pushed c) 0 chan
-  in
-  {
-    Report.outcome;
-    data_messages = data;
-    dummy_messages = dummies;
-    sink_data = !sink_data;
-    dropped_dummies = !dropped_dummies;
-    per_edge_dummies = Array.map Channel.dummies_pushed chan;
-    detail = Report.Sequential { rounds = !rounds; wedge = !wedge };
-  }
+  Firing.report fr (Option.get !outcome)
+    (Report.Sequential { rounds = !rounds; wedge = !wedge })

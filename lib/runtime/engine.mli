@@ -1,30 +1,11 @@
 (** Deterministic discrete scheduler for filtering streaming DAGs.
 
-    Implements the execution model of §II.A plus the two
-    deadlock-avoidance wrappers of §II.B:
-
-    - a node fires when every input channel is non-empty; it consumes
-      all head messages carrying the minimum head sequence number [i]
-      (heads with larger numbers were filtered upstream with respect to
-      [i] and stay queued);
-    - the node's {!kernel} sees which inputs carried data and picks the
-      output channels that receive data — filtering is exactly the
-      freedom to omit some;
-    - sends are buffered in a per-node pending queue and block on full
-      channels (per-channel FIFO order preserved), reproducing the
-      finite-buffer blocking that makes Fig. 2 deadlock;
-    - under [Propagation], received dummies are forwarded on every
-      output that got no data, and channels whose dummy interval is
-      finite originate a dummy once the channel has gone [threshold]
-      consecutive sequence numbers without a message;
-    - under [Non_propagation], every channel applies its own threshold
-      and dummies are absorbed by their receiver.
-
-    Stream termination is modelled by end-of-stream markers so that a
-    drained computation is distinguishable from a deadlock: sources
-    emit EOS after their last input; a node forwards EOS when all its
-    inputs reach it. [Deadlocked] therefore means a genuine
-    no-progress state with work outstanding.
+    Runs the node step of {!Firing} — the execution model of §II.A
+    plus the two deadlock-avoidance wrappers of §II.B — in rounds over
+    the nodes in topological order. End-of-stream markers make a
+    drained computation distinguishable from a deadlock, so
+    [Deadlocked] means a genuine no-progress state with work
+    outstanding.
 
     The run's result is the engine-agnostic {!Report.t}; its full
     behaviour can additionally be narrated as a typed
@@ -41,7 +22,7 @@ type kernel = seq:int -> got:int list -> int list
     opaque to the scheduler, matching the paper's model where filtering
     decisions are invisible to the compiler. *)
 
-type avoidance =
+type avoidance = Firing.avoidance =
   | No_avoidance
   | Propagation of Fstream_core.Thresholds.t
   | Non_propagation of Fstream_core.Thresholds.t

@@ -283,13 +283,14 @@ let start t ?sink ~kernels ~inputs s =
       if s.job <> None && s.report = None then
         invalid_arg (Printf.sprintf "Serve.start: session %s already started"
                        s.sname);
+      let job =
+        Pool.submit t.pool ~grain:t.grain ?sink ~graph:s.graph ~kernels
+          ~inputs ~avoidance:s.savoidance ()
+      in
       (* a collected report means the previous run reached its boundary;
          starting again launches the session's current epoch afresh *)
       s.report <- None;
-      s.job <-
-        Some
-          (Pool.submit t.pool ~grain:t.grain ?sink ~graph:s.graph ~kernels
-             ~inputs ~avoidance:s.savoidance ()))
+      s.job <- Some job)
 
 (* Join the session's in-flight run, calling [Pool.await] exactly once
    per job no matter how many threads need the boundary (user [await]s

@@ -147,7 +147,8 @@ val start :
     state. A session whose previous run's report has been collected
     (by {!await} or a {!reconfigure} drain) may be started again — it
     runs its current epoch's topology and table.
-    @raise Invalid_argument if the session is already running. *)
+    @raise Invalid_argument if the session is already running, or if
+    the server has been {!shutdown}. *)
 
 val await : session -> Report.t
 (** Block until the session's instance quiesces; re-raises its kernel
@@ -192,7 +193,7 @@ val reconfigure :
 
 val shutdown : t -> unit
 (** Shut the pool down. Only after every started session has been
-    awaited. *)
+    awaited; every later {!start} raises [Invalid_argument]. *)
 
 (** Admission-desk counters since {!create}. *)
 type stats = {

@@ -47,16 +47,7 @@ let check ?(max_states = 1_000_000) ?(strategy = `Bfs) ~graph:g ~avoidance
     ~inputs () =
   let open Fstream_runtime in
   let n = Graph.num_nodes g and m = Graph.num_edges g in
-  let thresholds, forwarding =
-    match avoidance with
-    | Engine.No_avoidance -> (Array.make m None, false)
-    | Engine.Propagation t ->
-      Fstream_core.Thresholds.check t g;
-      (Fstream_core.Thresholds.to_array t, true)
-    | Engine.Non_propagation t ->
-      Fstream_core.Thresholds.check t g;
-      (Fstream_core.Thresholds.to_array t, false)
-  in
+  let thresholds, forwarding = Firing.decode g avoidance in
   let cap = Array.init m (fun i -> (Graph.edge g i).cap) in
   let out_ids =
     Array.init n (fun v ->
@@ -70,7 +61,8 @@ let check ?(max_states = 1_000_000) ?(strategy = `Bfs) ~graph:g ~avoidance
   let chan_len st e = List.length st.chans.(e) in
   let has_space st e = chan_len st e < cap.(e) in
   let push st e msg = st.chans.(e) <- st.chans.(e) @ [ msg ] in
-  (* The wrapper's send phase for one firing (mirrors Engine.emit). *)
+  (* The wrapper's send phase for one firing (the rule of Firing.emit,
+     restated on immutable states). *)
   let emit st v ~seq ~data_out ~got_dummy =
     List.iter
       (fun e ->

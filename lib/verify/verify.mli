@@ -10,12 +10,16 @@
     instance) or a concrete trace of scheduler steps and filtering
     choices that wedges the system ([Deadlocks]).
 
-    The semantics mirrors {!Fstream_runtime.Engine} exactly: firing on
-    the minimum head sequence number, blocking data sends with
-    per-channel FIFO, non-blocking coalescing dummy slots, sequence-
-    number gap thresholds, dummy forwarding under [Propagation], and
-    end-of-stream draining. A property test cross-checks the two
-    implementations against each other.
+    The semantics is the node step of {!Fstream_runtime.Firing}, the
+    one both runtimes execute: firing on the minimum head sequence
+    number, blocking data sends with per-channel FIFO, non-blocking
+    coalescing dummy slots, sequence-number gap thresholds, dummy
+    forwarding under [Propagation], and end-of-stream draining. Only
+    the avoidance decoding ({!Fstream_runtime.Firing.decode}) is
+    shared; the step itself is restated here on immutable states, on
+    purpose, so that this module stays an independent oracle: a
+    property test checks the runtime against it ([Safe] implies the
+    engine completes).
 
     State counts grow quickly — this is for graphs of a handful of
     nodes with unit-ish buffers, which is exactly where the interesting

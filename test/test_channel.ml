@@ -5,9 +5,7 @@
    a full channel returns [false] with no effect, sequence numbers must
    strictly increase *among accepted pushes* (the full check comes
    first), counters classify by payload, the watermark tracks peak
-   occupancy, and the subscriber sees exactly the two occupancy
-   transitions — empty→non-empty on push, full→non-full on pop — after
-   the state change. Random op traces over tiny capacities hammer the
+   occupancy. Random op traces over tiny capacities hammer the
    full/empty boundaries where the circular indexing can go wrong. *)
 
 module Channel = Fstream_runtime.Channel
@@ -22,10 +20,9 @@ module Model = struct
     mutable dummies : int;
     mutable data : int;
     mutable hw : int;
-    log : Channel.event list ref;
   }
 
-  let create ~capacity log =
+  let create ~capacity =
     {
       cap = capacity;
       q = Queue.create ();
@@ -34,7 +31,6 @@ module Model = struct
       dummies = 0;
       data = 0;
       hw = 0;
-      log;
     }
 
   let push t (m : Message.t) =
@@ -51,17 +47,10 @@ module Model = struct
       Queue.add m t.q;
       let len = Queue.length t.q in
       if len > t.hw then t.hw <- len;
-      if len = 1 then t.log := Channel.Became_nonempty :: !(t.log);
       true
     end
 
-  let pop t =
-    match Queue.take_opt t.q with
-    | None -> None
-    | Some m ->
-      if Queue.length t.q = t.cap - 1 then
-        t.log := Channel.Freed_slot :: !(t.log);
-      Some m
+  let pop t = Queue.take_opt t.q
 end
 
 (* One random operation; the trace is derived from an integer seed so
@@ -106,7 +95,7 @@ let ops_of_seed seed =
    and the model can be required to fail identically. *)
 let outcome f = try Ok (f ()) with Invalid_argument _ -> Error `Invalid
 
-let check_state ~cap c (m : Model.t) clog =
+let check_state ~cap c (m : Model.t) =
   Alcotest.(check int) "length" (Queue.length m.q) (Channel.length c);
   Alcotest.(check int) "capacity" cap (Channel.capacity c);
   Alcotest.(check bool) "is_empty" (Queue.is_empty m.q) (Channel.is_empty c);
@@ -120,15 +109,12 @@ let check_state ~cap c (m : Model.t) clog =
   Alcotest.(check int) "high_watermark" m.hw (Channel.high_watermark c);
   Alcotest.(check bool)
     "peek agrees" true
-    (Channel.peek c = Queue.peek_opt m.q);
-  Alcotest.(check bool) "notify log agrees" true (!clog = !(m.log))
+    (Channel.peek c = Queue.peek_opt m.q)
 
 let run_trace seed =
   let cap, ops = ops_of_seed seed in
-  let clog = ref [] and mlog = ref [] in
   let c = Channel.create ~capacity:cap in
-  Channel.subscribe c (fun e -> clog := e :: !clog);
-  let m = Model.create ~capacity:cap mlog in
+  let m = Model.create ~capacity:cap in
   List.iter
     (fun op ->
       (match op with
@@ -160,7 +146,7 @@ let run_trace seed =
           | None -> Error `Invalid
         in
         Alcotest.(check bool) "peek_seq agrees" true (a = b));
-      check_state ~cap c m clog)
+      check_state ~cap c m)
     ops;
   true
 
@@ -180,35 +166,22 @@ let test_empty_raises () =
   raises "peek_exn empty" (fun () -> ignore (Channel.peek_exn c));
   raises "pop_exn empty" (fun () -> ignore (Channel.pop_exn c))
 
-(* The two occupancy transitions, on the tightest buffer: a capacity-1
-   channel is empty and full at once, so one push+pop cycle must
-   produce exactly [Became_nonempty; Freed_slot] — and a refused push
-   must produce nothing. *)
-let test_notify_boundary () =
-  let log = ref [] in
+(* The tightest buffer: a capacity-1 channel is empty and full at
+   once, so one push+pop cycle crosses both occupancy boundaries — and
+   a refused push must leave no trace. *)
+let test_capacity_one () =
   let c = Channel.create ~capacity:1 in
-  Channel.subscribe c (fun e -> log := e :: !log);
   Alcotest.(check bool) "push lands" true (Channel.push c (Message.data ~seq:0 0));
-  Alcotest.(check bool)
-    "became nonempty" true
-    (!log = [ Channel.Became_nonempty ]);
+  Alcotest.(check bool) "became full" true (Channel.is_full c);
   Alcotest.(check bool) "full push refused" false
     (Channel.push c (Message.data ~seq:1 1));
-  Alcotest.(check bool)
-    "refused push is silent" true
-    (!log = [ Channel.Became_nonempty ]);
+  Alcotest.(check int) "refused push is silent" 1 (Channel.total_pushed c);
   ignore (Channel.pop_exn c);
-  Alcotest.(check bool)
-    "freed slot" true
-    (!log = [ Channel.Freed_slot; Channel.Became_nonempty ]);
-  (* a second subscriber replaces the first *)
-  let log2 = ref [] in
-  Channel.subscribe c (fun e -> log2 := e :: !log2);
-  ignore (Channel.push c (Message.data ~seq:1 1));
-  Alcotest.(check bool)
-    "first subscriber replaced" true
-    (!log = [ Channel.Freed_slot; Channel.Became_nonempty ]
-    && !log2 = [ Channel.Became_nonempty ])
+  Alcotest.(check bool) "freed slot" true
+    (Channel.is_empty c && not (Channel.is_full c));
+  Alcotest.(check bool) "refused seq still fresh" true
+    (Channel.push c (Message.data ~seq:1 1));
+  Alcotest.(check int) "watermark" 1 (Channel.high_watermark c)
 
 let suite =
   [
@@ -216,8 +189,8 @@ let suite =
       test_create_invalid;
     Alcotest.test_case "empty-channel accessors raise" `Quick
       test_empty_raises;
-    Alcotest.test_case "notify fires on occupancy boundaries" `Quick
-      test_notify_boundary;
+    Alcotest.test_case "capacity-1 occupancy boundaries" `Quick
+      test_capacity_one;
     Tutil.qtest ~count:500 "ring buffer ≡ queue model on random traces"
       Tutil.seed_gen run_trace;
   ]

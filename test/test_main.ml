@@ -12,6 +12,7 @@ let () =
       ("channel", Test_channel.suite);
       ("runtime", Test_runtime.suite);
       ("sched", Test_sched.suite);
+      ("firing", Test_firing.suite);
       ("obs", Test_obs.suite);
       ("soundness", Test_soundness.suite);
       ("workloads", Test_workloads.suite);

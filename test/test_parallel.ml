@@ -374,6 +374,21 @@ let prop_avoidance_sound_in_parallel =
         in
         s.outcome = Report.Completed)
 
+(* A shut-down pool has no workers left to run an instance, so
+   [submit] must refuse it rather than hand back a job whose [await]
+   never returns. *)
+let test_submit_after_shutdown () =
+  let g = Topo_gen.pipeline ~stages:4 ~cap:2 in
+  let pool = P.Pool.create ~domains:1 () in
+  P.Pool.shutdown pool;
+  Alcotest.check_raises "submit refused"
+    (Invalid_argument "Parallel_engine.Pool.submit: pool is shut down")
+    (fun () ->
+      ignore
+        (P.Pool.submit pool ~graph:g
+           ~kernels:(Filters.for_graph g (fun _ outs -> Filters.passthrough outs))
+           ~inputs:10 ~avoidance:Engine.No_avoidance ()))
+
 let suite =
   [
     Alcotest.test_case "fig2 deadlocks across domains" `Quick
@@ -395,6 +410,8 @@ let suite =
       test_wide_split_parallel;
     Alcotest.test_case "512-node ladder differential" `Quick
       test_big_ladder_differential;
+    Alcotest.test_case "submit after shutdown raises" `Quick
+      test_submit_after_shutdown;
     prop_no_avoidance_agrees;
     prop_non_propagation_agrees;
     prop_propagation_agrees;

@@ -117,6 +117,23 @@ let test_session_misuse () =
     Alcotest.(check int) "cached report" r.Report.sink_data
       (Serve.await s).Report.sink_data
 
+(* After [Serve.shutdown] the pool has no workers: [start] must raise
+   instead of launching a run that [await] would wait on forever. *)
+let test_start_after_shutdown () =
+  let t = Serve.create ~domains:1 () in
+  let g = Topo_gen.pipeline ~stages:4 ~cap:2 in
+  let kernels = Filters.for_graph g (fun _ outs -> Filters.passthrough outs) in
+  match Serve.admit t ~mode:Serve.No_avoidance g with
+  | Error _ -> Alcotest.fail "pipeline rejected"
+  | Ok s ->
+    Serve.shutdown t;
+    Alcotest.check_raises "start refused"
+      (Invalid_argument "Parallel_engine.Pool.submit: pool is shut down")
+      (fun () -> Serve.start t ~kernels ~inputs:10 s);
+    Alcotest.check_raises "never started"
+      (Invalid_argument "Serve.await: session was never started") (fun () ->
+        ignore (Serve.await s))
+
 (* ----- the acceptance bar: >= 100 concurrent tenants, >= 3 distinct
    topologies, one pool, exactly one compile per fingerprint ----- *)
 
@@ -260,6 +277,8 @@ let suite =
     Alcotest.test_case "butterfly rejected at admission (FS201)" `Quick
       test_butterfly_rejected;
     Alcotest.test_case "session misuse raises" `Quick test_session_misuse;
+    Alcotest.test_case "start after shutdown raises" `Quick
+      test_start_after_shutdown;
     Alcotest.test_case "120 tenants, 3 topologies, 3 compiles, one pool"
       `Quick test_hundred_twenty_tenants_three_topologies;
     prop_serve_eq_direct_no_avoidance;
