@@ -15,6 +15,7 @@ open Fstream_workloads
 open Bench_util
 module Verify = Fstream_verify.Verify
 module Repair = Fstream_repair.Repair
+module Lint = Fstream_analysis.Lint
 module P = Fstream_parallel.Parallel_engine
 
 (* ------------------------------------------------------------------ *)
@@ -298,6 +299,101 @@ let c3 () =
           row "  %8d %a %16.4f@." rungs pp_ns t
             (t /. float (rungs * rungs * rungs))))
     [ 16; 32; 64; 128; 192 ]
+
+(* ------------------------------------------------------------------ *)
+(* FE1. Front-end scaling: the passes every cold admission runs before
+   the §IV/§VI interval algorithms — CS4 classification (SP reduction
+   per biconnected block), compilation, cycle search, lint and repair —
+   on graphs of 1024 to 8192 stages. All three families are CS4, so
+   each pass should be linear: a doubling ratio near 2. Ladder
+   Non-Propagation compile is cubic by design (§VI, C3), so the wide
+   ladder times only classification and repair. *)
+
+let fe1 () =
+  section "FE1" "front end: classify / compile / cycles / lint / repair scaling";
+  let sizes = if !quick then [ 1_024; 2_048 ] else [ 1_024; 2_048; 4_096; 8_192 ] in
+  let classify g =
+    match Cs4.classify g with
+    | Ok _ -> ()
+    | Error e -> failwith (Format.asprintf "FE1: %a" Cs4.pp_failure e)
+  in
+  let all_passes =
+    [
+      ("classify", classify);
+      ( "compile",
+        fun g ->
+          match Compiler.compile Compiler.Non_propagation g with
+          | Ok _ -> ()
+          | Error e -> failwith (Compiler.error_to_string e) );
+      ("cycles", fun g -> ignore (Cycles.count g));
+      ("lint", fun g -> ignore (Lint.run g));
+      ( "repair",
+        fun g ->
+          match Repair.repair g with
+          | Ok r when r.Repair.reroutes = [] -> ()
+          | _ -> failwith "FE1: repair of a CS4 graph is not the identity" );
+    ]
+  in
+  let family name make passes =
+    let passes =
+      List.filter (fun (p, _) -> List.mem p passes) all_passes
+    in
+    row "  %s:@." name;
+    row "  %8s %7s %7s" "stages" "nodes" "edges";
+    List.iter (fun (p, _) -> row " %11s" p) passes;
+    row "@.";
+    let times =
+      List.map
+        (fun stages ->
+          let g = make stages in
+          let ts =
+            List.map
+              (fun (_, f) ->
+                Gc.compact ();
+                time_best (fun () -> f g))
+              passes
+          in
+          row "  %8d %7d %7d" stages (Graph.num_nodes g) (Graph.num_edges g);
+          List.iter (fun t -> row " %a" pp_ns t) ts;
+          row "@.";
+          ts)
+        sizes
+    in
+    let rec ratios = function
+      | a :: (b :: _ as rest) -> List.map2 ( /. ) b a :: ratios rest
+      | _ -> []
+    in
+    let doublings = ratios times in
+    List.iteri
+      (fun i rs ->
+        row "  %24s"
+          (Printf.sprintf "%d/%d" (List.nth sizes (i + 1)) (List.nth sizes i));
+        List.iter (fun r -> row " %11.2f" r) rs;
+        row "@.")
+      doublings;
+    let k = float (List.length doublings) in
+    row "  %24s" "mean doubling";
+    List.iteri
+      (fun j (p, _) ->
+        let first = List.nth (List.hd times) j in
+        let last = List.nth (List.nth times (List.length times - 1)) j in
+        let mean = (last /. first) ** (1. /. k) in
+        headline "FE1" (Printf.sprintf "%s_%s_doubling" name p) mean;
+        row " %11.2f" mean)
+      passes;
+    row "@."
+  in
+  let every = List.map fst all_passes in
+  family "pipeline" (fun stages -> Topo_gen.pipeline ~stages ~cap:2) every;
+  family "random_cs4"
+    (fun stages ->
+      Topo_gen.random_cs4
+        (Random.State.make [| stages; 16 |])
+        ~blocks:(stages / 4) ~block_edges:6 ~max_cap:4)
+    every;
+  family "wide_ladder"
+    (fun stages -> Topo_gen.wide_ladder ~rungs:(stages / 2) ~cap:3)
+    [ "classify"; "repair" ]
 
 (* ------------------------------------------------------------------ *)
 (* C4. The headline: exponential baseline vs polynomial algorithms.     *)
@@ -1706,6 +1802,7 @@ let sections =
     ("C5", c5);
     ("C6", c6);
     ("C7", c7);
+    ("FE1", fe1);
     ("LP1", lp1);
     ("RC1", rc1);
     ("O1", o1);

@@ -12,55 +12,70 @@ let biconnected_components g =
   in
   let disc = Array.make n (-1) and low = Array.make n 0 in
   let time = ref 0 in
-  let estack : Graph.edge list ref = ref [] in
+  (* The DFS stack as three parallel arrays (vertex, id of the tree edge
+     that entered it, next incident-edge index) and the edge stack as an
+     array: no per-step allocation, so a long pipeline costs no more per
+     node than a short one. *)
+  let st_v = Array.make n 0 and st_pe = Array.make n 0 in
+  let st_i = Array.make n 0 in
+  let sp = ref 0 in
+  let estack = Array.make (Graph.num_edges g) 0 in
+  let ep = ref 0 in
   let comps = ref [] in
   let by_id (a : Graph.edge) (b : Graph.edge) = compare a.id b.id in
+  let push v pe =
+    disc.(v) <- !time;
+    low.(v) <- !time;
+    incr time;
+    st_v.(!sp) <- v;
+    st_pe.(!sp) <- pe;
+    st_i.(!sp) <- 0;
+    incr sp
+  in
   for root = 0 to n - 1 do
     if disc.(root) = -1 then begin
-      let stack = Stack.create () in
-      disc.(root) <- !time;
-      low.(root) <- !time;
-      incr time;
-      Stack.push (root, -1, ref 0) stack;
-      while not (Stack.is_empty stack) do
-        let v, parent_edge, idx = Stack.top stack in
-        if !idx < Array.length inc.(v) then begin
-          let e = inc.(v).(!idx) in
-          incr idx;
+      push root (-1);
+      while !sp > 0 do
+        let top = !sp - 1 in
+        let v = st_v.(top) and parent_edge = st_pe.(top) in
+        let i = st_i.(top) in
+        if i < Array.length inc.(v) then begin
+          let e = inc.(v).(i) in
+          st_i.(top) <- i + 1;
           if e.id <> parent_edge then begin
             let w = Graph.other_endpoint e v in
             if disc.(w) = -1 then begin
-              estack := e :: !estack;
-              disc.(w) <- !time;
-              low.(w) <- !time;
-              incr time;
-              Stack.push (w, e.id, ref 0) stack
+              estack.(!ep) <- e.id;
+              incr ep;
+              push w e.id
             end
             else if disc.(w) < disc.(v) then begin
               (* Back edge; pushed only from the deeper endpoint so each
                  non-tree edge enters the stack exactly once. *)
-              estack := e :: !estack;
+              estack.(!ep) <- e.id;
+              incr ep;
               if disc.(w) < low.(v) then low.(v) <- disc.(w)
             end
           end
         end
         else begin
-          ignore (Stack.pop stack);
-          match Stack.top_opt stack with
-          | None -> ()
-          | Some (u, _, _) ->
+          decr sp;
+          if !sp > 0 then begin
+            let u = st_v.(!sp - 1) in
             if low.(v) < low.(u) then low.(u) <- low.(v);
             if low.(v) >= disc.(u) then begin
               (* v's subtree plus edge u-v is a complete component. *)
               let rec pop acc =
-                match !estack with
-                | [] -> acc
-                | e :: rest ->
-                  estack := rest;
+                if !ep = 0 then acc
+                else begin
+                  decr ep;
+                  let e = Graph.edge g estack.(!ep) in
                   if e.id = parent_edge then e :: acc else pop (e :: acc)
+                end
               in
               comps := List.sort by_id (pop []) :: !comps
             end
+          end
         end
       done
     end

@@ -10,52 +10,122 @@ type run = {
   run_edges : Graph.edge list;
 }
 
-(* Enumeration: for each start vertex s, DFS over the undirected view
+(* Traversal: for each start vertex s, DFS over the undirected view
    visiting only vertices > s (so each cycle is found from its minimal
-   vertex), recording a cycle when an edge returns to s. Intermediate
+   vertex), reporting a cycle when an edge returns to s. Intermediate
    vertices are marked visited, which keeps paths simple; the only edge
    that could repeat is an immediate backtrack, excluded by comparing
-   edge ids. Each cycle is discovered once per direction; a canonical
-   sorted-edge-id key deduplicates. *)
-let enumerate ?(max_cycles = 10_000_000) g =
+   edge ids.
+
+   Every simple cycle lies inside one biconnected block, so once the
+   DFS from s has taken its first edge, in block b, it follows only
+   edges of block b, and never a bridge: a pruned subtree could record
+   no cycle, and the visited marks are restored on backtrack, so the
+   reported sequence is that of the unpruned search. The edges of each
+   node are grouped by block (increasing id within a group) and
+   [entry] locates the group of an edge's block at either endpoint, so
+   a step scans only the current block's edges.
+
+   Each cycle is met twice from s, once per direction, as the two
+   orientations start with its two edges at s. The first edges at s
+   are tried in increasing id order, so the orientation met first is
+   the one whose first edge has the smaller id; only that one is
+   reported. *)
+
+let traverse ~max_cycles g f =
   let n = Graph.num_nodes g in
-  let visited = Array.make n false in
-  let seen = Hashtbl.create 997 in
-  let results = ref [] in
-  let found = ref 0 in
-  let record path_rev =
-    let cycle = List.rev path_rev in
-    let key = List.sort compare (List.map (fun o -> o.edge.Graph.id) cycle) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      incr found;
-      if !found > max_cycles then raise (Budget_exceeded max_cycles);
-      results := cycle :: !results
-    end
+  let block = Array.make (Graph.num_edges g) (-1) in
+  List.iteri
+    (fun b comp ->
+      match comp with
+      | [ _ ] -> ()
+      | es -> List.iter (fun (e : Graph.edge) -> block.(e.id) <- b) es)
+    (Articulation.biconnected_components g);
+  let by_block (a : Graph.edge) (b : Graph.edge) =
+    compare block.(a.id) block.(b.id)
   in
+  let grouped =
+    Array.init n (fun v ->
+        Array.of_list
+          (List.stable_sort by_block
+             (List.filter
+                (fun (e : Graph.edge) -> block.(e.id) >= 0)
+                (Graph.incident_edges g v))))
+  in
+  (* [entry.(slot e v)]: where edge [e]'s block group starts in
+     [grouped.(v)], for either endpoint [v] of [e]. *)
+  let slot (e : Graph.edge) v = (2 * e.id) + if e.src = v then 0 else 1 in
+  let entry = Array.make (2 * Graph.num_edges g) 0 in
+  Array.iteri
+    (fun v (arr : Graph.edge array) ->
+      let start = ref 0 in
+      Array.iteri
+        (fun i (e : Graph.edge) ->
+          if i > 0 && block.(arr.(i - 1).id) <> block.(e.id) then start := i;
+          entry.(slot e v) <- !start)
+        arr)
+    grouped;
+  let visited = Array.make n false in
+  let found = ref 0 in
   for s = 0 to n - 1 do
-    let rec extend v last_edge path_rev =
-      List.iter
-        (fun (e : Graph.edge) ->
-          if e.id <> last_edge then begin
+    let report first path_rev =
+      match path_rev with
+      | closing :: _ when first.edge.id < closing.edge.id ->
+        incr found;
+        if !found > max_cycles then raise (Budget_exceeded max_cycles);
+        f (List.rev path_rev)
+      | _ -> ()
+    in
+    (* Extend a path that entered [v] by edge [last] of block [b]. *)
+    let rec extend b first v (last : Graph.edge) path_rev =
+      let arr = grouped.(v) in
+      let rec scan i =
+        if i < Array.length arr && block.(arr.(i).id) = b then begin
+          let e = arr.(i) in
+          if e.id <> last.id then begin
             let w = Graph.other_endpoint e v in
             let o = { edge = e; fwd = e.src = v } in
-            if w = s then begin
-              if path_rev <> [] then record (o :: path_rev)
-            end
+            if w = s then report first (o :: path_rev)
             else if w > s && not visited.(w) then begin
               visited.(w) <- true;
-              extend w e.id (o :: path_rev);
+              extend b first w e (o :: path_rev);
               visited.(w) <- false
             end
-          end)
-        (Graph.incident_edges g v)
+          end;
+          scan (i + 1)
+        end
+      in
+      scan entry.(slot last v)
     in
-    extend s (-1) []
-  done;
-  List.rev !results
+    List.iter
+      (fun (e : Graph.edge) ->
+        let w = Graph.other_endpoint e s in
+        if block.(e.id) >= 0 && w > s then begin
+          let o = { edge = e; fwd = e.src = s } in
+          visited.(w) <- true;
+          extend block.(e.id) o w e [ o ];
+          visited.(w) <- false
+        end)
+      (Graph.incident_edges g s)
+  done
 
-let count ?max_cycles g = List.length (enumerate ?max_cycles g)
+let default_budget = 10_000_000
+
+let fold ?(max_cycles = default_budget) g ~init ~f =
+  let acc = ref init in
+  traverse ~max_cycles g (fun c -> acc := f !acc c);
+  !acc
+
+let find ?(max_cycles = default_budget) g p =
+  let exception Found of t in
+  match traverse ~max_cycles g (fun c -> if p c then raise (Found c)) with
+  | () -> None
+  | exception Found c -> Some c
+
+let enumerate ?max_cycles g =
+  List.rev (fold ?max_cycles g ~init:[] ~f:(fun acc c -> c :: acc))
+
+let count ?max_cycles g = fold ?max_cycles g ~init:0 ~f:(fun k _ -> k + 1)
 
 let vertices c =
   match c with

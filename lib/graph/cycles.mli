@@ -4,10 +4,17 @@
     cycles of the application DAG: every potential deadlock corresponds
     to such a cycle, decomposed into maximal directed paths ("runs")
     joined at cycle sources and sinks. This module enumerates all simple
-    cycles of the undirected multigraph (worst-case exponential — this
-    is exactly the cost the paper's SP/CS4 algorithms avoid) and
-    computes the run decomposition used by the general-DAG baseline and
-    by the brute-force CS4 property check. *)
+    cycles of the undirected multigraph and computes the run
+    decomposition used by the general-DAG baseline and by the
+    brute-force CS4 property check.
+
+    Cost. Every simple cycle lies inside one biconnected block, so the
+    search from each start vertex stays inside the block of its first
+    edge and never follows a bridge. It is exponential only within one
+    block (the number of simple paths there — exactly the cost the
+    paper's SP/CS4 algorithms avoid), and linear in the rest of the
+    graph: O(|G|) set-up (one biconnected-components pass) and O(|G|)
+    on a cycle-free graph or on the bridges between blocks. *)
 
 type oriented = {
   edge : Graph.edge;
@@ -27,17 +34,29 @@ type run = {
 (** A maximal directed path along a cycle. *)
 
 exception Budget_exceeded of int
-(** Raised by {!enumerate} (and so {!count}) once more than the given
-    budget of distinct simple cycles has been found; carries the
+(** Raised by {!enumerate}, {!count} and {!find} once more than the
+    given budget of distinct simple cycles has been met; carries the
     budget. *)
 
 val enumerate : ?max_cycles:int -> Graph.t -> t list
-(** All undirected simple cycles, each reported once (arbitrary start
-    vertex and direction). [max_cycles] bounds the enumeration as a
-    safety valve (default 10_000_000).
+(** All undirected simple cycles, each reported once. A cycle is
+    listed from its smallest vertex, in the orientation whose first
+    edge has the smaller id; cycles come in the order of a DFS from
+    each start vertex in increasing order, edges tried in increasing
+    id. [max_cycles] bounds the enumeration as a safety valve (default
+    10_000_000).
     @raise Budget_exceeded when the graph has more cycles than that. *)
 
 val count : ?max_cycles:int -> Graph.t -> int
+(** [List.length (enumerate g)], without building the list. *)
+
+val find : ?max_cycles:int -> Graph.t -> (t -> bool) -> t option
+(** The first cycle, in {!enumerate} order, satisfying the predicate;
+    the traversal stops there. The budget counts the cycles examined
+    up to and including the one returned, so a witness among the first
+    [max_cycles] cycles is found even when the graph has more.
+    @raise Budget_exceeded when more than [max_cycles] cycles are
+    examined without a match. *)
 
 val vertices : t -> Graph.node list
 (** Vertex sequence [v0; v1; ...] with [v_i] the tail of the i-th

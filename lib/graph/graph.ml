@@ -7,6 +7,7 @@ type t = {
   edge_arr : edge array;
   out_adj : edge list array;  (* per node, increasing id *)
   in_adj : edge list array;
+  inc_adj : edge list array;  (* per node, both directions, increasing id *)
   out_ids : int array array;  (* per node, edge ids, increasing *)
   in_ids : int array array;
 }
@@ -49,6 +50,9 @@ let make ~nodes spec =
     edge_arr;
     out_adj;
     in_adj;
+    inc_adj =
+      Array.init nodes (fun v ->
+          List.merge (fun a b -> compare a.id b.id) out_adj.(v) in_adj.(v));
     out_ids = ids_of out_adj;
     in_ids = ids_of in_adj;
   }
@@ -70,8 +74,7 @@ let in_edge_ids g v = g.in_ids.(v)
 let out_degree g v = Array.length g.out_ids.(v)
 let in_degree g v = Array.length g.in_ids.(v)
 
-let incident_edges g v =
-  List.merge (fun a b -> compare a.id b.id) g.out_adj.(v) g.in_adj.(v)
+let incident_edges g v = g.inc_adj.(v)
 
 let sources g =
   List.filter (fun v -> in_degree g v = 0) (List.init g.n Fun.id)

@@ -56,7 +56,9 @@ val in_degree : t -> node -> int
 (** O(1): degrees are precomputed at {!make}. *)
 
 val incident_edges : t -> node -> edge list
-(** Edges touching a node in either direction (undirected view). *)
+(** Edges touching a node in either direction (undirected view), in
+    increasing id order. Precomputed at {!make}: the returned list is
+    the graph's own and costs no allocation. *)
 
 val sources : t -> node list
 (** Nodes with in-degree 0, ascending. *)

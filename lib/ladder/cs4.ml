@@ -25,13 +25,12 @@ let pp_failure ppf = function
     Format.fprintf ppf "block %d..%d is neither SP nor an SP-ladder: %s"
       block_source block_sink reason
 
-let classify_block ~nodes ~source ~sink edges =
+let classify_block ~source ~sink edges =
   (* One reduction serves both recognizers: a single surviving
      super-edge means SP; otherwise the core must match the ladder
      skeleton. *)
   match
-    Sp_recognize.reduce ~nodes ~protect:(fun v -> v = source || v = sink)
-      edges
+    Sp_recognize.reduce ~protect:(fun v -> v = source || v = sink) edges
   with
   | [ { s_src; s_dst; s_tree } ] when s_src = source && s_dst = sink ->
     Ok (Sp_block s_tree)
@@ -47,11 +46,10 @@ let classify g =
   | Some (x, y) ->
     if not (Topo.connected g) then Error Not_two_terminal
     else begin
-      let nodes = Graph.num_nodes g in
       let rec go acc = function
         | [] -> Ok { source = x; sink = y; blocks = List.rev acc }
         | (bsrc, bsnk, edges) :: rest -> (
-          match classify_block ~nodes ~source:bsrc ~sink:bsnk edges with
+          match classify_block ~source:bsrc ~sink:bsnk edges with
           | Ok b -> go ((bsrc, bsnk, b) :: acc) rest
           | Error reason ->
             Error (Bad_block { block_source = bsrc; block_sink = bsnk; reason }))
@@ -62,9 +60,7 @@ let classify g =
 let is_cs4 g = Result.is_ok (classify g)
 
 let bad_cycle_witness ?max_cycles g =
-  List.find_opt
-    (fun c -> not (Cycles.is_cs4_cycle c))
-    (Cycles.enumerate ?max_cycles g)
+  Cycles.find ?max_cycles g (fun c -> not (Cycles.is_cs4_cycle c))
 
 let is_cs4_brute ?max_cycles g =
   match Topo.is_two_terminal g with

@@ -44,6 +44,9 @@ val is_cs4_brute : ?max_cycles:int -> Graph.t -> bool
 
 val bad_cycle_witness : ?max_cycles:int -> Graph.t -> Cycles.t option
 (** A cycle with more than one source (and sink), when one exists —
-    e.g. the a-c-b-d cycle of the Fig. 4 butterfly. *)
+    e.g. the a-c-b-d cycle of the Fig. 4 butterfly. The first such
+    cycle in {!Cycles.enumerate} order; the search stops there, and
+    [max_cycles] counts the cycles examined before it
+    ({!Cycles.find}). *)
 
 val pp_failure : Format.formatter -> failure -> unit

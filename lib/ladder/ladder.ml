@@ -183,13 +183,11 @@ let of_core ~source ~sink core =
       }
   with Reject msg -> Error msg
 
-let recognize_block ~nodes ~source ~sink edges =
+let recognize_block ~source ~sink edges =
   if edges = [] then Error "empty block"
   else
     match
-      Sp_recognize.reduce ~nodes
-        ~protect:(fun v -> v = source || v = sink)
-        edges
+      Sp_recognize.reduce ~protect:(fun v -> v = source || v = sink) edges
     with
     | [ { s_src; s_dst; _ } ] when s_src = source && s_dst = sink ->
       Error "series-parallel"

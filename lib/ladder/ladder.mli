@@ -52,7 +52,6 @@ val of_core :
     diagnostics; any error means "not an SP-ladder"). *)
 
 val recognize_block :
-  nodes:int ->
   source:Graph.node ->
   sink:Graph.node ->
   Graph.edge list ->

@@ -20,28 +20,39 @@ let pp_failure ppf = function
 
 module Iset = Set.Make (Int)
 
-(* Mutable reduction state: super-edges carry the decomposition tree of
-   the subgraph they replace. The [pair] index keeps at most one live
+(* Mutable reduction state over block-local node ids [0 .. k-1], so
+   every per-call array is sized to the block rather than to the whole
+   graph; [glob] maps a local id back to its graph node. Super-edges
+   carry the decomposition tree of the subgraph they replace. The
+   [pair] index (keyed [src * k + dst]) keeps at most one live
    super-edge per (src, dst), merging parallels eagerly on insertion. *)
 type state = {
-  live : (int, Graph.node * Graph.node * Sp_tree.t) Hashtbl.t;
+  glob : Graph.node array;
+  live : (int, int * int * Sp_tree.t) Hashtbl.t;
   mutable next_id : int;
   out_s : Iset.t array;
   in_s : Iset.t array;
-  pair : (Graph.node * Graph.node, int) Hashtbl.t;
-  queue : Graph.node Queue.t;
+  out_n : int array;  (* cardinals of [out_s] / [in_s] *)
+  in_n : int array;
+  pair : (int, int) Hashtbl.t;
+  queue : int Queue.t;
 }
+
+let pair_key st src dst = (src * Array.length st.glob) + dst
 
 let remove_edge st id =
   let src, dst, _ = Hashtbl.find st.live id in
   Hashtbl.remove st.live id;
   st.out_s.(src) <- Iset.remove id st.out_s.(src);
+  st.out_n.(src) <- st.out_n.(src) - 1;
   st.in_s.(dst) <- Iset.remove id st.in_s.(dst);
-  if Hashtbl.find_opt st.pair (src, dst) = Some id then
-    Hashtbl.remove st.pair (src, dst)
+  st.in_n.(dst) <- st.in_n.(dst) - 1;
+  let key = pair_key st src dst in
+  if Hashtbl.find_opt st.pair key = Some id then Hashtbl.remove st.pair key
 
 let rec add_edge st src dst tree =
-  match Hashtbl.find_opt st.pair (src, dst) with
+  let key = pair_key st src dst in
+  match Hashtbl.find_opt st.pair key with
   | Some other ->
     let _, _, tree' = Hashtbl.find st.live other in
     remove_edge st other;
@@ -51,15 +62,15 @@ let rec add_edge st src dst tree =
     st.next_id <- id + 1;
     Hashtbl.replace st.live id (src, dst, tree);
     st.out_s.(src) <- Iset.add id st.out_s.(src);
+    st.out_n.(src) <- st.out_n.(src) + 1;
     st.in_s.(dst) <- Iset.add id st.in_s.(dst);
-    Hashtbl.replace st.pair (src, dst) id;
+    st.in_n.(dst) <- st.in_n.(dst) + 1;
+    Hashtbl.replace st.pair key id;
     Queue.add src st.queue;
     Queue.add dst st.queue
 
 let try_series st ~protect v =
-  if (not (protect v))
-     && Iset.cardinal st.in_s.(v) = 1
-     && Iset.cardinal st.out_s.(v) = 1
+  if (not (protect st.glob.(v))) && st.in_n.(v) = 1 && st.out_n.(v) = 1
   then begin
     let ein = Iset.choose st.in_s.(v) and eout = Iset.choose st.out_s.(v) in
     let u, _, t_in = Hashtbl.find st.live ein in
@@ -69,31 +80,67 @@ let try_series st ~protect v =
     add_edge st u w (Sp_tree.series t_in t_out)
   end
 
-let reduce ~nodes ~protect edges =
+(* Dense renumbering without a graph-sized table: sort the endpoint
+   slots [node * 2m + slot] (slot [2i] is edge i's source, [2i + 1] its
+   destination) and hand out local ids in node order. Returns the local
+   endpoints per slot and the local-to-graph map. *)
+let renumber edges =
+  let m = Array.length edges in
+  let slots = 2 * m in
+  let keys = Array.make slots 0 in
+  Array.iteri
+    (fun i (e : Graph.edge) ->
+      keys.(2 * i) <- (e.src * slots) + (2 * i);
+      keys.((2 * i) + 1) <- (e.dst * slots) + (2 * i) + 1)
+    edges;
+  Array.stable_sort Int.compare keys;
+  let local = Array.make slots 0 and glob = Array.make slots 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun j key ->
+      let v = key / slots in
+      if j = 0 || v <> keys.(j - 1) / slots then begin
+        glob.(!k) <- v;
+        incr k
+      end;
+      local.(key mod slots) <- !k - 1)
+    keys;
+  (local, Array.sub glob 0 !k)
+
+let reduce ~protect edges =
+  let edges = Array.of_list edges in
+  let m = Array.length edges in
+  let local, glob = renumber edges in
+  let k = Array.length glob in
   let st =
     {
-      live = Hashtbl.create (2 * List.length edges);
+      glob;
+      live = Hashtbl.create (2 * m);
       next_id = 0;
-      out_s = Array.make nodes Iset.empty;
-      in_s = Array.make nodes Iset.empty;
-      pair = Hashtbl.create (2 * List.length edges);
+      out_s = Array.make k Iset.empty;
+      in_s = Array.make k Iset.empty;
+      out_n = Array.make k 0;
+      in_n = Array.make k 0;
+      pair = Hashtbl.create (2 * m);
       queue = Queue.create ();
     }
   in
-  List.iter
-    (fun (e : Graph.edge) -> add_edge st e.src e.dst (Sp_tree.leaf e))
+  Array.iteri
+    (fun i e ->
+      add_edge st local.(2 * i) local.((2 * i) + 1) (Sp_tree.leaf e))
     edges;
   while not (Queue.is_empty st.queue) do
     try_series st ~protect (Queue.pop st.queue)
   done;
   Hashtbl.fold
-    (fun _ (s_src, s_dst, s_tree) acc -> { s_src; s_dst; s_tree } :: acc)
+    (fun _ (src, dst, s_tree) acc ->
+      { s_src = glob.(src); s_dst = glob.(dst); s_tree } :: acc)
     st.live []
 
-let recognize_block ~nodes ~source ~sink edges =
+let recognize_block ~source ~sink edges =
   if edges = [] then Error Not_two_terminal
   else
-    match reduce ~nodes ~protect:(fun v -> v = source || v = sink) edges with
+    match reduce ~protect:(fun v -> v = source || v = sink) edges with
     | [ { s_src; s_dst; s_tree } ] when s_src = source && s_dst = sink ->
       Ok s_tree
     | rest -> Error (Irreducible { remaining_edges = List.length rest })
@@ -104,8 +151,6 @@ let recognize g =
   | Some (x, y) when x = y -> Error Not_two_terminal
   | Some (x, y) ->
     if not (Topo.connected g) then Error Not_two_terminal
-    else
-      recognize_block ~nodes:(Graph.num_nodes g) ~source:x ~sink:y
-        (Graph.edges g)
+    else recognize_block ~source:x ~sink:y (Graph.edges g)
 
 let is_sp g = Result.is_ok (recognize g)

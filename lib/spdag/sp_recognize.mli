@@ -10,7 +10,14 @@
     computed on the tree map directly back to channel ids.
 
     Worklist-driven; each merge is O(1) amortized, so recognition runs
-    in O(|G|) — the cost step 1 of §IV.A budgets.
+    in O(|G|) — the cost step 1 of §IV.A budgets. All reduction state is
+    block-local: {!reduce} renumbers the endpoints of the edges it is
+    given to dense ids [0 .. k-1] and sizes every table to those [k]
+    nodes, never to the whole graph. A caller that reduces each
+    biconnected block of a graph in turn ({!Fstream_ladder.Cs4}) thus
+    pays for each block's size once — O(|G|) over all blocks, where a
+    graph-sized table per call would cost O(|V|) for each of a
+    pipeline's |V|-1 one-edge blocks.
 
     The stalled reduction is also exposed ({!reduce}): when the input is
     not series-parallel the surviving super-edges form its "core", which
@@ -33,17 +40,17 @@ type failure =
           with this many super-edges left *)
 
 val reduce :
-  nodes:int ->
   protect:(Fstream_graph.Graph.node -> bool) ->
   Fstream_graph.Graph.edge list ->
   super_edge list
 (** Run the series/parallel reduction to a fixpoint over the given edge
     multiset. Nodes for which [protect] holds are never series-merged
     (use it to protect the intended terminals). Node ids may be sparse:
-    [nodes] only bounds them. *)
+    the state is sized to the distinct endpoints of [edges]. The
+    surviving super-edges come back in the same order for the same
+    input. *)
 
 val recognize_block :
-  nodes:int ->
   source:Fstream_graph.Graph.node ->
   sink:Fstream_graph.Graph.node ->
   Fstream_graph.Graph.edge list ->

@@ -134,6 +134,118 @@ let prop_sources_share_opposite =
                opp))
         (Cycles.enumerate g))
 
+(* Oracle: the whole-graph DFS the block-pruned traversal replaced,
+   kept verbatim: it explores across block boundaries and bridges, and
+   deduplicates the two orientations of each cycle by a sorted
+   edge-id key. The pruned search must list the same cycles in the
+   same order and orientation, and raise the budget at the same
+   cycle. *)
+let reference_enumerate ?(max_cycles = 10_000_000) g =
+  let n = Graph.num_nodes g in
+  let visited = Array.make n false in
+  let seen = Hashtbl.create 997 in
+  let results = ref [] in
+  let found = ref 0 in
+  let record path_rev =
+    let cycle = List.rev path_rev in
+    let key =
+      List.sort compare (List.map (fun o -> o.Cycles.edge.Graph.id) cycle)
+    in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      incr found;
+      if !found > max_cycles then raise (Cycles.Budget_exceeded max_cycles);
+      results := cycle :: !results
+    end
+  in
+  for s = 0 to n - 1 do
+    let rec extend v last_edge path_rev =
+      List.iter
+        (fun (e : Graph.edge) ->
+          if e.id <> last_edge then begin
+            let w = Graph.other_endpoint e v in
+            let o = { Cycles.edge = e; fwd = e.src = v } in
+            if w = s then begin
+              if path_rev <> [] then record (o :: path_rev)
+            end
+            else if w > s && not visited.(w) then begin
+              visited.(w) <- true;
+              extend w e.id (o :: path_rev);
+              visited.(w) <- false
+            end
+          end)
+        (Graph.incident_edges g v)
+    in
+    extend s (-1) []
+  done;
+  List.rev !results
+
+let outcome f =
+  match f () with v -> Ok v | exception Cycles.Budget_exceeded k -> Error k
+
+let oracle_families =
+  [
+    ("random_sp", Tutil.random_sp_of_seed ?max_edges:None);
+    ("random_ladder", Tutil.random_ladder_of_seed ?max_rungs:None);
+    ("random_cs4", Tutil.random_cs4_of_seed ~max_blocks:4);
+    ("random_dense", Tutil.random_dense_of_seed);
+    ( "diamond_chain",
+      fun seed ->
+        Topo_gen.diamond_chain ~bypass:(seed mod 2 = 1)
+          ~diamonds:(1 + (seed / 2 mod 8))
+          ~cap:(1 + (seed mod 5)) () );
+    ( "fig4_butterfly",
+      fun seed -> Topo_gen.fig4_butterfly ~cap:(1 + (seed mod 7)) );
+    ( "layered_dense",
+      fun seed ->
+        Topo_gen.layered_dense ~layers:(1 + (seed mod 3))
+          ~width:(1 + (seed / 3 mod 3))
+          ~cap:1 );
+    ("random_dag", Tutil.random_dag_of_seed);
+  ]
+
+(* Below the 1,299 cycles of a 3 x 3 [layered_dense], so on the
+   largest dense draws both sides must raise it at the same cycle. *)
+let oracle_budget = 1_000
+
+let prop_matches_reference (name, family) =
+  Tutil.qtest ~count:300
+    (Printf.sprintf "enumerate = whole-graph DFS reference (%s)" name)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      let full =
+        outcome (fun () -> Cycles.enumerate ~max_cycles:oracle_budget g)
+      in
+      let expected =
+        outcome (fun () -> reference_enumerate ~max_cycles:oracle_budget g)
+      in
+      let bad c = not (Cycles.is_cs4_cycle c) in
+      full = expected
+      && outcome (fun () -> Cycles.enumerate ~max_cycles:3 g)
+         = outcome (fun () -> reference_enumerate ~max_cycles:3 g)
+      && outcome (fun () -> Cycles.count ~max_cycles:oracle_budget g)
+         = Result.map List.length expected
+      &&
+      match expected with
+      | Ok cycles -> Cycles.find g bad = List.find_opt bad cycles
+      | Error _ -> true)
+
+let test_find_stops_early () =
+  (* The chain has 1,034 cycles; the first is the first diamond's
+     parallel pair, returned within a budget of one cycle. *)
+  let g = Topo_gen.diamond_chain ~bypass:true ~diamonds:10 ~cap:1 () in
+  Alcotest.(check bool) "first cycle found within budget 1" true
+    (Cycles.find ~max_cycles:1 g (fun _ -> true)
+     = Some (List.hd (Cycles.enumerate g)));
+  Alcotest.check_raises "no match within the budget"
+    (Cycles.Budget_exceeded 5) (fun () ->
+      ignore (Cycles.find ~max_cycles:5 g (fun _ -> false)))
+
+let test_pipeline_has_no_cycles () =
+  (* All bridges: the traversal follows none of them. *)
+  let g = Topo_gen.pipeline ~stages:5000 ~cap:1 in
+  Alcotest.(check int) "no cycles" 0 (Cycles.count ~max_cycles:0 g)
+
 let suite =
   [
     Alcotest.test_case "known cycle counts" `Quick test_counts;
@@ -145,4 +257,9 @@ let suite =
     prop_cycle_wellformed;
     prop_runs_partition;
     prop_sources_share_opposite;
+    Alcotest.test_case "find stops at the first match" `Quick
+      test_find_stops_early;
+    Alcotest.test_case "pipeline: no cycles, no budget used" `Quick
+      test_pipeline_has_no_cycles;
   ]
+  @ List.map prop_matches_reference oracle_families

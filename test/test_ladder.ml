@@ -6,8 +6,7 @@ open Fstream_workloads
 let recognize g =
   match Topo.is_two_terminal g with
   | Some (x, y) ->
-    Ladder.recognize_block ~nodes:(Graph.num_nodes g) ~source:x ~sink:y
-      (Graph.edges g)
+    Ladder.recognize_block ~source:x ~sink:y (Graph.edges g)
   | None -> Error "not two-terminal"
 
 let test_fig4_left () =
@@ -261,6 +260,187 @@ let prop_fact_vi_1 =
                 (Cycles.enumerate g))
           blocks)
 
+(* Oracle: the graph-sized reduction the block-local one replaced,
+   kept verbatim — per-node [Iset] arrays of length [nodes] and a
+   (src, dst) pair table. [Cs4.classify] must build exactly the
+   classification this reduction yields, block order, super-edge
+   order and every decomposition tree included. *)
+module Reference_reduce = struct
+  module Iset = Set.Make (Int)
+
+  type state = {
+    live : (int, Graph.node * Graph.node * Sp_tree.t) Hashtbl.t;
+    mutable next_id : int;
+    out_s : Iset.t array;
+    in_s : Iset.t array;
+    pair : (Graph.node * Graph.node, int) Hashtbl.t;
+    queue : Graph.node Queue.t;
+  }
+
+  let remove_edge st id =
+    let src, dst, _ = Hashtbl.find st.live id in
+    Hashtbl.remove st.live id;
+    st.out_s.(src) <- Iset.remove id st.out_s.(src);
+    st.in_s.(dst) <- Iset.remove id st.in_s.(dst);
+    if Hashtbl.find_opt st.pair (src, dst) = Some id then
+      Hashtbl.remove st.pair (src, dst)
+
+  let rec add_edge st src dst tree =
+    match Hashtbl.find_opt st.pair (src, dst) with
+    | Some other ->
+      let _, _, tree' = Hashtbl.find st.live other in
+      remove_edge st other;
+      add_edge st src dst (Sp_tree.parallel tree' tree)
+    | None ->
+      let id = st.next_id in
+      st.next_id <- id + 1;
+      Hashtbl.replace st.live id (src, dst, tree);
+      st.out_s.(src) <- Iset.add id st.out_s.(src);
+      st.in_s.(dst) <- Iset.add id st.in_s.(dst);
+      Hashtbl.replace st.pair (src, dst) id;
+      Queue.add src st.queue;
+      Queue.add dst st.queue
+
+  let try_series st ~protect v =
+    if (not (protect v))
+       && Iset.cardinal st.in_s.(v) = 1
+       && Iset.cardinal st.out_s.(v) = 1
+    then begin
+      let ein = Iset.choose st.in_s.(v) and eout = Iset.choose st.out_s.(v) in
+      let u, _, t_in = Hashtbl.find st.live ein in
+      let _, w, t_out = Hashtbl.find st.live eout in
+      remove_edge st ein;
+      remove_edge st eout;
+      add_edge st u w (Sp_tree.series t_in t_out)
+    end
+
+  let reduce ~nodes ~protect edges =
+    let st =
+      {
+        live = Hashtbl.create (2 * List.length edges);
+        next_id = 0;
+        out_s = Array.make nodes Iset.empty;
+        in_s = Array.make nodes Iset.empty;
+        pair = Hashtbl.create (2 * List.length edges);
+        queue = Queue.create ();
+      }
+    in
+    List.iter
+      (fun (e : Graph.edge) -> add_edge st e.src e.dst (Sp_tree.leaf e))
+      edges;
+    while not (Queue.is_empty st.queue) do
+      try_series st ~protect (Queue.pop st.queue)
+    done;
+    Hashtbl.fold
+      (fun _ (s_src, s_dst, s_tree) acc ->
+        { Sp_recognize.s_src; s_dst; s_tree } :: acc)
+      st.live []
+
+  let classify g =
+    match Topo.is_two_terminal g with
+    | None -> Error Cs4.Not_two_terminal
+    | Some (x, y) when x = y -> Error Cs4.Not_two_terminal
+    | Some _ when not (Topo.connected g) -> Error Cs4.Not_two_terminal
+    | Some (x, y) ->
+      let nodes = Graph.num_nodes g in
+      let rec go acc = function
+        | [] -> Ok { Cs4.source = x; sink = y; blocks = List.rev acc }
+        | (source, sink, edges) :: rest -> (
+          let core =
+            reduce ~nodes ~protect:(fun v -> v = source || v = sink) edges
+          in
+          let block =
+            match core with
+            | [ { Sp_recognize.s_src; s_dst; s_tree } ]
+              when s_src = source && s_dst = sink ->
+              Ok (Cs4.Sp_block s_tree)
+            | core ->
+              Result.map
+                (fun l -> Cs4.Ladder_block l)
+                (Ladder.of_core ~source ~sink core)
+          in
+          match block with
+          | Ok b -> go ((source, sink, b) :: acc) rest
+          | Error reason ->
+            Error
+              (Cs4.Bad_block
+                 { block_source = source; block_sink = sink; reason }))
+      in
+      go [] (Articulation.serial_blocks g)
+end
+
+(* Decomposition trees without their process-unique [uid]s, which
+   differ between any two runs that build the same tree. *)
+type stripped =
+  | Leaf of Graph.edge
+  | Node of
+      char * Graph.node * Graph.node * int * int * int * stripped * stripped
+
+let rec strip (t : Sp_tree.t) =
+  let node c a b =
+    Node (c, t.source, t.sink, t.l, t.h, t.n_edges, strip a, strip b)
+  in
+  match t.shape with
+  | Sp_tree.Leaf e -> Leaf e
+  | Sp_tree.Series (a, b) -> node 's' a b
+  | Sp_tree.Parallel (a, b) -> node 'p' a b
+
+let strip_block = function
+  | Cs4.Sp_block t -> `Sp (strip t)
+  | Cs4.Ladder_block (l : Ladder.t) ->
+    `Ladder
+      ( (l.source, l.sink, l.left_nodes, l.right_nodes),
+        Array.map strip l.left_segments,
+        Array.map strip l.right_segments,
+        Array.map
+          (fun (r : Ladder.rung) ->
+            (r.left_end, r.right_end, strip r.cross, r.left_to_right))
+          l.rungs )
+
+let strip_classification = function
+  | Ok (c : Cs4.t) ->
+    Ok
+      ( c.source,
+        c.sink,
+        List.map (fun (a, b, blk) -> (a, b, strip_block blk)) c.blocks )
+  | Error f -> Error (Format.asprintf "%a" Cs4.pp_failure f)
+
+let strip_core core =
+  List.map
+    (fun (se : Sp_recognize.super_edge) ->
+      (se.s_src, se.s_dst, strip se.s_tree))
+    core
+
+let classify_families =
+  [
+    ("random_sp", Tutil.random_sp_of_seed ?max_edges:None);
+    ("random_ladder", Tutil.random_ladder_of_seed ?max_rungs:None);
+    ("random_cs4", Tutil.random_cs4_of_seed ~max_blocks:4);
+    ("random_dag", Tutil.random_dag_of_seed);
+    ("random_dense", Tutil.random_dense_of_seed);
+    ( "diamond_chain",
+      fun seed ->
+        Topo_gen.diamond_chain ~bypass:(seed mod 2 = 1)
+          ~diamonds:(1 + (seed / 2 mod 8))
+          ~cap:1 () );
+  ]
+
+let prop_classify_matches_reference (name, family) =
+  Tutil.qtest ~count:300
+    (Printf.sprintf "classify = graph-sized reduction reference (%s)" name)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      (* a whole-graph reduction with one inner node protected, so
+         stalled cores with more than two terminals are compared too *)
+      let inner = Graph.num_nodes g / 2 in
+      let protect v = v = 0 || v = inner || v = Graph.num_nodes g - 1 in
+      strip_classification (Cs4.classify g)
+      = strip_classification (Reference_reduce.classify g)
+      && strip_core (Sp_recognize.reduce ~protect (Graph.edges g))
+         = strip_core
+             (Reference_reduce.reduce ~nodes:(Graph.num_nodes g) ~protect
+                (Graph.edges g)))
+
 let suite =
   [
     Alcotest.test_case "fig4 left ladder" `Quick test_fig4_left;
@@ -277,3 +457,4 @@ let suite =
     prop_rung_order_consistent;
     prop_fact_vi_1;
   ]
+  @ List.map prop_classify_matches_reference classify_families

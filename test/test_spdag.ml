@@ -70,7 +70,7 @@ let test_reduce_protect () =
      super-edges meeting there. *)
   let g = Topo_gen.pipeline ~stages:4 ~cap:1 in
   let core =
-    Sp_recognize.reduce ~nodes:5
+    Sp_recognize.reduce
       ~protect:(fun v -> v = 0 || v = 4 || v = 2)
       (Graph.edges g)
   in

@@ -37,6 +37,15 @@ let random_cs4_of_seed ?(max_blocks = 4) seed =
     ~block_edges:(2 + Random.State.int rng 9)
     ~max_cap:7
 
+(* A random layered DAG, 1-3 layers of width 1-3: at most the 1,299
+   simple cycles of a full 3 x 3 [layered_dense]. *)
+let random_dense_of_seed seed =
+  let rng = rng_of seed in
+  Fstream_workloads.Topo_gen.random_dense rng
+    ~layers:(1 + Random.State.int rng 3)
+    ~width:(1 + Random.State.int rng 3)
+    ~max_cap:4
+
 (* A random two-terminal DAG that is usually *not* CS4: a random SP
    skeleton plus random forward chords. *)
 let random_dag_of_seed seed =
