@@ -144,10 +144,8 @@ let max_severity r =
   List.fold_left
     (fun acc d ->
       match acc with
-      | None -> Some d.severity
-      | Some s ->
-        if severity_rank d.severity < severity_rank s then Some d.severity
-        else acc)
+      | Some s when severity_rank s <= severity_rank d.severity -> acc
+      | _ -> Some d.severity)
     None r.diagnostics
 
 (* ------------------------------------------------------------------ *)
@@ -249,69 +247,68 @@ type ctx = {
   cfg : config;
   dag : bool;
   connected : bool;
-  two_terminal : (Graph.node * Graph.node) option;
-  cycles : Cycles.t list option;  (** [None]: cyclic graph or budget *)
+  cycles : Cycles.t list option Lazy.t;  (* [None]: cyclic graph or budget *)
   classification : (Cs4.t, Cs4.failure) result option;
   plan : (Compiler.plan, Compiler.error) result option;
   mutable incomplete : string option;
 }
 
-let make_ctx cfg g =
+(* One analysis per graph: the plan is the caller's when given (lint
+   compiles only otherwise), the CS4 decomposition is the plan route's
+   when it carries one, and cycles are enumerated only when a rule
+   forces them — so an exhausted budget marks the report incomplete
+   only when a rule that reads cycles was skipped. *)
+let make_ctx ?plan cfg g =
   let dag = Topo.is_dag g in
   let connected = Topo.connected g in
-  let incomplete = ref None in
-  let cycles =
-    if not dag then None
+  let plan =
+    if not (dag && connected) then None
     else
-      try Some (Cycles.enumerate ~max_cycles:cfg.max_cycles g)
-      with Cycles.Budget_exceeded _ ->
-        incomplete :=
-          Some
-            (Printf.sprintf
-               "cycle enumeration exceeded the budget of %d simple cycles; \
-                cycle-structure rules (FS2xx, FS303) were skipped"
-               cfg.max_cycles);
-        None
+      match plan with
+      | Some _ -> plan
+      | None ->
+        let options =
+          {
+            Compiler.Options.default with
+            max_cycles = cfg.max_cycles;
+            backend = cfg.backend;
+          }
+        in
+        Some (Compiler.compile ~options cfg.algorithm g)
   in
   let classification =
-    match Topo.is_two_terminal g with
-    | Some _ when connected -> Some (Cs4.classify g)
+    match Option.map (Result.map (fun p -> p.Compiler.route)) plan with
+    | Some (Ok (Cs4_route cls | Min_route { exact = Cs4_route cls; _ })) ->
+      Some (Ok cls)
+    | _ when connected && Topo.is_two_terminal g <> None ->
+      Some (Cs4.classify g)
     | _ -> None
   in
-  let plan =
-    if dag && connected then
-      Some
-        (Compiler.compile
-           ~options:
-             {
-               Compiler.Options.default with
-               max_cycles = cfg.max_cycles;
-               backend = cfg.backend;
-             }
-           cfg.algorithm g)
-  else None
+  let rec ctx =
+    {
+      g;
+      cfg;
+      dag;
+      connected;
+      cycles =
+        lazy
+          (try
+             if dag then Some (Cycles.enumerate ~max_cycles:cfg.max_cycles g)
+             else None
+           with Cycles.Budget_exceeded _ ->
+             ctx.incomplete <-
+               Some
+                 (Printf.sprintf
+                    "cycle enumeration exceeded the budget of %d simple \
+                     cycles; cycle-structure rules (FS2xx, FS303) were skipped"
+                    cfg.max_cycles);
+             None);
+      classification;
+      plan;
+      incomplete = None;
+    }
   in
-  (match plan with
-  | Some (Stdlib.Error (Compiler.Cycle_budget_exceeded n))
-    when !incomplete = None ->
-    incomplete :=
-      Some
-        (Printf.sprintf
-           "interval computation gave up after %d enumerated cycles; \
-            interval rules (FS3xx) were skipped"
-           n)
-  | _ -> ());
-  {
-    g;
-    cfg;
-    dag;
-    connected;
-    two_terminal = Topo.is_two_terminal g;
-    cycles;
-    classification;
-    plan;
-    incomplete = !incomplete;
-  }
+  ctx
 
 (* ------------------------------------------------------------------ *)
 (* FS1xx: structure                                                     *)
@@ -339,24 +336,19 @@ let rule_fs101 ctx =
 let rule_fs102 ctx =
   if ctx.connected then []
   else
+    (* a disconnected graph has at least two components *)
     let comps = components ctx.g in
     let smallest =
       List.fold_left
-        (fun acc c ->
-          match acc with
-          | None -> Some c
-          | Some b -> if List.length c < List.length b then Some c else acc)
-        None comps
+        (fun b c -> if List.length c < List.length b then c else b)
+        (List.hd comps) comps
     in
     let witness =
       Printf.sprintf "%d components; smallest is {%s}" (List.length comps)
-        (match smallest with
-        | Some c -> truncated_nodes c
-        | None -> "")
+        (truncated_nodes smallest)
     in
     [
-      diag ~witness:[ witness ] "FS102"
-        (match smallest with Some c -> Nodes c | None -> Whole_graph)
+      diag ~witness:[ witness ] "FS102" (Nodes smallest)
         "the topology is not connected: isolated parts cannot exchange \
          sequence numbers and the interval algorithms reject it";
     ]
@@ -432,9 +424,8 @@ let rule_fs104 ctx =
 (* FS2xx: cycle structure                                               *)
 
 let bad_cycles ctx =
-  match ctx.cycles with
-  | None -> []
-  | Some cs -> List.filter (fun c -> not (Cycles.is_cs4_cycle c)) cs
+  Option.value ~default:[] (Lazy.force ctx.cycles)
+  |> List.filter (fun c -> not (Cycles.is_cs4_cycle c))
 
 let rule_fs201 ctx =
   match ctx.classification with
@@ -469,33 +460,34 @@ let rule_fs201 ctx =
        polynomial simplex encoding replaces the exponential fallback,
        so the finding informs (conservative table) instead of failing
        admission *)
-    let d =
-      diag ~witness ?fixit "FS201" loc
-        (Printf.sprintf
-           "not CS4: block %d..%d is neither SP nor an SP-ladder (%s); \
-            interval computation falls back to the exponential general \
-            route"
-           block_source block_sink reason)
+    let severity, consequence =
+      match ctx.cfg.backend with
+      | Compiler.Lp ->
+        ( Warning,
+          "the LP backend computes a conservative interval table in \
+           polynomial time" )
+      | Compiler.Exact | Compiler.Auto ->
+        ( Error,
+          "interval computation falls back to the exponential general route"
+        )
     in
-    (match ctx.cfg.backend with
-    | Compiler.Lp ->
-      [
-        {
-          d with
-          severity = Warning;
-          message =
-            Printf.sprintf
-              "not CS4: block %d..%d is neither SP nor an SP-ladder (%s); \
-               the LP backend computes a conservative interval table in \
-               polynomial time"
-              block_source block_sink reason;
-        };
-      ]
-    | Compiler.Exact | Compiler.Auto -> [ d ])
+    [
+      {
+        (diag ~witness ?fixit "FS201" loc
+           (Printf.sprintf
+              "not CS4: block %d..%d is neither SP nor an SP-ladder (%s); %s"
+              block_source block_sink reason consequence))
+        with
+        severity;
+      };
+    ]
   | _ -> []
 
+(* a CS4 graph has no multi-source cycle (Theorem V.7) *)
 let rule_fs202 ctx =
-  let bad = bad_cycles ctx in
+  let bad =
+    match ctx.classification with Some (Ok _) -> [] | _ -> bad_cycles ctx
+  in
   let total = List.length bad in
   let keep = 5 in
   List.filteri (fun i _ -> i < keep) bad
@@ -510,9 +502,14 @@ let rule_fs202 ctx =
               (List.length (Cycles.cycle_sinks c))
               (node_list_string (Cycles.cycle_sinks c))))
 
+(* a serial composition of SP blocks is SP: only a ladder block can
+   stall the whole-graph reduction *)
 let rule_fs203 ctx =
   match ctx.classification with
-  | Some (Ok _) -> (
+  | Some (Ok cls)
+    when List.exists
+           (function _, _, Cs4.Ladder_block _ -> true | _ -> false)
+           cls.Cs4.blocks -> (
     match Sp_recognize.recognize ctx.g with
     | Stdlib.Error (Sp_recognize.Irreducible { remaining_edges }) ->
       [
@@ -629,8 +626,9 @@ let rule_fs302 ctx =
    discipline directly on every enumerated cycle; each violated run is
    a machine-checkable unsoundness witness. *)
 let rule_fs303 ctx =
-  match (ctx.cfg.algorithm, ctx.plan, ctx.cycles) with
-  | Compiler.Propagation, Some (Ok p), Some cycles ->
+  match (ctx.cfg.algorithm, ctx.plan) with
+  | Compiler.Propagation, Some (Ok p) ->
+    let cycles = Option.value ~default:[] (Lazy.force ctx.cycles) in
     let thr = Compiler.propagation_thresholds ctx.g p.Compiler.intervals in
     let flagged = Hashtbl.create 8 in
     let acc = ref [] in
@@ -930,8 +928,7 @@ let location_key = function
   | Nodes l -> (3, l)
   | Channels l -> (4, l)
 
-let run ?(config = default_config) g =
-  let ctx = make_ctx config g in
+let run_ctx ctx =
   let diagnostics =
     List.concat
       [
@@ -953,17 +950,22 @@ let run ?(config = default_config) g =
       ]
   in
   let diagnostics =
-    List.stable_sort
-      (fun a b ->
-        match compare a.code b.code with
-        | 0 -> (
-          match compare (location_key a.location) (location_key b.location) with
-          | 0 -> compare a.message b.message
-          | c -> c)
-        | c -> c)
-      diagnostics
+    let key d = (d.code, location_key d.location, d.message) in
+    List.stable_sort (fun a b -> compare (key a) (key b)) diagnostics
   in
-  { diagnostics; incomplete = ctx.incomplete }
+  let incomplete =
+    match (ctx.incomplete, ctx.plan) with
+    | None, Some (Stdlib.Error (Compiler.Cycle_budget_exceeded n)) ->
+      Some
+        (Printf.sprintf
+           "interval computation gave up after %d enumerated cycles; \
+            interval rules (FS3xx) were skipped"
+           n)
+    | i, _ -> i
+  in
+  { diagnostics; incomplete }
+
+let run ?(config = default_config) ?plan g = run_ctx (make_ctx ?plan config g)
 
 let apply_fixes g report =
   let reroute =

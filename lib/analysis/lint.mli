@@ -79,7 +79,8 @@ type config = {
       (** interval machinery for the audited plan (default [Exact]);
           [Lp] additionally arms the FS305 run-sum audit *)
   max_cycles : int;
-      (** budget for cycle enumeration (default 200_000) *)
+      (** budget for cycle enumeration (default 200_000), and for the
+          general route of lint's own compile *)
   audit_thresholds : Fstream_core.Thresholds.t option;
       (** an externally supplied threshold table to audit against the
           computed intervals (rule FS302); [None] audits nothing *)
@@ -94,15 +95,68 @@ type report = {
   diagnostics : diagnostic list;
       (** sorted by code, then location, then message *)
   incomplete : string option;
-      (** when analysis could not finish (cycle-enumeration budget
-          exhausted): what was skipped. A lint-clean verdict is not
-          trustworthy in this state. *)
+      (** when analysis could not finish: what was skipped. Set when a
+          rule that reads the cycle list forced an enumeration that
+          exhausted [max_cycles], or when the plan gave up on its cycle
+          budget ({!Fstream_core.Compiler.Cycle_budget_exceeded}). A
+          lint-clean verdict is not trustworthy in this state. *)
 }
 
-val run : ?config:config -> Graph.t -> report
+val run :
+  ?config:config ->
+  ?plan:(Fstream_core.Compiler.plan, Fstream_core.Compiler.error) result ->
+  Graph.t ->
+  report
+(** Lint [g] under [config] (default {!default_config}).
+
+    [plan], when given, must be the compile of [g] under
+    [config.algorithm] and [config.backend] — cold
+    ({!Fstream_core.Compiler.compile}) or incremental
+    ({!Fstream_core.Compiler.recompile}); the FS3xx rules audit that
+    table, so a server lints exactly the table its tenants get. Without
+    it, lint compiles [g] itself (under [max_cycles]). Either way the
+    CS4 decomposition is read from the plan's route when it carries
+    one ([Cs4_route], or the exact half of a [Min_route]); otherwise
+    lint classifies.
+
+    Undirected simple cycles are enumerated only when a rule reads
+    them: FS201's witness (a bad block), FS202 (unless the graph is
+    CS4 — a CS4 graph has no multi-source cycle) and FS303 (under
+    [Propagation] with a plan). A CS4 graph linted under
+    [Non_propagation] or [Relay_propagation] therefore never
+    enumerates, whatever its cycle count. *)
 
 val count : report -> severity -> int
 val max_severity : report -> severity option
+
+(** {2 The rules' context}
+
+    Exposed so a test can run the rules over a context built another
+    way — the differential suite compares {!run} against an eager,
+    self-classifying, self-compiling reference. *)
+
+type ctx = {
+  g : Graph.t;
+  cfg : config;
+  dag : bool;
+  connected : bool;
+  cycles : Cycles.t list option Lazy.t;
+      (** every undirected simple cycle; [None] on a cyclic graph or
+          past [cfg.max_cycles] (forcing it then sets [incomplete]) *)
+  classification :
+    (Fstream_ladder.Cs4.t, Fstream_ladder.Cs4.failure) result option;
+      (** [None] unless connected and two-terminal *)
+  plan :
+    (Fstream_core.Compiler.plan, Fstream_core.Compiler.error) result option;
+      (** [None] unless a connected DAG *)
+  mutable incomplete : string option;
+}
+
+val run_ctx : ctx -> report
+(** Run every rule over the context and sort the findings. A plan that
+    exhausted its cycle budget marks the report incomplete unless a
+    forced enumeration already did. [run ?config ?plan g] is [run_ctx]
+    over lint's own context for [g]. *)
 
 val apply_fixes : Graph.t -> report -> (Graph.t * string list, string) result
 (** Apply every fixit of the report to the graph: first the CS4 reroute

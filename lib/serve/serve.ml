@@ -46,6 +46,14 @@ type entry = {
   eepoch : int;
 }
 
+(* A key's spec-less admission outcome: the plan lint audited (what a
+   spec'd admission re-lints against) and the verdict — the entry every
+   key-equal tenant shares, or the rejection. *)
+type outcome = {
+  plan : (Compiler.plan, Compiler.error) result;
+  verdict : (entry, rejection) result;
+}
+
 (* (graph fingerprint, mode, backend) *)
 type key = int * mode * Compiler.backend
 
@@ -53,15 +61,13 @@ type t = {
   pool : Pool.t;
   grain : int;
   options : Compiler.Options.t;
-  lock : Mutex.t; (* registry, caches, counters *)
-  (* Both caches key on the backend as well as (fingerprint, mode):
-     the verdict depends on it (FS201 is a Warning under [Lp], an
-     Error otherwise) and so does the table (the backends compute
-     different intervals) — a per-tenant backend override or an
-     epoch-scoped option change must never be served another
-     backend's cached result. *)
-  registry : (key, entry) Hashtbl.t;
-  lint_cache : (key, Lint.report) Hashtbl.t; (* spec-less verdicts *)
+  lock : Mutex.t; (* registry, counters *)
+  (* The key covers the backend as well as (fingerprint, mode): the
+     verdict depends on it (FS201 is a Warning under [Lp], an Error
+     otherwise) and so does the table (the backends compute different
+     intervals) — a per-tenant backend override or an epoch-scoped
+     option change must never be served another backend's outcome. *)
+  registry : (key, outcome) Hashtbl.t;
   mutable tenants : int;
   mutable rejections : int;
   mutable compiles : int;
@@ -92,7 +98,6 @@ let create ?domains ?quota ?(grain = Run.default_grain)
     options;
     lock = Mutex.create ();
     registry = Hashtbl.create 64;
-    lint_cache = Hashtbl.create 64;
     tenants = 0;
     rejections = 0;
     compiles = 0;
@@ -108,33 +113,13 @@ let lint_algorithm = function
   | Propagation -> Compiler.Propagation
   | Non_propagation | No_avoidance -> Compiler.Non_propagation
 
-(* Admission step 1: the lint verdict. Spec-less verdicts depend only
-   on what the cache key covers (structure + capacities + mode +
-   backend), so they are cached; a spec brings tenant-specific
-   behaviours (rules FS401-FS403) and is always linted fresh. *)
-let lint_verdict t ((_, mode, backend) as key) ~spec g =
-  let config =
-    {
-      Lint.default_config with
-      algorithm = lint_algorithm mode;
-      backend;
-      spec;
-    }
-  in
-  let fresh () = Lint.run ~config g in
-  let report =
-    match spec with
-    | Some _ -> fresh ()
-    | None -> (
-      match locked t (fun () -> Hashtbl.find_opt t.lint_cache key) with
-      | Some r -> r
-      | None ->
-        let r = fresh () in
-        locked t (fun () ->
-            if not (Hashtbl.mem t.lint_cache key) then
-              Hashtbl.add t.lint_cache key r);
-        r)
-  in
+let lint ?plan (_, mode, backend) ~spec g =
+  let algorithm = lint_algorithm mode in
+  Lint.run ~config:{ Lint.default_config with algorithm; backend; spec } ?plan g
+
+(* The admission bar, in order: an analysis that could not finish, then
+   Error findings, then a failed compile. *)
+let verdict_of (report : Lint.report) compiled =
   match report.incomplete with
   | Some what -> Error (Analysis_incomplete what)
   | None -> (
@@ -143,7 +128,7 @@ let lint_verdict t ((_, mode, backend) as key) ~spec g =
         (fun (d : Lint.diagnostic) -> d.severity = Lint.Error)
         report.diagnostics
     with
-    | [] -> Ok ()
+    | [] -> Result.map_error (fun e -> Plan_rejected e) compiled
     | errors -> Error (Lint_rejected errors))
 
 let avoidance_of_plan ~epoch mode g (plan : Compiler.plan) =
@@ -157,63 +142,93 @@ let avoidance_of_plan ~epoch mode g (plan : Compiler.plan) =
     Engine.Non_propagation
       (stamp (Compiler.send_thresholds g plan.Compiler.intervals))
 
-(* Admission step 2, and a reconfigure's table: the shared registry
-   entry for [key]. One compile per distinct key; every later key-equal
-   tenant gets the physically same avoidance value. The table stays
-   bound to the first tenant's graph object — Thresholds compatibility
-   is by fingerprint, so the pool accepts it for every structural twin.
-   A miss compiles fresh on a new cache, or — given the edit [delta] —
-   recompiles incrementally on the cache of the session's current entry
-   (whose epoch is [delta.base]); either way the insert is first-wins
-   and only the winner is counted. The stats are those of this call's
-   compile, absent on a hit. *)
-let resolve_entry t ((_, mode, backend) as key) ?delta g =
-  match mode with
-  | No_avoidance -> Ok None
-  | Propagation | Non_propagation -> (
-    match locked t (fun () -> Hashtbl.find_opt t.registry key) with
-    | Some e -> Ok (Some (e, None))
-    | None -> (
-      let options =
-        { t.options with Compiler.Options.fuse = false; backend }
-      in
-      let algorithm = lint_algorithm mode in
-      let cache, eepoch, compiled =
-        match delta with
-        | None ->
-          let cache = Compiler.cache_create () in
-          (cache, 0, Compiler.compile_cached ~options cache algorithm g)
-        | Some delta ->
-          let base_key =
-            (Thresholds.graph_fingerprint delta.Edit.base, mode, backend)
-          in
-          let cache, epoch =
-            match locked t (fun () -> Hashtbl.find_opt t.registry base_key) with
-            | Some e -> (e.cache, e.eepoch)
-            | None -> (Compiler.cache_create (), 0)
-          in
-          (cache, epoch + 1, Compiler.recompile ~options cache algorithm delta)
-      in
-      match compiled with
-      | Error e -> Error (Plan_rejected e)
-      | Ok (plan, stats) ->
-        let entry =
-          { av = avoidance_of_plan ~epoch:eepoch mode g plan; cache; eepoch }
+(* The registry outcome for [key]. A hit is reused as it stands: no
+   compile, no lint. A miss compiles fresh on a new cache, or — given
+   the edit [delta] — recompiles incrementally on the cache of the
+   session's current entry (whose epoch is [delta.base]); lints that
+   exact plan; and registers the outcome first-wins. Only a winning
+   admitted outcome counts as a compile or recompile, and every later
+   key-equal tenant gets the physically same avoidance value, bound to
+   the first tenant's graph object (Thresholds compatibility is by
+   fingerprint, so the pool accepts it for every structural twin). The
+   compile stops at lint's cycle budget: a graph whose exact route
+   enumerates more is rejected as incomplete anyway. The stats are
+   those of this call's compile, absent on a hit. *)
+let resolve t ((_, mode, backend) as key) ?delta g =
+  match locked t (fun () -> Hashtbl.find_opt t.registry key) with
+  | Some o -> (o, None)
+  | None -> (
+    let options =
+      {
+        t.options with
+        Compiler.Options.fuse = false;
+        backend;
+        max_cycles =
+          min t.options.max_cycles Lint.default_config.Lint.max_cycles;
+      }
+    in
+    let algorithm = lint_algorithm mode in
+    let cache, eepoch, compiled =
+      match delta with
+      | None ->
+        let cache = Compiler.cache_create () in
+        (cache, 0, Compiler.compile_cached ~options cache algorithm g)
+      | Some delta ->
+        let base_key =
+          (Thresholds.graph_fingerprint delta.Edit.base, mode, backend)
         in
-        locked t (fun () ->
-            match Hashtbl.find_opt t.registry key with
-            | Some prior -> Ok (Some (prior, Some stats))
-            | None ->
-              Hashtbl.add t.registry key entry;
-              (match delta with
-              | None -> t.compiles <- t.compiles + 1
-              | Some _ ->
-                t.recompiles <- t.recompiles + 1;
-                Option.iter
-                  (fun (lp : Fstream_core.Lp.resolve_stats) ->
-                    t.warm_pivots <- t.warm_pivots + lp.rpivots)
-                  stats.Compiler.lp_stats);
-              Ok (Some (entry, Some stats)))))
+        let cache, epoch =
+          match locked t (fun () -> Hashtbl.find_opt t.registry base_key) with
+          | Some { verdict = Ok e; _ } -> (e.cache, e.eepoch)
+          | _ -> (Compiler.cache_create (), 0)
+        in
+        (cache, epoch + 1, Compiler.recompile ~options cache algorithm delta)
+    in
+    let plan = Result.map fst compiled in
+    let entry plan =
+      { av = avoidance_of_plan ~epoch:eepoch mode g plan; cache; eepoch }
+    in
+    let verdict =
+      Result.map entry (verdict_of (lint ~plan key ~spec:None g) plan)
+    in
+    let stats = Result.to_option (Result.map snd compiled) in
+    locked t (fun () ->
+        match Hashtbl.find_opt t.registry key with
+        | Some prior -> (prior, stats)
+        | None ->
+          Hashtbl.add t.registry key { plan; verdict };
+          (match (verdict, stats, delta) with
+          | Ok _, Some _, None -> t.compiles <- t.compiles + 1
+          | Ok _, Some stats, Some _ ->
+            t.recompiles <- t.recompiles + 1;
+            Option.iter
+              (fun (lp : Fstream_core.Lp.resolve_stats) ->
+                t.warm_pivots <- t.warm_pivots + lp.rpivots)
+              stats.Compiler.lp_stats
+          | _ -> ());
+          ({ plan; verdict }, stats)))
+
+(* Admission — the front door's and a reconfigure's: the avoidance
+   value [key]'s tenants run under, and the stats of any compile it
+   took. A spec brings tenant-specific behaviours (rules FS401-FS403),
+   so a spec'd admission re-lints against the registry outcome's plan,
+   never compiling again. [No_avoidance] needs no table: lint alone
+   decides, on its own compile, and nothing is registered. *)
+let admission t ((_, mode, _) as key) ?delta ~spec g =
+  match mode with
+  | No_avoidance ->
+    (verdict_of (lint key ~spec g) (Ok Engine.No_avoidance), None)
+  | Propagation | Non_propagation ->
+    let o, stats = resolve t key ?delta g in
+    let admitted =
+      match spec with
+      | None -> o.verdict
+      | Some _ ->
+        Result.bind
+          (verdict_of (lint ~plan:o.plan key ~spec g) o.plan)
+          (fun _ -> o.verdict)
+    in
+    (Result.map (fun e -> e.av) admitted, stats)
 
 let admit t ?name ?spec ?backend ~mode g =
   let backend =
@@ -227,17 +242,11 @@ let admit t ?name ?spec ?backend ~mode g =
     when Thresholds.graph_fingerprint s.graph <> fp ->
     invalid_arg "Serve.admit: spec describes a different graph"
   | _ -> ());
-  let key = (fp, mode, backend) in
-  let verdict =
-    match lint_verdict t key ~spec g with
-    | Error _ as e -> e
-    | Ok () -> resolve_entry t key g
-  in
-  match verdict with
+  match fst (admission t (fp, mode, backend) ~spec g) with
   | Error r ->
     locked t (fun () -> t.rejections <- t.rejections + 1);
     Error r
-  | Ok entry ->
+  | Ok savoidance ->
     let sname =
       locked t (fun () ->
           let id = t.tenants in
@@ -255,10 +264,7 @@ let admit t ?name ?spec ?backend ~mode g =
         slock = Mutex.create ();
         scond = Condition.create ();
         graph = g;
-        savoidance =
-          (match entry with
-          | Some (e, _) -> e.av
-          | None -> Engine.No_avoidance);
+        savoidance;
         sepoch = 0;
         job = None;
         awaiting = false;
@@ -342,12 +348,12 @@ let run t ?sink ~kernels ~inputs s =
   await s
 
 (* Hot reconfiguration: apply the edit script to the session's current
-   topology, re-admit the result (same lint bar as the front door),
-   resolve its table — registry hit, or incremental recompile against
-   the session's current registry entry's cache — and only then drain
-   the session to its run boundary and swap graph + table atomically.
-   All the expensive work happens before the drain, so the window in
-   which the session is unavailable is the tail of its own run. *)
+   topology, re-admit the result (same bar as the front door: a registry
+   hit, or an incremental recompile against the session's current
+   registry entry's cache, linted), and only then drain the session to
+   its run boundary and swap graph + table atomically. All the expensive
+   work happens before the drain, so the window in which the session is
+   unavailable is the tail of its own run. *)
 let reconfigure t s ops =
   let reject r =
     locked t (fun () -> t.rejections <- t.rejections + 1);
@@ -361,29 +367,21 @@ let reconfigure t s ops =
   | Ok delta -> (
     let g = delta.Edit.graph in
     let key = (Thresholds.graph_fingerprint g, s.smode, s.sbackend) in
-    match lint_verdict t key ~spec:None g with
-    | Error r -> reject r
-    | Ok () -> (
-      match resolve_entry t key ~delta g with
-      | Error r -> reject r
-      | Ok resolved ->
-        let av, stats =
-          match resolved with
-          | Some (e, stats) -> (e.av, stats)
-          | None -> (Engine.No_avoidance, None)
-        in
-        (* drain to the run boundary: a started, uncollected session is
-           joined here (its report stays cached for the user's await) *)
-        Mutex.lock s.slock;
-        let need_drain = s.job <> None && s.report = None in
-        Mutex.unlock s.slock;
-        if need_drain then ignore (collect s);
-        Mutex.lock s.slock;
-        s.graph <- g;
-        s.savoidance <- av;
-        s.sepoch <- s.sepoch + 1;
-        Mutex.unlock s.slock;
-        Ok stats))
+    match admission t key ~delta ~spec:None g with
+    | Error r, _ -> reject r
+    | Ok av, stats ->
+      (* drain to the run boundary: a started, uncollected session is
+         joined here (its report stays cached for the user's await) *)
+      Mutex.lock s.slock;
+      let need_drain = s.job <> None && s.report = None in
+      Mutex.unlock s.slock;
+      if need_drain then ignore (collect s);
+      Mutex.lock s.slock;
+      s.graph <- g;
+      s.savoidance <- av;
+      s.sepoch <- s.sepoch + 1;
+      Mutex.unlock s.slock;
+      Ok stats)
 
 let shutdown t = Pool.shutdown t.pool
 

@@ -7,24 +7,28 @@
     a per-process runtime never needed:
 
     {ul
-    {- {b Admission control.} Every topology is linted
-       ({!Fstream_analysis.Lint}) before it may run. Error-severity
-       findings reject the tenant with the findings as the reason —
-       the linter's severity contract (lint-clean ⇒ no reachable
-       wedge for checkable graphs) makes this exactly the
-       pre-deployment verification step of the LP-verification line of
-       work, applied at the front door. An analysis that could not
-       finish (cycle-enumeration budget) also rejects: an unverified
-       topology is not admitted on a shared pool.}
-    {- {b Compile-once registry.} Interval tables are a function of
-       topology + capacities + backend, which
-       {!Fstream_core.Thresholds} fingerprints cover together with the
-       admission key. The registry compiles each distinct
-       (fingerprint, avoidance mode, backend) once and hands every
-       key-equal tenant the {e physically same} threshold table (the
-       [==] sharing is what the registry test pins down) — at
-       production tenant counts, topologies repeat and compilation is
-       the expensive step.}
+    {- {b One analysis per admission.} A new topology is compiled
+       once, and lint ({!Fstream_analysis.Lint}) audits that very plan
+       — the table its tenants will run — before it may run. The
+       verdict rejects, in this order: an analysis that could not
+       finish (a rule that reads cycles exhausted the cycle budget, or
+       the plan gave up on it) — an unverified topology is not admitted
+       on a shared pool; then Error-severity findings, with the
+       findings as the reason — the linter's severity contract
+       (lint-clean ⇒ no reachable wedge for checkable graphs) makes
+       this exactly the pre-deployment verification step of the
+       LP-verification line of work, applied at the front door; then a
+       failed compile.}
+    {- {b One registry.} Interval tables are a function of topology +
+       capacities + backend, which {!Fstream_core.Thresholds}
+       fingerprints cover together with the admission key. The
+       registry maps each distinct (fingerprint, avoidance mode,
+       backend) to its outcome — the plan lint audited and the
+       verdict — and hands every key-equal tenant the {e physically
+       same} threshold table (the [==] sharing is what the registry
+       test pins down), or the same rejection. At production tenant
+       counts, topologies repeat and compilation is the expensive
+       step.}
     {- {b Fair-share scheduling.} Sessions multiplex onto the one
        pool; the pool's per-instance grant quota (the instance-level
        analogue of the per-node [grain] bound) keeps a hot tenant from
@@ -32,11 +36,11 @@
 
     Admitted sessions are additionally {e reconfigurable}: an
     {!Fstream_graph.Edit} script applied through {!reconfigure}
-    re-lints the edited topology, recomputes its threshold table
-    {e incrementally} against the session's current compile cache
-    (clean serial blocks splice, memoized SP subtrees skip, LP
-    components warm-start — {!Fstream_core.Compiler.recompile}),
-    drains the session to its run boundary and swaps graph + table
+    recomputes the edited topology's threshold table {e incrementally}
+    against the session's current compile cache (clean serial blocks
+    splice, memoized SP subtrees skip, LP components warm-start —
+    {!Fstream_core.Compiler.recompile}), lints that table, drains the
+    session to its run boundary and swaps graph + table
     atomically as a new epoch. A session whose report has been
     collected may be {!start}ed again, so a tenant alternates runs and
     reconfigurations indefinitely.
@@ -102,16 +106,23 @@ val admit :
   mode:mode ->
   Graph.t ->
   (session, rejection) result
-(** Lint the topology (plus the per-node behaviours when [spec] is
-    given, rules FS401–FS403) and, if admissible, attach the shared
-    threshold table for [mode] — compiling it only if this
-    (fingerprint, mode, backend) triple is new. Lint verdicts for
-    spec-less admissions are cached under the same triple — the
-    verdict depends on the backend (FS201 is a Warning under [Lp], an
-    Error otherwise), so a per-tenant [backend] override (default: the
-    server options') must never see another backend's verdict or
-    table. [name] (default ["tenant-N"]) labels the session for
-    reports.
+(** Admit the topology under [mode] with the shared threshold table.
+    A (fingerprint, mode, backend) triple new to the registry is
+    compiled once — under the server's options, with [max_cycles]
+    capped at lint's budget (a graph whose exact route enumerates more
+    would be rejected as incomplete anyway) — then linted against that
+    plan, and its outcome (admitted with the table, or rejected) is
+    registered; a known triple reuses its outcome without compiling or
+    linting. Rejections come in the order [Analysis_incomplete],
+    [Lint_rejected], [Plan_rejected], and a rejected topology never
+    counts as a compile. The outcome depends on the backend (FS201 is
+    a Warning under [Lp], an Error otherwise), so a per-tenant
+    [backend] override (default: the server options') never sees
+    another backend's verdict or table. With [spec], its per-node
+    behaviours (rules FS401–FS403) are linted against the registry
+    outcome's plan — never a second compile. [No_avoidance] needs no
+    table: lint runs on its own compile and nothing is registered.
+    [name] (default ["tenant-N"]) labels the session for reports.
 
     @raise Invalid_argument if [spec] is given but describes a
     different graph than the one being admitted. *)
@@ -175,14 +186,15 @@ val reconfigure :
   (Compiler.recompile_stats option, rejection) result
 (** Apply the edit script to the session's current topology and move
     the session to the resulting epoch. The edited topology passes the
-    same admission bar as a fresh tenant (lint by (fingerprint, mode,
-    backend), Error findings reject and leave the session untouched on
-    its current epoch). Its table is resolved in order of preference:
-    registry hit (another tenant already runs this topology — returns
-    [Ok None], no compile at all); otherwise an {e incremental}
-    recompile against the session's current registry entry's cache
-    ([Ok (Some stats)] reports what was spliced, recomputed and
-    warm-started). Only after the table is ready does the session
+    same admission bar as a fresh tenant, keyed by (fingerprint, mode,
+    backend): a registry hit (another tenant already runs this
+    topology, or it was refused before) reuses the outcome —
+    [Ok None], no compile at all; otherwise an {e incremental}
+    recompile against the session's current registry entry's cache,
+    linted as compiled ([Ok (Some stats)] reports what was spliced,
+    recomputed and warm-started). A rejection leaves the session
+    untouched on its current epoch and the compile counters unchanged.
+    Only after the table is ready does the session
     drain: a running session is joined at its run boundary (its report
     stays cached for {!await}), then graph, table and {!epoch} swap
     atomically. The server's [recompiles] / [warm_pivots] counters
@@ -200,8 +212,10 @@ type stats = {
   tenants : int;  (** sessions admitted *)
   rejections : int;  (** admissions and reconfigurations refused *)
   compiles : int;
-      (** distinct (fingerprint, mode, backend) tables compiled *)
-  recompiles : int;  (** incremental recompiles by {!reconfigure} *)
+      (** distinct (fingerprint, mode, backend) tables compiled and
+          admitted *)
+  recompiles : int;
+      (** admitted incremental recompiles by {!reconfigure} *)
   warm_pivots : int;
       (** simplex pivots spent by those recompiles' LP re-solves
           (cumulative, including any failed warm attempt's) *)

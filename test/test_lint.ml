@@ -390,6 +390,217 @@ let test_fs303_multigraph_run_sum () =
       | Verify.Deadlocks _ -> false
       | _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* differential: lazy, plan-taking lint = the eager reference          *)
+
+module Cs4 = Fstream_ladder.Cs4
+
+(* The rules' context as lint built it before cycles became lazy and
+   the plan could come from the caller — kept verbatim as the reference:
+   every cycle enumerated up front, its own classification, and (unless
+   a plan is given) its own cold compile. *)
+let reference_ctx ?plan (cfg : Lint.config) g : Lint.ctx =
+  let dag = Topo.is_dag g in
+  let connected = Topo.connected g in
+  let incomplete = ref None in
+  let cycles =
+    if not dag then None
+    else
+      try Some (Cycles.enumerate ~max_cycles:cfg.max_cycles g)
+      with Cycles.Budget_exceeded _ ->
+        incomplete :=
+          Some
+            (Printf.sprintf
+               "cycle enumeration exceeded the budget of %d simple cycles; \
+                cycle-structure rules (FS2xx, FS303) were skipped"
+               cfg.max_cycles);
+        None
+  in
+  let classification =
+    match Topo.is_two_terminal g with
+    | Some _ when connected -> Some (Cs4.classify g)
+    | _ -> None
+  in
+  let plan =
+    if dag && connected then
+      Some
+        (match plan with
+        | Some p -> p
+        | None ->
+          Compiler.compile
+            ~options:
+              {
+                Compiler.Options.default with
+                max_cycles = cfg.max_cycles;
+                backend = cfg.backend;
+              }
+            cfg.algorithm g)
+    else None
+  in
+  (match plan with
+  | Some (Stdlib.Error (Compiler.Cycle_budget_exceeded n))
+    when !incomplete = None ->
+    incomplete :=
+      Some
+        (Printf.sprintf
+           "interval computation gave up after %d enumerated cycles; \
+            interval rules (FS3xx) were skipped"
+           n)
+  | _ -> ());
+  {
+    Lint.g;
+    cfg;
+    dag;
+    connected;
+    cycles = Lazy.from_val cycles;
+    classification;
+    plan;
+    incomplete = !incomplete;
+  }
+
+let differential_families =
+  [
+    ("random_sp", Tutil.random_sp_of_seed ?max_edges:None);
+    ("random_ladder", Tutil.random_ladder_of_seed ?max_rungs:None);
+    ("random_cs4", Tutil.random_cs4_of_seed ?max_blocks:None);
+    ("random_dense", Tutil.random_dense_of_seed);
+    ("random_dag", Tutil.random_dag_of_seed);
+    ( "diamond_chain",
+      fun seed ->
+        Topo_gen.diamond_chain ~bypass:(seed mod 2 = 1)
+          ~diamonds:(1 + (seed / 2 mod 8))
+          ~cap:(1 + (seed mod 5)) () );
+  ]
+
+let algorithms =
+  [ Compiler.Propagation; Compiler.Non_propagation; Compiler.Relay_propagation ]
+
+let backends = [ Compiler.Exact; Compiler.Lp; Compiler.Auto ]
+
+(* One config per algorithm x backend. A third of the seeds run a budget
+   of 0-6 cycles, so the incomplete paths of both sides are exercised. *)
+let configs seed =
+  let max_cycles =
+    if seed mod 3 = 0 then seed / 3 mod 7 else Lint.default_config.max_cycles
+  in
+  List.concat_map
+    (fun algorithm ->
+      List.map
+        (fun backend ->
+          { Lint.default_config with Lint.algorithm; backend; max_cycles })
+        backends)
+    algorithms
+
+let backend_name = function
+  | Compiler.Exact -> "exact"
+  | Compiler.Lp -> "lp"
+  | Compiler.Auto -> "auto"
+
+let algorithm_name = function
+  | Compiler.Propagation -> "propagation"
+  | Compiler.Non_propagation -> "non-propagation"
+  | Compiler.Relay_propagation -> "relay"
+
+(* Findings must be identical, witnesses and fixits included. The
+   verdicts' completeness must be identical whenever the reference is
+   complete; where it is not, lint may be complete only on a CS4 graph
+   under a non-Propagation audit — the one case no rule reads cycles. *)
+let agrees_with_reference ?plan (cfg : Lint.config) g =
+  let expected = Lint.run_ctx (reference_ctx ?plan cfg g) in
+  let actual = Lint.run ~config:cfg ?plan g in
+  let codes (r : Lint.report) =
+    String.concat ","
+      (List.map (fun (d : Lint.diagnostic) -> d.Lint.code) r.diagnostics)
+  in
+  let where () =
+    Printf.sprintf "%s/%s, budget %d: expected [%s] %s, got [%s] %s"
+      (algorithm_name cfg.algorithm)
+      (backend_name cfg.backend)
+      cfg.max_cycles (codes expected)
+      (Option.value ~default:"complete" expected.incomplete)
+      (codes actual)
+      (Option.value ~default:"complete" actual.incomplete)
+  in
+  if expected.diagnostics <> actual.diagnostics then
+    QCheck.Test.fail_reportf "findings differ (%s)" (where ());
+  (match (expected.incomplete, actual.incomplete) with
+  | Some _, None ->
+    if not (Cs4.is_cs4 g && cfg.algorithm <> Compiler.Propagation) then
+      QCheck.Test.fail_reportf "complete where the reference is not (%s)"
+        (where ())
+  | e, a ->
+    if e <> a then
+      QCheck.Test.fail_reportf "incomplete differs (%s)" (where ()));
+  true
+
+let prop_lint_eq_reference (fname, family) =
+  Tutil.qtest ~count:300
+    (Printf.sprintf "lint = eager reference (%s, 3 algorithms x 3 backends)"
+       fname)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      List.for_all (fun cfg -> agrees_with_reference cfg g) (configs seed))
+
+(* The plan a server lints after a reconfigure: Compiler.recompile's,
+   audited against the reference run on that same plan (its own
+   classification, its own eager cycles). *)
+let prop_recompiled_plan_eq_reference =
+  Tutil.qtest ~count:300 "lint of a recompiled plan = eager reference"
+    Tutil.seed_gen (fun seed ->
+      let _, family =
+        List.nth differential_families
+          (seed mod List.length differential_families)
+      in
+      let g0 = family seed in
+      let rng = Tutil.rng_of (seed + 0x11e7) in
+      match Edit.apply g0 (Tutil.random_ops rng g0) with
+      | Error e -> Alcotest.failf "generator produced an invalid script: %s" e
+      | Ok delta ->
+        List.for_all
+          (fun (cfg : Lint.config) ->
+            let options =
+              {
+                Compiler.Options.default with
+                max_cycles = cfg.max_cycles;
+                backend = cfg.backend;
+              }
+            in
+            let cache = Compiler.cache_create () in
+            ignore (Compiler.compile_cached ~options cache cfg.algorithm g0);
+            let plan =
+              Result.map fst
+                (Compiler.recompile ~options cache cfg.algorithm delta)
+            in
+            agrees_with_reference ~plan cfg delta.Edit.graph)
+          (configs seed))
+
+(* What the two rule shortcuts rest on, checked against enumeration:
+   a CS4 graph has no multi-source cycle (FS202 reads no cycles on it),
+   and a decomposition into SP blocks only is SP as a whole (FS203 runs
+   the whole-graph reduction only when a ladder block exists). *)
+let prop_rule_shortcuts (fname, family) =
+  Tutil.qtest ~count:300
+    (Printf.sprintf "CS4 has no multi-source cycle; SP blocks only is SP (%s)"
+       fname)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      match Cs4.classify g with
+      | Error _ -> true
+      | Ok cls ->
+        let no_bad_cycle =
+          match Cycles.enumerate ~max_cycles:5_000 g with
+          | cs -> List.for_all Cycles.is_cs4_cycle cs
+          | exception Cycles.Budget_exceeded _ -> true
+        in
+        let all_sp =
+          List.for_all
+            (function _, _, Cs4.Sp_block _ -> true | _ -> false)
+            cls.Cs4.blocks
+        in
+        no_bad_cycle
+        && ((not all_sp)
+           || Result.is_ok (Fstream_spdag.Sp_recognize.recognize g)))
+
 let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
@@ -418,4 +629,7 @@ let suite =
     Alcotest.test_case "FS303 multigraph run-sum" `Quick
       test_fs303_multigraph_run_sum;
     prop_lint_clean_implies_safe;
+    prop_recompiled_plan_eq_reference;
   ]
+  @ List.map prop_lint_eq_reference differential_families
+  @ List.map prop_rule_shortcuts differential_families

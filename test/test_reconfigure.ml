@@ -87,42 +87,6 @@ let families =
     ("ladder", fun seed -> Tutil.random_ladder_of_seed seed);
     ("cs4", fun seed -> Tutil.random_cs4_of_seed seed) ]
 
-(* A random, sequentially valid edit script: each candidate op is
-   generated blindly against the graph as edited so far and kept only
-   if [Edit.apply] accepts it — per-op validity composes, so the whole
-   script is valid on the base graph. Scripts may still break
-   compilability (disconnect the graph, add a back edge): those cases
-   exercise the error path of the differential, where incremental and
-   full compilation must fail identically. *)
-let random_ops rng g0 =
-  let cur = ref g0 and ops = ref [] in
-  let n = 1 + Random.State.int rng 4 in
-  for _ = 1 to n do
-    let g = !cur in
-    let ne = Graph.num_edges g and nn = Graph.num_nodes g in
-    let cap () = 1 + Random.State.int rng 6 in
-    let candidate =
-      match Random.State.int rng 5 with
-      | 0 -> Edit.Resize { edge = Random.State.int rng ne; cap = cap () }
-      | 1 ->
-        (* bias forward (generator node ids are topological) so most
-           scripts stay acyclic; a removal can still disconnect *)
-        let a = Random.State.int rng nn and b = Random.State.int rng nn in
-        Edit.Add_edge { src = min a b; dst = max a b; cap = cap () }
-      | 2 when ne > 1 -> Edit.Remove_edge { edge = Random.State.int rng ne }
-      | 3 ->
-        Edit.Add_stage
-          { edge = Random.State.int rng ne; cap_in = cap (); cap_out = cap () }
-      | _ -> Edit.Remove_stage { node = Random.State.int rng nn; cap = None }
-    in
-    match Edit.apply g [ candidate ] with
-    | Ok d ->
-      ops := candidate :: !ops;
-      cur := d.Edit.graph
-    | Error _ -> ()
-  done;
-  List.rev !ops
-
 (* One differential round: recompile through the cache against a full
    compile of the edited graph. Exact route is bit-for-bit; errors must
    agree too (a script that breaks compilability breaks it for both). *)
@@ -166,12 +130,12 @@ let exact_incr_eq_full (aname, algorithm) (fname, family) =
       match Compiler.compile_cached cache algorithm g0 with
       | Error _ -> QCheck.assume_fail ()
       | Ok _ -> (
-        match Edit.apply g0 (random_ops rng g0) with
+        match Edit.apply g0 (Tutil.random_ops rng g0) with
         | Error e -> Alcotest.failf "generator produced an invalid script: %s" e
         | Ok delta ->
           let ok1 = check_exact_round cache algorithm delta in
           let g1 = delta.Edit.graph in
-          (match Edit.apply g1 (random_ops rng g1) with
+          (match Edit.apply g1 (Tutil.random_ops rng g1) with
           | Error e ->
             Alcotest.failf "generator produced an invalid script: %s" e
           | Ok delta2 -> ignore (check_exact_round cache algorithm delta2));
@@ -275,7 +239,7 @@ let lp_incr_eq_full (fname, family) =
       with
       | Error _ -> QCheck.assume_fail ()
       | Ok _ -> (
-        match Edit.apply g0 (random_ops rng g0) with
+        match Edit.apply g0 (Tutil.random_ops rng g0) with
         | Error e -> Alcotest.fail e
         | Ok delta -> (
           let incr =
@@ -382,6 +346,7 @@ module Serve = Fstream_serve.Serve
 module Engine = Fstream_runtime.Engine
 module Report = Fstream_runtime.Report
 module Filters = Fstream_runtime.Filters
+module Lint = Fstream_analysis.Lint
 
 (* Two long-lived servers: [server] absorbs the reconfigurations,
    [fresh] only ever sees fresh admissions — so comparing the two is
@@ -424,7 +389,7 @@ let reconfigure_eq_fresh_admit (mname, mode) =
       match Serve.admit t ~mode g0 with
       | Error _ -> true (* inadmissible topology: nothing to reconfigure *)
       | Ok s -> (
-        let ops = random_ops rng g0 in
+        let ops = Tutil.random_ops rng g0 in
         match Serve.reconfigure t s ops with
         | Error _ ->
           (* refused scripts leave the session untouched on its epoch *)
@@ -546,6 +511,70 @@ let test_lp_reconfigure_counters () =
         (fun ppf -> Serve.pp_rejection ppf)
         r)
 
+(* A lint-rejected reconfigure compiles (admission lints the plan it
+   would serve) but counts nothing: compiles and recompiles stay put and
+   the session stays on its epoch. The outcome is registered, so
+   offering the same edit again returns the very same rejection —
+   physically — without compiling or linting again. *)
+let test_lint_rejected_reconfigure () =
+  let t = Serve.create ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+  (* the Fig. 4 butterfly without its 2->4 channel is CS4; the edit
+     puts the channel back *)
+  let g =
+    Graph.make ~nodes:6
+      [ (0, 1, 2); (0, 2, 2); (1, 3, 2); (1, 4, 2); (2, 3, 2); (3, 5, 2);
+        (4, 5, 2) ]
+  in
+  let ops = [ Edit.Add_edge { src = 2; dst = 4; cap = 2 } ] in
+  match Serve.admit t ~mode:Serve.Non_propagation g with
+  | Error r ->
+    Alcotest.failf "butterfly minus a channel refused: %a"
+      (fun ppf -> Serve.pp_rejection ppf)
+      r
+  | Ok s -> (
+    let av = Serve.avoidance s in
+    let before = Serve.stats t in
+    let offer () =
+      match Serve.reconfigure t s ops with
+      | Error (Serve.Lint_rejected ds) ->
+        Alcotest.(check bool) "FS201 among the reasons" true
+          (List.exists (fun (d : Lint.diagnostic) -> d.code = "FS201") ds);
+        ds
+      | Ok _ -> Alcotest.fail "the butterfly was admitted by reconfigure"
+      | Error r ->
+        Alcotest.failf "wrong rejection: %a"
+          (fun ppf -> Serve.pp_rejection ppf)
+          r
+    in
+    let first = offer () in
+    let check_untouched what =
+      let st = Serve.stats t in
+      Alcotest.(check int) (what ^ ": compiles") before.Serve.compiles
+        st.Serve.compiles;
+      Alcotest.(check int) (what ^ ": recompiles") before.Serve.recompiles
+        st.Serve.recompiles;
+      Alcotest.(check int) (what ^ ": epoch") 0 (Serve.epoch s);
+      Alcotest.(check bool) (what ^ ": table") true (Serve.avoidance s == av);
+      Alcotest.(check bool) (what ^ ": graph") true (Serve.graph s == g)
+    in
+    check_untouched "first offer";
+    let again = offer () in
+    check_untouched "second offer";
+    Alcotest.(check bool) "the registry's rejection" true (again == first);
+    Alcotest.(check int) "both offers counted as rejections"
+      (before.Serve.rejections + 2)
+      (Serve.stats t).Serve.rejections;
+    (* the session still reconfigures normally afterwards *)
+    match Serve.reconfigure t s [ Edit.Resize { edge = 0; cap = 3 } ] with
+    | Ok (Some _) ->
+      Alcotest.(check int) "one recompile" (before.Serve.recompiles + 1)
+        (Serve.stats t).Serve.recompiles;
+      Alcotest.(check int) "epoch 1" 1 (Serve.epoch s)
+    | Ok None -> Alcotest.fail "expected an incremental recompile"
+    | Error r ->
+      Alcotest.failf "resize refused: %a" (fun ppf -> Serve.pp_rejection ppf) r)
+
 (* Mid-run reconfigure: drains the in-flight run to its boundary (the
    drained report stays cached, even for a concurrent awaiter), swaps
    epochs atomically, and the restarted session runs the new topology. *)
@@ -616,4 +645,6 @@ let suite =
         test_lp_reconfigure_counters;
       Alcotest.test_case "mid-run reconfigure drains to the boundary" `Quick
         test_midrun_reconfigure_drains;
+      Alcotest.test_case "lint-rejected reconfigure counts nothing, is cached"
+        `Quick test_lint_rejected_reconfigure;
     ]

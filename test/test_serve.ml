@@ -9,6 +9,8 @@ open Fstream_workloads
 module Graph = Fstream_graph.Graph
 module Serve = Fstream_serve.Serve
 module Lint = Fstream_analysis.Lint
+module Compiler = Fstream_core.Compiler
+module Thresholds = Fstream_core.Thresholds
 
 (* One long-lived server shared by the property suites (its pool's
    domains are joined at exit); tests asserting exact counter values
@@ -204,6 +206,100 @@ let test_hundred_twenty_tenants_three_topologies () =
         direct.Report.sink_data r.Report.sink_data)
     reports
 
+(* ----- one compile, one lint, one registry ----- *)
+
+(* Draw 34 of the 40-draw random_sp protocol (one generator seeded 1,
+   draw i at 15 + 75i/39 target edges, capacities up to 4): an 80-edge
+   SP-DAG with more than 200,000 undirected simple cycles. *)
+let over_budget_sp () =
+  let rng = Random.State.make [| 1 |] in
+  let draw i =
+    Topo_gen.random_sp rng ~target_edges:(15 + (i * 75 / 39)) ~max_cap:4
+  in
+  for i = 0 to 33 do
+    ignore (draw i)
+  done;
+  draw 34
+
+(* No rule reads a CS4 graph's cycles under Non-Propagation, so the
+   cycle budget cannot make its verdict incomplete: it is admitted with
+   the table of a cache-free compile. Under Propagation FS303 reads
+   them, and the same graph stays unverified. *)
+let test_over_budget_cs4_admitted () =
+  let g = over_budget_sp () in
+  Alcotest.(check bool) "CS4" true (Fstream_ladder.Cs4.is_cs4 g);
+  Alcotest.(check bool) "more than 200,000 cycles" true
+    (match
+       Fstream_graph.Cycles.count
+         ~max_cycles:Lint.default_config.Lint.max_cycles g
+     with
+    | _ -> false
+    | exception Fstream_graph.Cycles.Budget_exceeded _ -> true);
+  let t = Serve.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+  (match Serve.admit t ~mode:Serve.Non_propagation g with
+  | Error r ->
+    Alcotest.failf "over-budget CS4 graph refused: %a"
+      (fun ppf -> Serve.pp_rejection ppf)
+      r
+  | Ok s -> (
+    match
+      (Serve.avoidance s, Compiler.compile Compiler.Non_propagation g)
+    with
+    | Engine.Non_propagation th, Ok p ->
+      Alcotest.(check (array (option int)))
+        "the table of a cache-free compile"
+        (Thresholds.to_array (Compiler.send_thresholds g p.Compiler.intervals))
+        (Thresholds.to_array th)
+    | _ -> Alcotest.fail "expected a non-propagation table"));
+  match Serve.admit t ~mode:Serve.Propagation g with
+  | Error (Serve.Analysis_incomplete _) -> ()
+  | Ok _ -> Alcotest.fail "admitted under propagation without FS303"
+  | Error r ->
+    Alcotest.failf "wrong rejection: %a" (fun ppf -> Serve.pp_rejection ppf) r
+
+(* A spec'd admission on a registry hit re-lints the registry's plan
+   with the spec: its verdict carries exactly the Error findings of a
+   fresh Lint.run with that spec, and an admissible spec gets the
+   shared table without another compile. *)
+let test_spec_on_registry_hit () =
+  let t = Serve.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+  let g = Topo_gen.fig2_triangle ~cap:2 in
+  let spec behaviors =
+    { App_spec.graph = g; behaviors; default = App_spec.Passthrough }
+  in
+  let s0 =
+    match Serve.admit t ~mode:Serve.Non_propagation g with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "fig2 refused"
+  in
+  let bad = spec [ (7, App_spec.Drop); (1, App_spec.Block 99) ] in
+  (match Serve.admit t ~spec:bad ~mode:Serve.Non_propagation g with
+  | Error (Serve.Lint_rejected ds) ->
+    let fresh =
+      Lint.run ~config:{ Lint.default_config with Lint.spec = Some bad } g
+    in
+    Alcotest.(check bool) "the Error findings of a fresh spec'd lint" true
+      (ds
+      = List.filter
+          (fun (d : Lint.diagnostic) -> d.severity = Lint.Error)
+          fresh.Lint.diagnostics);
+    Alcotest.(check int) "two FS401 findings" 2 (List.length ds)
+  | Ok _ -> Alcotest.fail "spec binding unknown nodes admitted"
+  | Error r ->
+    Alcotest.failf "wrong rejection: %a" (fun ppf -> Serve.pp_rejection ppf) r);
+  (match
+     Serve.admit t
+       ~spec:(spec [ (0, App_spec.Drop); (0, App_spec.Passthrough) ])
+       ~mode:Serve.Non_propagation g
+   with
+  | Ok s ->
+    Alcotest.(check bool) "the registry's table" true
+      (Serve.avoidance s == Serve.avoidance s0)
+  | Error _ -> Alcotest.fail "warning-only spec refused");
+  Alcotest.(check int) "one compile" 1 (Serve.stats t).Serve.compiles
+
 (* ----- differential: serve session = direct Run.exec, both engines ----- *)
 
 let serve_mode_of = function
@@ -281,6 +377,10 @@ let suite =
       test_start_after_shutdown;
     Alcotest.test_case "120 tenants, 3 topologies, 3 compiles, one pool"
       `Quick test_hundred_twenty_tenants_three_topologies;
+    Alcotest.test_case "over-budget CS4 admitted under non-propagation"
+      `Quick test_over_budget_cs4_admitted;
+    Alcotest.test_case "spec'd admission re-lints the registry's plan" `Quick
+      test_spec_on_registry_hit;
     prop_serve_eq_direct_no_avoidance;
     prop_serve_eq_direct_non_propagation;
     prop_serve_eq_direct_propagation;

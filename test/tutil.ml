@@ -68,6 +68,42 @@ let random_dag_of_seed seed =
   done;
   Graph.make ~nodes:n (List.rev !edges)
 
+(* A random, sequentially valid edit script: each candidate op is
+   generated blindly against the graph as edited so far and kept only
+   if [Edit.apply] accepts it — per-op validity composes, so the whole
+   script is valid on the base graph. Scripts may still break
+   compilability (disconnect the graph, add a back edge): those cases
+   exercise the error path of the differential, where incremental and
+   full compilation must fail identically. *)
+let random_ops rng g0 =
+  let cur = ref g0 and ops = ref [] in
+  let n = 1 + Random.State.int rng 4 in
+  for _ = 1 to n do
+    let g = !cur in
+    let ne = Graph.num_edges g and nn = Graph.num_nodes g in
+    let cap () = 1 + Random.State.int rng 6 in
+    let candidate =
+      match Random.State.int rng 5 with
+      | 0 -> Edit.Resize { edge = Random.State.int rng ne; cap = cap () }
+      | 1 ->
+        (* bias forward (generator node ids are topological) so most
+           scripts stay acyclic; a removal can still disconnect *)
+        let a = Random.State.int rng nn and b = Random.State.int rng nn in
+        Edit.Add_edge { src = min a b; dst = max a b; cap = cap () }
+      | 2 when ne > 1 -> Edit.Remove_edge { edge = Random.State.int rng ne }
+      | 3 ->
+        Edit.Add_stage
+          { edge = Random.State.int rng ne; cap_in = cap (); cap_out = cap () }
+      | _ -> Edit.Remove_stage { node = Random.State.int rng nn; cap = None }
+    in
+    match Edit.apply g [ candidate ] with
+    | Ok d ->
+      ops := candidate :: !ops;
+      cur := d.Edit.graph
+    | Error _ -> ()
+  done;
+  List.rev !ops
+
 (* Reproducibility override: [QCHECK_SEED=n dune runtest] pins the
    generator state of every qcheck suite that goes through [qtest] (the
    same variable qcheck's own runner honours), so a failing case can be
