@@ -456,75 +456,30 @@ let c5 () =
   row "   'reasonable compilation overhead', measured end to end)@."
 
 (* ------------------------------------------------------------------ *)
-(* C6. Event-driven ready-queue scheduler vs the reference sweep.       *)
+(* C6. The sequential engine's worklist scheduler.                      *)
 
-let c6 () =
-  section "C6" "ready-queue scheduler vs full-sweep reference (runtime)";
-  (* A topo-ordered round propagates any surviving message the whole
-     way to the sink, so a passthrough pipeline is never idle: the
-     mostly-idle regime the worklist exploits is *sparse filtering* —
-     an early stage drops almost everything and the deep tail of the
-     pipeline sits quiescent while the sweep still rescans it every
-     round. *)
-  row "  deep pipelines, 2000 inputs, stage 1 keeps 1 message in 512@.";
-  row "  (the idle tail is scanned by the sweep, skipped by the worklist):@.";
-  row "  %8s %12s %12s %12s %12s %12s %9s@." "nodes" "ready" "ready r/s"
-    "ready ns/m" "sweep" "sweep r/s" "speedup";
-  List.iter
-    (fun stages ->
-      let g = Topo_gen.pipeline ~stages ~cap:2 in
-      let kernels () =
-        Filters.for_graph g (fun v outs ->
-            if v = 1 then Filters.periodic ~keep_every:512 outs
-            else Filters.passthrough outs)
-      in
-      let inputs = 2_000 in
-      let rounds_of (s : Report.t) = Option.value (Report.rounds s) ~default:0 in
-      let t_ready, (s_ready : Report.t) =
-        time_once (fun () ->
-            Engine.run ~scheduler:Engine.Ready ~graph:g ~kernels:(kernels ())
-              ~inputs ~avoidance:Engine.No_avoidance ())
-      in
-      (* The sweep's cost per round is O(n) whatever happens, so its
-         rounds/sec rate is measured on a capped prefix of the run and
-         the full-length execution (quadratic at 64k nodes) is not
-         forced. *)
-      let cap = max 64 (min (rounds_of s_ready) (4_194_304 / (stages + 1))) in
-      let t_sweep, (s_sweep : Report.t) =
-        time_once (fun () ->
-            Engine.run ~scheduler:Engine.Sweep ~max_rounds:cap ~graph:g
-              ~kernels:(kernels ()) ~inputs ~avoidance:Engine.No_avoidance ())
-      in
-      let rps t (s : Report.t) = float (rounds_of s) /. (t /. 1e9) in
-      let messages (s : Report.t) =
-        max 1 (s.Report.data_messages + s.Report.dummy_messages)
-      in
-      row "  %8d %a %12.0f %12.1f %a %12.0f %8.1fx@." (stages + 1) pp_ns
-        t_ready
-        (rps t_ready s_ready)
-        (t_ready /. float (messages s_ready))
-        pp_ns t_sweep (rps t_sweep s_sweep)
-        (rps t_ready s_ready /. rps t_sweep s_sweep);
-      headline "C6"
-        (Printf.sprintf "pipeline_%d_ready_rounds_per_sec" (stages + 1))
-        (rps t_ready s_ready);
-      headline "C6"
-        (Printf.sprintf "pipeline_%d_speedup_vs_sweep" (stages + 1))
-        (rps t_ready s_ready /. rps t_sweep s_sweep))
-    (if !quick then [ 1_023 ] else [ 1_023; 4_095; 16_383; 65_535 ]);
-  row "  (sweep timed over its first %d+ rounds at the larger sizes)@." 64;
-  row "  S1 random CS4 workloads, both schedulers end to end:@.";
-  let trials = if !quick then 40 else 200 in
-  let inputs = 80 in
-  (* one instance stream, both schedulers timed on each instance in
-     alternating order: an all-of-one-then-the-other ordering lets the
-     second pass run with warmed caches and biases the ratio by a few
-     percent, which matters now that both schedulers execute the same
-     loop on graphs this small (see [Engine.run ?dense_below]) *)
+(* The sparse-filtering pipeline of C6 and C7: stage 1 keeps 1 message
+   in 512 and every other stage passes through. A topo-ordered round
+   carries any surviving message the whole way to the sink, so a
+   passthrough pipeline is never idle; sparse filtering is what leaves
+   the deep tail quiescent, the regime where visiting only woken nodes
+   pays. *)
+let sparse_pipeline stages =
+  let g = Topo_gen.pipeline ~stages ~cap:2 in
+  let kernels () =
+    Filters.for_graph g (fun v outs ->
+        if v = 1 then Filters.periodic ~keep_every:512 outs
+        else Filters.passthrough outs)
+  in
+  (g, kernels)
+
+(* The S1 random-CS4 instance stream of C6 and C7: 1-3 blocks of 2-9
+   edges, fully active Bernoulli (keep 0.6) kernels, Non-Propagation
+   thresholds; draws that fail to compile are skipped. *)
+let s1_cs4_instances trials =
   let rng = Random.State.make [| 31337 |] in
-  let ro = ref [] and so = ref [] in
-  let rt = ref 0. and st_ = ref 0. and rm = ref 0 in
-  for trial = 1 to trials do
+  let acc = ref [] in
+  for _ = 1 to trials do
     let g =
       Topo_gen.random_cs4 rng
         ~blocks:(1 + Random.State.int rng 3)
@@ -542,52 +497,67 @@ let c6 () =
       let avoidance =
         Engine.Non_propagation (Compiler.send_thresholds g p.intervals)
       in
-      let exec scheduler () =
-        Engine.run ~scheduler ~graph:g ~kernels:(kernels ()) ~inputs ~avoidance
-          ()
-      in
-      (* best-of-3 per scheduler per instance: single runs here are
-         ~100us, where one GC pause or timer-tick swings the trial by
-         10%+; the min damps that, alternation damps the rest *)
-      let timed scheduler =
-        let _, (s : Report.t) = time_once (exec scheduler) in
-        (time_best (exec scheduler), s)
-      in
-      let record elapsed outcomes (t, (s : Report.t)) =
-        elapsed := !elapsed +. t;
-        outcomes :=
-          ( s.Report.outcome,
-            Report.rounds s,
-            s.Report.data_messages,
-            s.Report.dummy_messages,
-            s.Report.sink_data )
-          :: !outcomes;
-        s
-      in
-      let s_ready =
-        if trial land 1 = 0 then begin
-          let s = record rt ro (timed Engine.Ready) in
-          ignore (record st_ so (timed Engine.Sweep));
-          s
-        end
-        else begin
-          ignore (record st_ so (timed Engine.Sweep));
-          record rt ro (timed Engine.Ready)
-        end
-      in
-      rm := !rm + s_ready.Report.data_messages + s_ready.Report.dummy_messages
+      acc := (g, kernels, avoidance) :: !acc
   done;
-  let ro, rt, rm = (!ro, !rt, !rm) in
-  let so, st_ = (!so, !st_) in
-  row "  %-10s %12s %14s@." "scheduler" "total" "ns/message";
-  row "  %-10s %a %14.1f@." "ready" pp_ns rt (rt /. float (max 1 rm));
-  row "  %-10s %a %14.1f@." "sweep" pp_ns st_ (st_ /. float (max 1 rm));
-  row "  %d trials, stats identical across schedulers: %s, speedup %.1fx@."
-    trials
-    (ok (ro = so))
-    (st_ /. rt);
-  headline "C6" "cs4_ready_ns_per_message" (rt /. float (max 1 rm));
-  headline "C6" "cs4_speedup_vs_sweep" (st_ /. rt)
+  List.rev !acc
+
+let c6 () =
+  section "C6" "sequential worklist scheduler (runtime)";
+  let incomplete = ref 0 in
+  let completed (s : Report.t) =
+    if s.Report.outcome <> Report.Completed then incr incomplete;
+    s
+  in
+  let messages (s : Report.t) =
+    max 1 (s.Report.data_messages + s.Report.dummy_messages)
+  in
+  row "  deep pipelines, 2000 inputs, stage 1 keeps 1 message in 512:@.";
+  row "  %8s %12s %10s %12s %12s@." "nodes" "total" "rounds" "rounds/s"
+    "ns/message";
+  List.iter
+    (fun stages ->
+      let g, kernels = sparse_pipeline stages in
+      let run () =
+        Engine.run ~graph:g ~kernels:(kernels ()) ~inputs:2_000
+          ~avoidance:Engine.No_avoidance ()
+      in
+      let s = completed (run ()) in
+      let t = time_best run in
+      let rounds = Option.value (Report.rounds s) ~default:0 in
+      let rps = float rounds /. (t /. 1e9) in
+      let nspm = t /. float (messages s) in
+      row "  %8d %a %10d %12.0f %12.1f@." (stages + 1) pp_ns t rounds rps nspm;
+      headline "C6"
+        (Printf.sprintf "pipeline_%d_rounds_per_sec" (stages + 1))
+        rps;
+      headline "C6"
+        (Printf.sprintf "pipeline_%d_ns_per_message" (stages + 1))
+        nspm)
+    (if !quick then [ 1_023 ] else [ 1_023; 4_095; 16_383; 65_535 ]);
+  (* best-of-3 per instance: single runs here are ~100us, where one GC
+     pause or timer tick swings the trial by 10%+ *)
+  let trials = if !quick then 40 else 200 in
+  let elapsed = ref 0. and msgs = ref 0 and rounds = ref 0 in
+  List.iter
+    (fun (g, kernels, avoidance) ->
+      let run () =
+        Engine.run ~graph:g ~kernels:(kernels ()) ~inputs:80 ~avoidance ()
+      in
+      let s = completed (run ()) in
+      elapsed := !elapsed +. time_best run;
+      msgs := !msgs + messages s;
+      rounds := !rounds + Option.value (Report.rounds s) ~default:0)
+    (s1_cs4_instances trials);
+  row "  S1 random CS4 workloads, 80 inputs (fully active graphs):@.";
+  row "  %8s %12s %10s %12s %12s@." "trials" "total" "rounds" "rounds/s"
+    "ns/message";
+  row "  %8d %a %10d %12.0f %12.1f@." trials pp_ns !elapsed !rounds
+    (float !rounds /. (!elapsed /. 1e9))
+    (!elapsed /. float (max 1 !msgs));
+  headline "C6" "cs4_ns_per_message" (!elapsed /. float (max 1 !msgs));
+  row "  every run completed: %s@." (ok (!incomplete = 0));
+  if !incomplete > 0 then
+    failwith (Printf.sprintf "C6: %d runs did not complete" !incomplete)
 
 (* ------------------------------------------------------------------ *)
 (* C7. Hot-path cost of the steady-state loop: throughput + GC load.    *)
@@ -602,15 +572,9 @@ let c7 () =
     "mwords/msg" "minor GCs";
   List.iter
     (fun stages ->
-      let g = Topo_gen.pipeline ~stages ~cap:2 in
-      let kernels () =
-        Filters.for_graph g (fun v outs ->
-            if v = 1 then Filters.periodic ~keep_every:512 outs
-            else Filters.passthrough outs)
-      in
-      let inputs = 2_000 in
+      let g, kernels = sparse_pipeline stages in
       let run () =
-        Engine.run ~graph:g ~kernels:(kernels ()) ~inputs
+        Engine.run ~graph:g ~kernels:(kernels ()) ~inputs:2_000
           ~avoidance:Engine.No_avoidance ()
       in
       (* one warm-up run keeps the graph/closure setup cost out of the
@@ -639,39 +603,22 @@ let c7 () =
     pipeline_sizes;
   row "  S1 random CS4 workloads (Bernoulli filtering, non-prop wrapper):@.";
   let trials = if !quick then 40 else 200 in
-  let inputs = 80 in
-  let rng = Random.State.make [| 31337 |] in
   let elapsed = ref 0. and msgs = ref 0 and rounds = ref 0 in
   let minor = ref 0. and collections = ref 0 in
-  for _ = 1 to trials do
-    let g =
-      Topo_gen.random_cs4 rng
-        ~blocks:(1 + Random.State.int rng 3)
-        ~block_edges:(2 + Random.State.int rng 8)
-        ~max_cap:3
-    in
-    let seed = Random.State.int rng 1_000_000 in
-    let kernels =
-      let krng = Random.State.make [| seed |] in
-      Filters.for_graph g (fun _ outs -> Filters.bernoulli krng ~keep:0.6 outs)
-    in
-    match Compiler.compile Compiler.Non_propagation g with
-    | Error _ -> ()
-    | Ok p ->
-      let avoidance =
-        Engine.Non_propagation (Compiler.send_thresholds g p.intervals)
-      in
+  List.iter
+    (fun (g, kernels, avoidance) ->
+      let kernels = kernels () in
       let gc, (t, (s : Report.t)) =
         with_gc_stats (fun () ->
             time_once (fun () ->
-                Engine.run ~graph:g ~kernels ~inputs ~avoidance ()))
+                Engine.run ~graph:g ~kernels ~inputs:80 ~avoidance ()))
       in
       elapsed := !elapsed +. t;
       msgs := !msgs + s.data_messages + s.dummy_messages;
       rounds := !rounds + Option.value (Report.rounds s) ~default:0;
       minor := !minor +. gc.minor_words;
-      collections := !collections + gc.minor_collections
-  done;
+      collections := !collections + gc.minor_collections)
+    (s1_cs4_instances trials);
   row "  %8s %12s %12s %12s %12s %10s@." "trials" "total" "rounds/s" "ns/msg"
     "mwords/msg" "minor GCs";
   row "  %8d %a %12.0f %12.1f %12.1f %10d@." trials pp_ns !elapsed

@@ -336,16 +336,6 @@ let keep_arg =
         ~doc:"Per-channel probability that a node keeps (does not filter) an \
               output.")
 
-let scheduler_arg =
-  Arg.(
-    value
-    & opt (enum [ ("ready", Engine.Ready); ("sweep", Engine.Sweep) ]) Engine.Ready
-    & info [ "scheduler" ] ~docv:"SCHED"
-        ~doc:
-          "Engine scheduler: $(b,ready) (event-driven worklist, the default) \
-           or $(b,sweep) (reference full-sweep oracle). Both produce \
-           identical stats.")
-
 let trace_out_arg =
   Arg.(
     value
@@ -418,22 +408,19 @@ type engine_choice = {
   domains : int option;
   grain : int;
   stall_ms : int option;
-  scheduler : Engine.scheduler;
 }
 
 let engine_term =
-  let combine parallel domains grain stall_ms scheduler =
-    { parallel; domains; grain; stall_ms; scheduler }
+  let combine parallel domains grain stall_ms =
+    { parallel; domains; grain; stall_ms }
   in
-  Term.(
-    const combine $ parallel_arg $ domains_arg $ grain_arg $ stall_ms_arg
-    $ scheduler_arg)
+  Term.(const combine $ parallel_arg $ domains_arg $ grain_arg $ stall_ms_arg)
 
 let run_config ec ?sink ?deadlock_dump ~avoidance () =
   if ec.parallel then
     Run.pool ?domains:ec.domains ~grain:ec.grain ?stall_ms:ec.stall_ms ?sink
       ~avoidance ()
-  else Run.sequential ~scheduler:ec.scheduler ?sink ?deadlock_dump ~avoidance ()
+  else Run.sequential ?sink ?deadlock_dump ~avoidance ()
 
 let fuse_flag_arg =
   Arg.(

@@ -14,10 +14,11 @@
       one event, so a run's {!Fstream_runtime.Report.t} is a pure
       function of its event log (the replay oracle checks this
       bit-for-bit);
-    - {e scheduler independence}: the sequential engine emits the same
-      transition events under both schedulers ([Blocked] is the one
-      exception — it narrates visits, and the ready scheduler visits
-      blocked nodes less often). *)
+    - {e visit independence}: the sequential engine emits the same
+      transition events as a reference loop that visits every node
+      every round ([Blocked] is the one exception — it narrates
+      visits, and the engine's worklist visits a blocked node only
+      when woken or after a visit that made progress). *)
 
 type payload = Data | Dummy | Eos
 (** What kind of message crossed a channel (mirrors

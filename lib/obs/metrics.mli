@@ -17,8 +17,9 @@
       not supplied the denominator is unknown and the ratio falls back
       to dummies per delivered message);
     - per-node {e blocked visits} — scheduler visits that found the
-      node stuck on a full channel (under the ready scheduler blocked
-      nodes are visited less often, so compare within one scheduler);
+      node stuck on a full channel (the sequential worklist and the
+      pool visit blocked nodes on different occasions, so compare
+      within one engine);
     - {e rounds to first wedge} — how long the run survived before
       deadlocking, if it did. *)
 

@@ -341,22 +341,20 @@ module Pool = struct
       {
         Firing.guard = Some (fun v -> shards.(shard_of.(v)).lock);
         woke =
-          Some
-            (fun v dst ->
-              if wake_locked shards.(shard_of.(dst)) dst then
-                wakes.(v) <- wakes.(v) + 1);
+          (fun v dst ->
+            if wake_locked shards.(shard_of.(dst)) dst then
+              wakes.(v) <- wakes.(v) + 1);
         freed =
-          Some
-            (fun producers k ->
-              let woken = ref 0 in
-              for j = 0 to k - 1 do
-                let p = producers.(j) in
-                let sh = shards.(shard_of.(p)) in
-                Mutex.lock sh.lock;
-                if wake_locked sh p then incr woken;
-                Mutex.unlock sh.lock
-              done;
-              signal_idlers t !woken);
+          (fun producers k ->
+            let woken = ref 0 in
+            for j = 0 to k - 1 do
+              let p = producers.(j) in
+              let sh = shards.(shard_of.(p)) in
+              Mutex.lock sh.lock;
+              if wake_locked sh p then incr woken;
+              Mutex.unlock sh.lock
+            done;
+            signal_idlers t !woken);
       }
     in
     let fr =
@@ -434,9 +432,9 @@ module Pool = struct
     in
     (* Post-execution bookkeeping: consume a missed wake
        ([Running_dirty]) or re-queue ourselves while still runnable
-       (grain exhaustion, sources: {!Firing.self_arming}, the rule the
-       sequential worklist re-arms by) — the task keeps its ticket;
-       otherwise go idle and release it, finalizing on the last one. *)
+       (grain exhaustion, sources: {!Firing.self_arming}) — the task
+       keeps its ticket; otherwise go idle and release it, finalizing
+       on the last one. *)
     let finish_task v =
       let sh = shards.(shard_of.(v)) in
       Mutex.lock sh.lock;

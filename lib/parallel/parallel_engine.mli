@@ -10,7 +10,7 @@
     instance's graph is partitioned into [domains] contiguous shards,
     each with its own lock and ready-queue of runnable nodes maintained
     from channel occupancy transitions (the parallel analogue of the
-    sequential [Ready] scheduler); workers drain their home shard and
+    sequential engine's worklist); workers drain their home shard and
     steal from the others when it runs dry. There is no limit on graph
     size.
 

@@ -19,7 +19,7 @@ type kernel = seq:int -> got:int list -> int list
     data for [seq] (empty for a source node receiving external input
     [seq]); the result lists the out-edge ids to send data on. Ids
     outside the node's out-edges are rejected at runtime. Kernels are
-    opaque to the scheduler, matching the paper's model where filtering
+    opaque to the engine, matching the paper's model where filtering
     decisions are invisible to the compiler. *)
 
 type avoidance = Firing.avoidance =
@@ -32,24 +32,7 @@ type avoidance = Firing.avoidance =
           carries the fingerprint of the graph it was computed for and
           {!run} rejects mismatches. *)
 
-type scheduler =
-  | Sweep
-      (** reference scheduler: every round visits every node in
-          topological order — O(n) per round even when almost nothing
-          is runnable *)
-  | Ready
-      (** event-driven scheduler: a worklist of runnable nodes
-          maintained incrementally from {!Channel} occupancy
-          transitions, drained in topological-rank order each round.
-          Per-round cost is proportional to actual activity, and the
-          executed transitions — hence the resulting {!Report.t},
-          including the round count and wedge snapshot — are
-          bit-identical to [Sweep] (differentially tested in
-          [test/test_sched.ml]) *)
-
 val run :
-  ?scheduler:scheduler ->
-  ?dense_below:int ->
   ?batch:int ->
   ?max_rounds:int ->
   ?deadlock_dump:Format.formatter ->
@@ -62,21 +45,28 @@ val run :
   Report.t
 (** Execute the application on [inputs] external sequence numbers
     (0 .. inputs-1, presented to every source). Channel capacities come
-    from the graph's edge capacities. Deterministic: runnable nodes are
-    processed in topological order within each round, whichever
-    [scheduler] (default {!Ready}) maintains the runnable set.
-    [max_rounds] defaults to a generous bound; an execution that
-    exceeds it reports [Budget_exhausted].
+    from the graph's edge capacities. [max_rounds] defaults to a
+    generous bound; an execution that exceeds it reports
+    [Budget_exhausted].
 
-    [dense_below] (default 512): below this many nodes, [Ready] runs
-    the sweep loop instead of maintaining the worklist — on graphs
-    that fit in cache the wake bookkeeping costs more than visiting
-    everything (bench §C6). The executed transition sequence, and so
-    the report, is identical; only the observability stream differs,
-    because the sweep visits nodes the worklist never wakes and so
-    emits [Event.Blocked] on their blocking episodes. Pass
-    [~dense_below:0] to force the worklist at every size (the
-    differential suite does).
+    Deterministic: each round visits the runnable nodes in topological
+    order. The worklist is a bitset over topological rank, scanned
+    upward by a cursor each round; a wake sets a node's bit, so where
+    it lands relative to the cursor decides the round:
+    - a push onto an empty channel wakes the consumer, which lies
+      later in topological order than the visited producer — above the
+      cursor, so it is visited this round;
+    - pops that drain a full channel wake its producer, which lies
+      earlier — at or below the cursor, so it waits for the next
+      round;
+    - a visit that made progress re-arms its own node for the next
+      round (if the node can do no more, that visit is a no-op).
+    Round 1 arms only the sources. A node left unarmed could not have
+    progressed had it been visited, so the executed transitions — and
+    the {!Report.t}, round count and wedge snapshot included — equal
+    those of a reference loop that visits every node every round
+    (differentially tested in [test/test_sched.ml]). Only
+    [Event.Blocked] differs, since it narrates visits.
 
     [batch] (default 1) lets a visited node fire up to that many times
     in a row while it stays runnable (each firing's sends all landed
@@ -92,8 +82,7 @@ val run :
     delivered/dropped split may change, and under [Propagation] on
     workloads outside its soundness preconditions even the outcome can
     move with them (dummies are a liveness mechanism). Round numbering
-    is compressed. See DESIGN.md, "Memory behaviour". The two
-    schedulers remain bit-identical at equal [batch]. The default
+    is compressed. See DESIGN.md, "Memory behaviour". The default
     preserves the unbatched engine's behaviour exactly.
     @raise Invalid_argument if [batch < 1].
 

@@ -47,8 +47,8 @@ type node = {
 
 type hooks = {
   guard : (int -> Mutex.t) option;
-  woke : (int -> int -> unit) option;
-  freed : (int array -> int -> unit) option;
+  woke : int -> int -> unit;
+  freed : int array -> int -> unit;
 }
 
 type t = {
@@ -226,9 +226,7 @@ let send t v e (msg : Message.t) =
   let c = t.chan.(e) in
   let landed = Channel.push c msg in
   if landed then begin
-    (match t.hooks.woke with
-    | Some woke when Channel.length c = 1 -> woke v dst
-    | _ -> ());
+    if Channel.length c = 1 then t.hooks.woke v dst;
     if t.obs then
       t.ev (Event.Push { edge = e; seq = msg.seq; payload = payload_of msg })
   end;
@@ -467,9 +465,7 @@ let fire_inner t v s =
     sc.nfreed <- 0;
     let acc = consume t s sc i lo hi 0 in
     if t.concurrent then unlock t v;
-    (match t.hooks.freed with
-    | Some freed when sc.nfreed > 0 -> freed sc.freed sc.nfreed
-    | _ -> ());
+    if sc.nfreed > 0 then t.hooks.freed sc.freed sc.nfreed;
     (* [max_int]: every input was at end-of-stream, and is consumed *)
     if i = max_int then send_eos t v s
     else begin

@@ -54,7 +54,7 @@ val decode : Graph.t -> avoidance -> int option array * bool
     @raise Invalid_argument if the threshold table was computed for a
     different graph. *)
 
-(** Per-node state. Only this module writes it; the schedulers read
+(** Per-node state. Only this module writes it; the runtimes read
     it. A node cannot fire while its pending ring is non-empty, so the
     ring never holds more than one firing's sends — at most
     [out_degree] entries — and is preallocated to exactly that. *)
@@ -71,7 +71,7 @@ type node = private {
   mutable got_data : int;  (** data messages consumed *)
 }
 
-(** What differs between the schedulers. *)
+(** What differs between the runtimes. *)
 type hooks = {
   guard : (int -> Mutex.t) option;
       (** [Some lock_of]: steps of different nodes run at the same time,
@@ -80,15 +80,16 @@ type hooks = {
           hold [lock_of v]; the sink goes behind a lock of its own, and
           each node gets its own scratch buffers. [None]: one step at a
           time. *)
-  woke : (int -> int -> unit) option;
+  woke : int -> int -> unit;
       (** [woke v dst]: node [v]'s push just landed on an empty channel
           into [dst], which may now be runnable; called under [dst]'s
-          lock *)
-  freed : (int array -> int -> unit) option;
+          lock. In a DAG [dst] follows [v] in topological order. *)
+  freed : int array -> int -> unit;
       (** [freed producers k]: a node's pops just drained a full channel
           of each of [producers.(0 .. k - 1)], in increasing in-edge
           order; called once the node's own lock is released, before
-          the kernel, and only when [k > 0] *)
+          the kernel, and only when [k > 0]. Each producer precedes the
+          popping node in topological order. *)
 }
 
 type t
@@ -137,7 +138,9 @@ val fire : t -> int -> node -> bool
 val self_arming : t -> int -> bool
 (** Node [v] can fire again with no outside event: it is not finished,
     nothing is pending, and every input is non-empty (vacuously, for a
-    source). *)
+    source). The pool re-queues a task by it; the sequential engine
+    re-arms any node whose visit made progress instead, which covers
+    every node this holds for. *)
 
 val drained : t -> bool
 (** Every node finished with nothing pending and every channel empty. *)

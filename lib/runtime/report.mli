@@ -1,6 +1,6 @@
 (** The unified run report: one result type for every engine.
 
-    Both {!Engine.run} (sequential, either scheduler) and
+    Both {!Engine.run} (sequential) and
     [Fstream_parallel.Parallel_engine.run] return a {!t}, so
     verification, benchmarks and the differential test suites compare
     engines through a single type instead of hand-copied fields.
@@ -11,8 +11,8 @@
     {!of_events} is the replay oracle: it reconstructs a report purely
     from the {!Fstream_obs.Event} log of a run. For the sequential
     engine the reconstruction is bit-for-bit equal to the report the
-    engine returned (property-tested across schedulers, avoidance
-    modes and topology families in [test/test_obs.ml]) — which is the
+    engine returned (property-tested across avoidance modes and
+    topology families in [test/test_obs.ml]) — which is the
     proof that the event stream is a complete account of the run. *)
 
 open Fstream_graph

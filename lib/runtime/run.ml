@@ -1,7 +1,7 @@
 open Fstream_graph
 
 type engine =
-  | Sequential of { scheduler : Engine.scheduler; batch : int }
+  | Sequential of { batch : int }
   | Pool of { domains : int option; grain : int; stall_ms : int option }
 
 type config = {
@@ -20,10 +20,10 @@ let default_domains () =
   let d = try Domain.recommended_domain_count () with _ -> 2 in
   max 1 (min 8 (d - 1))
 
-let sequential ?(scheduler = Engine.Ready) ?(batch = default_batch) ?max_rounds
-    ?sink ?deadlock_dump ~avoidance () =
+let sequential ?(batch = default_batch) ?max_rounds ?sink ?deadlock_dump
+    ~avoidance () =
   {
-    engine = Sequential { scheduler; batch };
+    engine = Sequential { batch };
     avoidance;
     max_rounds;
     sink;
@@ -60,8 +60,8 @@ let register_pool_impl impl = pool_impl := Some impl
 
 let exec config ~graph ~kernels ~inputs () =
   match config.engine with
-  | Sequential { scheduler; batch } ->
-    Engine.run ~scheduler ~batch ?max_rounds:config.max_rounds
+  | Sequential { batch } ->
+    Engine.run ~batch ?max_rounds:config.max_rounds
       ?deadlock_dump:config.deadlock_dump ?sink:config.sink ~graph ~kernels
       ~inputs ~avoidance:config.avoidance ()
   | Pool { domains; grain; stall_ms } -> (
@@ -75,10 +75,9 @@ let exec config ~graph ~kernels ~inputs () =
          execute Pool configs)")
 
 let pp_engine ppf = function
-  | Sequential { scheduler; batch } ->
-    Format.fprintf ppf "sequential (%s scheduler%s)"
-      (match scheduler with Engine.Ready -> "ready" | Engine.Sweep -> "sweep")
-      (if batch = 1 then "" else Printf.sprintf ", batch %d" batch)
+  | Sequential { batch } ->
+    Format.fprintf ppf "sequential%s"
+      (if batch = 1 then "" else Printf.sprintf " (batch %d)" batch)
   | Pool { domains; grain; stall_ms } ->
     Format.fprintf ppf "pool (%s domains, grain %d%s)"
       (match domains with Some d -> string_of_int d | None -> "auto")

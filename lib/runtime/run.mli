@@ -2,7 +2,7 @@
 
     Before this module, every component that wanted to execute an
     application had to hard-code which engine it was driving —
-    {!Engine.run} for the deterministic sequential scheduler,
+    {!Engine.run} for the deterministic sequential engine,
     [Fstream_parallel.Parallel_engine.run] for the sharded domain
     pool — and thread each engine's private optional arguments through
     its own plumbing. The serving layer ([Fstream_serve]) would have
@@ -25,8 +25,8 @@ open Fstream_graph
 
 (** Which engine executes the application. *)
 type engine =
-  | Sequential of { scheduler : Engine.scheduler; batch : int }
-      (** the deterministic scheduler of {!Engine.run} *)
+  | Sequential of { batch : int }
+      (** the deterministic engine of {!Engine.run} *)
   | Pool of { domains : int option; grain : int; stall_ms : int option }
       (** the sharded domain pool of
           [Fstream_parallel.Parallel_engine.run]; [domains = None]
@@ -36,12 +36,12 @@ type config = {
   engine : engine;
   avoidance : Engine.avoidance;
   max_rounds : int option;
-      (** sequential engines only: round budget (default: the engine's
+      (** sequential engine only: round budget (default: the engine's
           generous bound). The pool has no round counter and ignores
           it. *)
   sink : Fstream_obs.Sink.t option;
   deadlock_dump : Format.formatter option;
-      (** sequential engines only: dump the wedge on deadlock *)
+      (** sequential engine only: dump the wedge on deadlock *)
 }
 
 (** {1 Shared defaults}
@@ -69,7 +69,6 @@ val default_domains : unit -> int
 (** {1 Constructors} *)
 
 val sequential :
-  ?scheduler:Engine.scheduler ->
   ?batch:int ->
   ?max_rounds:int ->
   ?sink:Fstream_obs.Sink.t ->
@@ -77,8 +76,7 @@ val sequential :
   avoidance:Engine.avoidance ->
   unit ->
   config
-(** Sequential config; [scheduler] defaults to {!Engine.Ready}, [batch]
-    to {!default_batch}. *)
+(** Sequential config; [batch] defaults to {!default_batch}. *)
 
 val pool :
   ?domains:int ->
@@ -115,6 +113,8 @@ val exec :
     [domains] out of range). *)
 
 val pp_engine : Format.formatter -> engine -> unit
+(** [sequential], with [(batch k)] when [k > 1]; [pool (...)] with the
+    domains, grain and stall backstop. *)
 
 (** {1 Engine registration (internal plumbing)} *)
 

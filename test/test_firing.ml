@@ -1,5 +1,5 @@
 (* Golden regression for the sequential node step. [test_sched] pins
-   Ready against Sweep, but both schedulers run the same
+   the engine against the test-side sweep, but both run the same
    {!Fstream_runtime.Firing} step, so a change common to both would
    slip past it. This suite pins the full sequential [Report.t] of a
    fixed corpus — fig2, the 97-node deep pipeline, the wide ladder and

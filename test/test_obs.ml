@@ -2,8 +2,8 @@
 
    Replay: a run's [Report.t] is a pure function of its event log —
    [Report.of_events] applied to the ring-buffered stream reproduces
-   the engine's report bit-for-bit, across topology families,
-   avoidance modes and both sequential schedulers. This is the proof
+   the engine's report bit-for-bit, across topology families and
+   avoidance modes. This is the proof
    that the event vocabulary is a complete account of a run.
 
    Conservation: the metrics registry folds the same log into
@@ -36,10 +36,10 @@ let wrappers g =
   in
   (Engine.No_avoidance :: prop) @ nonprop
 
-let logged_run ?scheduler g seed avoidance =
+let logged_run g seed avoidance =
   let ring = Obs.Ring.create ~capacity:(1 lsl 20) () in
   let report =
-    Engine.run ?scheduler ~sink:(Obs.Ring.sink ring) ~graph:g
+    Engine.run ~sink:(Obs.Ring.sink ring) ~graph:g
       ~kernels:(bernoulli_kernels g seed) ~inputs:30 ~avoidance ()
   in
   assert (Obs.Ring.dropped ring = 0);
@@ -48,11 +48,8 @@ let logged_run ?scheduler g seed avoidance =
 let replay_exact g seed =
   List.for_all
     (fun avoidance ->
-      List.for_all
-        (fun scheduler ->
-          let report, events = logged_run ~scheduler g seed avoidance in
-          Report.of_events ~graph:g events = report)
-        [ Engine.Sweep; Engine.Ready ])
+      let report, events = logged_run g seed avoidance in
+      Report.of_events ~graph:g events = report)
     (wrappers g)
 
 let prop_replay_sp =

@@ -1,13 +1,10 @@
-(* Differential testing of the event-driven ready-queue scheduler
-   against the reference sweep scheduler: identical [Report.t]
-   (outcome, rounds, message counts, per-edge dummy counts, wedge
-   snapshot) on randomized workloads and on the paper's figure
-   topologies, under all three avoidance modes. This is the oracle that
-   licenses making [Ready] the default.
-
-   Every [Ready] run passes [~dense_below:0]: the production default
-   routes small graphs to the sweep loop (bench §C6), which would make
-   these differential checks vacuous at test sizes. *)
+(* Differential testing of the sequential engine's worklist against the
+   reference sweep ([Tutil.sweep]), which visits every node every
+   round: identical [Report.t] (outcome, rounds, message counts,
+   per-edge dummy counts, wedge snapshot) on randomized workloads of
+   every generator family, on graphs of more than 512 nodes, and on
+   the paper's figure topologies, under all three
+   avoidance modes at batch 1 and batch 4. *)
 
 open Fstream_core
 open Fstream_runtime
@@ -16,9 +13,9 @@ open Fstream_workloads
 (* Fresh kernels per run: the engines mutate nothing shared, but the
    Bernoulli filters draw from an RNG, so each engine needs its own
    identically-seeded copy. *)
-let bernoulli_kernels g seed =
+let bernoulli_kernels ?(keep = 0.6) g seed =
   let rng = Random.State.make [| seed; 0xd1f |] in
-  Filters.for_graph g (fun _ outs -> Filters.bernoulli rng ~keep:0.6 outs)
+  Filters.for_graph g (fun _ outs -> Filters.bernoulli rng ~keep outs)
 
 let wrappers g =
   let none = Some Engine.No_avoidance in
@@ -36,39 +33,68 @@ let wrappers g =
   [ none; prop; nonprop ]
 
 let same_stats ?batch g ~kernels_of ~inputs avoidance =
-  let run scheduler =
-    Engine.run ?batch ~scheduler ~dense_below:0 ~graph:g
-      ~kernels:(kernels_of ()) ~inputs
-      ~avoidance ()
-  in
-  run Engine.Ready = run Engine.Sweep
+  Engine.run ?batch ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance ()
+  = Tutil.sweep ?batch ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance ()
 
-let differential ?batch ?(inputs = 30) g seed =
+let differential ?batch ?keep ?(inputs = 30) g seed =
   List.for_all
     (function
       | None -> true
       | Some avoidance ->
         same_stats ?batch g
-          ~kernels_of:(fun () -> bernoulli_kernels g seed)
+          ~kernels_of:(fun () -> bernoulli_kernels ?keep g seed)
           ~inputs avoidance)
     (wrappers g)
 
-let prop_sp =
-  Tutil.qtest ~count:300 "ready = sweep on random SP workloads"
-    Tutil.seed_gen
-    (fun seed -> differential (Tutil.random_sp_of_seed seed) seed)
+let families =
+  [
+    ("SP", 300, fun seed -> Tutil.random_sp_of_seed seed);
+    ("ladder", 300, fun seed -> Tutil.random_ladder_of_seed seed);
+    ("random CS4", 150, fun seed -> Tutil.random_cs4_of_seed seed);
+    (* chains long enough to span several 32-node worklist words *)
+    ( "CS4 chain",
+      100,
+      fun seed -> Tutil.random_cs4_of_seed ~max_blocks:16 seed );
+    ("random dense", 150, Tutil.random_dense_of_seed);
+    ("random DAG", 150, Tutil.random_dag_of_seed);
+    ( "diamond chain",
+      150,
+      fun seed ->
+        Topo_gen.diamond_chain ~bypass:(seed mod 2 = 1)
+          ~diamonds:(1 + (seed / 2 mod 8))
+          ~cap:(1 + (seed mod 5)) () );
+  ]
 
-let prop_ladder =
-  Tutil.qtest ~count:300 "ready = sweep on random ladder workloads"
+let prop_family batch (name, count, family) =
+  Tutil.qtest ~count
+    (Printf.sprintf "engine = sweep at batch %d on %s workloads" batch name)
     Tutil.seed_gen
-    (fun seed -> differential (Tutil.random_ladder_of_seed seed) seed)
+    (fun seed -> differential ~batch (family seed) seed)
 
-(* The ready≡sweep oracle must survive batched firing too: at equal
-   [batch] the two schedulers execute the same visits. *)
-let prop_batch_sched =
-  Tutil.qtest ~count:200 "ready = sweep at batch 4 on random SP workloads"
-    Tutil.seed_gen
-    (fun seed -> differential ~batch:4 (Tutil.random_sp_of_seed seed) seed)
+(* Two graphs of more than 512 nodes: a pipeline nearly lossless per
+   stage, so data reaches deep into it, and a 64-block CS4 chain. *)
+let test_large () =
+  let pipeline = Topo_gen.pipeline ~stages:600 ~cap:2 in
+  let chain =
+    Topo_gen.random_cs4
+      (Random.State.make [| 64 |])
+      ~blocks:64 ~block_edges:24 ~max_cap:3
+  in
+  List.iter
+    (fun (name, keep, g) ->
+      Alcotest.(check bool)
+        (name ^ ": above 512 nodes") true
+        (Fstream_graph.Graph.num_nodes g > 512);
+      List.iter
+        (fun batch ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: engine = sweep at batch %d" name batch)
+            true
+            (differential ~batch ~keep ~inputs:40 g 7))
+        [ 1; 4 ])
+    [
+      ("600-stage pipeline", 0.99, pipeline); ("64-block CS4 chain", 0.8, chain);
+    ]
 
 (* What batching may and may not change (see Engine.run doc). The
    guarantee needs kernels that are deterministic in their *own* node's
@@ -118,11 +144,9 @@ let prop_batch_invariance =
 (* Directed cases: the paper's figure topologies with their canonical
    workloads, checked field by field for a readable failure. *)
 let check_identical name ~kernels_of ~inputs g avoidance =
-  let run scheduler =
-    Engine.run ~scheduler ~dense_below:0 ~graph:g ~kernels:(kernels_of ())
-      ~inputs ~avoidance ()
-  in
-  let r = run Engine.Ready and s = run Engine.Sweep in
+  let r =
+    Engine.run ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance ()
+  and s = Tutil.sweep ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance () in
   Alcotest.(check bool)
     (name ^ ": outcome") true
     (r.Report.outcome = s.Report.outcome);
@@ -162,8 +186,8 @@ let test_fig2 () =
     Filters.for_graph g (fun v outs ->
         if v = 0 then Filters.block_edge 2 outs else Filters.passthrough outs)
   in
-  (* bare: both engines must wedge in the same round with the same
-     frozen snapshot *)
+  (* bare: both must wedge in the same round with the same frozen
+     snapshot *)
   let s = check_identical "fig2 bare" ~kernels_of ~inputs:25 g Engine.No_avoidance in
   Alcotest.(check bool) "fig2 deadlocks bare" true (s.Report.outcome = Report.Deadlocked);
   Alcotest.(check bool) "wedge captured" true (Report.wedge s <> None);
@@ -180,8 +204,8 @@ let test_fig2 () =
 let test_eos_vs_deadlock () =
   (* the discrimination the EOS machinery exists for: a starved sink is
      a completed (drained) run on an acyclic pipeline, a genuine wedge
-     on the Fig. 2 cycle — the ready scheduler must not mistake its own
-     empty worklist for either *)
+     on the Fig. 2 cycle — the worklist must not mistake its own empty
+     state for either *)
   let pipeline = Topo_gen.pipeline ~stages:3 ~cap:2 in
   let drop_all_of () =
     Filters.for_graph pipeline (fun v outs ->
@@ -207,17 +231,16 @@ let test_eos_vs_deadlock () =
     (s.Report.outcome = Report.Deadlocked)
 
 let test_budget_parity () =
-  (* Budget_exhausted must trip on the same round for both engines *)
+  (* Budget_exhausted must trip on the same round for both *)
   let g = Topo_gen.pipeline ~stages:4 ~cap:1 in
-  let kernels_of () =
-    Filters.for_graph g (fun _ outs -> Filters.passthrough outs)
+  let kernels = Filters.for_graph g (fun _ outs -> Filters.passthrough outs) in
+  let r =
+    Engine.run ~max_rounds:7 ~graph:g ~kernels ~inputs:100
+      ~avoidance:Engine.No_avoidance ()
+  and s =
+    Tutil.sweep ~max_rounds:7 ~graph:g ~kernels ~inputs:100
+      ~avoidance:Engine.No_avoidance ()
   in
-  let run scheduler =
-    Engine.run ~scheduler ~dense_below:0 ~max_rounds:7 ~graph:g
-      ~kernels:(kernels_of ())
-      ~inputs:100 ~avoidance:Engine.No_avoidance ()
-  in
-  let r = run Engine.Ready and s = run Engine.Sweep in
   Alcotest.(check bool) "both out of budget" true
     (r.Report.outcome = Report.Budget_exhausted
     && s.Report.outcome = Report.Budget_exhausted);
@@ -225,13 +248,13 @@ let test_budget_parity () =
 
 (* ------------------------------------------------------------------ *)
 (* Dummy accounting regression: the wrapper semantics the scheduler
-   rewrite must not disturb. Every dummy a node decides to emit
-   (forwarded under Propagation, or originated by a threshold coming
-   due) enters the per-channel dummy slot; from there it is either
-   delivered (counted in [per_edge_dummies] / [dummy_messages]) or
-   superseded (counted in [dropped_dummies]). Conservation: on a
-   completed run, emitted = delivered + dropped, and both engines
-   agree on every term. *)
+   must not disturb. Every dummy a node decides to emit (forwarded
+   under Propagation, or originated by a threshold coming due) enters
+   the per-channel dummy slot; from there it is either delivered
+   (counted in [per_edge_dummies] / [dummy_messages]) or superseded
+   (counted in [dropped_dummies]). Conservation: on a completed run,
+   emitted = delivered + dropped, and the engine and the sweep agree
+   on every term. *)
 
 let dummy_emissions ring =
   List.length
@@ -250,13 +273,9 @@ let test_dummy_accounting () =
     | Ok p -> Engine.Propagation (Compiler.propagation_thresholds g p.intervals)
     | Error e -> Alcotest.fail (Compiler.error_to_string e)
   in
-  let traced scheduler =
+  let traced run =
     let ring = Fstream_obs.Ring.create () in
-    let s =
-      Engine.run ~scheduler ~dense_below:0 ~sink:(Fstream_obs.Ring.sink ring)
-        ~graph:g
-        ~kernels:(bernoulli_kernels g 424242) ~inputs:80 ~avoidance ()
-    in
+    let s = run (Fstream_obs.Ring.sink ring) (bernoulli_kernels g 424242) in
     Alcotest.(check int) "complete event log" 0 (Fstream_obs.Ring.dropped ring);
     (s, dummy_emissions ring)
   in
@@ -277,8 +296,14 @@ let test_dummy_accounting () =
       (s.dropped_dummies <= emitted);
     Alcotest.(check bool) (name ^ ": dummies were exercised") true (emitted > 0)
   in
-  let (rs, re) = traced Engine.Ready and (ss, se) = traced Engine.Sweep in
-  check "ready" (rs, re);
+  let rs, re =
+    traced (fun sink kernels ->
+        Engine.run ~sink ~graph:g ~kernels ~inputs:80 ~avoidance ())
+  and ss, se =
+    traced (fun sink kernels ->
+        Tutil.sweep ~sink ~graph:g ~kernels ~inputs:80 ~avoidance ())
+  in
+  check "engine" (rs, re);
   check "sweep" (ss, se);
   Alcotest.(check int) "same emission count" se re;
   Alcotest.(check bool) "same stats" true (rs = ss)
@@ -290,8 +315,8 @@ let suite =
     Alcotest.test_case "EOS vs deadlock" `Quick test_eos_vs_deadlock;
     Alcotest.test_case "budget parity" `Quick test_budget_parity;
     Alcotest.test_case "dummy accounting" `Quick test_dummy_accounting;
-    prop_sp;
-    prop_ladder;
-    prop_batch_sched;
-    prop_batch_invariance;
+    Alcotest.test_case "above 512 nodes" `Quick test_large;
   ]
+  @ List.map (prop_family 1) families
+  @ List.map (prop_family 4) families
+  @ [ prop_batch_invariance ]

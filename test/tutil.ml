@@ -118,3 +118,59 @@ let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest ?rand (QCheck.Test.make ~count ~name gen prop)
 
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.nat
+
+(* The reference sequential scheduler: every round visits every node in
+   topological order, through the same {!Fstream_runtime.Firing} step as
+   [Engine.run], with the same visit (flush, then up to [batch]
+   firings), budget, outcome and wedge logic. [Engine.run] visits only
+   the nodes its worklist armed; [test_sched] checks that the skipped
+   visits were no-ops, i.e. that both reports are equal. *)
+let sweep ?(batch = 1) ?max_rounds ?sink ~graph:g ~kernels ~inputs ~avoidance
+    () =
+  let open Fstream_runtime in
+  let module Event = Fstream_obs.Event in
+  let hooks =
+    { Firing.guard = None; woke = (fun _ _ -> ()); freed = (fun _ _ -> ()) }
+  in
+  let fr =
+    Firing.create ~who:"sweep" ?sink ~hooks ~graph:g ~kernels ~inputs
+      ~avoidance ()
+  in
+  let nodes = Firing.nodes fr and obs = Firing.observed fr in
+  let rec fire v s left fired =
+    if left > 0 && Firing.fire fr v s then
+      s.Firing.pend_len <> 0 || fire v s (left - 1) true
+    else fired
+  in
+  let visit v =
+    let s = nodes.(v) in
+    let flushed = Firing.flush fr v s in
+    if s.pend_len = 0 then fire v s batch false || flushed
+    else begin
+      if obs then
+        Firing.event fr
+          (Event.Blocked { node = v; edge = s.pend_eid.(s.pend_head) });
+      flushed
+    end
+  in
+  let order = Topo.order_exn g in
+  let budget =
+    match max_rounds with
+    | Some b -> b
+    | None ->
+      ((inputs + 2) * ((2 * Graph.num_edges g) + Graph.num_nodes g + 2) * 2)
+      + 64
+  in
+  let rec loop round =
+    if obs then Firing.event fr (Event.Round_started { round });
+    if round > budget then (Report.Budget_exhausted, None, round)
+    else if Array.fold_left (fun p v -> visit v || p) false order then
+      loop (round + 1)
+    else if Firing.drained fr then (Report.Completed, None, round)
+    else begin
+      if obs then Firing.event fr (Event.Wedge { round });
+      (Report.Deadlocked, Some (Firing.snapshot fr), round)
+    end
+  in
+  let outcome, wedge, rounds = loop 1 in
+  Firing.report fr outcome (Report.Sequential { rounds; wedge })
