@@ -539,10 +539,17 @@ let rule_fs301 ctx =
     in
     if offenders = [] then []
     else
+      (* A CS4-route plan of the audited algorithm already holds the
+         table the cold sizing compile (Exact, no general fallback)
+         would compute; any other route sizes on that compile. *)
+      let scale =
+        match p.Compiler.route with
+        | Compiler.Cs4_route _ when p.algorithm = ctx.cfg.algorithm ->
+          Sizing.scale_of_intervals p.intervals ~target:1
+        | _ -> Sizing.min_uniform_scale ctx.g ctx.cfg.algorithm ~target:1
+      in
       let fixit =
-        match Sizing.min_uniform_scale ctx.g ctx.cfg.algorithm ~target:1 with
-        | Ok c when c > 1 -> Some (Scale_buffers c)
-        | _ -> None
+        match scale with Ok c when c > 1 -> Some (Scale_buffers c) | _ -> None
       in
       List.map
         (fun (id, i) ->

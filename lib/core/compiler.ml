@@ -189,6 +189,12 @@ let cache_plan cache =
   Mutex.unlock cache.clock;
   p
 
+let cache_fork cache =
+  Mutex.lock cache.clock;
+  let fork = { cache with snap = cache.snap } in
+  Mutex.unlock cache.clock;
+  fork
+
 let algo_of = function
   | Propagation -> Sp_incremental.Prop
   | Non_propagation -> Sp_incremental.Nonprop

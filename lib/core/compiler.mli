@@ -172,6 +172,13 @@ val cache_create : unit -> cache
 val cache_plan : cache -> plan option
 (** The most recent epoch's plan, if any compile succeeded. *)
 
+val cache_fork : cache -> cache
+(** A cache starting from [cache]'s most recent epoch that records its
+    own epochs from then on: a compile or {!recompile} through the fork
+    leaves [cache]'s epoch where it was. The two share the tree
+    builder, so successive epochs keep sharing untouched subtrees, and
+    the lock that guards it. *)
+
 type recompile_stats = {
   spliced_edges : int;
       (** exact-route edges whose values were copied from the previous

@@ -4,17 +4,18 @@ let scale_caps g c =
   if c < 1 then invalid_arg "Sizing.scale_caps: factor < 1";
   Graph.map_caps g (fun e -> e.cap * c)
 
+let scale_of_intervals intervals ~target =
+  if target < 1 then Error "target interval must be positive"
+  else
+    match Array.fold_left Interval.min Interval.inf intervals with
+    | Interval.Inf -> Ok 1
+    | Interval.Fin { num; den } ->
+      (* least c with c * num/den >= target *)
+      Ok (max 1 (((target * den) + num - 1) / num))
+
 let min_uniform_scale g algorithm ~target =
   if target < 1 then Error "target interval must be positive"
   else
     match Compiler.compile ~options:{ Compiler.Options.default with allow_general = false } algorithm g with
     | Error e -> Error (Compiler.error_to_string e)
-    | Ok plan ->
-      let tightest =
-        Array.fold_left Interval.min Interval.inf plan.intervals
-      in
-      (match tightest with
-      | Interval.Inf -> Ok 1
-      | Interval.Fin { num; den } ->
-        (* least c with c * num/den >= target *)
-        Ok (max 1 (((target * den) + num - 1) / num)))
+    | Ok plan -> scale_of_intervals plan.intervals ~target

@@ -21,5 +21,12 @@ val min_uniform_scale :
     numbers. Errors when the plan fails or the graph has no finite
     intervals (no cycles: any sizing works, reported as [Ok 1]). *)
 
+val scale_of_intervals :
+  Interval.t array -> target:int -> (int, string) result
+(** The arithmetic of {!min_uniform_scale} on a table already computed:
+    the least integer [c >= 1] such that [c] times the tightest finite
+    interval is at least [target]; [Ok 1] when no interval is finite.
+    Errors when [target < 1]. *)
+
 val scale_caps : Graph.t -> int -> Graph.t
 (** Multiply every buffer capacity by a positive factor. *)

@@ -21,8 +21,9 @@
       when woken or after a visit that made progress). *)
 
 type payload = Data | Dummy | Eos
-(** What kind of message crossed a channel (mirrors
-    [Fstream_runtime.Message.body], without the payload value). *)
+(** What kind of message crossed a channel. The runtime re-exports it
+    as [Fstream_runtime.Message.kind] and reads it off the message's
+    int code. *)
 
 type outcome = Completed | Deadlocked | Budget_exhausted
 (** How a run ended. This is the canonical definition; the runtime

@@ -1,10 +1,8 @@
 (* Preallocated circular buffer: [buf] holds [len] messages starting at
-   [head], wrapping modulo [capacity]. Steady-state push/pop touch only
-   the two indices and the counters — no queue cells, no options, no GC
-   traffic. Freed slots are overwritten with the shared [hole] sentinel
-   so popped messages are not retained by the buffer. *)
-
-let hole : Message.t = Message.eos ()
+   [head], wrapping modulo [capacity]. Messages are immediate ints, so
+   [buf] is an int array: steady-state push/pop touch only it, the two
+   indices and the counters — no queue cells, no options, no write
+   barrier, and a popped slot retains nothing. *)
 
 type t = {
   capacity : int;
@@ -22,7 +20,7 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Channel.create: capacity < 1";
   {
     capacity;
-    buf = Array.make capacity hole;
+    buf = Array.make capacity Message.eos;
     head = 0;
     len = 0;
     last_seq = -1;
@@ -40,14 +38,13 @@ let is_empty c = c.len = 0
 let push c (m : Message.t) =
   if c.len >= c.capacity then false
   else begin
-    if m.seq <= c.last_seq then
+    let seq = Message.seq m in
+    if seq <= c.last_seq then
       invalid_arg "Channel.push: sequence numbers must increase";
-    c.last_seq <- m.seq;
+    c.last_seq <- seq;
     c.total_pushed <- c.total_pushed + 1;
-    (match m.body with
-    | Message.Data _ -> c.data_pushed <- c.data_pushed + 1
-    | Message.Dummy -> c.dummies_pushed <- c.dummies_pushed + 1
-    | Message.Eos -> ());
+    if Message.is_data m then c.data_pushed <- c.data_pushed + 1
+    else if Message.is_dummy m then c.dummies_pushed <- c.dummies_pushed + 1;
     let tail = c.head + c.len in
     let tail = if tail >= c.capacity then tail - c.capacity else tail in
     c.buf.(tail) <- m;
@@ -56,20 +53,21 @@ let push c (m : Message.t) =
     true
   end
 
+let head c = c.buf.(c.head)
+
 let peek_seq c =
   if c.len = 0 then invalid_arg "Channel.peek_seq: empty channel";
-  c.buf.(c.head).seq
+  Message.seq (head c)
 
 let peek_exn c =
   if c.len = 0 then invalid_arg "Channel.peek_exn: empty channel";
-  c.buf.(c.head)
+  head c
 
-let peek c = if c.len = 0 then None else Some c.buf.(c.head)
+let peek c = if c.len = 0 then None else Some (head c)
 
 let pop_exn c =
   if c.len = 0 then invalid_arg "Channel.pop_exn: empty channel";
-  let m = c.buf.(c.head) in
-  c.buf.(c.head) <- hole;
+  let m = head c in
   c.head <- (if c.head + 1 >= c.capacity then 0 else c.head + 1);
   c.len <- c.len - 1;
   m

@@ -4,8 +4,9 @@
     order, with a finite buffer of [capacity] messages — the finiteness
     that makes filtering deadlocks possible.
 
-    The buffer is a preallocated circular array: steady-state
-    [push]/[pop_exn]/[peek_seq] allocate nothing, which is what keeps
+    The buffer is a preallocated circular [int array] of
+    {!Message.t} codes: steady-state [push]/[pop_exn]/[peek_seq]
+    allocate nothing and take no write barrier, which is what keeps
     the engine's hot loop off the minor heap (bench §C7). The
     option-returning [peek]/[pop] remain for call sites outside the hot
     path.

@@ -4,7 +4,12 @@
     All randomized kernels are driven by an explicit [Random.State.t]
     so that every execution is reproducible. Kernels receive the node's
     out-edge ids once at construction (from {!for_graph}) and decide
-    per sequence number which of them receive data. *)
+    per sequence number which of them receive data.
+
+    Each factory does its set-up once and returns a kernel that takes
+    exactly [~seq ~got]: a firing is one direct call, and a kernel that
+    keeps every edge returns the [int list] it was built with rather
+    than a copy. *)
 
 open Fstream_graph
 
@@ -16,7 +21,9 @@ val drop_all : int list -> Engine.kernel
 
 val bernoulli : Random.State.t -> keep:float -> int list -> Engine.kernel
 (** Each out-edge independently receives data with probability [keep]
-    per fired sequence number. *)
+    per fired sequence number: one [Random.State.float rng 1.0] per
+    out-edge and firing, in list order, the edge kept when it is below
+    [keep]. *)
 
 val periodic : keep_every:int -> int list -> Engine.kernel
 (** Data on every [keep_every]-th sequence number (phase 0), filtered

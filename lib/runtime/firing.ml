@@ -19,15 +19,9 @@ let decode g = function
     Thresholds.check t g;
     (Thresholds.to_array t, false)
 
-(* Scratch of one firing: the in-edges that delivered data, the
-   producers whose full channel its pops drained, and the last Data
-   block seen (see [msg_for]). *)
-type scratch = {
-  got : int array;
-  freed : int array;
-  mutable nfreed : int;
-  mutable reuse : Message.t;
-}
+(* Scratch of one firing: the in-edges that delivered data and the
+   producers whose full channel its pops drained. *)
+type scratch = { got : int array; freed : int array; mutable nfreed : int }
 
 (* Pending sends live in a per-node circular buffer instead of a
    [Queue.t]; the scalar node state rides in the same record (one block
@@ -68,14 +62,6 @@ type t = {
   nodes : node array;
   scratch : scratch array; (* one shared, or one per node if concurrent *)
 }
-
-let hole : Message.t = Message.eos ()
-
-let payload_of (m : Message.t) =
-  match m.body with
-  | Message.Data _ -> Event.Data
-  | Message.Dummy -> Event.Dummy
-  | Message.Eos -> Event.Eos
 
 (* Per-edge scalars are packed into one stride-8 int array ([ed]) so a
    firing touches one cache line per edge instead of eight parallel
@@ -161,7 +147,7 @@ let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
         {
           kernel = kernels v;
           pend_eid = Array.make deg 0;
-          pend_msg = Array.make deg hole;
+          pend_msg = Array.make deg Message.eos;
           pend_head = 0;
           pend_len = 0;
           next_input = 0;
@@ -172,13 +158,11 @@ let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
         })
   in
   (* Sequential steps never overlap, so one scratch sized to the
-     widest join serves every node (sharing [reuse] across nodes also
-     keeps the hot store off the remembered set: the cell usually
-     already holds a young block); concurrent steps each get their
+     widest join serves every node; concurrent steps each get their
      own. *)
   let scratch k =
     let buf () = Array.make (max k 1) 0 in
-    { got = buf (); freed = buf (); nfreed = 0; reuse = hole }
+    { got = buf (); freed = buf (); nfreed = 0 }
   in
   let widest = ref 0 in
   for v = 0 to n - 1 do
@@ -220,7 +204,7 @@ let event t = t.ev
    when the channel is full. In a concurrent run the push, the wake and
    the [Push] event all happen under the consumer's lock, so the event
    precedes the consumer's [Pop]. *)
-let send t v e (msg : Message.t) =
+let send t v e msg =
   let dst = t.ed.((e * 8) + f_dst) in
   if t.concurrent then lock t dst;
   let c = t.chan.(e) in
@@ -228,7 +212,9 @@ let send t v e (msg : Message.t) =
   if landed then begin
     if Channel.length c = 1 then t.hooks.woke v dst;
     if t.obs then
-      t.ev (Event.Push { edge = e; seq = msg.seq; payload = payload_of msg })
+      t.ev
+        (Event.Push
+           { edge = e; seq = Message.seq msg; payload = Message.kind msg })
   end;
   if t.concurrent then unlock t dst;
   landed
@@ -267,7 +253,6 @@ let rec flush_pending t v s left progress =
   else begin
     let eid = s.pend_eid.(s.pend_head) in
     let msg = s.pend_msg.(s.pend_head) in
-    s.pend_msg.(s.pend_head) <- hole;
     s.pend_head <-
       (if s.pend_head + 1 >= Array.length s.pend_eid then 0
        else s.pend_head + 1);
@@ -323,21 +308,6 @@ let rec validate_ids t v stamp ids =
     t.ed.((id * 8) + f_dstamp) <- stamp;
     validate_ids t v stamp rest
 
-(* Messages are immutable and the step only ever makes Data messages
-   whose payload is the sequence number, so any Data block for a given
-   seq is interchangeable: a firing's sends share one block across its
-   out-edges, and a pass-through hop reuses the very message it just
-   popped instead of re-wrapping it ([hole]'s max_int seq never matches
-   a firing). *)
-let msg_for (sc : scratch) seq =
-  let msg = sc.reuse in
-  if msg.Message.seq = seq then msg
-  else begin
-    let nm = Message.data ~seq seq in
-    sc.reuse <- nm;
-    nm
-  end
-
 (* Send phase of one firing: data where the kernel said so (stamped by
    [validate_ids] with the firing's [seq], which no earlier firing of
    the node carried); dummies by forwarding (Propagation) or when a
@@ -346,13 +316,13 @@ let msg_for (sc : scratch) seq =
    each out-edge is sent at most once per firing, so per-channel FIFO
    order is preserved; only a refused push falls back to the pending
    ring for the next flush. *)
-let emit t v s sc ~seq ~got_dummy =
+let emit t v s ~seq ~got_dummy =
   let ed = t.ed in
+  let msg = Message.data ~seq in
   for k = t.out_off.(v) to t.out_off.(v + 1) - 1 do
     let e = t.out_flat.(k) in
     let eb = e * 8 in
     if ed.(eb + f_dstamp) = seq then begin
-      let msg = msg_for sc seq in
       if not (send t v e msg) then enqueue s e msg;
       if ed.(eb + f_slot) >= 0 then clear_slot t s e;
       ed.(eb + f_last) <- seq
@@ -373,8 +343,7 @@ let send_eos t v s =
   for k = t.out_off.(v) to t.out_off.(v + 1) - 1 do
     let e = t.out_flat.(k) in
     clear_slot t s e;
-    (* every EOS fan-out shares the [hole] block *)
-    if not (send t v e hole) then enqueue s e hole
+    if not (send t v e Message.eos) then enqueue s e Message.eos
   done;
   if t.obs then t.ev (Event.Eos { node = v });
   s.finished <- true
@@ -395,7 +364,7 @@ let fire_source t v s =
              got_dummy = false;
              sent = List.sort_uniq compare ids;
            });
-    emit t v s (scratch_of t v) ~seq ~got_dummy:false;
+    emit t v s ~seq ~got_dummy:false;
     true
   end
   else if not s.finished then begin
@@ -436,15 +405,15 @@ let rec consume t s (sc : scratch) i k hi acc =
         sc.nfreed <- sc.nfreed + 1
       end;
       if t.obs then
-        t.ev (Event.Pop { edge = e; seq = msg.seq; payload = payload_of msg });
-      match msg.body with
-      | Message.Data _ ->
-        sc.reuse <- msg;
+        t.ev (Event.Pop { edge = e; seq = i; payload = Message.kind msg });
+      if Message.is_data msg then begin
         sc.got.(acc land lnot dummy_bit) <- e;
         s.got_data <- s.got_data + 1;
         consume t s sc i (k + 1) hi (acc + 1)
-      | Message.Dummy -> consume t s sc i (k + 1) hi (acc lor dummy_bit)
-      | Message.Eos -> consume t s sc i (k + 1) hi acc
+      end
+      else if Message.is_dummy msg then
+        consume t s sc i (k + 1) hi (acc lor dummy_bit)
+      else consume t s sc i (k + 1) hi acc
     end
     else consume t s sc i (k + 1) hi acc
   end
@@ -483,7 +452,7 @@ let fire_inner t v s =
       in
       if t.obs then
         t.ev (Event.Node_fired { node = v; seq = i; got; got_dummy; sent });
-      emit t v s sc ~seq:i ~got_dummy
+      emit t v s ~seq:i ~got_dummy
     end;
     true
   end

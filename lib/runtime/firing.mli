@@ -57,11 +57,13 @@ val decode : Graph.t -> avoidance -> int option array * bool
 (** Per-node state. Only this module writes it; the runtimes read
     it. A node cannot fire while its pending ring is non-empty, so the
     ring never holds more than one firing's sends — at most
-    [out_degree] entries — and is preallocated to exactly that. *)
+    [out_degree] entries — and is preallocated to exactly that. Both
+    ring arrays hold immediate ints ({!Message.t} is one), so a step
+    stores no pointer into them and takes no write barrier. *)
 type node = private {
   kernel : kernel;
   pend_eid : int array;  (** pending ring: out-edge of each send *)
-  pend_msg : Message.t array;
+  pend_msg : Message.t array;  (** pending ring: the message of each send *)
   mutable pend_head : int;
   mutable pend_len : int;
   mutable next_input : int;  (** sources: next external sequence number *)

@@ -14,7 +14,16 @@
     original-graph edge ids, the engine speaks fused-graph ids. The
     wrapper translates [got] on the way in and the tail's kept edges on
     the way out, so existing kernel factories
-    ({!Filters.for_graph} over the original graph) work unchanged.
+    ({!Filters.for_graph} over the original graph) work unchanged. A
+    one-edge [got] maps to a list built once per fused edge, and the
+    tail's translation is reused while the tail keeps returning the same
+    list (the {!Filters} kernels return their out-list itself when
+    every edge is kept).
+
+    A hop allocates nothing: each member's kernel is called directly,
+    its output is checked against the member's own out-edges by one
+    array lookup per id, and the next member's one-edge [got] list is
+    built once per plan.
 
     Firings remain attributable to the pre-fusion topology two ways:
     [fired] counts every sub-kernel execution per {e original} node,

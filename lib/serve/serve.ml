@@ -144,8 +144,8 @@ let avoidance_of_plan ~epoch mode g (plan : Compiler.plan) =
 
 (* The registry outcome for [key]. A hit is reused as it stands: no
    compile, no lint. A miss compiles fresh on a new cache, or — given
-   the edit [delta] — recompiles incrementally on the cache of the
-   session's current entry (whose epoch is [delta.base]); lints that
+   the edit [delta] — recompiles incrementally on a fork of the cache of
+   the session's current entry (whose epoch is [delta.base]); lints that
    exact plan; and registers the outcome first-wins. Only a winning
    admitted outcome counts as a compile or recompile, and every later
    key-equal tenant gets the physically same avoidance value, bound to
@@ -177,9 +177,13 @@ let resolve t ((_, mode, backend) as key) ?delta g =
         let base_key =
           (Thresholds.graph_fingerprint delta.Edit.base, mode, backend)
         in
+        (* a fork: the base entry's cache keeps the base epoch whatever
+           lint makes of this one, so a refused edit leaves it intact
+           for the session's next recompile *)
         let cache, epoch =
           match locked t (fun () -> Hashtbl.find_opt t.registry base_key) with
-          | Some { verdict = Ok e; _ } -> (e.cache, e.eepoch)
+          | Some { verdict = Ok e; _ } ->
+            (Compiler.cache_fork e.cache, e.eepoch)
           | _ -> (Compiler.cache_create (), 0)
         in
         (cache, epoch + 1, Compiler.recompile ~options cache algorithm delta)

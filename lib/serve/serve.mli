@@ -192,8 +192,11 @@ val reconfigure :
     [Ok None], no compile at all; otherwise an {e incremental}
     recompile against the session's current registry entry's cache,
     linted as compiled ([Ok (Some stats)] reports what was spliced,
-    recomputed and warm-started). A rejection leaves the session
-    untouched on its current epoch and the compile counters unchanged.
+    recomputed and warm-started). The recompile runs on a fork of that
+    cache ({!Fstream_core.Compiler.cache_fork}), so the entry keeps its
+    own epoch for later edits. A rejection leaves the session untouched
+    on its current epoch, the compile counters unchanged, and the next
+    edit recompiling incrementally from that epoch.
     Only after the table is ready does the session
     drain: a running session is joined at its run boundary (its report
     stays cached for {!await}), then graph, table and {!epoch} swap

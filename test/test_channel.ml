@@ -4,9 +4,14 @@
    The model re-states the documented contract: bounded FIFO, a push on
    a full channel returns [false] with no effect, sequence numbers must
    strictly increase *among accepted pushes* (the full check comes
-   first), counters classify by payload, the watermark tracks peak
-   occupancy. Random op traces over tiny capacities hammer the
-   full/empty boundaries where the circular indexing can go wrong. *)
+   first), counters classify by kind, the watermark tracks peak
+   occupancy. Messages are int codes; the model reads them only
+   through {!Message.seq} and {!Message.kind}, and keeps its own
+   [(seq, kind)] decoding beside each code so a buffer that confused
+   codes with each other, or an encoding that lost a sequence number
+   or kind, shows up as a mismatch. Random op traces over tiny
+   capacities hammer the full/empty boundaries where the circular
+   indexing can go wrong. *)
 
 module Channel = Fstream_runtime.Channel
 module Message = Fstream_runtime.Message
@@ -36,12 +41,12 @@ module Model = struct
   let push t (m : Message.t) =
     if Queue.length t.q >= t.cap then false
     else begin
-      if m.seq <= t.last_seq then
+      if Message.seq m <= t.last_seq then
         invalid_arg "Model.push: sequence numbers must increase";
-      t.last_seq <- m.seq;
+      t.last_seq <- Message.seq m;
       t.total <- t.total + 1;
-      (match m.body with
-      | Message.Data _ -> t.data <- t.data + 1
+      (match Message.kind m with
+      | Message.Data -> t.data <- t.data + 1
       | Message.Dummy -> t.dummies <- t.dummies + 1
       | Message.Eos -> ());
       Queue.add m t.q;
@@ -55,16 +60,20 @@ end
 
 (* One random operation; the trace is derived from an integer seed so
    QCheck shrinks over seeds while traces stay reproducible. *)
-type op = Push of Message.t | Pop | Pop_exn | Peek | Peek_seq
+type op =
+  | Push of Message.t * (int * Message.kind)  (** the code and what it codes *)
+  | Pop
+  | Pop_exn
+  | Peek
+  | Peek_seq
 
 let ops_of_seed seed =
   let rng = Tutil.rng_of seed in
   let cap = 1 + Random.State.int rng 4 in
   let next = ref 0 in
   let msg () =
-    (* mostly monotone sequence numbers, with occasional stale ones to
-       exercise the monotonicity raise, and distinct payloads so buffer
-       slots can't be confused with each other *)
+    (* mostly monotone sequence numbers, with occasional stale (and
+       negative) ones to exercise the monotonicity raise *)
     let seq =
       if Random.State.int rng 8 = 0 then !next - 1 - Random.State.int rng 3
       else begin
@@ -74,16 +83,18 @@ let ops_of_seed seed =
       end
     in
     match Random.State.int rng 10 with
-    | 0 | 1 | 2 -> Message.dummy ~seq
-    | 3 when Random.State.int rng 4 = 0 -> Message.eos ()
-    | _ -> Message.data ~seq (Random.State.int rng 1000)
+    | 0 | 1 | 2 -> (Message.dummy ~seq, (seq, Message.Dummy))
+    | 3 when Random.State.int rng 4 = 0 -> (Message.eos, (max_int, Message.Eos))
+    | _ -> (Message.data ~seq, (seq, Message.Data))
   in
   let ops =
     List.init
       (20 + Random.State.int rng 120)
       (fun _ ->
         match Random.State.int rng 8 with
-        | 0 | 1 | 2 | 3 -> Push (msg ())
+        | 0 | 1 | 2 | 3 ->
+          let m, decoded = msg () in
+          Push (m, decoded)
         | 4 | 5 -> Pop
         | 6 -> Pop_exn
         | 7 -> if Random.State.int rng 2 = 0 then Peek else Peek_seq
@@ -118,7 +129,11 @@ let run_trace seed =
   List.iter
     (fun op ->
       (match op with
-      | Push msg ->
+      | Push (msg, (seq, kind)) ->
+        Alcotest.(check int) "code keeps its seq" seq (Message.seq msg);
+        Alcotest.(check bool)
+          "code keeps its kind" true
+          (Message.kind msg = kind);
         let a = outcome (fun () -> Channel.push c msg) in
         let b = outcome (fun () -> Model.push m msg) in
         Alcotest.(check bool) "push agrees" true (a = b)
@@ -142,7 +157,7 @@ let run_trace seed =
         let a = outcome (fun () -> Channel.peek_seq c) in
         let b =
           match Queue.peek_opt m.q with
-          | Some (msg : Message.t) -> Ok msg.seq
+          | Some msg -> Ok (Message.seq msg)
           | None -> Error `Invalid
         in
         Alcotest.(check bool) "peek_seq agrees" true (a = b));
@@ -171,20 +186,41 @@ let test_empty_raises () =
    a refused push must leave no trace. *)
 let test_capacity_one () =
   let c = Channel.create ~capacity:1 in
-  Alcotest.(check bool) "push lands" true (Channel.push c (Message.data ~seq:0 0));
+  Alcotest.(check bool)
+    "push lands" true
+    (Channel.push c (Message.data ~seq:0));
   Alcotest.(check bool) "became full" true (Channel.is_full c);
   Alcotest.(check bool) "full push refused" false
-    (Channel.push c (Message.data ~seq:1 1));
+    (Channel.push c (Message.data ~seq:1));
   Alcotest.(check int) "refused push is silent" 1 (Channel.total_pushed c);
   ignore (Channel.pop_exn c);
   Alcotest.(check bool) "freed slot" true
     (Channel.is_empty c && not (Channel.is_full c));
   Alcotest.(check bool) "refused seq still fresh" true
-    (Channel.push c (Message.data ~seq:1 1));
+    (Channel.push c (Message.data ~seq:1));
   Alcotest.(check int) "watermark" 1 (Channel.high_watermark c)
+
+(* The code round-trips at the ends of the documented range, and no
+   dummy code there collides with EOS. *)
+let test_message_codes () =
+  let lo = min_int asr 1 in
+  List.iter
+    (fun seq ->
+      let d = Message.data ~seq and u = Message.dummy ~seq in
+      Alcotest.(check int) "data seq" seq (Message.seq d);
+      Alcotest.(check int) "dummy seq" seq (Message.seq u);
+      Alcotest.(check bool) "data kind" true (Message.kind d = Message.Data);
+      Alcotest.(check bool) "dummy kind" true (Message.kind u = Message.Dummy);
+      Alcotest.(check bool)
+        "not EOS" true
+        (d <> Message.eos && u <> Message.eos))
+    [ lo; -1; 0; 1; Message.max_seq ];
+  Alcotest.(check int) "EOS seq" max_int (Message.seq Message.eos);
+  Alcotest.(check bool) "EOS kind" true (Message.kind Message.eos = Message.Eos)
 
 let suite =
   [
+    Alcotest.test_case "message codes round-trip" `Quick test_message_codes;
     Alcotest.test_case "create rejects capacity < 1" `Quick
       test_create_invalid;
     Alcotest.test_case "empty-channel accessors raise" `Quick

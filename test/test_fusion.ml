@@ -110,6 +110,32 @@ let test_fused_thresholds_rejected_on_original () =
     Alcotest.(check bool)
       "fused table fingerprint rejected on the original graph" true rejected
 
+(* A member kernel naming an edge its node does not own — another
+   member's, or one outside the original graph — is refused with the
+   original node and edge, whichever member of the chain it is. *)
+let test_member_edge_validation () =
+  let g = Topo_gen.pipeline ~stages:8 ~cap:2 in
+  let fusion = Fusion.fuse g in
+  let run bad_node bad_edge =
+    let kernels v =
+      if v = bad_node then fun ~seq:_ ~got:_ -> [ bad_edge ]
+      else Filters.for_graph g (fun _ outs -> Filters.passthrough outs) v
+    in
+    let fw = Fused.make fusion kernels in
+    ignore
+      (Engine.run ~graph:fusion.graph ~kernels:(Fused.kernels fw) ~inputs:2
+         ~avoidance:Engine.No_avoidance ())
+  in
+  List.iter
+    (fun (node, edge) ->
+      Alcotest.check_raises
+        (Printf.sprintf "node %d returning edge %d" node edge)
+        (Invalid_argument
+           (Printf.sprintf "Fused: kernel of node %d returned edge %d" node
+              edge))
+        (fun () -> run node edge))
+    [ (3, 0); (3, 99); (3, -1); (0, 7); (7, 6) ]
+
 (* ----- structural properties ----- *)
 
 let prop_spine_is_bridges =
@@ -557,6 +583,8 @@ let suite =
     Alcotest.test_case "boundary: pinned node" `Quick test_pin_boundary;
     Alcotest.test_case "fused thresholds rejected on original graph" `Quick
       test_fused_thresholds_rejected_on_original;
+    Alcotest.test_case "member kernels validated on original edges" `Quick
+      test_member_edge_validation;
     Alcotest.test_case "subnode attribution and replay oracle" `Quick
       test_subnode_attribution;
     Alcotest.test_case "verify fixture: chain into wedgeable diamond" `Quick

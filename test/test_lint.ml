@@ -110,6 +110,29 @@ let test_fs301 () =
     (match d.Lint.fixit with Some (Lint.Scale_buffers c) -> c >= 4 | _ -> false);
   check_silent "fig2 cap 2" "FS301" (Lint.run (Topo_gen.fig2_triangle ~cap:2))
 
+(* The fixit comes from the audited plan's table when it took the CS4
+   route, and must be the factor the cold sizing compile gives. *)
+let test_fs301_fixit_from_plan () =
+  List.iter
+    (fun (name, g) ->
+      let expected =
+        match
+          Sizing.min_uniform_scale g Lint.default_config.algorithm ~target:1
+        with
+        | Ok c -> c
+        | Error e -> Alcotest.fail e
+      in
+      let plan = Compiler.compile Lint.default_config.algorithm g in
+      (match plan with
+      | Ok { route = Compiler.Cs4_route _; _ } -> ()
+      | _ -> Alcotest.failf "%s: expected a CS4-route plan" name);
+      let d = find "FS301" (Lint.run ~plan g) in
+      Alcotest.(check bool)
+        (name ^ ": fixit = cold sizing") true
+        (d.Lint.fixit = Some (Lint.Scale_buffers expected)))
+    [ ("undersized", undersized ());
+      ("wide ladder", Topo_gen.wide_ladder ~rungs:6 ~cap:1) ]
+
 let test_fs301_fix_roundtrip () =
   let g = undersized () in
   let r = Lint.run g in
@@ -613,6 +636,8 @@ let suite =
     Alcotest.test_case "FS203 not SP" `Quick test_fs203;
     Alcotest.test_case "FS301 undersized buffers" `Quick test_fs301;
     Alcotest.test_case "FS301 fix round-trip" `Quick test_fs301_fix_roundtrip;
+    Alcotest.test_case "FS301 fixit sized from the plan" `Quick
+      test_fs301_fixit_from_plan;
     Alcotest.test_case "FS302 threshold audit" `Quick test_fs302;
     Alcotest.test_case "FS303 budget erosion" `Quick test_fs303;
     Alcotest.test_case "FS304 parallel asymmetry" `Quick test_fs304;

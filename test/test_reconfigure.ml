@@ -575,6 +575,57 @@ let test_lint_rejected_reconfigure () =
     | Error r ->
       Alcotest.failf "resize refused: %a" (fun ppf -> Serve.pp_rejection ppf) r)
 
+(* A refused edit must not cost the session its incremental base: lint
+   refuses the edited graph after it was recompiled, and that recompile
+   ran on a fork of the base entry's cache, so the next edit still
+   splices from the base epoch. The graph is three blocks — Fig. 4's
+   butterfly without its 2->4 channel (7 edges), then two diamonds (4
+   edges each) — and the refused edit puts the 2->4 channel back. A
+   resize inside the butterfly block recomputes that block's 7 edges
+   and splices the diamonds' 8, refused edit or not. *)
+let test_refused_edit_keeps_cache () =
+  let g =
+    Graph.make ~nodes:12
+      [ (0, 1, 2); (0, 2, 2); (1, 3, 2); (1, 4, 2); (2, 3, 2); (3, 5, 2);
+        (4, 5, 2); (5, 6, 2); (5, 7, 2); (6, 8, 2); (7, 8, 2); (8, 9, 2);
+        (8, 10, 2); (9, 11, 2); (10, 11, 2) ]
+  in
+  let resize = [ Edit.Resize { edge = 0; cap = 3 } ] in
+  let resize_stats ~refused_first =
+    let t = Serve.create ~domains:1 () in
+    Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+    match Serve.admit t ~mode:Serve.Non_propagation g with
+    | Error r ->
+      Alcotest.failf "three-block graph refused: %a"
+        (fun ppf -> Serve.pp_rejection ppf)
+        r
+    | Ok s -> (
+      if refused_first then begin
+        match
+          Serve.reconfigure t s [ Edit.Add_edge { src = 2; dst = 4; cap = 2 } ]
+        with
+        | Error (Serve.Lint_rejected _) -> ()
+        | Ok _ -> Alcotest.fail "the butterfly edit was admitted"
+        | Error r ->
+          Alcotest.failf "wrong rejection: %a"
+            (fun ppf -> Serve.pp_rejection ppf)
+            r
+      end;
+      match Serve.reconfigure t s resize with
+      | Ok (Some st) ->
+        (st.Compiler.spliced_edges, st.Compiler.recomputed_edges)
+      | Ok None -> Alcotest.fail "expected an incremental recompile"
+      | Error r ->
+        Alcotest.failf "resize refused: %a"
+          (fun ppf -> Serve.pp_rejection ppf)
+          r)
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "spliced, recomputed without a refused edit" (8, 7)
+    (resize_stats ~refused_first:false);
+  Alcotest.check pair "spliced, recomputed after a refused edit" (8, 7)
+    (resize_stats ~refused_first:true)
+
 (* Mid-run reconfigure: drains the in-flight run to its boundary (the
    drained report stays cached, even for a concurrent awaiter), swaps
    epochs atomically, and the restarted session runs the new topology. *)
@@ -647,4 +698,6 @@ let suite =
         test_midrun_reconfigure_drains;
       Alcotest.test_case "lint-rejected reconfigure counts nothing, is cached"
         `Quick test_lint_rejected_reconfigure;
+      Alcotest.test_case "refused edit keeps the base epoch for the next"
+        `Quick test_refused_edit_keeps_cache;
     ]

@@ -5,19 +5,21 @@ open Fstream_workloads
 let test_channel () =
   let c = Channel.create ~capacity:2 in
   Alcotest.(check bool) "empty at start" true (Channel.is_empty c);
-  Alcotest.(check bool) "push 0" true (Channel.push c (Message.data ~seq:0 0));
+  Alcotest.(check bool) "push 0" true (Channel.push c (Message.data ~seq:0));
   Alcotest.(check bool) "push 1" true (Channel.push c (Message.dummy ~seq:1));
   Alcotest.(check bool) "full now" true (Channel.is_full c);
   Alcotest.(check bool) "push on full fails" false
-    (Channel.push c (Message.data ~seq:2 2));
+    (Channel.push c (Message.data ~seq:2));
   Alcotest.(check int) "dummies counted" 1 (Channel.dummies_pushed c);
   Alcotest.(check int) "data counted" 1 (Channel.data_pushed c);
   (match Channel.pop c with
-  | Some m -> Alcotest.(check int) "FIFO head" 0 m.Message.seq
+  | Some m ->
+    Alcotest.(check int) "FIFO head" 0 (Message.seq m);
+    Alcotest.(check bool) "head is data" true (Message.is_data m)
   | None -> Alcotest.fail "expected a message");
   Alcotest.check_raises "non-monotone sequence rejected"
     (Invalid_argument "Channel.push: sequence numbers must increase")
-    (fun () -> ignore (Channel.push c (Message.data ~seq:1 1)))
+    (fun () -> ignore (Channel.push c (Message.data ~seq:1)))
 
 let test_channel_validation () =
   Alcotest.check_raises "capacity must be positive"
@@ -116,6 +118,76 @@ let test_kernel_validation () =
   Alcotest.check_raises "invalid out edge rejected"
     (Invalid_argument "Engine: kernel of node 0 returned edge 99") (fun () ->
       ignore (Engine.run ~graph:g ~kernels ~inputs:1 ~avoidance:Engine.No_avoidance ()))
+
+(* The kernels of {!Filters} against the [List.filter] formulations they
+   replaced ([route_one] against its [List.nth] pick): equal lists over
+   a run of firings, with the randomized ones drawing from identically
+   seeded generators, so every draw must match in number and order.
+   Out-lists have length 0-6 and may repeat an id. *)
+let prop_filters_match_reference =
+  Tutil.qtest ~count:300 "Filters kernels = List.filter references"
+    Tutil.seed_gen (fun seed ->
+      let rng = Tutil.rng_of seed in
+      let outs =
+        List.init (Random.State.int rng 7) (fun _ -> Random.State.int rng 8)
+      in
+      let keep = Random.State.float rng 1.0 in
+      let every = 1 + Random.State.int rng 4 in
+      let blocked = Random.State.int rng 8 in
+      let twin () =
+        (Random.State.make [| seed |], Random.State.make [| seed |])
+      in
+      let r1, r1' = twin () and r2, r2' = twin () in
+      let cases =
+        [
+          ( "passthrough",
+            Filters.passthrough outs,
+            fun _ -> List.filter (fun _ -> true) outs );
+          ( "drop_all",
+            Filters.drop_all outs,
+            fun _ -> List.filter (fun _ -> false) outs );
+          ( "bernoulli",
+            Filters.bernoulli r1 ~keep outs,
+            fun _ ->
+              List.filter (fun _ -> Random.State.float r1' 1.0 < keep) outs );
+          ( "periodic",
+            Filters.periodic ~keep_every:every outs,
+            fun seq -> List.filter (fun _ -> seq mod every = 0) outs );
+          ( "route_one",
+            Filters.route_one r2 outs,
+            fun _ ->
+              match outs with
+              | [] -> []
+              | _ ->
+                [ List.nth outs (Random.State.int r2' (List.length outs)) ] );
+          ( "block_edge",
+            Filters.block_edge blocked outs,
+            fun _ -> List.filter (fun id -> id <> blocked) outs );
+        ]
+      in
+      List.for_all
+        (fun (name, kernel, reference) ->
+          List.for_all
+            (fun seq ->
+              let got = kernel ~seq ~got:[ 0 ] and want = reference seq in
+              got = want
+              || QCheck.Test.fail_reportf "%s at seq %d: [%s], expected [%s]"
+                   name seq
+                   (String.concat ";" (List.map string_of_int got))
+                   (String.concat ";" (List.map string_of_int want)))
+            (List.init 8 Fun.id))
+        cases)
+
+(* A kernel that keeps every edge hands back the list it was built with. *)
+let test_filters_share_kept_list () =
+  let outs = [ 3; 5; 8 ] in
+  let same name k =
+    Alcotest.(check bool) name true (k ~seq:0 ~got:[ 0 ] == outs)
+  in
+  same "passthrough" (Filters.passthrough outs);
+  same "bernoulli keep 1"
+    (Filters.bernoulli (Random.State.make [| 1 |]) ~keep:1.0 outs);
+  same "periodic on its phase" (Filters.periodic ~keep_every:2 outs)
 
 let test_route_one_conservation () =
   (* a router sends each input to exactly one branch: the join sees
@@ -256,6 +328,9 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "kernel validation" `Quick test_kernel_validation;
     Alcotest.test_case "router conservation" `Quick test_route_one_conservation;
+    prop_filters_match_reference;
+    Alcotest.test_case "kept lists are shared" `Quick
+      test_filters_share_kept_list;
     Alcotest.test_case "dummy slots coalesce" `Quick test_dummy_slots_coalesce;
     Alcotest.test_case "multiple sources" `Quick test_multiple_sources;
     Alcotest.test_case "budget exhausted" `Quick test_budget_exhausted;

@@ -85,6 +85,32 @@ let prop_sizing_minimal =
               && Interval.compare v (Interval.of_int target) < 0)
             p.intervals))
 
+(* Lint sizes FS301's fixit from the plan it audits when that plan took
+   the CS4 route: the plan's table must size exactly as the cold compile
+   [min_uniform_scale] runs (Exact, no general fallback). *)
+let prop_cs4_plan_sizes_like_cold_compile =
+  Tutil.qtest ~count:100 "a CS4-route table sizes like the cold compile"
+    QCheck.(pair Tutil.seed_gen (int_range 1 9))
+    (fun (seed, target) ->
+      let families =
+        [ Tutil.random_cs4_of_seed ?max_blocks:None;
+          Tutil.random_sp_of_seed ?max_edges:None;
+          Tutil.random_ladder_of_seed ?max_rungs:None ]
+      in
+      List.for_all
+        (fun family ->
+          let g = family seed in
+          List.for_all
+            (fun algo ->
+              match Compiler.compile algo g with
+              | Ok ({ route = Compiler.Cs4_route _; _ } as p) ->
+                Sizing.scale_of_intervals p.intervals ~target
+                = Sizing.min_uniform_scale g algo ~target
+              | _ -> true)
+            [ Compiler.Propagation; Compiler.Non_propagation;
+              Compiler.Relay_propagation ])
+        families)
+
 let suite =
   [
     Alcotest.test_case "fig2 sizing" `Quick test_fig2_sizing;
@@ -93,4 +119,5 @@ let suite =
     prop_homogeneity;
     prop_sizing_achieves_target;
     prop_sizing_minimal;
+    prop_cs4_plan_sizes_like_cold_compile;
   ]
