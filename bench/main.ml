@@ -901,13 +901,13 @@ let s2 () =
           s.sink_data
       in
       let bare =
-        P.run ~stall_ms:150 ~graph:g ~kernels:(kernels ()) ~inputs
+        P.run ~graph:g ~kernels:(kernels ()) ~inputs
           ~avoidance:Engine.No_avoidance ()
       in
       let safe =
         match Compiler.compile Compiler.Non_propagation g with
         | Ok p ->
-          P.run ~stall_ms:150 ~graph:g ~kernels:(kernels ()) ~inputs
+          P.run ~graph:g ~kernels:(kernels ()) ~inputs
             ~avoidance:
               (Engine.Non_propagation (Compiler.send_thresholds g p.intervals))
             ()

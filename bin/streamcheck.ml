@@ -379,47 +379,18 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:"Worker domains for $(b,--parallel) (default: automatic).")
 
-let grain_arg =
-  Arg.(
-    value
-    & opt pos_int_conv Run.default_grain
-    & info [ "grain" ] ~docv:"K"
-        ~doc:
-          (Printf.sprintf
-             "With $(b,--parallel): consecutive firings of one node per task \
-              before it re-queues itself (default %d)."
-             Run.default_grain))
-
-let stall_ms_arg =
-  Arg.(
-    value
-    & opt (some pos_int_conv) None
-    & info [ "stall-ms" ] ~docv:"MS"
-        ~doc:
-          "With $(b,--parallel): enable the backstop watchdog — abort as \
-           deadlocked if progress freezes for MS milliseconds with no kernel \
-           in flight (default: disabled; quiescence detection is exact).")
-
 (* The engine flag group, shared by every command that executes a
-   topology: which engine, and its knobs. Folded into a [Run.config]
-   by [run_config] — the one place engine dispatch happens. *)
-type engine_choice = {
-  parallel : bool;
-  domains : int option;
-  grain : int;
-  stall_ms : int option;
-}
+   topology: which engine, and on how many domains. Folded into a
+   [Run.config] by [run_config] — the one place engine dispatch
+   happens. *)
+type engine_choice = { parallel : bool; domains : int option }
 
 let engine_term =
-  let combine parallel domains grain stall_ms =
-    { parallel; domains; grain; stall_ms }
-  in
-  Term.(const combine $ parallel_arg $ domains_arg $ grain_arg $ stall_ms_arg)
+  let combine parallel domains = { parallel; domains } in
+  Term.(const combine $ parallel_arg $ domains_arg)
 
 let run_config ec ?sink ?deadlock_dump ~avoidance () =
-  if ec.parallel then
-    Run.pool ?domains:ec.domains ~grain:ec.grain ?stall_ms:ec.stall_ms ?sink
-      ~avoidance ()
+  if ec.parallel then Run.pool ?domains:ec.domains ?sink ~avoidance ()
   else Run.sequential ?sink ?deadlock_dump ~avoidance ()
 
 let fuse_flag_arg =
@@ -674,10 +645,12 @@ let verify_cmd =
       & opt (enum [ ("bfs", `Bfs); ("dfs", `Dfs) ]) `Bfs
       & info [ "strategy" ] ~docv:"STRAT"
           ~doc:
-            "$(b,bfs) gives shortest counterexamples; $(b,dfs) finds deep              wedges with fewer expansions.")
+            "$(b,bfs) gives shortest counterexamples; $(b,dfs) finds deep \
+             wedges with fewer expansions.")
   in
   let doc =
-    "Exhaustively model-check deadlock freedom over all filtering choices      (small topologies only)."
+    "Exhaustively model-check deadlock freedom over all filtering choices \
+     (small topologies only)."
   in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
@@ -900,8 +873,7 @@ let dot_cmd =
    above; the worst tenant wins. *)
 let serve_cmd =
   let module Serve = Fstream_serve.Serve in
-  let run dir demo_tenants mode inputs seed domains quota grain reconfig
-      options =
+  let run dir demo_tenants mode inputs seed domains reconfig options =
     let sources =
       match (dir, demo_tenants) with
       | Some _, _ :: _ ->
@@ -966,8 +938,7 @@ let serve_cmd =
           sources
       in
       let t =
-        Serve.create ?domains ?quota ~grain
-          ~options:(options Compiler.Options.default) ()
+        Serve.create ?domains ~options:(options Compiler.Options.default) ()
       in
       let sessions =
         List.filter_map
@@ -1107,15 +1078,6 @@ let serve_cmd =
              compiles one threshold table per distinct topology \
              fingerprint.")
   in
-  let quota_arg =
-    Arg.(
-      value
-      & opt (some pos_int_conv) None
-      & info [ "quota" ] ~docv:"K"
-          ~doc:
-            "Fair-share bound: consecutive task grants a worker gives one \
-             tenant while another has queued work.")
-  in
   let reconfigure_arg =
     Arg.(
       value & opt_all string []
@@ -1138,7 +1100,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ dir_arg $ demo_tenants_arg $ mode_arg $ inputs_arg
-      $ seed_arg $ domains_arg $ quota_arg $ grain_arg $ reconfigure_arg
+      $ seed_arg $ domains_arg $ reconfigure_arg
       $ compile_options_term)
 
 (* ------------------------------------------------------------------ *)

@@ -38,11 +38,9 @@ module Event = Fstream_obs.Event
    nothing runnable, no kernel in flight, and nothing that could ever
    make a node runnable again. The worker that releases the last
    ticket finalizes the instance: live nodes remaining at that point
-   mean a genuine deadlock of the streaming computation itself. The
-   [stall_ms] timer is only an off-by-default backstop that requires zero
-   in-flight kernels and an empty ready-queue for the instance, so a
-   kernel that computes for longer than the window can never be
-   misreported as a deadlock.
+   mean a genuine deadlock of the streaming computation itself. There
+   is no timer: a kernel that computes for any length of time holds its
+   ticket, so it can never be misreported as a deadlock.
 
    Consecutive executions of one node may land on different workers,
    but never overlap: the per-node [Queued]/[Running]/[Running_dirty]
@@ -78,9 +76,18 @@ type shard = {
   _pad3 : int;
 }
 
-let default_grain = Run.default_grain
-let default_domains = Run.default_domains
-let default_quota = 4
+let default_domains () =
+  let d = try Domain.recommended_domain_count () with _ -> 2 in
+  max 1 (min 8 (d - 1))
+
+(* Consecutive firings of one node per task execution before it
+   re-queues itself, trading scheduling overhead against fairness
+   between the nodes of an instance. *)
+let grain = 32
+
+(* Fair-share bound: consecutive task grants one worker gives a single
+   instance while another instance has queued work. *)
+let quota = 4
 
 module Pool = struct
   type inst = {
@@ -92,7 +99,6 @@ module Pool = struct
 
   type t = {
     nd : int;
-    quota : int;
     insts : inst array Atomic.t; (* live instances; CAS add/remove *)
     queued : int Atomic.t; (* tasks in shard queues, all instances *)
     idlers : int Atomic.t; (* workers inside the idle section *)
@@ -107,7 +113,6 @@ module Pool = struct
     jlock : Mutex.t;
     jcond : Condition.t;
     mutable jres : (Report.t, exn) result option;
-    mutable dog : unit Domain.t option; (* backstop watchdog, if any *)
   }
 
   let domains t = t.nd
@@ -152,7 +157,7 @@ module Pool = struct
       if pw.cursor >= ni then pw.cursor <- 0;
       (* quota exhausted and someone else is waiting: rotate away from
          the hot instance before scanning *)
-      if ni > 1 && pw.grants >= t.quota then begin
+      if ni > 1 && pw.grants >= quota then begin
         let rec waiting k =
           k < ni
           && ((let inst = insts.((pw.cursor + k) mod ni) in
@@ -214,7 +219,7 @@ module Pool = struct
     in
     loop ()
 
-  let create ?domains ?(quota = default_quota) () =
+  let create ?domains () =
     let nd =
       match domains with
       | None -> default_domains ()
@@ -223,11 +228,9 @@ module Pool = struct
           invalid_arg "Parallel_engine.Pool.create: domains out of range";
         d
     in
-    if quota < 1 then invalid_arg "Parallel_engine.Pool.create: quota < 1";
     let t =
       {
         nd;
-        quota;
         insts = Atomic.make [||];
         queued = Atomic.make 0;
         idlers = Atomic.make 0;
@@ -249,15 +252,13 @@ module Pool = struct
     Mutex.unlock t.idle_lock;
     if first then Array.iter Domain.join t.workers
 
-  let submit t ?(grain = default_grain) ?stall_ms ?sink ~graph:g ~kernels
-      ~inputs ~avoidance () =
+  let submit t ?sink ~graph:g ~kernels ~inputs ~avoidance () =
     Mutex.lock t.idle_lock;
     let stopped = t.stopping in
     Mutex.unlock t.idle_lock;
     if stopped then
       invalid_arg "Parallel_engine.Pool.submit: pool is shut down";
     let n = Graph.num_nodes g in
-    if grain < 1 then invalid_arg "Parallel_engine.run: grain < 1";
     let state = Array.make n Idle in
     (* per node: tasks its current firing made runnable, not yet
        signalled *)
@@ -285,19 +286,10 @@ module Pool = struct
     (* instance coordination *)
     let iq = Atomic.make 0 in (* tasks sitting in this instance's queues *)
     let live = Atomic.make 0 in (* tickets: queued + running tasks *)
-    let in_flight = Atomic.make 0 in (* tasks being executed *)
-    let progress = Atomic.make 0 in (* firings + landed flushes *)
     let halt = Atomic.make false in
-    let timed_out = Atomic.make false in
-    let finalized = Atomic.make false in
     let failure = Atomic.make None in
     let job =
-      {
-        jlock = Mutex.create ();
-        jcond = Condition.create ();
-        jres = None;
-        dog = None;
-      }
+      { jlock = Mutex.create (); jcond = Condition.create (); jres = None }
     in
     (* Append [v] to its shard [sh]'s ready ring. Caller holds [sh]'s
        lock, or owns the still-unpublished instance. *)
@@ -372,7 +364,6 @@ module Pool = struct
        when it opens. *)
     let rec fire_loop v s budget =
       if budget > 0 && (not (Atomic.get halt)) && Firing.fire fr v s then begin
-        Atomic.incr progress;
         flush_wakes v;
         if s.Firing.pend_len = 0 then fire_loop v s (budget - 1)
         else if obs then
@@ -381,54 +372,37 @@ module Pool = struct
     in
     let run_node v =
       let s = nodes.(v) in
-      if Firing.flush fr v s then Atomic.incr progress;
+      ignore (Firing.flush fr v s);
       flush_wakes v;
       if s.pend_len = 0 then fire_loop v s grain
     in
-    (* Finalize once, when the last ticket is released (or from the
-       backstop watchdog): drain any queue entries an aborted instance
-       left behind, unlist the instance, assemble the report from the
-       channels' ground-truth counters and hand it to the job. *)
+    (* Finalize when the last ticket is released: unlist the instance,
+       assemble the report from the channels' ground-truth counters and
+       hand it to the job. Every queued task holds a ticket, so the
+       instance's shard queues are empty by then. *)
     let finalize () =
-      if Atomic.compare_and_set finalized false true then begin
-        Array.iter
-          (fun sh ->
-            Mutex.lock sh.lock;
-            let k = sh.q_len in
-            if k > 0 then begin
-              sh.q_len <- 0;
-              ignore (Atomic.fetch_and_add iq (-k));
-              ignore (Atomic.fetch_and_add t.queued (-k))
-            end;
-            Mutex.unlock sh.lock)
-          shards;
-        (let rec unlist () =
-           let cur = Atomic.get t.insts in
-           let nxt =
-             Array.of_seq
-               (Seq.filter
-                  (fun (i : inst) -> i.iid <> iid)
-                  (Array.to_seq cur))
-           in
-           if not (Atomic.compare_and_set t.insts cur nxt) then unlist ()
+      (let rec unlist () =
+         let cur = Atomic.get t.insts in
+         let nxt =
+           Array.of_seq
+             (Seq.filter (fun (i : inst) -> i.iid <> iid) (Array.to_seq cur))
          in
-         unlist ());
-        let res =
-          match Atomic.get failure with
-          | Some ex -> Error ex
-          | None ->
-            let outcome =
-              if (not (Atomic.get timed_out)) && Firing.drained fr then
-                Report.Completed
-              else Report.Deadlocked
-            in
-            Ok (Firing.report fr outcome Report.Parallel)
-        in
-        Mutex.lock job.jlock;
-        job.jres <- Some res;
-        Condition.broadcast job.jcond;
-        Mutex.unlock job.jlock
-      end
+         if not (Atomic.compare_and_set t.insts cur nxt) then unlist ()
+       in
+       unlist ());
+      let res =
+        match Atomic.get failure with
+        | Some ex -> Error ex
+        | None ->
+          let outcome =
+            if Firing.drained fr then Report.Completed else Report.Deadlocked
+          in
+          Ok (Firing.report fr outcome Report.Parallel)
+      in
+      Mutex.lock job.jlock;
+      job.jres <- Some res;
+      Condition.broadcast job.jcond;
+      Mutex.unlock job.jlock
     in
     (* Post-execution bookkeeping: consume a missed wake
        ([Running_dirty]) or re-queue ourselves while still runnable
@@ -482,42 +456,11 @@ module Pool = struct
       scan 0
     in
     let exec v =
-      Atomic.incr in_flight;
       (try run_node v
        with ex ->
          ignore (Atomic.compare_and_set failure None (Some ex));
          Atomic.set halt true);
-      finish_task v;
-      Atomic.decr in_flight
-    in
-    (* Backstop watchdog (opt-in): fires only when the progress counter
-       froze for a whole window with no kernel in flight and nothing
-       queued for this instance — i.e. only if the ticket count somehow
-       failed to reach zero at quiescence. A slow kernel keeps
-       [in_flight] non-zero and can never trip it. *)
-    let watchdog ms () =
-      let window = float ms /. 1000. in
-      let alive () = not (Atomic.get finalized) in
-      let rec nap left =
-        if left > 0. && alive () then begin
-          Unix.sleepf (min 0.01 left);
-          nap (left -. 0.01)
-        end
-      in
-      let rec go last =
-        nap window;
-        if alive () then begin
-          let p = Atomic.get progress in
-          if p = last && Atomic.get in_flight = 0 && Atomic.get iq = 0
-          then begin
-            Atomic.set timed_out true;
-            Atomic.set halt true;
-            finalize ()
-          end
-          else go p
-        end
-      in
-      go (-1)
+      finish_task v
     in
     (* Seed: sources are runnable from the start. The instance is still
        private (no locks needed); the pool learns about the new tasks
@@ -548,9 +491,6 @@ module Pool = struct
       ignore (Atomic.fetch_and_add iq !seeded);
       signal_idlers t !seeded
     end;
-    (match stall_ms with
-    | Some ms when ms > 0 -> job.dog <- Some (Domain.spawn (watchdog ms))
-    | _ -> ());
     job
 
   let await job =
@@ -564,29 +504,21 @@ module Pool = struct
     in
     let res = wait () in
     Mutex.unlock job.jlock;
-    (match job.dog with
-    | Some d ->
-      Domain.join d;
-      job.dog <- None
-    | None -> ());
     match res with Ok r -> r | Error ex -> raise ex
 end
 
-let run ?domains ?grain ?stall_ms ?sink ~graph ~kernels ~inputs ~avoidance () =
-  Run.exec
-    (Run.pool ?domains ?grain ?stall_ms ?sink ~avoidance ())
-    ~graph ~kernels ~inputs ()
+let run ?domains ?sink ~graph ~kernels ~inputs ~avoidance () =
+  Run.exec (Run.pool ?domains ?sink ~avoidance ()) ~graph ~kernels ~inputs ()
 
 (* The Run facade dispatches [Pool] configs here; registration at
    module-initialization time (plus -linkall on this library) breaks
    the runtime -> parallel dependency cycle. *)
 let () =
   Run.register_pool_impl
-    (fun ~domains ~grain ~stall_ms ~sink ~graph ~kernels ~inputs ~avoidance ->
+    (fun ~domains ~sink ~graph ~kernels ~inputs ~avoidance ->
       let pool = Pool.create ?domains () in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown pool)
         (fun () ->
           Pool.await
-            (Pool.submit pool ~grain ?stall_ms ?sink ~graph ~kernels ~inputs
-               ~avoidance ())))
+            (Pool.submit pool ?sink ~graph ~kernels ~inputs ~avoidance ())))

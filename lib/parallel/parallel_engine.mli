@@ -16,20 +16,22 @@
 
     Multi-tenancy ({!Pool}): one pool serves many concurrently
     submitted instances. Workers rotate between instances under a
-    fair-share quota — at most [quota] consecutive task grants to one
+    fair-share quota — at most 4 consecutive task grants to one
     instance while another has queued work — so a hot tenant cannot
     starve the rest (the instance-level analogue of the per-node
-    [grain] bound). Completion is detected per instance by a live-task
+    bound: a task execution fires its node at most 32 times before it
+    re-queues itself). Both bounds are constants: the schedule does
+    not decide deadlock freedom, so there is nothing to tune for
+    correctness. Completion is detected per instance by a live-task
     ticket counter: every queued-or-running task holds a ticket, all
     wakes come from running tasks of the same instance, so the count
     dropping to zero is a permanent quiescence — the instance finished
     or its remaining nodes are genuinely deadlocked (nodes never block
     a worker: a send that finds a full channel parks in the node's
     pending ring and the node leaves the runnable set, so pool-level
-    scheduling cannot wedge). The wall-clock [stall_ms] watchdog is
-    only an opt-in backstop which requires zero in-flight kernels, so
-    a kernel that merely computes for longer than the window is never
-    misreported as deadlock.
+    scheduling cannot wedge). There is no wall-clock timeout: a kernel
+    that computes for any length of time holds its ticket, so it is
+    never misreported as deadlock.
 
     Determinism: kernels whose decisions depend only on their own
     node's firing history make the data computation a Kahn network, so
@@ -59,21 +61,9 @@
 
 open Fstream_graph
 
-(** {1 Defaults}
-
-    Re-exported from {!Fstream_runtime.Run} — the single source of
-    truth shared with the sequential engine's facade, so callers
-    (serve layer, bench) never hard-code the numbers. *)
-
-val default_grain : int
-(** = {!Fstream_runtime.Run.default_grain}. *)
-
 val default_domains : unit -> int
-(** = {!Fstream_runtime.Run.default_domains}. *)
-
-val default_quota : int
-(** Fair-share bound: consecutive task grants one worker gives a
-    single instance while another instance has queued work. *)
+(** Worker domains when none are given: derived from
+    [Domain.recommended_domain_count ()], at least 1, at most 8. *)
 
 (** A persistent worker pool serving many application instances. *)
 module Pool : sig
@@ -82,18 +72,14 @@ module Pool : sig
   type job
   (** A submitted instance; a handle to {!await} its report. *)
 
-  val create : ?domains:int -> ?quota:int -> unit -> t
+  val create : ?domains:int -> unit -> t
   (** Spawn [domains] worker domains (default {!default_domains}; must
-      be in [1, 126]) that live until {!shutdown}. [quota] (default
-      {!default_quota}, must be ≥ 1) is the fair-share bound described
-      above. *)
+      be in [1, 126]) that live until {!shutdown}. *)
 
   val domains : t -> int
 
   val submit :
     t ->
-    ?grain:int ->
-    ?stall_ms:int ->
     ?sink:Fstream_obs.Sink.t ->
     graph:Graph.t ->
     kernels:(Graph.node -> Fstream_runtime.Engine.kernel) ->
@@ -108,9 +94,8 @@ module Pool : sig
       instance's under the fair-share quota.
 
       @raise Invalid_argument if the pool has been {!shutdown} (no
-      worker is left to run the instance), if [grain < 1], or if
-      [avoidance] carries a threshold table computed for a different
-      graph. *)
+      worker is left to run the instance), or if [avoidance] carries
+      a threshold table computed for a different graph. *)
 
   val await : job -> Fstream_runtime.Report.t
   (** Block until the instance reaches permanent quiescence and return
@@ -128,8 +113,6 @@ end
 
 val run :
   ?domains:int ->
-  ?grain:int ->
-  ?stall_ms:int ->
   ?sink:Fstream_obs.Sink.t ->
   graph:Graph.t ->
   kernels:(Graph.node -> Fstream_runtime.Engine.kernel) ->
@@ -148,19 +131,6 @@ val run :
     no round counter or wedge snapshot in a preemptive execution, and
     the outcome never reports [Budget_exhausted].
 
-    [grain] (default {!default_grain}) bounds consecutive firings of
-    one node per task execution before it re-queues itself, trading
-    scheduling overhead against fairness.
-
-    [stall_ms] enables the backstop watchdog: abort and report
-    [Deadlocked] if the instance's progress counter (firings, and
-    retries that delivered a send) freezes for a full window {e while
-    none of its kernels is in flight}.
-    Default: disabled — the structural quiescence check is the
-    detector of record, and the backstop only matters if that check is
-    itself broken (an instance merely starved by other tenants keeps a
-    non-empty ready-queue and cannot trip it).
-
     [sink] receives the same typed event vocabulary as the sequential
     engine, minus the scheduler-only events ([Round_started], [Wedge]).
     Sink calls are serialized across domains, so a non-thread-safe
@@ -173,6 +143,5 @@ val run :
     engine never closes the sink.
 
     @raise Invalid_argument if [domains] is outside [1, 126], if
-    [grain < 1], if [avoidance] carries a threshold table computed for
-    a different graph, or if a kernel returns an edge id it does not
-    own. Kernel exceptions propagate after the instance drains. *)
+    [avoidance] carries a threshold table computed for a different
+    graph, or if a kernel returns an edge id it does not own. Kernel exceptions propagate after the instance drains. *)

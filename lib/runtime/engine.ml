@@ -28,9 +28,8 @@ let[@inline] arm words r bound =
   words.(w) <- words.(w) lor (1 lsl (r land 31));
   if w > !bound then bound := w
 
-let run ?(batch = 1) ?max_rounds ?deadlock_dump ?sink ~graph:g ~kernels ~inputs
-    ~avoidance () =
-  if batch < 1 then invalid_arg "Engine.run: batch < 1";
+let run ?max_rounds ?deadlock_dump ?sink ~graph:g ~kernels ~inputs ~avoidance
+    () =
   let n = Graph.num_nodes g in
   let order = Topo.order_exn g in
   let rank = Array.make n 0 in
@@ -63,23 +62,14 @@ let run ?(batch = 1) ?max_rounds ?deadlock_dump ?sink ~graph:g ~kernels ~inputs
   in
   let obs = Firing.observed fr and ev = Firing.event fr in
   let nodes = Firing.nodes fr in
-  (* A visit retries pending sends and dummy slots, then fires while
-     the node stays runnable, up to [batch] firings (a firing "sticks"
-     when its pops freed slots and its pushes all landed — pending
-     empty again). With [batch = 1] (the default) a visit is a single
-     fire+flush. *)
-  let rec fire_loop v s budget fired =
-    if Firing.fire fr v s then
-      if budget <= 1 || s.Firing.pend_len <> 0 then true
-      else fire_loop v s (budget - 1) true
-    else fired
-  in
+  (* A visit retries pending sends and dummy slots, then fires at most
+     once. *)
   let visit v =
     let s = nodes.(v) in
     let progress =
       if s.pend_len = 0 && s.slots = 0 then false else Firing.flush fr v s
     in
-    if s.pend_len = 0 then fire_loop v s batch false || progress
+    if s.pend_len = 0 then Firing.fire fr v s || progress
     else begin
       if obs then
         ev (Event.Blocked { node = v; edge = s.pend_eid.(s.pend_head) });

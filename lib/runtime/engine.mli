@@ -33,7 +33,6 @@ type avoidance = Firing.avoidance =
           {!run} rejects mismatches. *)
 
 val run :
-  ?batch:int ->
   ?max_rounds:int ->
   ?deadlock_dump:Format.formatter ->
   ?sink:Fstream_obs.Sink.t ->
@@ -68,23 +67,8 @@ val run :
     (differentially tested in [test/test_sched.ml]). Only
     [Event.Blocked] differs, since it narrates visits.
 
-    [batch] (default 1) lets a visited node fire up to that many times
-    in a row while it stays runnable (each firing's sends all landed
-    and its pops kept the inputs non-empty), amortizing scheduler
-    overhead on deep pipelines. For kernels whose decisions depend
-    only on their own node's firing history the model is a Kahn
-    network, so batching never changes the computation itself: under
-    [No_avoidance] the outcome and the data/sink message counts are
-    batch-invariant, and on any run that completes so are the
-    data/sink counts. Dummy traffic, by contrast, is timing-driven —
-    batching shifts when the coalescing dummy slots flush and when
-    thresholds come due, so the number of dummies emitted and their
-    delivered/dropped split may change, and under [Propagation] on
-    workloads outside its soundness preconditions even the outcome can
-    move with them (dummies are a liveness mechanism). Round numbering
-    is compressed. See DESIGN.md, "Memory behaviour". The default
-    preserves the unbatched engine's behaviour exactly.
-    @raise Invalid_argument if [batch < 1].
+    A visit retries the node's pending sends and dummy slots, then
+    fires it at most once.
 
     [sink] receives the typed event stream of the run (default: no
     instrumentation; passing {!Fstream_obs.Sink.null} is equivalent

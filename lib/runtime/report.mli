@@ -36,8 +36,9 @@ type detail =
       (** deterministic scheduler: [rounds] executed; [wedge] is the
           frozen state when [outcome = Deadlocked], else [None] *)
   | Parallel
-      (** shared-memory engine: deadlock detected by a stall watchdog,
-          so there is no round count and no deterministic snapshot *)
+      (** shared-memory engine: deadlock detected by exact quiescence
+          of a preemptive schedule, so there is no round count and no
+          deterministic snapshot *)
 
 type t = {
   outcome : outcome;

@@ -23,76 +23,44 @@
 
 open Fstream_graph
 
-(** Which engine executes the application. *)
+(** Which engine executes the application. Neither engine has a
+    tuning parameter: the schedule does not decide deadlock freedom
+    (the wrappers' thresholds and the buffer sizes do), so there is
+    nothing to tune for correctness, and the pool's per-task firing
+    bound and fair-share quota are constants of
+    [Fstream_parallel.Parallel_engine]. The worker count stays a
+    parameter because it is a property of the host. *)
 type engine =
-  | Sequential of { batch : int }
-      (** the deterministic engine of {!Engine.run} *)
-  | Pool of { domains : int option; grain : int; stall_ms : int option }
+  | Sequential  (** the deterministic engine of {!Engine.run} *)
+  | Pool of { domains : int option }
       (** the sharded domain pool of
           [Fstream_parallel.Parallel_engine.run]; [domains = None]
-          means {!default_domains} *)
+          means [Parallel_engine.default_domains ()] *)
 
 type config = {
   engine : engine;
   avoidance : Engine.avoidance;
-  max_rounds : int option;
-      (** sequential engine only: round budget (default: the engine's
-          generous bound). The pool has no round counter and ignores
-          it. *)
   sink : Fstream_obs.Sink.t option;
   deadlock_dump : Format.formatter option;
       (** sequential engine only: dump the wedge on deadlock *)
 }
 
-(** {1 Shared defaults}
-
-    The single source of truth for the engines' tuning defaults.
-    [Parallel_engine] re-exports {!default_grain} and
-    {!default_domains}; before these constants existed the pool's
-    defaults were documented only in prose and the benchmarks
-    hard-coded [32]. *)
-
-val default_batch : int
-(** [1] — exact legacy sequential behaviour. *)
-
-val default_grain : int
-(** [32] — consecutive firings of one node per pool task execution. *)
-
-val default_stall_ms : int option
-(** [None] — the structural quiescence check is the deadlock detector
-    of record; the wall-clock backstop is opt-in. *)
-
-val default_domains : unit -> int
-(** Worker domains when [Pool { domains = None; _ }]: derived from
-    [Domain.recommended_domain_count ()], at least 1, at most 8. *)
-
 (** {1 Constructors} *)
 
 val sequential :
-  ?batch:int ->
-  ?max_rounds:int ->
   ?sink:Fstream_obs.Sink.t ->
   ?deadlock_dump:Format.formatter ->
   avoidance:Engine.avoidance ->
   unit ->
   config
-(** Sequential config; [batch] defaults to {!default_batch}. *)
 
 val pool :
   ?domains:int ->
-  ?grain:int ->
-  ?stall_ms:int ->
   ?sink:Fstream_obs.Sink.t ->
   avoidance:Engine.avoidance ->
   unit ->
   config
-(** Pool config; [grain] defaults to {!default_grain}, [stall_ms] to
-    {!default_stall_ms}, [domains] to automatic. *)
-
-val with_avoidance : config -> Engine.avoidance -> config
-(** The same config under a different avoidance value — the
-    re-execution idiom after a hot reconfiguration swaps a session's
-    threshold table: keep the engine choice, swap the table. *)
+(** Pool config; [domains] defaults to automatic. *)
 
 val exec :
   config ->
@@ -109,19 +77,12 @@ val exec :
     @raise Failure on a [Pool] config when no pool engine is linked
     (see the module comment).
     @raise Invalid_argument for the underlying engine's argument
-    errors (mismatched threshold table, [batch < 1], [grain < 1],
-    [domains] out of range). *)
-
-val pp_engine : Format.formatter -> engine -> unit
-(** [sequential], with [(batch k)] when [k > 1]; [pool (...)] with the
-    domains, grain and stall backstop. *)
+    errors (mismatched threshold table, [domains] out of range). *)
 
 (** {1 Engine registration (internal plumbing)} *)
 
 type pool_impl =
   domains:int option ->
-  grain:int ->
-  stall_ms:int option ->
   sink:Fstream_obs.Sink.t option ->
   graph:Graph.t ->
   kernels:(Graph.node -> Engine.kernel) ->

@@ -4,7 +4,6 @@ module Compiler = Fstream_core.Compiler
 module Thresholds = Fstream_core.Thresholds
 module Engine = Fstream_runtime.Engine
 module Report = Fstream_runtime.Report
-module Run = Fstream_runtime.Run
 module Pool = Fstream_parallel.Parallel_engine.Pool
 module App_spec = Fstream_workloads.App_spec
 
@@ -59,7 +58,6 @@ type key = int * mode * Compiler.backend
 
 type t = {
   pool : Pool.t;
-  grain : int;
   options : Compiler.Options.t;
   lock : Mutex.t; (* registry, counters *)
   (* The key covers the backend as well as (fingerprint, mode): the
@@ -82,6 +80,7 @@ type session = {
   server : t;
   slock : Mutex.t;
   scond : Condition.t;
+  rlock : Mutex.t; (* serializes the session's reconfigures *)
   mutable graph : Graph.t;
   mutable savoidance : Engine.avoidance;
   mutable sepoch : int;
@@ -90,11 +89,9 @@ type session = {
   mutable report : Report.t option;
 }
 
-let create ?domains ?quota ?(grain = Run.default_grain)
-    ?(options = Compiler.Options.default) () =
+let create ?domains ?(options = Compiler.Options.default) () =
   {
-    pool = Pool.create ?domains ?quota ();
-    grain;
+    pool = Pool.create ?domains ();
     options;
     lock = Mutex.create ();
     registry = Hashtbl.create 64;
@@ -267,6 +264,7 @@ let admit t ?name ?spec ?backend ~mode g =
         server = t;
         slock = Mutex.create ();
         scond = Condition.create ();
+        rlock = Mutex.create ();
         graph = g;
         savoidance;
         sepoch = 0;
@@ -294,8 +292,8 @@ let start t ?sink ~kernels ~inputs s =
         invalid_arg (Printf.sprintf "Serve.start: session %s already started"
                        s.sname);
       let job =
-        Pool.submit t.pool ~grain:t.grain ?sink ~graph:s.graph ~kernels
-          ~inputs ~avoidance:s.savoidance ()
+        Pool.submit t.pool ?sink ~graph:s.graph ~kernels ~inputs
+          ~avoidance:s.savoidance ()
       in
       (* a collected report means the previous run reached its boundary;
          starting again launches the session's current epoch afresh *)
@@ -357,16 +355,19 @@ let run t ?sink ~kernels ~inputs s =
    registry entry's cache, linted), and only then drain the session to
    its run boundary and swap graph + table atomically. All the expensive
    work happens before the drain, so the window in which the session is
-   unavailable is the tail of its own run. *)
+   unavailable is the tail of its own run. A session's reconfigures run
+   one at a time ([rlock]), so each edits the epoch the previous one
+   produced; the swap happens under [slock] with no run in flight, so a
+   [start] racing the drain is drained too rather than left running on
+   the old graph. *)
 let reconfigure t s ops =
   let reject r =
     locked t (fun () -> t.rejections <- t.rejections + 1);
     Error r
   in
-  Mutex.lock s.slock;
-  let base = s.graph in
-  Mutex.unlock s.slock;
-  match Edit.apply base ops with
+  Mutex.lock s.rlock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock s.rlock) @@ fun () ->
+  match Edit.apply (graph s) ops with
   | Error msg -> reject (Edit_rejected msg)
   | Ok delta -> (
     let g = delta.Edit.graph in
@@ -376,15 +377,21 @@ let reconfigure t s ops =
     | Ok av, stats ->
       (* drain to the run boundary: a started, uncollected session is
          joined here (its report stays cached for the user's await) *)
-      Mutex.lock s.slock;
-      let need_drain = s.job <> None && s.report = None in
-      Mutex.unlock s.slock;
-      if need_drain then ignore (collect s);
-      Mutex.lock s.slock;
-      s.graph <- g;
-      s.savoidance <- av;
-      s.sepoch <- s.sepoch + 1;
-      Mutex.unlock s.slock;
+      let rec swap () =
+        Mutex.lock s.slock;
+        if s.job <> None && s.report = None then begin
+          Mutex.unlock s.slock;
+          ignore (collect s);
+          swap ()
+        end
+        else begin
+          s.graph <- g;
+          s.savoidance <- av;
+          s.sepoch <- s.sepoch + 1;
+          Mutex.unlock s.slock
+        end
+      in
+      swap ();
       Ok stats)
 
 let shutdown t = Pool.shutdown t.pool

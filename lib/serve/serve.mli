@@ -30,9 +30,9 @@
        counts, topologies repeat and compilation is the expensive
        step.}
     {- {b Fair-share scheduling.} Sessions multiplex onto the one
-       pool; the pool's per-instance grant quota (the instance-level
-       analogue of the per-node [grain] bound) keeps a hot tenant from
-       starving the rest.}}
+       pool; the pool's fixed per-instance grant quota (the
+       instance-level analogue of its per-task firing bound) keeps a
+       hot tenant from starving the rest.}}
 
     Admitted sessions are additionally {e reconfigurable}: an
     {!Fstream_graph.Edit} script applied through {!reconfigure}
@@ -83,18 +83,11 @@ val pp_rejection : Format.formatter -> rejection -> unit
 
 type session
 
-val create :
-  ?domains:int ->
-  ?quota:int ->
-  ?grain:int ->
-  ?options:Compiler.Options.t ->
-  unit ->
-  t
+val create : ?domains:int -> ?options:Compiler.Options.t -> unit -> t
 (** Start a server: spawns its pool's worker domains.
-    [domains]/[quota] are {!Fstream_parallel.Parallel_engine.Pool.create}'s
-    (defaults included); [grain] (default
-    {!Fstream_runtime.Run.default_grain}) applies to every session;
-    [options] (default {!Compiler.Options.default}) configures the
+    [domains] is {!Fstream_parallel.Parallel_engine.Pool.create}'s
+    (default included); [options] (default
+    {!Compiler.Options.default}) configures the
     registry's compiles — its [fuse] field is ignored, sessions run
     the topology as admitted. *)
 
@@ -200,8 +193,11 @@ val reconfigure :
     Only after the table is ready does the session
     drain: a running session is joined at its run boundary (its report
     stays cached for {!await}), then graph, table and {!epoch} swap
-    atomically. The server's [recompiles] / [warm_pivots] counters
-    advance when an incremental recompile happened.
+    atomically, with no run in flight. Concurrent reconfigures of one
+    session apply one after the other, each to the epoch the previous
+    one produced, so none is lost and {!epoch} counts the [Ok] results.
+    The server's [recompiles] / [warm_pivots] counters advance when an
+    incremental recompile happened.
 
     Draining joins the in-flight run, so the same restriction as
     {!await} applies: do not call from a pool worker. *)

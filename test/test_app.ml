@@ -61,8 +61,7 @@ let test_parallel () =
   run_and_check (fun g kernels inputs ->
       let plan = Result.get_ok (Compiler.compile Compiler.Non_propagation g) in
       let s =
-        Fstream_parallel.Parallel_engine.run ~stall_ms:150 ~graph:g ~kernels
-          ~inputs
+        Fstream_parallel.Parallel_engine.run ~graph:g ~kernels ~inputs
           ~avoidance:
             (Engine.Non_propagation (Compiler.send_thresholds g plan.intervals))
           ()

@@ -1,3 +1,7 @@
+(* The suites without a runner of their own. [dune runtest] runs the
+   four test executables concurrently: this one, [test_fusion_main]
+   (fusion), [test_analysis_main] (lp, lint) and [test_pool_main]
+   (parallel, serve, reconfigure). *)
 let () =
   Alcotest.run "filterstream"
     [
@@ -21,14 +25,8 @@ let () =
       ("io", Test_io.suite);
       ("embedding", Test_embedding.suite);
       ("verify", Test_verify.suite);
-      ("parallel", Test_parallel.suite);
       ("app", Test_app.suite);
       ("diagnosis", Test_diagnosis.suite);
       ("app_spec", Test_app_spec.suite);
       ("sizing", Test_sizing.suite);
-      ("lint", Test_lint.suite);
-      ("lp", Test_lp.suite);
-      ("fusion", Test_fusion.suite);
-      ("serve", Test_serve.suite);
-      ("reconfigure", Test_reconfigure.suite);
     ]

@@ -124,10 +124,11 @@ let test_large_cs4_chain () =
     Alcotest.(check int) "same sink deliveries" seq.Report.sink_data
       par.sink_data
 
-(* Regression for the false-deadlock bug: the old watchdog only watched
-   the push/pop counter, so a kernel computing past [stall_ms] aborted
-   the run. The backstop now also requires zero in-flight kernels; a
-   kernel sleeping far beyond the window must not trip it. *)
+(* Regression for the false-deadlock bug: a wall-clock watchdog that
+   watched only the push/pop counter aborted a run whose kernel
+   computed past its window. Deadlock is now detected by quiescence
+   alone (the ticket count); a kernel that sleeps while every other
+   node is idle must not be reported as one. *)
 let test_slow_kernel_no_false_deadlock () =
   let g = Topo_gen.pipeline ~stages:2 ~cap:2 in
   let kernels v =
@@ -137,7 +138,7 @@ let test_slow_kernel_no_false_deadlock () =
     else Filters.for_graph g (fun _ outs -> Filters.passthrough outs) v
   in
   let s =
-    P.run ~domains:2 ~stall_ms:20 ~graph:g ~kernels ~inputs:3
+    P.run ~domains:2 ~graph:g ~kernels ~inputs:3
       ~avoidance:Engine.No_avoidance ()
   in
   Alcotest.(check bool) "slow kernel still completes" true

@@ -670,6 +670,54 @@ let test_midrun_reconfigure_drains () =
     Alcotest.(check int) "restarted run delivered everything" 64
       r2.Report.sink_data
 
+(* Concurrent reconfigures of one session apply one after the other:
+   two domains resize different edges of the same session, racing a
+   run in flight, and every round must show both edits, with the epoch
+   counting the [Ok] results. Unserialized, both calls edit the same
+   base and the later swap discards the earlier edit. *)
+let test_concurrent_reconfigures () =
+  let t = Serve.create ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+  let g = Topo_gen.pipeline ~stages:4 ~cap:2 in
+  match Serve.admit t ~mode:Serve.Non_propagation g with
+  | Error r ->
+    Alcotest.failf "pipeline rejected: %a"
+      (fun ppf -> Serve.pp_rejection ppf)
+      r
+  | Ok s ->
+    let oks = ref 0 in
+    for round = 1 to 8 do
+      let cap = 2 + round in
+      Serve.start t
+        ~kernels:
+          (Filters.for_graph (Serve.graph s) (fun _ outs ->
+               Filters.passthrough outs))
+        ~inputs:200 s;
+      let resize edge () =
+        Serve.reconfigure t s [ Edit.Resize { edge; cap } ]
+      in
+      let other = Domain.spawn (resize 1) in
+      let mine = resize 0 () in
+      List.iter
+        (function
+          | Ok _ -> incr oks
+          | Error r ->
+            Alcotest.failf "resize refused: %a"
+              (fun ppf -> Serve.pp_rejection ppf)
+              r)
+        [ mine; Domain.join other ];
+      let g = Serve.graph s in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "round %d: both edits visible" round)
+        (cap, cap)
+        ((Graph.edge g 0).Graph.cap, (Graph.edge g 1).Graph.cap);
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d: drained run completed" round)
+        true
+        ((Serve.await s).Report.outcome = Report.Completed)
+    done;
+    Alcotest.(check int) "epoch counts the Ok results" !oks (Serve.epoch s)
+
 let suite =
   List.map ctx_equivalence algos
   @ List.map ctx_skip algos
@@ -700,4 +748,6 @@ let suite =
         `Quick test_lint_rejected_reconfigure;
       Alcotest.test_case "refused edit keeps the base epoch for the next"
         `Quick test_refused_edit_keeps_cache;
+      Alcotest.test_case "concurrent reconfigures of one session serialize"
+        `Quick test_concurrent_reconfigures;
     ]

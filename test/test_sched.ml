@@ -4,7 +4,7 @@
    per-edge dummy counts, wedge snapshot) on randomized workloads of
    every generator family, on graphs of more than 512 nodes, and on
    the paper's figure topologies, under all three
-   avoidance modes at batch 1 and batch 4. *)
+   avoidance modes. *)
 
 open Fstream_core
 open Fstream_runtime
@@ -32,16 +32,16 @@ let wrappers g =
   in
   [ none; prop; nonprop ]
 
-let same_stats ?batch g ~kernels_of ~inputs avoidance =
-  Engine.run ?batch ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance ()
-  = Tutil.sweep ?batch ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance ()
+let same_stats g ~kernels_of ~inputs avoidance =
+  Engine.run ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance ()
+  = Tutil.sweep ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance ()
 
-let differential ?batch ?keep ?(inputs = 30) g seed =
+let differential ?keep ?(inputs = 30) g seed =
   List.for_all
     (function
       | None -> true
       | Some avoidance ->
-        same_stats ?batch g
+        same_stats g
           ~kernels_of:(fun () -> bernoulli_kernels ?keep g seed)
           ~inputs avoidance)
     (wrappers g)
@@ -65,11 +65,11 @@ let families =
           ~cap:(1 + (seed mod 5)) () );
   ]
 
-let prop_family batch (name, count, family) =
+let prop_family (name, count, family) =
   Tutil.qtest ~count
-    (Printf.sprintf "engine = sweep at batch %d on %s workloads" batch name)
+    (Printf.sprintf "engine = sweep at batch 1 on %s workloads" name)
     Tutil.seed_gen
-    (fun seed -> differential ~batch (family seed) seed)
+    (fun seed -> differential (family seed) seed)
 
 (* Two graphs of more than 512 nodes: a pipeline nearly lossless per
    stage, so data reaches deep into it, and a 64-block CS4 chain. *)
@@ -85,61 +85,13 @@ let test_large () =
       Alcotest.(check bool)
         (name ^ ": above 512 nodes") true
         (Fstream_graph.Graph.num_nodes g > 512);
-      List.iter
-        (fun batch ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: engine = sweep at batch %d" name batch)
-            true
-            (differential ~batch ~keep ~inputs:40 g 7))
-        [ 1; 4 ])
+      Alcotest.(check bool)
+        (name ^ ": engine = sweep at batch 1")
+        true
+        (differential ~keep ~inputs:40 g 7))
     [
       ("600-stage pipeline", 0.99, pipeline); ("64-block CS4 chain", 0.8, chain);
     ]
-
-(* What batching may and may not change (see Engine.run doc). The
-   guarantee needs kernels that are deterministic in their *own* node's
-   firing history — [bernoulli_kernels] shares one RNG across all
-   nodes, so its decisions depend on global invocation order, which
-   batching legitimately reshuffles. With node-local RNGs the model is
-   a Kahn network and the computation itself is batch-invariant:
-   outcome, data and sink counts under [No_avoidance], and data/sink
-   counts on every run that completes. Dummy traffic is timing-driven
-   (slot flushes and threshold checks happen at whatever moment a node
-   fires) and is deliberately left unconstrained here; under
-   [Propagation] on workloads outside its soundness preconditions even
-   the outcome can shift with it. *)
-let node_local_kernels g seed =
-  Filters.for_graph g (fun v outs ->
-      Filters.bernoulli
-        (Random.State.make [| seed; v; 0xd1f |])
-        ~keep:0.6 outs)
-
-let batch_invariant g seed =
-  List.for_all
-    (function
-      | None -> true
-      | Some avoidance ->
-        let run batch =
-          Engine.run ~batch ~graph:g
-            ~kernels:(node_local_kernels g seed)
-            ~inputs:30 ~avoidance ()
-        in
-        let r1 = run 1 and rk = run (2 + (seed mod 6)) in
-        let pure = avoidance = Engine.No_avoidance in
-        let both_completed =
-          r1.Report.outcome = Report.Completed
-          && rk.Report.outcome = Report.Completed
-        in
-        (not pure || r1.Report.outcome = rk.Report.outcome)
-        && (not (pure || both_completed)
-           || r1.data_messages = rk.data_messages
-              && r1.sink_data = rk.sink_data))
-    (wrappers g)
-
-let prop_batch_invariance =
-  Tutil.qtest ~count:200 "batching preserves the computation"
-    Tutil.seed_gen
-    (fun seed -> batch_invariant (Tutil.random_ladder_of_seed seed) seed)
 
 (* Directed cases: the paper's figure topologies with their canonical
    workloads, checked field by field for a readable failure. *)
@@ -317,6 +269,4 @@ let suite =
     Alcotest.test_case "dummy accounting" `Quick test_dummy_accounting;
     Alcotest.test_case "above 512 nodes" `Quick test_large;
   ]
-  @ List.map (prop_family 1) families
-  @ List.map (prop_family 4) families
-  @ [ prop_batch_invariance ]
+  @ List.map prop_family families

@@ -121,12 +121,11 @@ let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.nat
 
 (* The reference sequential scheduler: every round visits every node in
    topological order, through the same {!Fstream_runtime.Firing} step as
-   [Engine.run], with the same visit (flush, then up to [batch]
-   firings), budget, outcome and wedge logic. [Engine.run] visits only
+   [Engine.run], with the same visit (flush, then at most one
+   firing), budget, outcome and wedge logic. [Engine.run] visits only
    the nodes its worklist armed; [test_sched] checks that the skipped
    visits were no-ops, i.e. that both reports are equal. *)
-let sweep ?(batch = 1) ?max_rounds ?sink ~graph:g ~kernels ~inputs ~avoidance
-    () =
+let sweep ?max_rounds ?sink ~graph:g ~kernels ~inputs ~avoidance () =
   let open Fstream_runtime in
   let module Event = Fstream_obs.Event in
   let hooks =
@@ -137,15 +136,10 @@ let sweep ?(batch = 1) ?max_rounds ?sink ~graph:g ~kernels ~inputs ~avoidance
       ~avoidance ()
   in
   let nodes = Firing.nodes fr and obs = Firing.observed fr in
-  let rec fire v s left fired =
-    if left > 0 && Firing.fire fr v s then
-      s.Firing.pend_len <> 0 || fire v s (left - 1) true
-    else fired
-  in
   let visit v =
     let s = nodes.(v) in
     let flushed = Firing.flush fr v s in
-    if s.pend_len = 0 then fire v s batch false || flushed
+    if s.Firing.pend_len = 0 then Firing.fire fr v s || flushed
     else begin
       if obs then
         Firing.event fr
