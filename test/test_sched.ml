@@ -32,16 +32,18 @@ let wrappers g =
   in
   [ none; prop; nonprop ]
 
-let same_stats g ~kernels_of ~inputs avoidance =
-  Engine.run ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance ()
-  = Tutil.sweep ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance ()
+let same_stats ?max_rounds g ~kernels_of ~inputs avoidance =
+  Engine.run ?max_rounds ~graph:g ~kernels:(kernels_of ()) ~inputs ~avoidance
+    ()
+  = Tutil.sweep ?max_rounds ~graph:g ~kernels:(kernels_of ()) ~inputs
+      ~avoidance ()
 
-let differential ?keep ?(inputs = 30) g seed =
+let differential ?max_rounds ?keep ?(inputs = 30) g seed =
   List.for_all
     (function
       | None -> true
       | Some avoidance ->
-        same_stats g
+        same_stats ?max_rounds g
           ~kernels_of:(fun () -> bernoulli_kernels ?keep g seed)
           ~inputs avoidance)
     (wrappers g)
@@ -70,6 +72,16 @@ let prop_family (name, count, family) =
     (Printf.sprintf "engine = sweep at batch 1 on %s workloads" name)
     Tutil.seed_gen
     (fun seed -> differential (family seed) seed)
+
+(* The same differential cut short by a round budget below what 30
+   inputs need to drain, so most runs end [Budget_exhausted] part way
+   through: the worklist must stop on the sweep's round with the same
+   partial counts. *)
+let prop_budget (name, count, family) =
+  Tutil.qtest ~count
+    (Printf.sprintf "engine = sweep under a round budget on %s workloads" name)
+    Tutil.seed_gen
+    (fun seed -> differential ~max_rounds:(1 + (seed mod 30)) (family seed) seed)
 
 (* Two graphs of more than 512 nodes: a pipeline nearly lossless per
    stage, so data reaches deep into it, and a 64-block CS4 chain. *)
@@ -270,3 +282,4 @@ let suite =
     Alcotest.test_case "above 512 nodes" `Quick test_large;
   ]
   @ List.map prop_family families
+  @ List.map prop_budget families
