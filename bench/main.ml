@@ -1626,12 +1626,50 @@ let lp1 () =
 
 let rc1 () =
   section "RC1" "hot reconfiguration: incremental recompile vs full";
+  (* Full compile of the edited graph vs incremental recompile from a
+     cache primed on [g], best of 3 each. A recompile consumes the
+     previous epoch's snapshot, so the cache is re-primed before every
+     trial. The incremental table is asserted bit-identical to the full
+     one first. *)
+  let resize_trial algorithm g delta =
+    let cache = Compiler.cache_create () in
+    let prime () =
+      match Compiler.compile_cached cache algorithm g with
+      | Ok _ -> ()
+      | Error _ -> assert false
+    in
+    let full () =
+      match Compiler.compile algorithm delta.Edit.graph with
+      | Ok p -> p
+      | Error _ -> assert false
+    in
+    let incr () =
+      match Compiler.recompile cache algorithm delta with
+      | Ok r -> r
+      | Error _ -> assert false
+    in
+    prime ();
+    let pi, stats = incr () in
+    Array.iteri
+      (fun i v -> assert (Interval.equal v pi.Compiler.intervals.(i)))
+      (full ()).Compiler.intervals;
+    let t_full = time_best full in
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      prime ();
+      let t, _ = time_once incr in
+      if t < !best then best := t
+    done;
+    (t_full, !best, stats)
+  in
+  let resize_first g =
+    let e0 = Graph.edge g 0 in
+    Edit.apply g [ Edit.Resize { edge = 0; cap = e0.Graph.cap + 1 } ]
+  in
   (* latency: a one-edge resize on growing CS4 chains. A full compile
      re-derives every serial block; the incremental recompile splices
      every clean block and recomputes only the edited one, so its
-     latency tracks the block size, not the graph size. The cache is
-     re-primed before every timed trial — a recompile consumes the
-     previous epoch's snapshot. *)
+     latency tracks the block size, not the graph size. *)
   let rng = Random.State.make [| 90125 |] in
   let sizes = if !quick then [ 4; 16 ] else [ 4; 8; 16; 32; 64 ] in
   row "  random CS4 chain, resize one edge: full recompile vs incremental@.";
@@ -1642,62 +1680,20 @@ let rc1 () =
   List.iter
     (fun blocks ->
       let g = Topo_gen.random_cs4 rng ~blocks ~block_edges:6 ~max_cap:5 in
-      let e0 = Graph.edge g 0 in
-      match Edit.apply g [ Edit.Resize { edge = 0; cap = e0.Graph.cap + 1 } ]
-      with
+      match resize_first g with
       | Error _ -> row "  edit failed@."
-      | Ok delta -> (
-        let cache = Compiler.cache_create () in
-        let prime () =
-          match
-            Compiler.compile_cached cache Compiler.Non_propagation g
-          with
-          | Ok _ -> ()
-          | Error _ -> assert false
+      | Ok delta ->
+        let t_full, t_incr, stats =
+          resize_trial Compiler.Non_propagation g delta
         in
-        prime ();
-        let t_full =
-          time_best (fun () ->
-              Compiler.compile Compiler.Non_propagation delta.Edit.graph)
-        in
-        let best = ref infinity and spliced = ref 0 in
-        for _ = 1 to 3 do
-          prime ();
-          let t, r =
-            time_once (fun () ->
-                Compiler.recompile cache Compiler.Non_propagation delta)
-          in
-          (match r with
-          | Ok (_, stats) -> spliced := stats.Compiler.spliced_edges
-          | Error _ -> assert false);
-          if t < !best then best := t
-        done;
-        match
-          Compiler.compile_cached cache Compiler.Non_propagation g
-        with
-        | Error _ -> assert false
-        | Ok (p, _) ->
-          (* incremental == full on the exact route, every size *)
-          (match Compiler.compile Compiler.Non_propagation delta.Edit.graph
-           with
-          | Ok pf ->
-            ignore p;
-            (match Compiler.recompile cache Compiler.Non_propagation delta
-             with
-            | Ok (pi, _) ->
-              Array.iteri
-                (fun i v -> assert (Interval.equal v pi.Compiler.intervals.(i)))
-                pf.Compiler.intervals
-            | Error _ -> assert false)
-          | Error _ -> assert false);
-          if !t_incr_first = 0. then t_incr_first := !best;
-          t_incr_last := !best;
-          speedup_last := t_full /. !best;
-          row "  %6d %6d %a %a %8d %8.1fx@." blocks (Graph.num_edges g)
-            pp_ns t_full pp_ns !best !spliced (t_full /. !best);
-          headline "RC1"
-            (Printf.sprintf "incr_recompile_ns_blocks_%d" blocks)
-            !best))
+        if !t_incr_first = 0. then t_incr_first := t_incr;
+        t_incr_last := t_incr;
+        speedup_last := t_full /. t_incr;
+        row "  %6d %6d %a %a %8d %8.1fx@." blocks (Graph.num_edges g) pp_ns
+          t_full pp_ns t_incr stats.Compiler.spliced_edges (t_full /. t_incr);
+        headline "RC1"
+          (Printf.sprintf "incr_recompile_ns_blocks_%d" blocks)
+          t_incr)
     sizes;
   headline "RC1" "incremental_over_full" !speedup_last;
   (* sublinearity: graph size grew [last/first] sizes-fold; the
@@ -1711,6 +1707,32 @@ let rc1 () =
     (ok (incr_growth < size_growth));
   headline "RC1" "size_growth" size_growth;
   headline "RC1" "incremental_latency_growth" incr_growth;
+  (* one SP block, a random SP-DAG in parallel with one edge: nothing
+     splices, so the recompile re-runs the block's update and saves
+     only the DAG, connectivity and classification checks *)
+  let rng = Random.State.make [| 2048 |] in
+  let target = if !quick then 256 else 2048 in
+  let g =
+    Sp_build.to_graph
+      (Sp_build.Parallel
+         [ Topo_gen.random_sp_spec rng ~target_edges:(target - 1) ~max_cap:5;
+           Sp_build.Edge 5 ])
+  in
+  (match resize_first g with
+  | Error _ -> row "  edit failed@."
+  | Ok delta ->
+    row "  one SP block of %d edges, resize one edge@." (Graph.num_edges g);
+    row "  %-16s %12s %12s %10s %9s@." "algorithm" "full" "incr" "recomputed"
+      "speedup";
+    List.iter
+      (fun (name, algorithm) ->
+        let t_full, t_incr, stats = resize_trial algorithm g delta in
+        row "  %-16s %a %a %10d %8.1fx@." name pp_ns t_full pp_ns t_incr
+          stats.Compiler.recomputed_edges (t_full /. t_incr);
+        headline "RC1" (Printf.sprintf "one_block_full_ns_%s" name) t_full;
+        headline "RC1" (Printf.sprintf "one_block_incr_ns_%s" name) t_incr)
+      [ ("propagation", Compiler.Propagation);
+        ("non-propagation", Compiler.Non_propagation) ]);
   (* warm-started simplex: resize one edge of layered-dense and
      re-solve from the previous optimal basis vs cold *)
   let layers = if !quick then 4 else 6 in

@@ -150,15 +150,12 @@ type recompile_stats = {
   lp_stats : Lp.resolve_stats option;
 }
 
-(* The exact-route residue of one epoch: the interned classification
-   (so the next epoch's trees share untouched subtrees physically), the
-   exact table of this epoch (what clean blocks splice and stable-id
-   pre-copies read), and the memo recorded while computing it. The memo
-   is strictly per-epoch — see [Sp_incremental]. *)
+(* The exact-route residue of one epoch: the classification and the
+   exact table of this epoch, which the next epoch's clean blocks
+   splice from. *)
 type exact_snap = {
   scls : Cs4.t;
   stable : Interval.t array;
-  smemo : Sp_incremental.memo;
 }
 
 type snapshot = {
@@ -171,17 +168,11 @@ type snapshot = {
 }
 
 type cache = {
-  builder : Sp_tree.Builder.t;
   clock : Mutex.t;
   mutable snap : snapshot option;
 }
 
-let cache_create () =
-  {
-    builder = Sp_tree.Builder.create ();
-    clock = Mutex.create ();
-    snap = None;
-  }
+let cache_create () = { clock = Mutex.create (); snap = None }
 
 let cache_plan cache =
   Mutex.lock cache.clock;
@@ -189,21 +180,26 @@ let cache_plan cache =
   Mutex.unlock cache.clock;
   p
 
+(* a snapshot is never mutated once stored, so the fork shares it *)
 let cache_fork cache =
   Mutex.lock cache.clock;
-  let fork = { cache with snap = cache.snap } in
+  let fork = { clock = Mutex.create (); snap = cache.snap } in
   Mutex.unlock cache.clock;
   fork
 
-let algo_of = function
-  | Propagation -> Sp_incremental.Prop
-  | Non_propagation -> Sp_incremental.Nonprop
-  | Relay_propagation -> Sp_incremental.Relay
-
-let ladder_update = function
-  | Propagation -> Ladder_prop.update
-  | Non_propagation -> Ladder_nonprop.update
-  | Relay_propagation -> Ladder_nonprop.update_relay
+(* The paper's per-block updates: §IV on an SP block, §VI on a ladder,
+   both into a table still at [Inf] on the block's edges. *)
+let update_block algorithm ivals = function
+  | Cs4.Sp_block t -> (
+    match algorithm with
+    | Propagation -> Sp_prop.update ivals t
+    | Non_propagation -> Sp_nonprop.update ivals t
+    | Relay_propagation -> Sp_nonprop.update_relay ivals t)
+  | Cs4.Ladder_block l -> (
+    match algorithm with
+    | Propagation -> Ladder_prop.update ivals l
+    | Non_propagation -> Ladder_nonprop.update ivals l
+    | Relay_propagation -> Ladder_nonprop.update_relay ivals l)
 
 let block_edges = function
   | Cs4.Sp_block t -> Sp_tree.edges t
@@ -211,93 +207,40 @@ let block_edges = function
 
 let sorted_ids ids = List.sort Stdlib.compare ids
 
-let intern_cls builder (cls : Cs4.t) =
-  {
-    cls with
-    Cs4.blocks =
-      List.map
-        (fun (s, d, b) ->
-          match b with
-          | Cs4.Sp_block t ->
-            (s, d, Cs4.Sp_block (Sp_tree.Builder.intern builder t))
-          | Cs4.Ladder_block _ -> (s, d, b))
-        cls.Cs4.blocks;
-  }
-
-(* a capacity-only edit leaves the record at a surviving id unchanged
-   iff its capacity is *)
-let same_record base (e : Graph.edge) =
-  e.id < Graph.num_edges base && (Graph.edge base e.id).cap = e.cap
-
-let refresh_block builder g = function
-  | Cs4.Sp_block t -> Cs4.Sp_block (Sp_tree.Builder.refresh builder g t)
-  | Cs4.Ladder_block l -> Cs4.Ladder_block (Ladder.refresh builder g l)
+let refresh_block g = function
+  | Cs4.Sp_block t -> Cs4.Sp_block (Sp_tree.refresh g t)
+  | Cs4.Ladder_block l -> Cs4.Ladder_block (Ladder.refresh g l)
 
 (* What the previous epoch lends the per-block loop. A block whose
    edges pass [clean] is the previous block's subgraph up to id
    translation, and block values are block-local, so it splices [vals]
-   read at [origin] — no interval arithmetic at all. A recomputed SP
-   block first pre-loads [vals] at the ids [precopy] accepts, then runs
-   the memoized update against [memo]: subtrees physically shared with
-   the previous tree and reached under an unchanged context skip
-   wholesale, and a skip vouches for exactly the pre-loaded positions
-   beneath it. A fresh compile borrows nothing. *)
+   read at [origin] — no interval arithmetic at all. A fresh compile
+   borrows nothing. *)
 type reuse = {
   vals : Interval.t array;
-  memo : Sp_incremental.memo;
   clean : Graph.edge list -> bool;
   origin : int -> int;
-  precopy : Graph.edge -> bool;
 }
 
-let no_reuse () =
-  {
-    vals = [||];
-    memo = Sp_incremental.memo_create ();
-    clean = (fun _ -> false);
-    origin = Fun.id;
-    precopy = (fun _ -> false);
-  }
+let no_reuse = { vals = [||]; clean = (fun _ -> false); origin = Fun.id }
 
 (* A capacity-only edit: every id survives in place, so a block is
-   clean iff none of its edges is dirty, and a position pre-copies iff
-   its record kept its capacity (a [Resize] back to the current
-   capacity is marked dirty by the edit layer yet leaves the record —
-   and so the hash-consed leaf and any memo hit over it — identical).
-   No origin bookkeeping at all. *)
+   clean iff none of its edges is dirty. *)
 let in_place_reuse (delta : Edit.delta) pe =
   {
     vals = pe.stable;
-    memo = pe.smemo;
     clean =
       List.for_all (fun (e : Graph.edge) -> not delta.Edit.dirty.(e.id));
     origin = Fun.id;
-    precopy = same_record delta.Edit.base;
   }
 
 (* Any other edit: origins come from the edit's edge map, and a block
    is clean when every edge is non-dirty with a surviving origin and
-   the origin set is exactly one previous block's edge set. Pre-copy
-   and memo are trusted only under stable ids — every base edge
-   survives at its own id. This is deliberately stricter than "no
-   survivor moved": a removal (or an in-place Add_stage replacement)
-   makes it possible for a later op to recreate a record the previous
-   memo still has entries for, and a memo hit would then vouch for a
-   position the pre-copy never filled. With all base ids intact,
-   appended edges have ids the previous epoch never used, so their
-   records cannot alias any previous-epoch memo entry; and an in-place
-   dirty edge can only come from [Resize], so [same_record] still
-   decides. With shifted ids a dirty SP block recomputes fully
-   against an empty memo (still recording this epoch's). *)
+   the origin set is exactly one previous block's edge set. *)
 let remapped_reuse (delta : Edit.delta) pe =
   let rev = Hashtbl.create 64 in
-  let stable = ref true in
   Array.iteri
-    (fun o -> function
-      | Some nid ->
-        Hashtbl.replace rev nid o;
-        if nid <> o then stable := false
-      | None -> stable := false)
+    (fun o -> Option.iter (fun nid -> Hashtbl.replace rev nid o))
     delta.Edit.edge_map;
   let origin = Hashtbl.find_opt rev in
   let old_blocks = Hashtbl.create 16 in
@@ -309,7 +252,6 @@ let remapped_reuse (delta : Edit.delta) pe =
     pe.scls.Cs4.blocks;
   {
     vals = pe.stable;
-    memo = (if !stable then pe.smemo else Sp_incremental.memo_create ());
     clean =
       (fun edges ->
         List.for_all
@@ -320,20 +262,14 @@ let remapped_reuse (delta : Edit.delta) pe =
              (sorted_ids
                 (List.filter_map (fun (e : Graph.edge) -> origin e.id) edges)));
     origin = (fun id -> Option.get (origin id));
-    precopy = (fun e -> !stable && same_record delta.Edit.base e);
   }
 
-(* The CS4 table, one serial block at a time: a clean block splices, a
-   dirty SP block runs the memoized update (with nothing to reuse, a
-   straight derivation of SETIVALS / SP Non-Propagation that records
-   this epoch's memo), a dirty ladder block runs the classic sweep on a
-   table still at [Inf] there, exactly the state it expects. [refresh]
-   rebuilds a recomputed block against [g]'s records: the identity on a
-   fresh classification, leaf substitution through the builder on the
-   previous epoch's blocks. *)
+(* The CS4 table, one serial block at a time: a clean block splices,
+   any other block is rebuilt by [refresh] against [g]'s records (the
+   identity on a fresh classification) and recomputed by the paper's
+   update for its class. *)
 let run_cs4 ~refresh algorithm g (cls : Cs4.t) r =
   let ivals = Array.make (Graph.num_edges g) Interval.inf in
-  let next = Sp_incremental.memo_create () in
   let spliced = ref 0 and recomputed = ref 0 in
   let block (s, d, b) =
     let edges = block_edges b in
@@ -344,26 +280,15 @@ let run_cs4 ~refresh algorithm g (cls : Cs4.t) r =
       spliced := !spliced + List.length edges;
       (s, d, b)
     end
-    else
-      match refresh b with
-      | Cs4.Sp_block tree as b ->
-        Sp_tree.iter_edges tree (fun e ->
-            if r.precopy e then ivals.(e.id) <- r.vals.(e.id));
-        let rc, sk =
-          Sp_incremental.update (algo_of algorithm) ~prev:r.memo ~next ivals
-            tree
-        in
-        recomputed := !recomputed + rc;
-        spliced := !spliced + sk;
-        (s, d, b)
-      | Cs4.Ladder_block lad as b ->
-        ladder_update algorithm ivals lad;
-        recomputed := !recomputed + List.length edges;
-        (s, d, b)
+    else begin
+      let b = refresh b in
+      update_block algorithm ivals b;
+      recomputed := !recomputed + List.length edges;
+      (s, d, b)
+    end
   in
   let blocks = List.map block cls.Cs4.blocks in
-  ({ scls = { cls with Cs4.blocks }; stable = ivals; smemo = next },
-   !spliced, !recomputed)
+  ({ scls = { cls with Cs4.blocks }; stable = ivals }, !spliced, !recomputed)
 
 (* Every edge and node kept its own id: the script only changed
    capacities, so the edited graph's topology — and therefore its
@@ -383,12 +308,10 @@ let structure_preserving (d : Edit.delta) g =
 
 (* The one compile route; caller holds [clock]. Every public entry
    point lands here, and a usable previous epoch changes only what the
-   route starts from — the memo, the spliced blocks, the LP's warm
-   basis — never which route runs. The previous epoch is usable only
-   when it describes exactly the graph the edit script was applied to,
-   under the same algorithm and backend; anything else is a fresh
-   compile through the same builder (subtree sharing still helps,
-   value reuse does not). *)
+   route starts from — the spliced blocks, the LP's warm basis — never
+   which route runs. The previous epoch is usable only when it
+   describes exactly the graph the edit script was applied to, under
+   the same algorithm and backend; anything else is a fresh compile. *)
 let compile_locked cache (options : Options.t) algorithm
     ~(delta : Edit.delta option) g =
   let backend = options.backend in
@@ -428,7 +351,7 @@ let compile_locked cache (options : Options.t) algorithm
     match in_place with
     | Some (d, pe) ->
       cs4
-        (run_cs4 ~refresh:(refresh_block cache.builder g) algorithm g pe.scls
+        (run_cs4 ~refresh:(refresh_block g) algorithm g pe.scls
            (in_place_reuse d pe))
     | None -> (
       match Cs4.classify g with
@@ -436,11 +359,9 @@ let compile_locked cache (options : Options.t) algorithm
         let reuse =
           match prev_exact with
           | Some (d, pe) -> remapped_reuse d pe
-          | None -> no_reuse ()
+          | None -> no_reuse
         in
-        cs4
-          (run_cs4 ~refresh:Fun.id algorithm g
-             (intern_cls cache.builder cls) reuse)
+        cs4 (run_cs4 ~refresh:Fun.id algorithm g cls reuse)
       | Error failure when not options.allow_general ->
         give_up
           (match failure with

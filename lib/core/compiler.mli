@@ -16,8 +16,8 @@
     or the LP according to {!backend}, the Auto backend's edge-wise
     min, and finally {!Options.fuse}. A usable previous epoch (see
     {!recompile}) changes only what that dispatch starts from — the
-    memo, the blocks it may splice, the LP's warm basis — never which
-    route runs. *)
+    blocks it may splice, the LP's warm basis — never which route
+    runs. *)
 
 open Fstream_graph
 open Fstream_ladder
@@ -148,19 +148,21 @@ val compile :
 (** {2 Incremental recompilation}
 
     A {!cache} carries one tenant's compile residue from epoch to
-    epoch: the hash-consing {!Fstream_spdag.Sp_tree.Builder} (so the
-    decomposition trees of successive epochs share untouched subtrees
-    physically), the previous epoch's exact table and per-epoch memo,
-    and the previous LP solver state. {!recompile} consumes an
+    epoch: the previous epoch's classification and exact table, and
+    the previous LP solver state. {!recompile} consumes an
     {!Fstream_graph.Edit.delta} and recomputes only what the edit
-    touched: serial blocks whose edges all survive unedited splice the
-    previous values without any interval arithmetic; edited SP blocks
-    with stable edge ids skip memoized subtrees reached under an
-    unchanged context; cyclic LP components re-solve warm from the
-    previous optimal basis ({!Lp.resolve}). The result is bit-for-bit
-    the table a full recompile of the edited graph would produce on
-    the exact route, and objective-equal on the LP route (the simplex
-    optimum need not be vertex-unique) — both property-checked in
+    touched. Every interval is local to its serial block (Theorem V.7),
+    so the block is the unit of reuse: a block whose edges all survive
+    unedited splices the previous values without any interval
+    arithmetic, and every other block is recomputed whole by the
+    paper's update for its class. A capacity-only edit also skips the
+    DAG, connectivity and classification checks and rebuilds only the
+    edited blocks' decompositions against the new capacities. Cyclic
+    LP components re-solve warm from the previous optimal basis
+    ({!Lp.resolve}). The result is bit-for-bit the table a full
+    recompile of the edited graph would produce on the exact route,
+    and objective-equal on the LP route (the simplex optimum need not
+    be vertex-unique) — both property-checked in
     [test/test_reconfigure.ml]. *)
 
 type cache
@@ -175,16 +177,16 @@ val cache_plan : cache -> plan option
 val cache_fork : cache -> cache
 (** A cache starting from [cache]'s most recent epoch that records its
     own epochs from then on: a compile or {!recompile} through the fork
-    leaves [cache]'s epoch where it was. The two share the tree
-    builder, so successive epochs keep sharing untouched subtrees, and
-    the lock that guards it. *)
+    leaves [cache]'s epoch where it was. The fork has its own lock, so
+    it never waits on [cache] or on another fork. *)
 
 type recompile_stats = {
   spliced_edges : int;
-      (** exact-route edges whose values were copied from the previous
-          epoch (clean-block splices plus memo-skipped subtrees) *)
+      (** exact-route edges of clean blocks, whose values were copied
+          from the previous epoch *)
   recomputed_edges : int;
-      (** exact-route edges recomputed by interval arithmetic *)
+      (** exact-route edges of the blocks recomputed by interval
+          arithmetic (every edge on a fresh compile) *)
   lp_stats : Lp.resolve_stats option;
       (** present when the LP participated ([Lp] or [Auto] backend) *)
 }

@@ -207,8 +207,8 @@ let constituents t =
 let edges t =
   List.concat_map (fun (_, tree) -> Sp_tree.edges tree) (constituents t)
 
-let refresh bld g t =
-  let sp tree = Sp_tree.Builder.refresh bld g tree in
+let refresh g t =
+  let sp = Sp_tree.refresh g in
   {
     t with
     left_segments = Array.map sp t.left_segments;

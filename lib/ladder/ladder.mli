@@ -65,12 +65,11 @@ val edges : t -> Graph.edge list
 
 val num_rungs : t -> int
 
-val refresh : Sp_tree.Builder.t -> Graph.t -> t -> t
+val refresh : Graph.t -> t -> t
 (** Substitute the graph's current edge records (same ids, new
-    capacities) into every constituent via
-    {!Sp_tree.Builder.refresh}; the ladder skeleton — rails, rungs,
-    attachment points — is unchanged. Only meaningful after an
-    id-stable, structure-preserving edit. *)
+    capacities) into every constituent via {!Sp_tree.refresh}; the
+    ladder skeleton — rails, rungs, attachment points — is unchanged.
+    Only meaningful after an id-stable, structure-preserving edit. *)
 
 val constituents : t -> (string * Sp_tree.t) list
 (** Every constituent SP-DAG with a label ("S0", "D2", "K1", ...), for

@@ -38,7 +38,7 @@
     {!Fstream_graph.Edit} script applied through {!reconfigure}
     recomputes the edited topology's threshold table {e incrementally}
     against the session's current compile cache (clean serial blocks
-    splice, memoized SP subtrees skip, LP components warm-start —
+    splice, edited blocks recompute, LP components warm-start —
     {!Fstream_core.Compiler.recompile}), lints that table, drains the
     session to its run boundary and swaps graph + table
     atomically as a new epoch. A session whose report has been

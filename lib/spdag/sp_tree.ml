@@ -7,20 +7,12 @@ type t = {
   l : int;
   h : int;
   n_edges : int;
-  uid : int;
 }
 
 and shape =
   | Leaf of Graph.edge
   | Series of t * t
   | Parallel of t * t
-
-(* Uids are process-global so trees built by concurrent compiles never
-   collide; equality of uids certifies physical equality only for trees
-   interned through one [Builder]. *)
-let next_uid = Atomic.make 0
-
-let fresh_uid () = Atomic.fetch_and_add next_uid 1
 
 let leaf (e : Graph.edge) =
   {
@@ -30,7 +22,6 @@ let leaf (e : Graph.edge) =
     l = e.cap;
     h = 1;
     n_edges = 1;
-    uid = fresh_uid ();
   }
 
 let series h1 h2 =
@@ -43,7 +34,6 @@ let series h1 h2 =
     l = h1.l + h2.l;
     h = h1.h + h2.h;
     n_edges = h1.n_edges + h2.n_edges;
-    uid = fresh_uid ();
   }
 
 let parallel h1 h2 =
@@ -56,7 +46,6 @@ let parallel h1 h2 =
     l = min h1.l h2.l;
     h = max h1.h h2.h;
     n_edges = h1.n_edges + h2.n_edges;
-    uid = fresh_uid ();
   }
 
 let iter_edges t f =
@@ -112,91 +101,8 @@ let rec pp ppf t =
   | Series (a, b) -> Format.fprintf ppf "(S %a %a)" pp a pp b
   | Parallel (a, b) -> Format.fprintf ppf "(P %a %a)" pp a pp b
 
-(* Hash-consing across compiles: equal subtrees (same leaf edges, same
-   compositions) intern to the physically same node, so two compiles of
-   graphs that share an untouched region hand the interval algorithms
-   trees whose shared subtrees carry the *same* uid. That uid equality
-   is what the incremental recompiler's (subtree, context) memo keys
-   on. Leaves intern by the full edge record — id, endpoints and
-   capacity — so an edit that renumbers or resizes an edge breaks
-   sharing exactly where values may differ. *)
-module Builder = struct
-  type tree = t
-
-  type t = {
-    lock : Mutex.t;
-    leaves : (Graph.edge, tree) Hashtbl.t;
-    comps : (int * int * int, tree) Hashtbl.t;
-        (* (0 = series | 1 = parallel, uid left, uid right) *)
-  }
-
-  let create () =
-    {
-      lock = Mutex.create ();
-      leaves = Hashtbl.create 256;
-      comps = Hashtbl.create 256;
-    }
-
-  let comp bld tag left right orig rebuild =
-    let key = (tag, left.uid, right.uid) in
-    match Hashtbl.find_opt bld.comps key with
-    | Some s -> s
-    | None ->
-      let s = rebuild left right orig in
-      Hashtbl.add bld.comps key s;
-      s
-
-  let keep rebuild a b orig =
-    match orig.shape with
-    | Series (a0, b0) | Parallel (a0, b0) when a == a0 && b == b0 -> orig
-    | _ -> rebuild a b
-
-  let locked bld f =
-    Mutex.lock bld.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock bld.lock) f
-
-  let intern bld t =
-    let rec go t =
-      match t.shape with
-      | Leaf e -> (
-        match Hashtbl.find_opt bld.leaves e with
-        | Some s -> s
-        | None ->
-          Hashtbl.add bld.leaves e t;
-          t)
-      | Series (a0, b0) ->
-        let a = go a0 and b = go b0 in
-        comp bld 0 a b t (keep series)
-      | Parallel (a0, b0) ->
-        let a = go a0 and b = go b0 in
-        comp bld 1 a b t (keep parallel)
-    in
-    locked bld (fun () -> go t)
-
-  (* Substitution without re-recognition: rebuild [t] against [g],
-     replacing every leaf by [g]'s current record at the same edge id
-     (an id-stable edit only ever changes capacities) and re-interning
-     the composites so the l/h summaries refresh. Subtrees whose leaf
-     records are unchanged come back physically identical — same uid —
-     so (subtree, context) memo entries recorded against the old tree
-     still hit. *)
-  let refresh bld g t =
-    let rec go t =
-      match t.shape with
-      | Leaf e -> (
-        let e' = Graph.edge g e.id in
-        match Hashtbl.find_opt bld.leaves e' with
-        | Some s -> s
-        | None ->
-          let s = if e' = e then t else leaf e' in
-          Hashtbl.add bld.leaves e' s;
-          s)
-      | Series (a0, b0) ->
-        let a = go a0 and b = go b0 in
-        comp bld 0 a b t (keep series)
-      | Parallel (a0, b0) ->
-        let a = go a0 and b = go b0 in
-        comp bld 1 a b t (keep parallel)
-    in
-    locked bld (fun () -> go t)
-end
+let rec refresh g t =
+  match t.shape with
+  | Leaf e -> leaf (Graph.edge g e.id)
+  | Series (a, b) -> series (refresh g a) (refresh g b)
+  | Parallel (a, b) -> parallel (refresh g a) (refresh g b)

@@ -22,10 +22,6 @@ type t = private {
   l : int;  (** L(H): min total capacity over source-to-sink paths *)
   h : int;  (** h(H): max hop count over source-to-sink paths *)
   n_edges : int;  (** leaves below this subtree *)
-  uid : int;
-      (** process-unique node identity; within one {!Builder}, uid
-          equality means structural equality (same leaves, same
-          compositions) *)
 }
 
 and shape =
@@ -65,33 +61,10 @@ val check_against : t -> Graph.t -> bool
 val pp : Format.formatter -> t -> unit
 (** S-expression-style rendering, e.g. [(S (P e0 e1) e2)]. *)
 
-(** Hash-consing for cross-compile structural sharing. A builder
-    persisted across compiles interns equal subtrees — same leaf edge
-    records (id, endpoints, capacity), same compositions — to the
-    physically same node. After an edit, the decomposition of the new
-    graph shares every subtree untouched by the edit with the previous
-    compile's tree, and that shared node's stable [uid] is what the
-    incremental interval recompiler keys its memo on. Thread-safe. *)
-module Builder : sig
-  type tree := t
-  type t
-
-  val create : unit -> t
-
-  val intern : t -> tree -> tree
-  (** Bottom-up canonicalization: returns a tree equal to the argument
-      in which every subtree already seen by this builder is replaced
-      by the first-seen physical node. Idempotent:
-      [intern b (intern b t) == intern b t]. *)
-
-  val refresh : t -> Graph.t -> tree -> tree
-  (** [refresh b g t] substitutes [g]'s current edge records into [t] —
-      every leaf is replaced by [Graph.edge g id] for its own id, every
-      composite re-interned bottom-up so the l/h summaries refresh.
-      This rebuilds a decomposition after an id-stable,
-      structure-preserving edit (capacity changes only) without
-      re-running recognition; subtrees whose leaf records are unchanged
-      come back physically identical (same uid), so memo entries
-      recorded against the old tree still hit.
-      @raise Invalid_argument if a leaf id is out of range in [g]. *)
-end
+val refresh : Graph.t -> t -> t
+(** [refresh g t] rebuilds [t] with every leaf replaced by [g]'s
+    current record at the same edge id, recomputing the [l]/[h]
+    summaries on the way up. This re-decomposes a graph after an
+    id-stable, structure-preserving edit (capacity changes only)
+    without re-running recognition.
+    @raise Invalid_argument if a leaf id is out of range in [g]. *)

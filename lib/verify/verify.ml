@@ -280,18 +280,26 @@ let check ?(max_states = 1_000_000) ?(strategy = `Bfs) ~graph:g ~avoidance
     if succ = [] && not (completed st) then
       result := Some (Deadlocks { states = !states; trace = trace_of k [] })
     else
-      List.iter
-        (fun (action, st') ->
+      (* the state that crosses [max_states] ends the search: the rest
+         of this expansion is neither stored nor counted *)
+      let rec expand = function
+        | [] -> ()
+        | (action, st') :: rest ->
           let k' = key st' in
-          if not (Hashtbl.mem visited k') then begin
-            Hashtbl.replace visited k' ();
-            Hashtbl.replace parent k' (k, action);
+          if Hashtbl.mem visited k' then expand rest
+          else begin
             incr states;
             if !states > max_states then
               result := Some (Out_of_budget { states = !states })
-            else push_frontier (k', st')
-          end)
-        succ
+            else begin
+              Hashtbl.replace visited k' ();
+              Hashtbl.replace parent k' (k, action);
+              push_frontier (k', st');
+              expand rest
+            end
+          end
+      in
+      expand succ
   done;
   match !result with
   | Some r -> r

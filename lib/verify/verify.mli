@@ -43,7 +43,9 @@ val check :
   inputs:int ->
   unit ->
   result
-(** [max_states] defaults to 1_000_000. [`Bfs] (default) yields
+(** [max_states] defaults to 1_000_000. The search stops at the first
+    state past it, so [Out_of_budget] always reports
+    [max_states + 1] states. [`Bfs] (default) yields
     shortest counterexample traces; [`Dfs] finds deep wedges with far
     fewer expansions. *)
 

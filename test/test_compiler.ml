@@ -141,31 +141,11 @@ let test_budget_auto_falls_back () =
 
 (* ----- an independent oracle for the cold route ----- *)
 
-(* [Compiler.compile] runs the memoized single-visit recursion of
-   [Sp_incremental]; the oracle builds the table the classic way: the
-   paper's per-block updates over [Cs4.classify]'s blocks, or a fold of
-   the general-DAG constraints over every simple cycle. *)
-let classic_cs4_table algorithm g =
-  let open Fstream_ladder in
-  let ivals = Array.make (Fstream_graph.Graph.num_edges g) Interval.inf in
-  (match Cs4.classify g with
-  | Error _ -> QCheck.assume_fail ()
-  | Ok cls ->
-    List.iter
-      (fun (_, _, b) ->
-        match (b, algorithm) with
-        | Cs4.Sp_block t, Compiler.Propagation -> Sp_prop.update ivals t
-        | Cs4.Sp_block t, Compiler.Non_propagation -> Sp_nonprop.update ivals t
-        | Cs4.Sp_block t, Compiler.Relay_propagation ->
-          Sp_nonprop.update_relay ivals t
-        | Cs4.Ladder_block l, Compiler.Propagation -> Ladder_prop.update ivals l
-        | Cs4.Ladder_block l, Compiler.Non_propagation ->
-          Ladder_nonprop.update ivals l
-        | Cs4.Ladder_block l, Compiler.Relay_propagation ->
-          Ladder_nonprop.update_relay ivals l)
-      cls.Cs4.blocks);
-  ivals
-
+(* [Compiler.compile] runs the paper's per-block updates over
+   [Cs4.classify]'s blocks, or the general fallback off CS4; the oracle
+   folds the general-DAG constraints over every simple cycle of the
+   whole graph, which shares neither the classification nor the block
+   algorithms. *)
 let classic_general_table algorithm g =
   let ivals = Array.make (Fstream_graph.Graph.num_edges g) Interval.inf in
   let fold =
@@ -189,20 +169,19 @@ let random_dense_of_seed seed =
     ~max_cap:4
 
 let oracle_families =
-  [ ("sp", Tutil.random_sp_of_seed ?max_edges:None, classic_cs4_table);
-    ("ladder", Tutil.random_ladder_of_seed ?max_rungs:None, classic_cs4_table);
-    ("cs4", Tutil.random_cs4_of_seed ?max_blocks:None, classic_cs4_table);
-    ("butterfly", (fun seed -> Topo_gen.fig4_butterfly ~cap:(1 + (seed mod 7))),
-     classic_general_table);
-    ("random dag", Tutil.random_dag_of_seed, classic_general_table);
-    ("random dense", random_dense_of_seed, classic_general_table) ]
+  [ ("sp", Tutil.random_sp_of_seed ?max_edges:None);
+    ("ladder", Tutil.random_ladder_of_seed ?max_rungs:None);
+    ("cs4", Tutil.random_cs4_of_seed ?max_blocks:None);
+    ("butterfly", fun seed -> Topo_gen.fig4_butterfly ~cap:(1 + (seed mod 7)));
+    ("random dag", Tutil.random_dag_of_seed);
+    ("random dense", random_dense_of_seed) ]
 
-let cold_route_oracle (aname, algorithm) (fname, family, oracle) =
+let cold_route_oracle (aname, algorithm) (fname, family) =
   Tutil.qtest ~count:300
     (Printf.sprintf "compile = classic oracle (%s, %s)" aname fname)
     Tutil.seed_gen (fun seed ->
       let g = family seed in
-      let expected = oracle algorithm g in
+      let expected = classic_general_table algorithm g in
       match Compiler.compile algorithm g with
       | Error e -> Alcotest.fail (Compiler.error_to_string e)
       | Ok p ->

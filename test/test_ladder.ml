@@ -369,48 +369,6 @@ module Reference_reduce = struct
       go [] (Articulation.serial_blocks g)
 end
 
-(* Decomposition trees without their process-unique [uid]s, which
-   differ between any two runs that build the same tree. *)
-type stripped =
-  | Leaf of Graph.edge
-  | Node of
-      char * Graph.node * Graph.node * int * int * int * stripped * stripped
-
-let rec strip (t : Sp_tree.t) =
-  let node c a b =
-    Node (c, t.source, t.sink, t.l, t.h, t.n_edges, strip a, strip b)
-  in
-  match t.shape with
-  | Sp_tree.Leaf e -> Leaf e
-  | Sp_tree.Series (a, b) -> node 's' a b
-  | Sp_tree.Parallel (a, b) -> node 'p' a b
-
-let strip_block = function
-  | Cs4.Sp_block t -> `Sp (strip t)
-  | Cs4.Ladder_block (l : Ladder.t) ->
-    `Ladder
-      ( (l.source, l.sink, l.left_nodes, l.right_nodes),
-        Array.map strip l.left_segments,
-        Array.map strip l.right_segments,
-        Array.map
-          (fun (r : Ladder.rung) ->
-            (r.left_end, r.right_end, strip r.cross, r.left_to_right))
-          l.rungs )
-
-let strip_classification = function
-  | Ok (c : Cs4.t) ->
-    Ok
-      ( c.source,
-        c.sink,
-        List.map (fun (a, b, blk) -> (a, b, strip_block blk)) c.blocks )
-  | Error f -> Error (Format.asprintf "%a" Cs4.pp_failure f)
-
-let strip_core core =
-  List.map
-    (fun (se : Sp_recognize.super_edge) ->
-      (se.s_src, se.s_dst, strip se.s_tree))
-    core
-
 let classify_families =
   [
     ("random_sp", Tutil.random_sp_of_seed ?max_edges:None);
@@ -434,12 +392,10 @@ let prop_classify_matches_reference (name, family) =
          stalled cores with more than two terminals are compared too *)
       let inner = Graph.num_nodes g / 2 in
       let protect v = v = 0 || v = inner || v = Graph.num_nodes g - 1 in
-      strip_classification (Cs4.classify g)
-      = strip_classification (Reference_reduce.classify g)
-      && strip_core (Sp_recognize.reduce ~protect (Graph.edges g))
-         = strip_core
-             (Reference_reduce.reduce ~nodes:(Graph.num_nodes g) ~protect
-                (Graph.edges g)))
+      Cs4.classify g = Reference_reduce.classify g
+      && Sp_recognize.reduce ~protect (Graph.edges g)
+         = Reference_reduce.reduce ~nodes:(Graph.num_nodes g) ~protect
+             (Graph.edges g))
 
 let suite =
   [

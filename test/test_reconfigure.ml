@@ -1,80 +1,20 @@
 (* Hot-reconfiguration differential suites.
 
-   Layer 1 (this file's foundation): the memoized context recursion of
-   [Sp_incremental] computes, leaf-by-leaf in a single visit, exactly
-   the values the classic multi-visit updates accumulate — bit-for-bit,
-   per algorithm, on every SP tree the recognizer produces. Everything
-   incremental rests on that equivalence.
-
-   Layer 2: applying a random edit script and recompiling incrementally
-   (splicing clean blocks, memo-skipping clean subtrees, warm-starting
+   Layer 1: applying a random edit script and recompiling incrementally
+   (splicing clean blocks, recomputing the edited ones, warm-starting
    the LP) is bit-for-bit the table a full recompile of the edited
-   graph produces, across the three avoidance algorithms and the
-   graph families of the paper.
+   graph produces, across the three avoidance algorithms and the graph
+   families of the paper, one-block SP DAGs included.
 
-   Layer 3: the serving layer — reconfigure-then-run behaves exactly
+   Layer 2: the serving layer — reconfigure-then-run behaves exactly
    like admitting the edited topology fresh, the epoch/stat counters
    move, and a mid-run reconfigure drains to the run boundary instead
    of corrupting the in-flight session. *)
 
 open Fstream_graph
-open Fstream_spdag
 open Fstream_core
 
-let algos = [ ("prop", Sp_incremental.Prop); ("nonprop", Sp_incremental.Nonprop);
-              ("relay", Sp_incremental.Relay) ]
-
-let classic_update algo ivals tree =
-  match algo with
-  | Sp_incremental.Prop -> Sp_prop.update ivals tree
-  | Sp_incremental.Nonprop -> Sp_nonprop.update ivals tree
-  | Sp_incremental.Relay -> Sp_nonprop.update_relay ivals tree
-
-(* Layer 1: single-visit context recursion == classic accumulation. *)
-let ctx_equivalence (name, algo) =
-  Tutil.qtest ~count:300 (Printf.sprintf "ctx recursion == classic (%s)" name)
-    Tutil.seed_gen (fun seed ->
-      let g = Tutil.random_sp_of_seed seed in
-      match Sp_recognize.recognize g with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok tree ->
-        let n = Graph.num_edges g in
-        let classic = Array.make n Interval.inf in
-        classic_update algo classic tree;
-        let incr = Array.make n Interval.inf in
-        let prev = Sp_incremental.memo_create ()
-        and next = Sp_incremental.memo_create () in
-        let recomputed, skipped =
-          Sp_incremental.update algo ~prev ~next incr tree
-        in
-        Tutil.check_intervals "table" classic incr;
-        Alcotest.(check int) "all leaves recomputed" n recomputed;
-        Alcotest.(check int) "nothing skipped" 0 skipped;
-        true)
-
-(* With [prev] = the entries just recorded and the table left in
-   place, a second run must skip everything at the root. *)
-let ctx_skip (name, algo) =
-  Tutil.qtest ~count:200 (Printf.sprintf "full memo skips all (%s)" name)
-    Tutil.seed_gen (fun seed ->
-      let g = Tutil.random_sp_of_seed seed in
-      match Sp_recognize.recognize g with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok tree ->
-        let n = Graph.num_edges g in
-        let ivals = Array.make n Interval.inf in
-        let e0 = Sp_incremental.memo_create () in
-        let m1 = Sp_incremental.memo_create () in
-        ignore (Sp_incremental.update algo ~prev:e0 ~next:m1 ivals tree);
-        let m2 = Sp_incremental.memo_create () in
-        let recomputed, skipped =
-          Sp_incremental.update algo ~prev:m1 ~next:m2 ivals tree
-        in
-        Alcotest.(check int) "nothing recomputed" 0 recomputed;
-        Alcotest.(check int) "all leaves skipped" n skipped;
-        true)
-
-(* ================= Layer 2: recompile == full compile ================= *)
+(* ================= Layer 1: recompile == full compile ================= *)
 
 module Topo_gen = Fstream_workloads.Topo_gen
 
@@ -82,10 +22,30 @@ let calgos =
   [ ("prop", Compiler.Propagation); ("nonprop", Compiler.Non_propagation);
     ("relay", Compiler.Relay_propagation) ]
 
+(* One biconnected SP block of up to 128 edges: a random SP-DAG in
+   parallel with one edge, so every edit lands in the only block and
+   nothing splices. *)
+let one_block_sp_of_seed seed =
+  let module Sp_build = Fstream_spdag.Sp_build in
+  let rng = Tutil.rng_of seed in
+  let body =
+    Topo_gen.random_sp_spec rng
+      ~target_edges:(1 + Random.State.int rng 127)
+      ~max_cap:7
+  in
+  Sp_build.to_graph
+    (Sp_build.Parallel [ body; Sp_build.Edge (1 + Random.State.int rng 7) ])
+
+(* The third component is the exact differential's cycle budget. An
+   edit that breaks CS4 sends both sides to the general fallback, which
+   enumerates every simple cycle: millions in a 128-edge block. Under a
+   small budget both sides fail identically instead. *)
 let families =
-  [ ("sp", fun seed -> Tutil.random_sp_of_seed seed);
-    ("ladder", fun seed -> Tutil.random_ladder_of_seed seed);
-    ("cs4", fun seed -> Tutil.random_cs4_of_seed seed) ]
+  let default = Compiler.Options.default.max_cycles in
+  [ ("sp", (fun seed -> Tutil.random_sp_of_seed seed), default);
+    ("ladder", (fun seed -> Tutil.random_ladder_of_seed seed), default);
+    ("cs4", (fun seed -> Tutil.random_cs4_of_seed seed), default);
+    ("one-block sp", one_block_sp_of_seed, 1_000) ]
 
 (* One differential round: recompile through the cache against a full
    compile of the edited graph. Exact route is bit-for-bit; errors must
@@ -120,29 +80,31 @@ let check_exact_round ?options cache algorithm delta =
 (* Two rounds of random edits through one cache — the second round
    chains epochs, so it also covers recompiling from a recompiled
    snapshot (and from a poisoned one, when round 1 failed). *)
-let exact_incr_eq_full (aname, algorithm) (fname, family) =
+let exact_incr_eq_full (aname, algorithm) (fname, family, max_cycles) =
   Tutil.qtest ~count:300
     (Printf.sprintf "incremental == full compile (%s, %s)" aname fname)
     Tutil.seed_gen (fun seed ->
       let g0 = family seed in
       let rng = Tutil.rng_of (seed + 0xed17) in
       let cache = Compiler.cache_create () in
-      match Compiler.compile_cached cache algorithm g0 with
+      let options = { Compiler.Options.default with max_cycles } in
+      match Compiler.compile_cached ~options cache algorithm g0 with
       | Error _ -> QCheck.assume_fail ()
       | Ok _ -> (
         match Edit.apply g0 (Tutil.random_ops rng g0) with
         | Error e -> Alcotest.failf "generator produced an invalid script: %s" e
         | Ok delta ->
-          let ok1 = check_exact_round cache algorithm delta in
+          let ok1 = check_exact_round ~options cache algorithm delta in
           let g1 = delta.Edit.graph in
           (match Edit.apply g1 (Tutil.random_ops rng g1) with
           | Error e ->
             Alcotest.failf "generator produced an invalid script: %s" e
-          | Ok delta2 -> ignore (check_exact_round cache algorithm delta2));
+          | Ok delta2 ->
+            ignore (check_exact_round ~options cache algorithm delta2));
           ok1))
 
-(* Capacity A -> B -> A across three epochs: the per-epoch memo swap
-   must not let epoch-0 residue leak stale values into epoch 2. *)
+(* Capacity A -> B -> A across three epochs: epoch 2 must equal
+   epoch 0, with no epoch-1 residue left in the table. *)
 let exact_resize_back (aname, algorithm) =
   Tutil.qtest ~count:150
     (Printf.sprintf "resize there and back is exact (%s)" aname)
@@ -173,8 +135,8 @@ let exact_resize_back (aname, algorithm) =
           true))
 
 (* Remove the last edge, re-add an identical record, resize elsewhere:
-   the id-stability aliasing regression — a recreated record must never
-   satisfy a memo lookup over array positions the pre-copy skipped. *)
+   a recreated record at a recycled id must be recomputed, not taken
+   for the removed one. *)
 let exact_remove_readd (aname, algorithm) =
   Tutil.qtest ~count:150
     (Printf.sprintf "remove/re-add same record (%s)" aname)
@@ -226,7 +188,7 @@ let same_inf_set a b =
     a;
   !ok
 
-let lp_incr_eq_full (fname, family) =
+let lp_incr_eq_full (fname, family, _) =
   Tutil.qtest ~count:300
     (Printf.sprintf "LP incremental objective-equal to full (%s)" fname)
     Tutil.seed_gen (fun seed ->
@@ -311,7 +273,7 @@ let test_warm_fewer_pivots () =
 let auto_options =
   { Compiler.Options.default with Compiler.Options.backend = Compiler.Auto }
 
-let auto_min_combine (fname, family) =
+let auto_min_combine (fname, family, _) =
   Tutil.qtest ~count:300
     (Printf.sprintf "auto = edge-wise min of exact and lp (%s)" fname)
     Tutil.seed_gen (fun seed ->
@@ -340,7 +302,7 @@ let auto_min_combine (fname, family) =
           w);
       true)
 
-(* ================= Layer 3: the serving layer ================= *)
+(* ================= Layer 2: the serving layer ================= *)
 
 module Serve = Fstream_serve.Serve
 module Engine = Fstream_runtime.Engine
@@ -719,9 +681,7 @@ let test_concurrent_reconfigures () =
     Alcotest.(check int) "epoch counts the Ok results" !oks (Serve.epoch s)
 
 let suite =
-  List.map ctx_equivalence algos
-  @ List.map ctx_skip algos
-  @ List.concat_map
+  List.concat_map
       (fun a -> List.map (exact_incr_eq_full a) families)
       calgos
   @ List.map exact_resize_back calgos
