@@ -397,6 +397,38 @@ let prop_classify_matches_reference (name, family) =
          = Reference_reduce.reduce ~nodes:(Graph.num_nodes g) ~protect
              (Graph.edges g))
 
+(* A capacity-only edit keeps the decomposition: refreshing each
+   block of the old classification with the resized graph's records
+   must give exactly the classification of the resized graph, summaries
+   included. *)
+let prop_refresh_matches_reclassify =
+  Tutil.qtest ~count:300 "refresh after resize = reclassify"
+    Tutil.seed_gen (fun seed ->
+      let g =
+        match seed mod 3 with
+        | 0 -> Tutil.random_sp_of_seed seed
+        | 1 -> Tutil.random_ladder_of_seed seed
+        | _ -> Tutil.random_cs4_of_seed ~max_blocks:4 seed
+      in
+      let rng = Tutil.rng_of (seed + 0x7e5) in
+      let g' =
+        Graph.map_caps g (fun e ->
+            if Random.State.bool rng then 1 + Random.State.int rng 9
+            else e.Graph.cap)
+      in
+      match (Cs4.classify g, Cs4.classify g') with
+      | Ok c, Ok c' ->
+        let refresh = function
+          | Cs4.Sp_block t -> Cs4.Sp_block (Sp_tree.refresh g' t)
+          | Cs4.Ladder_block l -> Cs4.Ladder_block (Ladder.refresh g' l)
+        in
+        let blocks =
+          List.map (fun (a, b, blk) -> (a, b, refresh blk)) c.Cs4.blocks
+        in
+        { c with blocks } = c'
+      | Error _, Error _ -> QCheck.assume_fail ()
+      | _ -> Alcotest.fail "a capacity change moved the classification")
+
 let suite =
   [
     Alcotest.test_case "fig4 left ladder" `Quick test_fig4_left;
@@ -412,5 +444,6 @@ let suite =
     prop_ladders_are_cs4_brute;
     prop_rung_order_consistent;
     prop_fact_vi_1;
+    prop_refresh_matches_reclassify;
   ]
   @ List.map prop_classify_matches_reference classify_families
