@@ -103,6 +103,22 @@ let json_number v =
     if s = "-0" then "0" else s
   else "null"
 
+(* The CPU model from /proc/cpuinfo, where there is one. *)
+let cpu_model () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> "unknown"
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> "unknown"
+      | line -> (
+        match String.index_opt line ':' with
+        | Some i when String.trim (String.sub line 0 i) = "model name" ->
+          String.trim (String.sub line (i + 1) (String.length line - i - 1))
+        | _ -> scan ())
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+
 let write_json () =
   match !json_file with
   | None -> ()
@@ -117,6 +133,11 @@ let write_json () =
     in
     output_string oc "{\n  \"bench\": \"filterstream\",\n";
     Printf.fprintf oc "  \"quick\": %b,\n" !quick;
+    Printf.fprintf oc
+      "  \"host\": { \"nproc\": %d, \"ocaml\": \"%s\", \"cpu\": \"%s\" },\n"
+      (Domain.recommended_domain_count ())
+      (json_escape Sys.ocaml_version)
+      (json_escape (cpu_model ()));
     output_string oc "  \"sections\": {\n";
     List.iteri
       (fun i sec ->

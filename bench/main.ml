@@ -954,13 +954,29 @@ let p1 () =
     (Domain.recommended_domain_count ());
   row "  %-12s %-10s %12s %14s %9s@." "stages" "runtime" "wall" "msgs/sec"
     "vs pool-1";
+  (* A one-domain pool is one shard running the sequential engine's
+     worklist, so its report must equal the sequential one in every
+     count, dummies included: a deterministic check, enforced even
+     under [--quick]. *)
+  let seq_report = ref None in
+  let same_as_sequential (r : Report.t) =
+    match !seq_report with
+    | Some (s : Report.t) ->
+      if { s with Report.detail = r.Report.detail } <> r then
+        failwith "P1: pool-1 report differs from the sequential engine's"
+    | None -> ()
+  in
   List.iter
     (fun stages ->
       let g = Topo_gen.pipeline ~stages ~cap:4 in
       let msgs = float (stages * inputs) in
       let run_seq () =
-        Engine.run ~graph:g ~kernels:(kernels g work ()) ~inputs
-          ~avoidance:Engine.No_avoidance ()
+        let r =
+          Engine.run ~graph:g ~kernels:(kernels g work ()) ~inputs
+            ~avoidance:Engine.No_avoidance ()
+        in
+        seq_report := Some r;
+        r
       in
       let seq_ns = time_best ~repeat:(if !quick then 1 else 2) run_seq in
       row "  %-12d %-10s %12s %14.0f %9s@." stages "sequential"
@@ -979,6 +995,7 @@ let p1 () =
                 ~avoidance:Engine.No_avoidance ()
             in
             assert (r.Report.outcome = Report.Completed);
+            if domains = 1 then same_as_sequential r;
             r
           in
           let ns = time_best ~repeat:(if !quick then 1 else 2) run_pool in
@@ -999,8 +1016,12 @@ let p1 () =
   let msgs = float (stages * inputs) in
   let seq_ns =
     time_best ~repeat:2 (fun () ->
-        Engine.run ~graph:g ~kernels:(kernels g 0 ()) ~inputs
-          ~avoidance:Engine.No_avoidance ())
+        let r =
+          Engine.run ~graph:g ~kernels:(kernels g 0 ()) ~inputs
+            ~avoidance:Engine.No_avoidance ()
+        in
+        seq_report := Some r;
+        r)
   in
   row "  %-12s %-10s %12s %14.0f %9s@."
     (Printf.sprintf "%d (0-work)" stages)
@@ -1013,8 +1034,12 @@ let p1 () =
     (fun domains ->
       let ns =
         time_best ~repeat:2 (fun () ->
-            P.run ~domains ~graph:g ~kernels:(kernels g 0 ()) ~inputs
-              ~avoidance:Engine.No_avoidance ())
+            let r =
+              P.run ~domains ~graph:g ~kernels:(kernels g 0 ()) ~inputs
+                ~avoidance:Engine.No_avoidance ()
+            in
+            if domains = 1 then same_as_sequential r;
+            r)
       in
       row "  %-12s %-10s %12s %14.0f %9s@."
         (Printf.sprintf "%d (0-work)" stages)
@@ -1025,7 +1050,8 @@ let p1 () =
       headline "P1"
         (Printf.sprintf "zero_work_pool%d_msgs_per_sec" domains)
         (msgs /. (ns /. 1e9)))
-    [ 1; List.fold_left max 1 domain_counts ]
+    [ 1; List.fold_left max 1 domain_counts ];
+  row "  pool-1 report = sequential engine's at every size: ok@."
 
 (* ------------------------------------------------------------------ *)
 (* FU1. Kernel fusion: grain amplification on deep pipelines.           *)

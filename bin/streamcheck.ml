@@ -952,7 +952,7 @@ let serve_cmd =
           loaded
       in
       (* every admitted session is live on the pool before any await:
-         their tasks interleave under the fair-share quota *)
+         their shards interleave under the fair-share quota *)
       List.iter
         (fun (s, spec) ->
           Serve.start t ~kernels:(App_spec.kernels spec ~seed) ~inputs s)

@@ -72,18 +72,23 @@ let rec pp_route ppf = function
 
 let run_general algorithm ~max_cycles g =
   let ivals = Array.make (Graph.num_edges g) Interval.inf in
-  let cycles = Cycles.enumerate ~max_cycles g in
-  let fold =
+  let update =
     match algorithm with
     | Propagation -> General.update_propagation
     | Non_propagation -> General.update_non_propagation
     | Relay_propagation -> General.update_relay_propagation
   in
-  List.iter (fold ivals) cycles;
+  (* each cycle is folded into the table as it is found: the list of a
+     large block's cycles would outgrow memory before the budget *)
+  let cycles =
+    Cycles.fold ~max_cycles g ~init:0 ~f:(fun k c ->
+        update ivals c;
+        k + 1)
+  in
   {
     algorithm;
     intervals = ivals;
-    route = General_route { cycles = List.length cycles };
+    route = General_route { cycles };
     fused = None;
   }
 

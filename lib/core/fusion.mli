@@ -1,7 +1,7 @@
 (** Kernel fusion: partition a topology into compound kernels.
 
-    The sharded pool schedules one task per node firing, so a long chain
-    of cheap kernels pays per-message scheduling overhead on every hop
+    Both engines visit every node of a chain once per message, so a
+    long chain of cheap kernels pays a channel hop and a visit per hop
     (EXPERIMENTS.md §P1). Fusion collapses such chains into single
     compound nodes: the internal channels disappear (at runtime they
     become stack locals inside the compound kernel — no ring buffers, no

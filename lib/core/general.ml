@@ -28,8 +28,9 @@ let update_relay_propagation ivals cycle =
 
 let compute update ?max_cycles g =
   let ivals = Array.make (Graph.num_edges g) Interval.inf in
-  List.iter (update ivals) (Cycles.enumerate ?max_cycles g);
-  ivals
+  Cycles.fold ?max_cycles g ~init:ivals ~f:(fun ivals c ->
+      update ivals c;
+      ivals)
 
 let propagation ?max_cycles g = compute update_propagation ?max_cycles g
 let non_propagation ?max_cycles g = compute update_non_propagation ?max_cycles g

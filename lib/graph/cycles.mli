@@ -47,6 +47,13 @@ val enumerate : ?max_cycles:int -> Graph.t -> t list
     10_000_000).
     @raise Budget_exceeded when the graph has more cycles than that. *)
 
+val fold :
+  ?max_cycles:int -> Graph.t -> init:'a -> f:('a -> t -> 'a) -> 'a
+(** Fold [f] over the cycles in {!enumerate} order as they are found,
+    without building the list: memory stays that of one cycle however
+    many the graph has.
+    @raise Budget_exceeded as {!enumerate}. *)
+
 val count : ?max_cycles:int -> Graph.t -> int
 (** [List.length (enumerate g)], without building the list. *)
 

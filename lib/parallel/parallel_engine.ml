@@ -1,106 +1,76 @@
 open Fstream_graph
-module Channel = Fstream_runtime.Channel
 module Firing = Fstream_runtime.Firing
 module Report = Fstream_runtime.Report
 module Run = Fstream_runtime.Run
-module Event = Fstream_obs.Event
+module Worklist = Fstream_runtime.Worklist
 
-(* Sharded domain-pool runtime: the interface describes the shards,
-   the stealing and the fair-share quota; this comment records the
-   invariants the implementation hangs off. Each node is a lightweight
-   task running the shared {!Firing} step.
+(* The interface describes shards, budget, quota and tickets; this
+   comment records the invariants the implementation hangs off.
 
-   Locking discipline — the single invariant everything hangs off:
+   Ownership: a shard is claimed by at most one worker at a time (its
+   [state], changed only under its lock, is [Running] exactly while
+   claimed), and only that owner steps its nodes or touches its
+   worklist. The lock's hand-over at claim and finish orders
+   consecutive owners, which makes every plain field of the shard's
+   nodes (pending rings, dummy slots, stamps, scratch), its worklist
+   and the channels inside it safe to keep unsynchronized.
 
-     every operation on channel [e] happens under the lock of
-     [shard (dst e)] (shards, locks and channels are per instance).
+   A cross channel (ends in different shards) is touched only under
+   the consumer's shard lock: the step's {!Firing.hooks} take it for a
+   push (whose [Push] event is narrated under it, so it precedes the
+   consumer's [Pop]) and for the consumer's head scan and pops. A wake
+   inside a shard sets a worklist bit; a wake across shards sets an
+   [inbox] bit under the target's lock and raises its [mail] flag. The
+   owner absorbs the inbox between passes and re-checks it under the
+   lock before going idle, so no wake is lost. Pops that free a remote
+   producer wake it after the consumer's lock is released, so no path
+   holds two shard locks at once; the sink and idle locks are leaves.
 
-   The step's {!Firing.hooks} carry it out. A node's in-edges all
-   terminate at the node, so its firing decision (all inputs
-   non-empty, min head sequence, pops) needs exactly one lock: its own
-   shard's. A push takes the consumer's shard lock, and narrates the
-   [Push] under it, so the event precedes the consumer's [Pop]. No
-   code path ever holds two shard locks at once: pops that free a full
-   channel collect the producer node ids and wake them after the
-   consumer's lock is released. The event sink and the pool's idle
-   condition variable have their own locks, acquired only as leaves.
-
-   A node never blocks a worker: sends that find a full channel go to
-   the node's pending ring (the sequential engine's model) and the node
-   simply drops out of the runnable set until a pop on the jammed
-   channel wakes it. With that, pool-level scheduling can never wedge
-   on workers < nodes, and per-instance completion is an exact ticket
-   count instead of a wall-clock heuristic: [live] counts the
-   instance's queued-plus-running tasks (a task keeps its ticket while
-   it re-queues itself or carries a missed wake, and every wake is
-   performed by a running task of the same instance, which still holds
-   its own ticket), so [live] reaching zero is permanent quiescence —
-   nothing runnable, no kernel in flight, and nothing that could ever
-   make a node runnable again. The worker that releases the last
-   ticket finalizes the instance: live nodes remaining at that point
-   mean a genuine deadlock of the streaming computation itself. There
-   is no timer: a kernel that computes for any length of time holds its
-   ticket, so it can never be misreported as a deadlock.
-
-   Consecutive executions of one node may land on different workers,
-   but never overlap: the per-node [Queued]/[Running]/[Running_dirty]
-   state machine (mutated only under the node's shard lock) guarantees
-   mutual exclusion, and the lock hand-over gives the happens-before
-   edge that makes the node's plain fields (pending ring, dummy slots,
-   stamps, scratch) safe to keep unsynchronized. An instance's plain
+   Tickets: [live] counts queued-plus-running shards, and every wake is
+   made by a running shard of the same instance, which holds a ticket,
+   so [live] reaching zero is permanent quiescence. An instance's
    setup-time state is published to the workers by the
    sequentially-consistent write of the pool's instance array; its
    report is assembled by the finalizing worker, whose last-ticket
    decrement is ordered after every other worker's release of the same
    atomic. *)
 
-(* Scheduling state of one node, mutated only under its shard's lock.
-   [Running_dirty] records a wake that arrived while the task was
-   executing, so the finishing worker re-queues it instead of losing
-   the wakeup. *)
-type sched = Idle | Queued | Running | Running_dirty
+(* Scheduling state of one shard, changed only under its lock. *)
+type state = Idle | Queued | Running
 
 type shard = {
   lock : Mutex.t;
-  queue : int array; (* ready ring, deduplicated via [sched] *)
-  mutable q_head : int;
-  mutable q_len : int;
-  (* pad the record past 64 bytes (header + 8 fields = 72) so two
-     shards never share a cache line: [q_head]/[q_len] are written
-     under [lock] by whichever worker holds the shard, and false
-     sharing between adjacent shards' counters showed up as pool
-     jitter on the scaling bench (§P1) *)
-  _pad0 : int;
-  _pad1 : int;
-  _pad2 : int;
-  _pad3 : int;
+  mutable state : state;
+  members : int array; (* local rank -> node, in topological order *)
+  wl : Worklist.t; (* local ranks; owner only *)
+  inbox : Worklist.t; (* wakes from other shards; under [lock] *)
+  mail : bool Atomic.t; (* [inbox] may be non-empty *)
 }
 
 let default_domains () =
   let d = try Domain.recommended_domain_count () with _ -> 2 in
   max 1 (min 8 (d - 1))
 
-(* Consecutive firings of one node per task execution before it
-   re-queues itself, trading scheduling overhead against fairness
-   between the nodes of an instance. *)
-let grain = 32
+(* Visits one claim of a shard may spend before it re-queues itself,
+   checked only between whole passes: a pass cut short would restart
+   at the bottom of the shard and starve its top. *)
+let budget = 1024
 
-(* Fair-share bound: consecutive task grants one worker gives a single
+(* Fair-share bound: consecutive claims one worker grants a single
    instance while another instance has queued work. *)
 let quota = 4
 
 module Pool = struct
   type inst = {
     iid : int;
-    iq : int Atomic.t; (* queued tasks of this instance; claim hint *)
-    claim : int -> int option; (* start shard -> claimed node *)
-    exec : int -> unit; (* run a claimed node, finish, maybe finalize *)
+    iq : int Atomic.t; (* queued shards of this instance; claim hint *)
+    claim : int -> bool; (* claim and run a shard for a worker *)
   }
 
   type t = {
     nd : int;
     insts : inst array Atomic.t; (* live instances; CAS add/remove *)
-    queued : int Atomic.t; (* tasks in shard queues, all instances *)
+    queued : int Atomic.t; (* queued shards, all instances *)
     idlers : int Atomic.t; (* workers inside the idle section *)
     idle_lock : Mutex.t;
     idle_cond : Condition.t;
@@ -117,25 +87,18 @@ module Pool = struct
 
   let domains t = t.nd
 
-  (* Wake at most [k] idle workers — one per task made runnable, never
-     more than are napping; extra runnable tasks are picked up by the
-     workers' own scans. Signalling once per batch (instead of
-     broadcasting per enqueue) is what keeps a firing that frees f
-     producers from stampeding all [nd] workers f times. The wakeup
-     handshake pairs with the idle section's re-check of [queued]:
-     both sides use sequentially-consistent atomics, so either the
-     enqueuer sees the idler and signals, or the idler sees the new
-     [queued] count (incremented before any signalling decision) and
-     rescans — a wakeup cannot be lost, however late the signal is
-     batched. *)
+  (* Wake at most [k] idle workers — one per shard queued, never more
+     than are napping; extra queued shards are picked up by the
+     workers' own scans. The wakeup handshake pairs with the idle
+     section's re-check of [queued]: both sides use
+     sequentially-consistent atomics, so either the enqueuer sees the
+     idler and signals, or the idler sees the new [queued] count
+     (incremented before any signalling decision) and rescans — a
+     wakeup cannot be lost. *)
   let signal_idlers t k =
-    if k > 0 && Atomic.get t.idlers > 0 then begin
+    if Atomic.get t.idlers > 0 then begin
       Mutex.lock t.idle_lock;
-      let k =
-        let i = Atomic.get t.idlers in
-        if k < i then k else i
-      in
-      if k >= t.nd then Condition.broadcast t.idle_cond
+      if k >= Atomic.get t.idlers then Condition.broadcast t.idle_cond
       else
         for _ = 1 to k do
           Condition.signal t.idle_cond
@@ -152,7 +115,7 @@ module Pool = struct
   let pick t pw w =
     let insts = Atomic.get t.insts in
     let ni = Array.length insts in
-    if ni = 0 then None
+    if ni = 0 then false
     else begin
       if pw.cursor >= ni then pw.cursor <- 0;
       (* quota exhausted and someone else is waiting: rotate away from
@@ -168,23 +131,20 @@ module Pool = struct
         pw.grants <- 0
       end;
       let rec scan k =
-        if k = ni then None
-        else begin
-          let idx = (pw.cursor + k) mod ni in
-          let inst = insts.(idx) in
-          if Atomic.get inst.iq <= 0 then scan (k + 1)
-          else
-            match inst.claim w with
-            | Some v ->
-              if inst.iid = pw.last then pw.grants <- pw.grants + 1
-              else begin
-                pw.last <- inst.iid;
-                pw.grants <- 1
-              end;
-              pw.cursor <- idx;
-              Some (inst, v)
-            | None -> scan (k + 1)
+        k < ni
+        &&
+        let idx = (pw.cursor + k) mod ni in
+        let inst = insts.(idx) in
+        if Atomic.get inst.iq > 0 && inst.claim w then begin
+          if inst.iid = pw.last then pw.grants <- pw.grants + 1
+          else begin
+            pw.last <- inst.iid;
+            pw.grants <- 1
+          end;
+          pw.cursor <- idx;
+          true
         end
+        else scan (k + 1)
       in
       scan 0
     end
@@ -196,11 +156,8 @@ module Pool = struct
   let worker t w () =
     let pw = { cursor = w; last = -1; grants = 0 } in
     let rec loop () =
-      match pick t pw w with
-      | Some (inst, v) ->
-        inst.exec v;
-        loop ()
-      | None ->
+      if pick t pw w then loop ()
+      else begin
         Mutex.lock t.idle_lock;
         Atomic.incr t.idlers;
         let rec idle () =
@@ -216,6 +173,7 @@ module Pool = struct
         let quit = t.stopping in
         Mutex.unlock t.idle_lock;
         if not quit then loop ()
+      end
     in
     loop ()
 
@@ -259,127 +217,86 @@ module Pool = struct
     if stopped then
       invalid_arg "Parallel_engine.Pool.submit: pool is shut down";
     let n = Graph.num_nodes g in
-    let state = Array.make n Idle in
-    (* per node: tasks its current firing made runnable, not yet
-       signalled *)
-    let wakes = Array.make n 0 in
-    (* contiguous block partition: neighbours tend to share a shard, so
-       a pipeline hop's pop and push often reuse the lock the worker
-       already touched; work-stealing evens out any imbalance *)
-    let nshards = t.nd in
-    let shard_of = Array.init n (fun v -> v * nshards / n) in
-    let shard_size = Array.make nshards 0 in
-    Array.iter (fun s -> shard_size.(s) <- shard_size.(s) + 1) shard_of;
+    let order = Topo.order_exn g in
+    (* contiguous rank ranges: most of a pipeline's or a chain's edges
+       stay inside one shard and need no lock *)
+    let nshards = max 1 (min t.nd n) in
+    let bound i = i * n / nshards in
+    let shard_of = Array.make n 0 and local = Array.make n 0 in
     let shards =
       Array.init nshards (fun i ->
+          let members = Array.sub order (bound i) (bound (i + 1) - bound i) in
+          Array.iteri
+            (fun r v ->
+              shard_of.(v) <- i;
+              local.(v) <- r)
+            members;
+          let size = Array.length members in
           {
             lock = Mutex.create ();
-            queue = Array.make (max shard_size.(i) 1) 0;
-            q_head = 0;
-            q_len = 0;
-            _pad0 = 0;
-            _pad1 = 0;
-            _pad2 = 0;
-            _pad3 = 0;
+            state = Idle;
+            members;
+            wl = Worklist.create size;
+            inbox = Worklist.create size;
+            mail = Atomic.make false;
           })
     in
     (* instance coordination *)
-    let iq = Atomic.make 0 in (* tasks sitting in this instance's queues *)
-    let live = Atomic.make 0 in (* tickets: queued + running tasks *)
+    let iq = Atomic.make 0 in (* shards queued in this instance *)
+    let live = Atomic.make 0 in (* tickets: queued + running shards *)
     let halt = Atomic.make false in
     let failure = Atomic.make None in
     let job =
       { jlock = Mutex.create (); jcond = Condition.create (); jres = None }
     in
-    (* Append [v] to its shard [sh]'s ready ring. Caller holds [sh]'s
-       lock, or owns the still-unpublished instance. *)
-    let enqueue sh v =
-      state.(v) <- Queued;
-      let size = Array.length sh.queue in
-      let tail = sh.q_head + sh.q_len in
-      sh.queue.(if tail >= size then tail - size else tail) <- v;
-      sh.q_len <- sh.q_len + 1
-    in
-    (* Make [v] runnable. Caller holds [sh] = [v]'s shard lock. Returns
-       whether [v] was actually enqueued; signalling idle workers is
-       the caller's job ({!signal_idlers}). An Idle -> Queued
-       transition mints a live ticket. *)
-    let wake_locked sh v =
-      match state.(v) with
-      | Idle ->
-        enqueue sh v;
+    (* Wake local rank [r] of [sh] from another shard. Caller holds
+       [sh.lock]. An Idle -> Queued transition mints a ticket. *)
+    let post sh r =
+      Worklist.arm sh.inbox r;
+      if not (Atomic.get sh.mail) then Atomic.set sh.mail true;
+      if sh.state = Idle then begin
+        sh.state <- Queued;
         Atomic.incr live;
         Atomic.incr iq;
         Atomic.incr t.queued;
-        true
-      | Running ->
-        state.(v) <- Running_dirty;
-        false
-      | Queued | Running_dirty -> false
-    in
-    let flush_wakes v =
-      let k = wakes.(v) in
-      if k > 0 then begin
-        wakes.(v) <- 0;
-        signal_idlers t k
+        signal_idlers t 1
       end
     in
-    (* The pool's side of the shared step, under the locking
-       discipline above. The consumers a firing's pushes made runnable
-       are signalled in one batch once it ends ({!flush_wakes}), never
-       under a shard lock; the producers its pops freed, in one batch
-       before its kernel runs. *)
+    (* The pool's side of the shared step, under the discipline above.
+       A push wakes its consumer, a pop that drains a full channel its
+       producer, each where the worklist puts it ({!Worklist}). *)
     let hooks =
       {
         Firing.guard = Some (fun v -> shards.(shard_of.(v)).lock);
         woke =
           (fun v dst ->
-            if wake_locked shards.(shard_of.(dst)) dst then
-              wakes.(v) <- wakes.(v) + 1);
+            let sh = shards.(shard_of.(dst)) in
+            if shard_of.(dst) = shard_of.(v) then Worklist.arm sh.wl local.(dst)
+            else post sh local.(dst));
         freed =
-          (fun producers k ->
-            let woken = ref 0 in
+          (fun v producers k ->
             for j = 0 to k - 1 do
               let p = producers.(j) in
               let sh = shards.(shard_of.(p)) in
-              Mutex.lock sh.lock;
-              if wake_locked sh p then incr woken;
-              Mutex.unlock sh.lock
-            done;
-            signal_idlers t !woken);
+              if shard_of.(p) = shard_of.(v) then
+                Worklist.arm_next sh.wl local.(p)
+              else begin
+                Mutex.lock sh.lock;
+                post sh local.(p);
+                Mutex.unlock sh.lock
+              end
+            done);
       }
     in
     let fr =
       Firing.create ~who:"Parallel_engine" ?sink ~hooks ~graph:g ~kernels
         ~inputs ~avoidance ()
     in
-    let obs = Firing.observed fr and ev = Firing.event fr in
-    let nodes = Firing.nodes fr in
     let iid = Atomic.fetch_and_add t.next_iid 1 in
-    (* One task execution: retry what was stuck, then fire while the
-       node stays runnable, up to [grain] firings (then requeue, for
-       fairness). A firing that leaves sends pending on a full channel
-       opens a blocking episode — the node cannot fire again until they
-       drain — so [Event.Blocked] is emitted exactly once per episode,
-       when it opens. *)
-    let rec fire_loop v s budget =
-      if budget > 0 && (not (Atomic.get halt)) && Firing.fire fr v s then begin
-        flush_wakes v;
-        if s.Firing.pend_len = 0 then fire_loop v s (budget - 1)
-        else if obs then
-          ev (Event.Blocked { node = v; edge = s.pend_eid.(s.pend_head) })
-      end
-    in
-    let run_node v =
-      let s = nodes.(v) in
-      ignore (Firing.flush fr v s);
-      flush_wakes v;
-      if s.pend_len = 0 then fire_loop v s grain
-    in
     (* Finalize when the last ticket is released: unlist the instance,
        assemble the report from the channels' ground-truth counters and
-       hand it to the job. Every queued task holds a ticket, so the
-       instance's shard queues are empty by then. *)
+       hand it to the job. Every queued shard holds a ticket, so none
+       is queued by then. *)
     let finalize () =
       (let rec unlist () =
          let cur = Atomic.get t.insts in
@@ -404,80 +321,101 @@ module Pool = struct
       Condition.broadcast job.jcond;
       Mutex.unlock job.jlock
     in
-    (* Post-execution bookkeeping: consume a missed wake
-       ([Running_dirty]) or re-queue ourselves while still runnable
-       (grain exhaustion, sources: {!Firing.self_arming}) — the task
-       keeps its ticket; otherwise go idle and release it, finalizing
-       on the last one. *)
-    let finish_task v =
-      let sh = shards.(shard_of.(v)) in
+    let absorb_locked sh =
+      Atomic.set sh.mail false;
+      Worklist.absorb sh.wl sh.inbox
+    in
+    (* A claim of [sh]: whole passes until the worklist is empty or the
+       budget is spent, with kernel-exception containment (the instance
+       halts and drains, the pool lives on). Then, under the lock, it
+       absorbs the wakes that raced with the last pass: with work and
+       budget left it keeps going; with work but no budget it re-queues
+       the shard, keeping its ticket; otherwise it goes idle and
+       releases the ticket, finalizing on the last one. *)
+    let rec serve sh left =
+      let visit = Firing.visitor fr sh.members in
+      let rec passes left =
+        if Atomic.get sh.mail then begin
+          Mutex.lock sh.lock;
+          absorb_locked sh;
+          Mutex.unlock sh.lock
+        end;
+        if left <= 0 || Worklist.is_empty sh.wl || Atomic.get halt then left
+        else passes (left - Worklist.pass sh.wl visit)
+      in
+      let left =
+        try passes left
+        with ex ->
+          ignore (Atomic.compare_and_set failure None (Some ex));
+          Atomic.set halt true;
+          0
+      in
       Mutex.lock sh.lock;
-      let rearm = (not (Atomic.get halt)) && Firing.self_arming fr v in
-      if rearm || state.(v) = Running_dirty then begin
-        enqueue sh v;
+      if Atomic.get sh.mail then absorb_locked sh;
+      if Atomic.get halt || Worklist.is_empty sh.wl then begin
+        sh.state <- Idle;
+        Mutex.unlock sh.lock;
+        if Atomic.fetch_and_add live (-1) = 1 then finalize ()
+      end
+      else if left > 0 then begin
+        Mutex.unlock sh.lock;
+        serve sh left
+      end
+      else begin
+        sh.state <- Queued;
         Atomic.incr iq;
         Atomic.incr t.queued;
         Mutex.unlock sh.lock;
         signal_idlers t 1
       end
-      else begin
-        state.(v) <- Idle;
-        Mutex.unlock sh.lock;
-        if Atomic.fetch_and_add live (-1) = 1 then finalize ()
-      end
     in
-    (* Worker side of the instance: claim from the start shard, steal
-       round-robin; execute with kernel-exception containment (the
-       instance halts and drains, the pool lives on). *)
+    (* Worker side of the instance: claim a queued shard, starting from
+       the worker's own index, and serve it. *)
     let claim w =
       let rec scan k =
-        if k = nshards then None
+        k < nshards
+        &&
+        let sh = shards.((w + k) mod nshards) in
+        Mutex.lock sh.lock;
+        if sh.state = Queued then begin
+          sh.state <- Running;
+          Atomic.decr iq;
+          Atomic.decr t.queued;
+          Mutex.unlock sh.lock;
+          serve sh budget;
+          true
+        end
         else begin
-          let sh = shards.((w + k) mod nshards) in
-          Mutex.lock sh.lock;
-          if sh.q_len > 0 then begin
-            let v = sh.queue.(sh.q_head) in
-            sh.q_head <-
-              (if sh.q_head + 1 >= Array.length sh.queue then 0
-               else sh.q_head + 1);
-            sh.q_len <- sh.q_len - 1;
-            state.(v) <- Running;
-            Atomic.decr iq;
-            Atomic.decr t.queued;
-            Mutex.unlock sh.lock;
-            Some v
-          end
-          else begin
-            Mutex.unlock sh.lock;
-            scan (k + 1)
-          end
+          Mutex.unlock sh.lock;
+          scan (k + 1)
         end
       in
       scan 0
     in
-    let exec v =
-      (try run_node v
-       with ex ->
-         ignore (Atomic.compare_and_set failure None (Some ex));
-         Atomic.set halt true);
-      finish_task v
+    (* Seed: the sources are armed from the start. The instance is
+       still private (no locks needed); the pool learns about the
+       queued shards only after the instance array CAS publishes
+       everything. *)
+    Array.iter
+      (fun sh ->
+        Array.iteri
+          (fun r v ->
+            if Graph.in_degree g v = 0 then begin
+              Worklist.arm sh.wl r;
+              sh.state <- Queued
+            end)
+          sh.members)
+      shards;
+    let seeded =
+      Array.fold_left (fun k sh -> if sh.state = Queued then k + 1 else k) 0
+        shards
     in
-    (* Seed: sources are runnable from the start. The instance is still
-       private (no locks needed); the pool learns about the new tasks
-       only after the instance array CAS publishes everything. *)
-    let seeded = ref 0 in
-    for v = 0 to n - 1 do
-      if Graph.in_degree g v = 0 then begin
-        enqueue shards.(shard_of.(v)) v;
-        incr seeded
-      end
-    done;
-    Atomic.set live !seeded;
-    if !seeded = 0 then
+    Atomic.set live seeded;
+    if seeded = 0 then
       (* no sources: nothing can ever run, report on the spot *)
       finalize ()
     else begin
-      let inst = { iid; iq; claim; exec } in
+      let inst = { iid; iq; claim } in
       let rec publish () =
         let cur = Atomic.get t.insts in
         let nxt = Array.append cur [| inst |] in
@@ -487,9 +425,9 @@ module Pool = struct
       (* [iq] goes live only after [t.queued]: pickers gate on [iq], so
          no claim can decrement [t.queued] below zero before the adds
          land; the idle re-check sees [t.queued] and rescans *)
-      ignore (Atomic.fetch_and_add t.queued !seeded);
-      ignore (Atomic.fetch_and_add iq !seeded);
-      signal_idlers t !seeded
+      ignore (Atomic.fetch_and_add t.queued seeded);
+      ignore (Atomic.fetch_and_add iq seeded);
+      signal_idlers t seeded
     end;
     job
 

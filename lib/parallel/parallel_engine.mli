@@ -1,63 +1,60 @@
 (** Shared-memory parallel runtime: a persistent pool of worker domains
-    driving sharded ready-queues, multiplexing any number of live
-    application instances.
+    running any number of live application instances.
 
     Runs the node step of {!Fstream_runtime.Firing}, the same one as
-    {!Fstream_runtime.Engine} — min-seq firing rule, per-node pending
-    sends on full channels, coalescing one-slot dummy mouths, EOS
-    termination — but with node kernels running concurrently on OCaml
-    5 domains. Nodes are lightweight tasks, not domains: each submitted
-    instance's graph is partitioned into [domains] contiguous shards,
-    each with its own lock and ready-queue of runnable nodes maintained
-    from channel occupancy transitions (the parallel analogue of the
-    sequential engine's worklist); workers drain their home shard and
-    steal from the others when it runs dry. There is no limit on graph
-    size.
+    {!Fstream_runtime.Engine}, with kernels running concurrently on
+    OCaml 5 domains. Shards, not nodes, are the pool's tasks: an
+    instance's nodes are split into [min domains n] contiguous ranges
+    of topological rank, and a worker claims a whole shard and runs the
+    sequential engine's worklist over it ({!Fstream_runtime.Worklist}).
+    A channel with both ends in one shard is touched only by the
+    shard's current owner and takes no lock; a channel between shards
+    synchronizes under the consumer shard's lock, and its wakes reach
+    the other shard through a locked inbox that the owner absorbs
+    between passes. There is no limit on graph size.
 
-    Multi-tenancy ({!Pool}): one pool serves many concurrently
-    submitted instances. Workers rotate between instances under a
-    fair-share quota — at most 4 consecutive task grants to one
-    instance while another has queued work — so a hot tenant cannot
-    starve the rest (the instance-level analogue of the per-node
-    bound: a task execution fires its node at most 32 times before it
-    re-queues itself). Both bounds are constants: the schedule does
-    not decide deadlock freedom, so there is nothing to tune for
-    correctness. Completion is detected per instance by a live-task
-    ticket counter: every queued-or-running task holds a ticket, all
-    wakes come from running tasks of the same instance, so the count
-    dropping to zero is a permanent quiescence — the instance finished
-    or its remaining nodes are genuinely deadlocked (nodes never block
-    a worker: a send that finds a full channel parks in the node's
-    pending ring and the node leaves the runnable set, so pool-level
-    scheduling cannot wedge). There is no wall-clock timeout: a kernel
-    that computes for any length of time holds its ticket, so it is
-    never misreported as deadlock.
+    Visit budget: a claim runs whole passes until its worklist is empty
+    or it has spent 1,024 node visits, then re-queues the shard. The
+    budget is checked only between passes, so a shard always finishes
+    the pass it started. Quota: a worker grants one instance at most 4
+    consecutive claims while another instance has a queued shard, so a
+    hot tenant cannot starve the rest. Both are constants: the schedule
+    does not decide deadlock freedom, so there is nothing to tune for
+    correctness.
 
-    Determinism: kernels whose decisions depend only on their own
-    node's firing history make the data computation a Kahn network, so
-    the outcome and the data/sink message counts equal the sequential
-    engine's under [No_avoidance] (including deadlock wedges), and the
-    data/sink counts on any run that completes. Dummy traffic is
-    timing-driven and may differ from the sequential engine and from
-    run to run.
+    Completion is an exact ticket count per instance: every
+    queued-or-running shard holds a ticket and every wake comes from a
+    running shard of the same instance, so the count dropping to zero
+    is permanent quiescence — the instance finished or its remaining
+    nodes are genuinely deadlocked. Nodes never block a worker (a send
+    that finds a full channel parks in the node's pending ring), and
+    there is no wall-clock timeout: a kernel that computes for any
+    length of time holds its ticket, so it is never misreported as
+    deadlock.
 
-    Kernels are invoked for one node by at most one worker at a time
-    (consecutive firings may land on different domains, with the
-    happens-before edges the scheduler provides), but different nodes'
-    kernels run concurrently: a kernel factory must give each node its
-    own state (e.g. its own [Random.State.t]), and kernel state must
-    not be shared between instances submitted to the same pool.
+    Determinism: with one domain an instance is one shard and its
+    schedule is the sequential engine's, pass for pass, so the report
+    equals {!Fstream_runtime.Engine.run}'s in everything but [detail],
+    dummy traffic included. With more shards, kernels whose decisions
+    depend only on their own node's firing history make the data
+    computation a Kahn network: the outcome and the data/sink counts
+    equal the sequential engine's under [No_avoidance] (wedges
+    included), and the data/sink counts on any run that completes.
+    Dummy traffic is then timing-driven and may vary from run to run.
 
-    Grain amplification: when per-message scheduling overhead dominates
-    (tiny kernels on deep pipelines — EXPERIMENTS.md §P1's zero-work
-    rows), run a fused plan instead of scheduling every node: compile
-    with [Compiler.Options.fuse], wrap the kernel factory with
-    {!Fstream_runtime.Fused.make}, and run [fusion.graph] here. A whole
-    chain then costs one task per firing, with its internal hops as
-    plain function calls. The per-node exclusivity guarantee above
-    extends to compound kernels: each one's sub-chain state (the
-    {!Fstream_runtime.Fused.fired} counters) has a single writer at any
-    time. Measured in bench §FU1. *)
+    A node's kernel is invoked by at most one worker at a time, but
+    kernels of nodes in different shards run concurrently: a kernel
+    factory must give each node its own state (e.g. its own
+    [Random.State.t]), and kernel state must not be shared between
+    instances submitted to the same pool.
+
+    Grain amplification: when per-message cost dominates (tiny kernels
+    on deep pipelines — EXPERIMENTS.md §P1's zero-work rows), run a
+    fused plan: compile with [Compiler.Options.fuse], wrap the kernel
+    factory with {!Fstream_runtime.Fused.make}, and run [fusion.graph]
+    here. A whole chain then costs one firing, its internal hops plain
+    function calls; each compound kernel's sub-chain state has a single
+    writer at any time. Measured in bench §FU1. *)
 
 open Fstream_graph
 
@@ -90,12 +87,13 @@ module Pool : sig
   (** Start an instance of the application on [inputs] external
       sequence numbers; returns immediately. Argument meanings and
       validation are exactly {!run}'s. The instance's sources become
-      runnable at once; its tasks interleave with every other live
+      runnable at once; its shards interleave with every other live
       instance's under the fair-share quota.
 
       @raise Invalid_argument if the pool has been {!shutdown} (no
-      worker is left to run the instance), or if [avoidance] carries
-      a threshold table computed for a different graph. *)
+      worker is left to run the instance), if the graph is cyclic, or
+      if [avoidance] carries a threshold table computed for a
+      different graph. *)
 
   val await : job -> Fstream_runtime.Report.t
   (** Block until the instance reaches permanent quiescence and return
@@ -120,28 +118,25 @@ val run :
   avoidance:Fstream_runtime.Engine.avoidance ->
   unit ->
   Fstream_runtime.Report.t
-(** One-shot convenience: a thin wrapper that builds a
-    {!Fstream_runtime.Run.pool} config and calls
-    {!Fstream_runtime.Run.exec} — which lands back here on a private
-    single-instance pool (create, submit, await, shutdown). Run the
-    application on [inputs] external sequence numbers with a pool of
-    [domains] worker domains (default {!default_domains}; [domains =
-    1] is a valid single-worker execution of the same machinery). The
-    result's [detail] is {!Fstream_runtime.Report.Parallel}: there is
-    no round counter or wedge snapshot in a preemptive execution, and
-    the outcome never reports [Budget_exhausted].
+(** One-shot convenience: builds a {!Fstream_runtime.Run.pool} config
+    and calls {!Fstream_runtime.Run.exec}, which lands back here on a
+    private single-instance pool of [domains] workers (default
+    {!default_domains}). The result's [detail] is
+    {!Fstream_runtime.Report.Parallel}: a preemptive execution has no
+    round counter or wedge snapshot, and never reports
+    [Budget_exhausted].
 
-    [sink] receives the same typed event vocabulary as the sequential
-    engine, minus the scheduler-only events ([Round_started], [Wedge]).
-    Sink calls are serialized across domains, so a non-thread-safe
-    sink (ring buffer, JSON writer) is safe; the interleaving reflects
-    the actual schedule and differs from run to run.
-    [Event.Blocked] is emitted once per blocking episode (opened when
-    a firing leaves sends pending on a full channel), not per retry.
-    Message counts in the returned report come from the channels' own
-    counters, the same ground truth as the sequential engine's. The
+    [sink] receives the sequential engine's event vocabulary minus the
+    scheduler-only [Round_started] and [Wedge]. Sink calls are
+    serialized across domains (by a lock of the sink's own when there
+    is more than one shard, by the shard's lock hand-over when there
+    is one), so a non-thread-safe sink (ring buffer, JSON writer) is
+    safe. [Event.Blocked] is emitted once per blocking episode (opened
+    when a firing leaves sends pending on a full channel), not per
+    retry. Message counts come from the channels' own counters. The
     engine never closes the sink.
 
-    @raise Invalid_argument if [domains] is outside [1, 126], if
-    [avoidance] carries a threshold table computed for a different
-    graph, or if a kernel returns an edge id it does not own. Kernel exceptions propagate after the instance drains. *)
+    @raise Invalid_argument if [domains] is outside [1, 126], if the
+    graph is cyclic, if [avoidance] carries a threshold table computed
+    for a different graph, or if a kernel returns an edge id it does
+    not own. Kernel exceptions propagate after the instance drains. *)

@@ -49,9 +49,9 @@ val run :
     [Budget_exhausted].
 
     Deterministic: each round visits the runnable nodes in topological
-    order. The worklist is a bitset over topological rank, scanned
-    upward by a cursor each round; a wake sets a node's bit, so where
-    it lands relative to the cursor decides the round:
+    order. The worklist ({!Worklist}) is a bitset over topological
+    rank, scanned upward by a cursor each round; a wake sets a node's
+    bit, so where it lands relative to the cursor decides the round:
     - a push onto an empty channel wakes the consumer, which lies
       later in topological order than the visited producer — above the
       cursor, so it is visited this round;

@@ -25,7 +25,12 @@ type scratch = { got : int array; freed : int array; mutable nfreed : int }
 
 (* Pending sends live in a per-node circular buffer instead of a
    [Queue.t]; the scalar node state rides in the same record (one block
-   per node, loaded once per step). *)
+   per node, loaded once per step). A node cannot fire while its
+   pending ring is non-empty, so the ring never holds more than one
+   firing's sends — at most [out_degree] entries — and is preallocated
+   to exactly that. Both ring arrays hold immediate ints ({!Message.t}
+   is one), so a step stores no pointer into them and takes no write
+   barrier. *)
 type node = {
   kernel : kernel;
   pend_eid : int array;
@@ -42,7 +47,7 @@ type node = {
 type hooks = {
   guard : (int -> Mutex.t) option;
   woke : int -> int -> unit;
-  freed : int array -> int -> unit;
+  freed : int -> int array -> int -> unit;
 }
 
 type t = {
@@ -50,6 +55,9 @@ type t = {
   inputs : int;
   forwarding : bool;
   concurrent : bool;
+  locks : Mutex.t array; (* per node, if concurrent *)
+  cross : Bytes.t; (* per edge: its ends have different locks *)
+  cross_in : Bytes.t; (* per node: some in-edge is cross *)
   hooks : hooks;
   obs : bool;
   ev : Event.t -> unit;
@@ -80,6 +88,9 @@ let f_drop = 7 (* dummies superseded before delivery *)
 
 let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
   let n = Graph.num_nodes g and m = Graph.num_edges g in
+  let locks =
+    match hooks.guard with Some lock_of -> Array.init n lock_of | None -> [||]
+  in
   let concurrent = hooks.guard <> None in
   (* [obs] gates event *construction* — with no sink (or the null
      sink) the instrumentation costs one branch per potential event
@@ -87,10 +98,13 @@ let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
   let sink =
     match sink with Some s when not (Sink.is_null s) -> Some s | _ -> None
   in
+  (* With one lock for every node, steps never overlap and the lock's
+     hand-over already orders their events. *)
+  let one_lock = Array.for_all (fun l -> l == locks.(0)) locks in
   let ev =
     match sink with
     | None -> ignore
-    | Some s when concurrent ->
+    | Some s when not one_lock ->
       let lock = Mutex.create () in
       fun e ->
         Mutex.lock lock;
@@ -141,6 +155,16 @@ let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
     let ids = Graph.in_edge_ids g v in
     Array.blit ids 0 in_flat in_off.(v) (Array.length ids)
   done;
+  let cross = Bytes.make (if concurrent then m else 0) '\000' in
+  let cross_in = Bytes.make (if concurrent then n else 0) '\000' in
+  if concurrent then
+    for i = 0 to m - 1 do
+      let e = Graph.edge g i in
+      if locks.(e.src) != locks.(e.dst) then begin
+        Bytes.set cross i '\001';
+        Bytes.set cross_in e.dst '\001'
+      end
+    done;
   let nodes =
     Array.init n (fun v ->
         let deg = Graph.out_degree g v in
@@ -173,6 +197,9 @@ let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
     inputs;
     forwarding;
     concurrent;
+    locks;
+    cross;
+    cross_in;
     hooks;
     obs = sink <> None;
     ev;
@@ -190,23 +217,18 @@ let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
 
 let scratch_of t v = t.scratch.(if t.concurrent then v else 0)
 
-let lock t v =
-  match t.hooks.guard with Some guard -> Mutex.lock (guard v) | None -> ()
-
-let unlock t v =
-  match t.hooks.guard with Some guard -> Mutex.unlock (guard v) | None -> ()
-
-let nodes t = t.nodes
 let observed t = t.obs
 let event t = t.ev
 
 (* Node [v] pushes [msg] on its out-edge [e]; [false] (and no effect)
-   when the channel is full. In a concurrent run the push, the wake and
-   the [Push] event all happen under the consumer's lock, so the event
-   precedes the consumer's [Pop]. *)
+   when the channel is full. On a cross edge the push, the wake and the
+   [Push] event all happen under the consumer's lock, so the event
+   precedes the consumer's [Pop]; on any other edge both ends step only
+   under one lock's hand-over. *)
 let send t v e msg =
   let dst = t.ed.((e * 8) + f_dst) in
-  if t.concurrent then lock t dst;
+  let locked = t.concurrent && Bytes.unsafe_get t.cross e <> '\000' in
+  if locked then Mutex.lock t.locks.(dst);
   let c = t.chan.(e) in
   let landed = Channel.push c msg in
   if landed then begin
@@ -216,7 +238,7 @@ let send t v e msg =
         (Event.Push
            { edge = e; seq = Message.seq msg; payload = Message.kind msg })
   end;
-  if t.concurrent then unlock t dst;
+  if locked then Mutex.unlock t.locks.(dst);
   landed
 
 let enqueue s eid msg =
@@ -285,6 +307,9 @@ let rec flush_slots t v s k hi progress =
     else flush_slots t v s (k + 1) hi progress
   end
 
+(* Retry the pending sends, then the dummy slots; [false] when nothing
+   landed. Every push lands in a firing or in a flush that returns
+   [true]. *)
 let flush t v s =
   if s.pend_len = 0 && s.slots = 0 then false
   else begin
@@ -424,17 +449,18 @@ let rec got_list (sc : scratch) k acc =
 let fire_inner t v s =
   let lo = t.in_off.(v) and hi = t.in_off.(v + 1) in
   let sc = scratch_of t v in
-  if t.concurrent then lock t v;
+  let locked = t.concurrent && Bytes.unsafe_get t.cross_in v <> '\000' in
+  if locked then Mutex.lock t.locks.(v);
   let i = min_head t lo hi max_int in
   if i = min_int then begin
-    if t.concurrent then unlock t v;
+    if locked then Mutex.unlock t.locks.(v);
     false
   end
   else begin
     sc.nfreed <- 0;
     let acc = consume t s sc i lo hi 0 in
-    if t.concurrent then unlock t v;
-    if sc.nfreed > 0 then t.hooks.freed sc.freed sc.nfreed;
+    if locked then Mutex.unlock t.locks.(v);
+    if sc.nfreed > 0 then t.hooks.freed v sc.freed sc.nfreed;
     (* [max_int]: every input was at end-of-stream, and is consumed *)
     if i = max_int then send_eos t v s
     else begin
@@ -466,16 +492,29 @@ let fire t v s =
   if fired && (s.pend_len <> 0 || s.slots <> 0) then ignore (flush t v s);
   fired
 
-let rec all_nonempty t k hi =
-  k >= hi
-  || ((not (Channel.is_empty t.chan.(t.in_flat.(k))))
-     && all_nonempty t (k + 1) hi)
+let blocked t v s =
+  t.ev (Event.Blocked { node = v; edge = s.pend_eid.(s.pend_head) })
 
-let self_arming t v =
+let[@inline] visit t v =
   let s = t.nodes.(v) in
-  (not s.finished)
-  && s.pend_len = 0
-  && all_nonempty t t.in_off.(v) t.in_off.(v + 1)
+  let progress =
+    if s.pend_len = 0 && s.slots = 0 then false else flush t v s
+  in
+  if s.pend_len = 0 then begin
+    let fired = fire t v s in
+    if fired && t.obs && t.concurrent && s.pend_len <> 0 then blocked t v s;
+    fired || progress
+  end
+  else begin
+    if t.obs && not t.concurrent then blocked t v s;
+    progress
+  end
+
+(* a closure over ranks with [visit] inlined: a worklist pass reaches
+   a visit through this one indirect call *)
+let visitor t order =
+  let visit_rank r = visit t order.(r) in
+  visit_rank
 
 let drained t =
   Array.for_all (fun s -> s.finished && s.pend_len = 0) t.nodes

@@ -54,49 +54,32 @@ val decode : Graph.t -> avoidance -> int option array * bool
     @raise Invalid_argument if the threshold table was computed for a
     different graph. *)
 
-(** Per-node state. Only this module writes it; the runtimes read
-    it. A node cannot fire while its pending ring is non-empty, so the
-    ring never holds more than one firing's sends — at most
-    [out_degree] entries — and is preallocated to exactly that. Both
-    ring arrays hold immediate ints ({!Message.t} is one), so a step
-    stores no pointer into them and takes no write barrier. *)
-type node = private {
-  kernel : kernel;
-  pend_eid : int array;  (** pending ring: out-edge of each send *)
-  pend_msg : Message.t array;  (** pending ring: the message of each send *)
-  mutable pend_head : int;
-  mutable pend_len : int;
-  mutable next_input : int;  (** sources: next external sequence number *)
-  mutable finished : bool;  (** EOS sent *)
-  mutable slots : int;  (** out-edges holding a queued dummy slot *)
-  mutable flush_id : int;  (** flush stamp for refused channels *)
-  mutable got_data : int;  (** data messages consumed *)
-}
-
 (** What differs between the runtimes. *)
 type hooks = {
   guard : (int -> Mutex.t) option;
-      (** [Some lock_of]: steps of different nodes run at the same time,
-          on several domains. Each push on a channel into node [dst]
-          then holds [lock_of dst], and node [v]'s head scan and pops
-          hold [lock_of v]; the sink goes behind a lock of its own, and
-          each node gets its own scratch buffers. [None]: one step at a
-          time. *)
+      (** [Some lock_of]: steps run on several domains, but nodes
+          sharing a lock never step at the same time. On a {e cross}
+          edge (ends under different locks) a push holds the
+          consumer's lock, and a node with a cross in-edge holds its
+          own over its head scan and pops; any other channel takes no
+          lock. The sink gets a lock of its own when there is more than
+          one lock. [None]: one step at a time. *)
   woke : int -> int -> unit;
       (** [woke v dst]: node [v]'s push just landed on an empty channel
           into [dst], which may now be runnable; called under [dst]'s
-          lock. In a DAG [dst] follows [v] in topological order. *)
-  freed : int array -> int -> unit;
-      (** [freed producers k]: a node's pops just drained a full channel
-          of each of [producers.(0 .. k - 1)], in increasing in-edge
-          order; called once the node's own lock is released, before
-          the kernel, and only when [k > 0]. Each producer precedes the
-          popping node in topological order. *)
+          lock if the edge is cross. In a DAG [dst] follows [v] in
+          topological order. *)
+  freed : int -> int array -> int -> unit;
+      (** [freed v producers k]: node [v]'s pops just drained a full
+          channel of each of [producers.(0 .. k - 1)], in increasing
+          in-edge order; called once [v]'s lock is released, before
+          the kernel, and only when [k > 0]. Each producer precedes
+          [v] in topological order. *)
 }
 
 type t
 (** The channels, the packed per-edge wrapper state, the CSR adjacency
-    and the node records of one run. *)
+    and the per-node state (pending sends, dummy slots) of one run. *)
 
 val create :
   who:string ->
@@ -114,35 +97,26 @@ val create :
     not even constructed.
     @raise Invalid_argument as {!decode}. *)
 
-val nodes : t -> node array
-
 val observed : t -> bool
 (** A sink is attached: emit events through {!event}. *)
 
 val event : t -> Fstream_obs.Event.t -> unit
 
-val flush : t -> int -> node -> bool
-(** Retry node [v]'s pending sends once each (a refused channel blocks
-    its later sends this pass), then deliver its dummy slots on
-    channels with no data still queued. [false] when nothing landed
-    (and at once when nothing is waiting). Every push lands in a
-    firing or in a [flush] that returns [true]. *)
-
-val fire : t -> int -> node -> bool
-(** One firing of node [v], whose pending ring must be empty: a source
-    takes its next input (or sends EOS after the last); any other node
-    consumes its minimum-sequence heads (or forwards EOS once every
-    input reached it) and runs its kernel; then the send phase, then
-    one {!flush}. [false] when [v] cannot fire.
+val visitor : t -> int array -> int -> bool
+(** [visitor t order r] visits node [v = order.(r)]: retry its pending
+    sends once each (a refused channel blocks its later sends this
+    visit), then deliver its dummy
+    slots on channels with no data still queued; then, if nothing is
+    left pending, fire it once — a source takes its next input (or
+    sends EOS after the last), any other node consumes its
+    minimum-sequence heads (or forwards EOS once every input reached
+    it) and runs its kernel — followed by the send phase and one more
+    retry. [true] when the visit made progress (a push landed or the
+    node fired). [Event.Blocked] narrates each visit to a node with
+    sends pending in a sequential run, and each blocking episode (a
+    firing that leaves sends pending) in a concurrent one.
     @raise Invalid_argument if the kernel returns an edge [v] does not
     own. *)
-
-val self_arming : t -> int -> bool
-(** Node [v] can fire again with no outside event: it is not finished,
-    nothing is pending, and every input is non-empty (vacuously, for a
-    source). The pool re-queues a task by it; the sequential engine
-    re-arms any node whose visit made progress instead, which covers
-    every node this holds for. *)
 
 val drained : t -> bool
 (** Every node finished with nothing pending and every channel empty. *)

@@ -26,8 +26,8 @@ open Fstream_graph
 (** Which engine executes the application. Neither engine has a
     tuning parameter: the schedule does not decide deadlock freedom
     (the wrappers' thresholds and the buffer sizes do), so there is
-    nothing to tune for correctness, and the pool's per-task firing
-    bound and fair-share quota are constants of
+    nothing to tune for correctness, and the pool's per-claim visit
+    budget and fair-share quota are constants of
     [Fstream_parallel.Parallel_engine]. The worker count stays a
     parameter because it is a property of the host. *)
 type engine =

@@ -31,7 +31,7 @@
        step.}
     {- {b Fair-share scheduling.} Sessions multiplex onto the one
        pool; the pool's fixed per-instance grant quota (the
-       instance-level analogue of its per-task firing bound) keeps a
+       instance-level analogue of its per-claim visit budget) keeps a
        hot tenant from starving the rest.}}
 
     Admitted sessions are additionally {e reconfigurable}: an
@@ -46,7 +46,7 @@
     reconfigurations indefinitely.
 
     Admission and execution are decoupled: {!admit} returns a
-    {!session}, {!start} launches it (its tasks immediately interleave
+    {!session}, {!start} launches it (its shards immediately interleave
     with every other running session's), {!await} collects its
     {!Fstream_runtime.Report.t}. All functions are thread-safe except
     where noted. *)

@@ -375,6 +375,110 @@ let prop_avoidance_sound_in_parallel =
         in
         s.outcome = Report.Completed)
 
+(* ----- pool-1 is the sequential engine ----- *)
+
+(* With one domain an instance is a single shard, whose claims run the
+   sequential engine's worklist pass for pass (a claim's visit budget
+   only ends it between passes): the whole report matches, dummy
+   traffic included — everything but [detail]. *)
+let one_shard_families =
+  [
+    ("sp", fun seed -> Tutil.random_sp_of_seed ~max_edges:24 seed);
+    ("ladder", fun seed -> Tutil.random_ladder_of_seed ~max_rungs:8 seed);
+    ("cs4", fun seed -> Tutil.random_cs4_of_seed seed);
+    ("dense", Tutil.random_dense_of_seed);
+    ("dag", Tutil.random_dag_of_seed);
+    ( "diamond_chain",
+      fun seed ->
+        Topo_gen.diamond_chain ~bypass:(seed mod 2 = 1)
+          ~diamonds:(1 + (seed / 2 mod 8))
+          ~cap:(1 + (seed mod 5)) () );
+  ]
+
+(* the three avoidance modes; a mode the graph does not compile under
+   is skipped *)
+let avoidances g =
+  let compiled algorithm thresholds =
+    match Compiler.compile algorithm g with
+    | Ok p -> [ thresholds g p.Compiler.intervals ]
+    | Error _ -> []
+  in
+  (Engine.No_avoidance
+  :: compiled Compiler.Propagation (fun g iv ->
+         Engine.Propagation (Compiler.propagation_thresholds g iv)))
+  @ compiled Compiler.Non_propagation (fun g iv ->
+        Engine.Non_propagation (Compiler.send_thresholds g iv))
+
+let prop_one_shard (name, family) =
+  Tutil.qtest ~count:50
+    (Printf.sprintf "pool-1 report = sequential engine's on %s workloads" name)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      let kernels = mixed_kernels g seed in
+      List.for_all
+        (fun avoidance ->
+          let seq =
+            Engine.run ~graph:g ~kernels:(kernels ()) ~inputs:30 ~avoidance ()
+          in
+          let par =
+            P.run ~domains:1 ~graph:g ~kernels:(kernels ()) ~inputs:30
+              ~avoidance ()
+          in
+          { seq with Report.detail = par.Report.detail } = par)
+        (avoidances g))
+
+(* Cross-shard traffic: a CS4 chain of more than 512 nodes plus chords
+   that each span a quarter of the topological order, so every chord
+   crosses a shard boundary at 2 and at 4 domains. The chords make the
+   graph non-CS4 with far too many cycles to enumerate, so the LP
+   backend supplies the table; the data computation is then
+   schedule-independent and the counts must equal the sequential
+   engine's at every width. *)
+let test_cross_shard_chords () =
+  let rng = Tutil.rng_of 23 in
+  let base = Topo_gen.random_cs4 rng ~blocks:64 ~block_edges:24 ~max_cap:3 in
+  let n = Graph.num_nodes base in
+  Alcotest.(check bool) "graph is >= 512 nodes" true (n >= 512);
+  let order = Fstream_graph.Topo.order_exn base in
+  let chords =
+    List.init 24 (fun _ ->
+        let a = Random.State.int rng (n - (n / 4) - 1) in
+        let b = a + (n / 4) + Random.State.int rng (n - a - (n / 4)) in
+        (order.(a), order.(b), 1 + Random.State.int rng 3))
+  in
+  let g =
+    Graph.make ~nodes:n
+      (List.map (fun (e : Graph.edge) -> (e.src, e.dst, e.cap)) (Graph.edges base)
+      @ chords)
+  in
+  let options = { Compiler.Options.default with backend = Compiler.Lp } in
+  match Compiler.compile ~options Compiler.Non_propagation g with
+  | Error e -> Alcotest.fail (Compiler.error_to_string e)
+  | Ok p ->
+    let avoidance =
+      Engine.Non_propagation (Compiler.send_thresholds g p.intervals)
+    in
+    let kernels = mixed_kernels g 23 in
+    let seq = Engine.run ~graph:g ~kernels:(kernels ()) ~inputs:40 ~avoidance () in
+    Alcotest.(check bool) "sequential completes" true
+      (seq.Report.outcome = Report.Completed);
+    List.iter
+      (fun domains ->
+        let par =
+          P.run ~domains ~graph:g ~kernels:(kernels ()) ~inputs:40 ~avoidance ()
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "pool completes with %d domains" domains)
+          true
+          (par.Report.outcome = Report.Completed);
+        Alcotest.(check int)
+          (Printf.sprintf "data count at %d domains" domains)
+          seq.Report.data_messages par.Report.data_messages;
+        Alcotest.(check int)
+          (Printf.sprintf "sink count at %d domains" domains)
+          seq.Report.sink_data par.Report.sink_data)
+      [ 2; 4 ]
+
 (* A shut-down pool has no workers left to run an instance, so
    [submit] must refuse it rather than hand back a job whose [await]
    never returns. *)
@@ -413,8 +517,11 @@ let suite =
       test_big_ladder_differential;
     Alcotest.test_case "submit after shutdown raises" `Quick
       test_submit_after_shutdown;
+    Alcotest.test_case "cross-shard chords match sequential" `Quick
+      test_cross_shard_chords;
     prop_no_avoidance_agrees;
     prop_non_propagation_agrees;
     prop_propagation_agrees;
     prop_avoidance_sound_in_parallel;
   ]
+  @ List.map prop_one_shard one_shard_families

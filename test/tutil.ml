@@ -120,34 +120,26 @@ let qtest ?(count = 200) name gen prop =
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.nat
 
 (* The reference sequential scheduler: every round visits every node in
-   topological order, through the same {!Fstream_runtime.Firing} step as
-   [Engine.run], with the same visit (flush, then at most one
-   firing), budget, outcome and wedge logic. [Engine.run] visits only
-   the nodes its worklist armed; [test_sched] checks that the skipped
+   topological order, through the same {!Fstream_runtime.Firing.visitor}
+   as [Engine.run], with the same budget, outcome and wedge logic.
+   [Engine.run] visits only the nodes its worklist armed; [test_sched] checks that the skipped
    visits were no-ops, i.e. that both reports are equal. *)
 let sweep ?max_rounds ?sink ~graph:g ~kernels ~inputs ~avoidance () =
   let open Fstream_runtime in
   let module Event = Fstream_obs.Event in
   let hooks =
-    { Firing.guard = None; woke = (fun _ _ -> ()); freed = (fun _ _ -> ()) }
+    { Firing.guard = None; woke = (fun _ _ -> ()); freed = (fun _ _ _ -> ()) }
   in
   let fr =
     Firing.create ~who:"sweep" ?sink ~hooks ~graph:g ~kernels ~inputs
       ~avoidance ()
   in
-  let nodes = Firing.nodes fr and obs = Firing.observed fr in
-  let visit v =
-    let s = nodes.(v) in
-    let flushed = Firing.flush fr v s in
-    if s.Firing.pend_len = 0 then Firing.fire fr v s || flushed
-    else begin
-      if obs then
-        Firing.event fr
-          (Event.Blocked { node = v; edge = s.pend_eid.(s.pend_head) });
-      flushed
-    end
-  in
+  let obs = Firing.observed fr in
   let order = Topo.order_exn g in
+  let visit = Firing.visitor fr order in
+  let rec sweep_round r p =
+    if r = Array.length order then p else sweep_round (r + 1) (visit r || p)
+  in
   let budget =
     match max_rounds with
     | Some b -> b
@@ -158,8 +150,7 @@ let sweep ?max_rounds ?sink ~graph:g ~kernels ~inputs ~avoidance () =
   let rec loop round =
     if obs then Firing.event fr (Event.Round_started { round });
     if round > budget then (Report.Budget_exhausted, None, round)
-    else if Array.fold_left (fun p v -> visit v || p) false order then
-      loop (round + 1)
+    else if sweep_round 0 false then loop (round + 1)
     else if Firing.drained fr then (Report.Completed, None, round)
     else begin
       if obs then Firing.event fr (Event.Wedge { round });
