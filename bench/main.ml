@@ -1781,6 +1781,83 @@ let rc1 () =
     headline "RC1" "cold_pivots" (float c.Lp.rpivots))
 
 (* ------------------------------------------------------------------ *)
+(* ADM. Admission analysis of a served non-CS4 tenant: lint of each
+   recompiled plan against the recompile it gates.                      *)
+
+let adm () =
+  section "ADM" "admission: lint per recompiled layered-dense plan (LP)";
+  (* The reconfigure workload's non-CS4 tenant: a 3 x 3 layered-dense
+     DAG with capacities 2-6, served under the LP backend (where FS201
+     is a Warning). A session of edits, two resizes to one add-stage,
+     each recompiled on a fork of the session cache (as Serve does) and
+     linted given that plan; best of three per plan. *)
+  let rng = Random.State.make [| 1 |] in
+  let recap g =
+    Graph.make ~nodes:(Graph.num_nodes g)
+      (List.map
+         (fun (e : Graph.edge) -> (e.src, e.dst, 2 + Random.State.int rng 5))
+         (Graph.edges g))
+  in
+  let algorithm = Compiler.Non_propagation in
+  let options = { Compiler.Options.default with backend = Compiler.Lp } in
+  let config = { Lint.default_config with Lint.backend = Compiler.Lp } in
+  let cache = Compiler.cache_create () in
+  let g0 = recap (Topo_gen.layered_dense ~layers:3 ~width:3 ~cap:1) in
+  ignore (Compiler.compile_cached ~options cache algorithm g0);
+  let plans = if !quick then 20 else 100 in
+  let cur = ref g0 in
+  let lint_t = ref [] and recompile_t = ref [] and cycles = ref [] in
+  let incomplete = ref 0 in
+  for i = 1 to plans do
+    let g = !cur in
+    let op =
+      let edge = Random.State.int rng (Graph.num_edges g) in
+      let cap () = 2 + Random.State.int rng 5 in
+      if i mod 3 = 0 then
+        Edit.Add_stage { edge; cap_in = cap (); cap_out = cap () }
+      else Edit.Resize { edge; cap = cap () }
+    in
+    match Edit.apply g [ op ] with
+    | Error e -> failwith ("ADM: " ^ e)
+    | Ok delta ->
+      let recompile c =
+        match Compiler.recompile ~options c algorithm delta with
+        | Ok (p, _) -> p
+        | Error e -> failwith (Compiler.error_to_string e)
+      in
+      let t_recompile =
+        time_best (fun () -> recompile (Compiler.cache_fork cache))
+      in
+      let plan = recompile cache in
+      let g = delta.Edit.graph in
+      let report = Lint.run ~config ~plan:(Ok plan) g in
+      if report.Lint.incomplete <> None then incr incomplete;
+      let t_lint = time_best (fun () -> Lint.run ~config ~plan:(Ok plan) g) in
+      lint_t := t_lint :: !lint_t;
+      recompile_t := t_recompile :: !recompile_t;
+      cycles := float (Cycles.count g) :: !cycles;
+      cur := g
+  done;
+  let mean l = List.fold_left ( +. ) 0. l /. float (List.length l) in
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let lint_mean = mean !lint_t and recompile_mean = mean !recompile_t in
+  row "  %d plans, %.0f simple cycles each on average, %d incomplete@." plans
+    (mean !cycles) !incomplete;
+  row "  %-10s %12s %12s@." "" "mean" "median";
+  row "  %-10s %a %a@." "recompile" pp_ns recompile_mean pp_ns
+    (median !recompile_t);
+  row "  %-10s %a %a@." "lint" pp_ns lint_mean pp_ns (median !lint_t);
+  row "  lint / recompile = %.2f (<= 1: %s)@." (lint_mean /. recompile_mean)
+    (ok (lint_mean <= recompile_mean));
+  headline "ADM" "layered_dense_lint_ns" lint_mean;
+  headline "ADM" "layered_dense_recompile_ns" recompile_mean;
+  headline "ADM" "layered_dense_incomplete" (float !incomplete)
+
+(* ------------------------------------------------------------------ *)
 
 let sections =
   [
@@ -1800,6 +1877,7 @@ let sections =
     ("FE1", fe1);
     ("LP1", lp1);
     ("RC1", rc1);
+    ("ADM", adm);
     ("O1", o1);
     ("V1", v1);
     ("V2", v2);

@@ -247,17 +247,17 @@ type ctx = {
   cfg : config;
   dag : bool;
   connected : bool;
-  cycles : Cycles.t list option Lazy.t;  (* [None]: cyclic graph or budget *)
   classification : (Cs4.t, Cs4.failure) result option;
   plan : (Compiler.plan, Compiler.error) result option;
   mutable incomplete : string option;
 }
 
 (* One analysis per graph: the plan is the caller's when given (lint
-   compiles only otherwise), the CS4 decomposition is the plan route's
-   when it carries one, and cycles are enumerated only when a rule
-   forces them — so an exhausted budget marks the report incomplete
-   only when a rule that reads cycles was skipped. *)
+   compiles only otherwise), and the CS4 decomposition is the plan
+   route's when it carries one. No cycle is enumerated here: the rules
+   that need cycles search for them themselves, each under the budget,
+   and only a search that leaves its rule undecided marks the report
+   incomplete. *)
 let make_ctx ?plan cfg g =
   let dag = Topo.is_dag g in
   let connected = Topo.connected g in
@@ -284,31 +284,11 @@ let make_ctx ?plan cfg g =
       Some (Cs4.classify g)
     | _ -> None
   in
-  let rec ctx =
-    {
-      g;
-      cfg;
-      dag;
-      connected;
-      cycles =
-        lazy
-          (try
-             if dag then Some (Cycles.enumerate ~max_cycles:cfg.max_cycles g)
-             else None
-           with Cycles.Budget_exceeded _ ->
-             ctx.incomplete <-
-               Some
-                 (Printf.sprintf
-                    "cycle enumeration exceeded the budget of %d simple \
-                     cycles; cycle-structure rules (FS2xx, FS303) were skipped"
-                    cfg.max_cycles);
-             None);
-      classification;
-      plan;
-      incomplete = None;
-    }
-  in
-  ctx
+  { g; cfg; dag; connected; classification; plan; incomplete = None }
+
+(* The first skipped rule names itself. *)
+let mark_incomplete ctx what =
+  if ctx.incomplete = None then ctx.incomplete <- Some what
 
 (* ------------------------------------------------------------------ *)
 (* FS1xx: structure                                                     *)
@@ -423,16 +403,20 @@ let rule_fs104 ctx =
 (* ------------------------------------------------------------------ *)
 (* FS2xx: cycle structure                                               *)
 
-let bad_cycles ctx =
-  Option.value ~default:[] (Lazy.force ctx.cycles)
-  |> List.filter (fun c -> not (Cycles.is_cs4_cycle c))
-
+(* A bad block proves a multi-source cycle in that block (Theorem V.7):
+   the classification decides FS201, and the cycle is only its witness,
+   searched in that block alone and stopped at the first. *)
 let rule_fs201 ctx =
   match ctx.classification with
   | Some (Stdlib.Error (Cs4.Bad_block { block_source; block_sink; reason }))
     ->
     let witness_cycle =
-      match bad_cycles ctx with c :: _ -> Some c | [] -> None
+      match
+        Cs4.block_witnesses ~max_cycles:ctx.cfg.max_cycles ctx.g ~block_source
+          ~block_sink ~limit:1
+      with
+      | c :: _, _ -> Some c
+      | [], _ -> None
     in
     let witness =
       match witness_cycle with
@@ -483,24 +467,62 @@ let rule_fs201 ctx =
     ]
   | _ -> []
 
-(* a CS4 graph has no multi-source cycle (Theorem V.7) *)
+(* FS202 lists the first few multi-source cycles. A CS4 graph has none
+   (Theorem V.7); a bad block has some, so the search runs in that block
+   only and a budget that runs out there still leaves the finding, at
+   the block's endpoints. Without a classification nothing is known in
+   advance: the search runs over the whole graph, and a budget that
+   runs out before any witness leaves the rule undecided. *)
 let rule_fs202 ctx =
-  let bad =
-    match ctx.classification with Some (Ok _) -> [] | _ -> bad_cycles ctx
-  in
-  let total = List.length bad in
   let keep = 5 in
-  List.filteri (fun i _ -> i < keep) bad
-  |> List.mapi (fun i c ->
-         let srcs = Cycles.cycle_sources c in
-         diag "FS202"
-           (Channels (cycle_channel_ids c))
-           (Printf.sprintf
-              "multi-source cycle %d of %d: %d sources {%s}, %d sinks {%s} \
-               — each such cycle multiplies the general route's work"
-              (i + 1) total (List.length srcs) (node_list_string srcs)
-              (List.length (Cycles.cycle_sinks c))
-              (node_list_string (Cycles.cycle_sinks c))))
+  let found scope cycles =
+    let k = List.length cycles in
+    List.mapi
+      (fun i c ->
+        let srcs = Cycles.cycle_sources c and sinks = Cycles.cycle_sinks c in
+        diag "FS202"
+          (Channels (cycle_channel_ids c))
+          (Printf.sprintf
+             "multi-source cycle %d (first %d found in %s): %d sources {%s}, \
+              %d sinks {%s} — each such cycle multiplies the general route's \
+              work"
+             (i + 1) k scope (List.length srcs) (node_list_string srcs)
+             (List.length sinks) (node_list_string sinks)))
+      cycles
+  in
+  match ctx.classification with
+  | Some (Ok _) -> []
+  | Some (Stdlib.Error (Cs4.Bad_block { block_source; block_sink; _ })) -> (
+    let scope = Printf.sprintf "block %d..%d" block_source block_sink in
+    match
+      Cs4.block_witnesses ~max_cycles:ctx.cfg.max_cycles ctx.g ~block_source
+        ~block_sink ~limit:keep
+    with
+    | [], _ ->
+      [
+        diag "FS202"
+          (Nodes [ block_source; block_sink ])
+          (Printf.sprintf
+             "multi-source cycles in %s: none found within the search \
+              budget of %d cycles — each such cycle multiplies the general \
+              route's work"
+             scope ctx.cfg.max_cycles);
+      ]
+    | cycles, _ -> found scope cycles)
+  | _ when not ctx.dag -> []
+  | _ -> (
+    match
+      Cycles.search ~max_cycles:ctx.cfg.max_cycles ctx.g ~limit:keep (fun c ->
+          not (Cycles.is_cs4_cycle c))
+    with
+    | [], true ->
+      mark_incomplete ctx
+        (Printf.sprintf
+           "the cycle search exceeded the budget of %d simple cycles before \
+            a multi-source cycle was found; FS202 was skipped"
+           ctx.cfg.max_cycles);
+      []
+    | cycles, _ -> found "the graph" cycles)
 
 (* a serial composition of SP blocks is SP: only a ladder block can
    stall the whole-graph reduction *)
@@ -630,12 +652,11 @@ let rule_fs302 ctx =
    budget, eroding the tighter cycle (the 4-node erosion counterexample
    is the canonical instance, and parallel-edge multigraphs hit the
    same hazard with no erosion "split" in sight). We check the
-   discipline directly on every enumerated cycle; each violated run is
-   a machine-checkable unsoundness witness. *)
+   discipline directly on every cycle, folded as the enumeration finds
+   it; each violated run is a machine-checkable unsoundness witness. *)
 let rule_fs303 ctx =
   match (ctx.cfg.algorithm, ctx.plan) with
-  | Compiler.Propagation, Some (Ok p) ->
-    let cycles = Option.value ~default:[] (Lazy.force ctx.cycles) in
+  | Compiler.Propagation, Some (Ok p) -> (
     let thr = Compiler.propagation_thresholds ctx.g p.Compiler.intervals in
     let flagged = Hashtbl.create 8 in
     let acc = ref [] in
@@ -645,98 +666,107 @@ let rule_fs303 ctx =
         acc := d :: !acc
       end
     in
-    List.iter
-      (fun c ->
-        let runs = Cycles.runs c in
-        let opposite = Cycles.opposite_run c in
-        let cycle_nodes () =
-          node_list_string (List.sort_uniq compare (Cycles.vertices c))
-        in
-        Array.iteri
-          (fun i r ->
-            let l = Cycles.run_caps runs.(opposite.(i)) in
-            (* worst-case run lag before any origination must fire;
-               None means the table never catches up at all *)
-            let lag =
-              List.fold_left
-                (fun acc (e : Graph.edge) ->
-                  match (acc, Thresholds.get thr e.Graph.id) with
-                  | Some s, Some k -> Some (s + k - 1)
-                  | _ -> None)
-                (Some 0) r.Cycles.run_edges
-            in
-            match lag with
-            | None ->
-              List.iter
-                (fun (e : Graph.edge) ->
-                  if Thresholds.get thr e.Graph.id = None then
-                    emit
-                      (diag
-                         ~witness:
-                           [
-                             Printf.sprintf
-                               "on the cycle through nodes {%s}"
-                               (cycle_nodes ());
-                           ]
-                         "FS303" (Channel e.Graph.id)
-                         (Printf.sprintf
-                            "channel %s lies on a cycle but the Propagation \
-                             table never originates dummies on it"
-                            (chan_string ctx.g e.Graph.id)))
-                      e.Graph.id)
-                r.Cycles.run_edges
-            | Some lag when lag > l - 1 ->
-              (* anchor the finding on the loosest budget in the run:
-                 that is the entry granted by some other cycle *)
-              let anchor =
-                List.fold_left
-                  (fun best (e : Graph.edge) ->
-                    let k =
-                      Option.value ~default:0
-                        (Thresholds.get thr e.Graph.id)
-                    in
-                    match best with
-                    | Some (k', _) when k' >= k -> best
-                    | _ -> Some (k, e.Graph.id))
-                  None r.Cycles.run_edges
-              in
-              Option.iter
-                (fun (k, id) ->
+    let check () c =
+      let runs = Cycles.runs c in
+      let opposite = Cycles.opposite_run c in
+      let cycle_nodes () =
+        node_list_string (List.sort_uniq compare (Cycles.vertices c))
+      in
+      Array.iteri
+        (fun i r ->
+          let l = Cycles.run_caps runs.(opposite.(i)) in
+          (* worst-case run lag before any origination must fire;
+             None means the table never catches up at all *)
+          let lag =
+            List.fold_left
+              (fun acc (e : Graph.edge) ->
+                match (acc, Thresholds.get thr e.Graph.id) with
+                | Some s, Some k -> Some (s + k - 1)
+                | _ -> None)
+              (Some 0) r.Cycles.run_edges
+          in
+          match lag with
+          | None ->
+            List.iter
+              (fun (e : Graph.edge) ->
+                if Thresholds.get thr e.Graph.id = None then
                   emit
                     (diag
                        ~witness:
                          [
                            Printf.sprintf
-                             "run {%s} lags up to %d while the opposing \
-                              side holds only %d"
-                             (String.concat ", "
-                                (List.map
-                                   (fun (e : Graph.edge) ->
-                                     Printf.sprintf "%s:[%s]"
-                                       (chan_string ctx.g e.Graph.id)
-                                       (match
-                                          Thresholds.get thr e.Graph.id
-                                        with
-                                       | Some k -> string_of_int k
-                                       | None -> "inf"))
-                                   r.Cycles.run_edges))
-                             lag l;
-                           Printf.sprintf "on the cycle through nodes {%s}"
+                             "on the cycle through nodes {%s}"
                              (cycle_nodes ());
                          ]
-                       "FS303" (Channel id)
+                       "FS303" (Channel e.Graph.id)
                        (Printf.sprintf
-                          "the Propagation budget %d on channel %s erodes a \
-                           tighter cycle: its run may legally lag %d \
-                           sequence numbers where %d already wedges (use \
-                           non-propagation thresholds or eager relays)"
-                          k (chan_string ctx.g id) lag l))
-                    id)
-                anchor
-            | Some _ -> ())
-          runs)
-      cycles;
-    List.rev !acc
+                          "channel %s lies on a cycle but the Propagation \
+                           table never originates dummies on it"
+                          (chan_string ctx.g e.Graph.id)))
+                    e.Graph.id)
+              r.Cycles.run_edges
+          | Some lag when lag > l - 1 ->
+            (* anchor the finding on the loosest budget in the run:
+               that is the entry granted by some other cycle *)
+            let anchor =
+              List.fold_left
+                (fun best (e : Graph.edge) ->
+                  let k =
+                    Option.value ~default:0
+                      (Thresholds.get thr e.Graph.id)
+                  in
+                  match best with
+                  | Some (k', _) when k' >= k -> best
+                  | _ -> Some (k, e.Graph.id))
+                None r.Cycles.run_edges
+            in
+            Option.iter
+              (fun (k, id) ->
+                emit
+                  (diag
+                     ~witness:
+                       [
+                         Printf.sprintf
+                           "run {%s} lags up to %d while the opposing \
+                            side holds only %d"
+                           (String.concat ", "
+                              (List.map
+                                 (fun (e : Graph.edge) ->
+                                   Printf.sprintf "%s:[%s]"
+                                     (chan_string ctx.g e.Graph.id)
+                                     (match
+                                        Thresholds.get thr e.Graph.id
+                                      with
+                                     | Some k -> string_of_int k
+                                     | None -> "inf"))
+                                 r.Cycles.run_edges))
+                           lag l;
+                         Printf.sprintf "on the cycle through nodes {%s}"
+                           (cycle_nodes ());
+                       ]
+                     "FS303" (Channel id)
+                     (Printf.sprintf
+                        "the Propagation budget %d on channel %s erodes a \
+                         tighter cycle: its run may legally lag %d \
+                         sequence numbers where %d already wedges (use \
+                         non-propagation thresholds or eager relays)"
+                        k (chan_string ctx.g id) lag l))
+                  id)
+              anchor
+          | Some _ -> ())
+        runs
+    in
+    match
+      Cycles.fold ~max_cycles:ctx.cfg.max_cycles ctx.g ~init:() ~f:check
+    with
+    | () -> List.rev !acc
+    | exception Cycles.Budget_exceeded _ ->
+      mark_incomplete ctx
+        (Printf.sprintf
+           "cycle enumeration exceeded the budget of %d simple cycles; \
+            FS303 was skipped"
+           ctx.cfg.max_cycles);
+      [])
   | _ -> []
 
 let rule_fs304 ctx =

@@ -79,8 +79,9 @@ type config = {
       (** interval machinery for the audited plan (default [Exact]);
           [Lp] additionally arms the FS305 run-sum audit *)
   max_cycles : int;
-      (** budget for cycle enumeration (default 200_000), and for the
-          general route of lint's own compile *)
+      (** budget, in simple cycles examined, for each rule's cycle
+          search (default 200_000), and for the general route of lint's
+          own compile *)
   audit_thresholds : Fstream_core.Thresholds.t option;
       (** an externally supplied threshold table to audit against the
           computed intervals (rule FS302); [None] audits nothing *)
@@ -96,9 +97,11 @@ type report = {
       (** sorted by code, then location, then message *)
   incomplete : string option;
       (** when analysis could not finish: what was skipped. Set when a
-          rule that reads the cycle list forced an enumeration that
-          exhausted [max_cycles], or when the plan gave up on its cycle
-          budget ({!Fstream_core.Compiler.Cycle_budget_exceeded}). A
+          cycle search exhausted [max_cycles] with its rule undecided
+          (FS303's whole-graph fold, or FS202's search on a graph lint
+          cannot classify, before its first witness), or when the plan
+          gave up on its cycle budget
+          ({!Fstream_core.Compiler.Cycle_budget_exceeded}). A
           lint-clean verdict is not trustworthy in this state. *)
 }
 
@@ -119,12 +122,31 @@ val run :
     one ([Cs4_route], or the exact half of a [Min_route]); otherwise
     lint classifies.
 
-    Undirected simple cycles are enumerated only when a rule reads
-    them: FS201's witness (a bad block), FS202 (unless the graph is
-    CS4 — a CS4 graph has no multi-source cycle) and FS303 (under
-    [Propagation] with a plan). A CS4 graph linted under
-    [Non_propagation] or [Relay_propagation] therefore never
-    enumerates, whatever its cycle count. *)
+    FS201 and FS202 are decided by the classification (Theorem V.7):
+    [Cs4.classify] rejects a block only when that block holds a cycle
+    with several sources, so on a two-terminal DAG both fire exactly
+    when it rejects one, and neither fires on a CS4 graph. Cycles are
+    only their witnesses. They come from an early-stopping search
+    ({!Fstream_ladder.Cs4.block_witnesses}) over the rejected block's
+    edges alone, in {!Cycles.enumerate} order: FS201 stops at the first
+    multi-source cycle, FS202 at the fifth. Each search examines at
+    most [max_cycles] cycles. FS202 lists the witnesses found within
+    that budget; a rule whose search found none is reported once,
+    located at the block's endpoints, without a witness. Either way the
+    report stays complete. Only on a DAG lint cannot classify (not
+    connected or not two-terminal) does FS202 search the whole graph,
+    and there a budget that runs out before the first witness marks
+    the report incomplete. FS201's reroute fixit
+    ({!Fstream_repair.Repair.repair}) takes its witnesses from the
+    rejected block the same way.
+
+    FS303 (under [Propagation] with a plan) still folds every cycle of
+    the graph ({!Cycles.fold}), one at a time; its exhausted budget
+    marks the report incomplete. So under [Non_propagation] or
+    [Relay_propagation] no rule searches a two-terminal DAG's cycles
+    outside its rejected block, and no cycle search marks the report
+    incomplete, whatever the cycle count (a plan that gave up on its
+    own budget still does). *)
 
 val count : report -> severity -> int
 val max_severity : report -> severity option
@@ -132,17 +154,15 @@ val max_severity : report -> severity option
 (** {2 The rules' context}
 
     Exposed so a test can run the rules over a context built another
-    way — the differential suite compares {!run} against an eager,
-    self-classifying, self-compiling reference. *)
+    way — the differential suite compares {!run} against a
+    self-classifying, self-compiling reference, with FS201 and FS202
+    checked against eager whole-graph enumeration. *)
 
 type ctx = {
   g : Graph.t;
   cfg : config;
   dag : bool;
   connected : bool;
-  cycles : Cycles.t list option Lazy.t;
-      (** every undirected simple cycle; [None] on a cyclic graph or
-          past [cfg.max_cycles] (forcing it then sets [incomplete]) *)
   classification :
     (Fstream_ladder.Cs4.t, Fstream_ladder.Cs4.failure) result option;
       (** [None] unless connected and two-terminal *)
@@ -155,7 +175,7 @@ type ctx = {
 val run_ctx : ctx -> report
 (** Run every rule over the context and sort the findings. A plan that
     exhausted its cycle budget marks the report incomplete unless a
-    forced enumeration already did. [run ?config ?plan g] is [run_ctx]
+    cycle search already did. [run ?config ?plan g] is [run_ctx]
     over lint's own context for [g]. *)
 
 val apply_fixes : Graph.t -> report -> (Graph.t * string list, string) result

@@ -30,17 +30,27 @@ type run = {
    orientations start with its two edges at s. The first edges at s
    are tried in increasing id order, so the orientation met first is
    the one whose first edge has the smaller id; only that one is
-   reported. *)
+   reported.
 
-let traverse ~max_cycles g f =
+   [within] replaces the block partition by one group holding the given
+   edges: the DFS then follows only those, and reports exactly the
+   cycles all of whose edges lie among them, in the order of the whole
+   traversal (the relative order of first edges at s and of the edges
+   scanned at each step is unchanged). Given one biconnected block,
+   that is the block's cycles, with no biconnected-components pass. *)
+
+let traverse ~max_cycles ?within g f =
   let n = Graph.num_nodes g in
   let block = Array.make (Graph.num_edges g) (-1) in
-  List.iteri
-    (fun b comp ->
-      match comp with
-      | [ _ ] -> ()
-      | es -> List.iter (fun (e : Graph.edge) -> block.(e.id) <- b) es)
-    (Articulation.biconnected_components g);
+  (match within with
+  | None ->
+    List.iteri
+      (fun b comp ->
+        match comp with
+        | [ _ ] -> ()
+        | es -> List.iter (fun (e : Graph.edge) -> block.(e.id) <- b) es)
+      (Articulation.biconnected_components g)
+  | Some es -> List.iter (fun (e : Graph.edge) -> block.(e.id) <- 0) es);
   let by_block (a : Graph.edge) (b : Graph.edge) =
     compare block.(a.id) block.(b.id)
   in
@@ -116,11 +126,30 @@ let fold ?(max_cycles = default_budget) g ~init ~f =
   traverse ~max_cycles g (fun c -> acc := f !acc c);
   !acc
 
+let search ?(max_cycles = default_budget) ?within g ~limit p =
+  let exception Enough in
+  let found = ref [] and k = ref 0 in
+  let keep c =
+    if p c then begin
+      found := c :: !found;
+      incr k;
+      if !k = limit then raise Enough
+    end
+  in
+  let exhausted =
+    if limit <= 0 then false
+    else
+      match traverse ~max_cycles ?within g keep with
+      | () | (exception Enough) -> false
+      | exception Budget_exceeded _ -> true
+  in
+  (List.rev !found, exhausted)
+
 let find ?(max_cycles = default_budget) g p =
-  let exception Found of t in
-  match traverse ~max_cycles g (fun c -> if p c then raise (Found c)) with
-  | () -> None
-  | exception Found c -> Some c
+  match search ~max_cycles g ~limit:1 p with
+  | [ c ], _ -> Some c
+  | _, true -> raise (Budget_exceeded max_cycles)
+  | _, false -> None
 
 let enumerate ?max_cycles g =
   List.rev (fold ?max_cycles g ~init:[] ~f:(fun acc c -> c :: acc))

@@ -59,8 +59,17 @@ let classify g =
 
 let is_cs4 g = Result.is_ok (classify g)
 
-let bad_cycle_witness ?max_cycles g =
-  Cycles.find ?max_cycles g (fun c -> not (Cycles.is_cs4_cycle c))
+let is_multi_source c = not (Cycles.is_cs4_cycle c)
+
+let bad_cycle_witness ?max_cycles g = Cycles.find ?max_cycles g is_multi_source
+
+let block_witnesses ?max_cycles g ~block_source ~block_sink ~limit =
+  let _, _, within =
+    List.find
+      (fun (s, t, _) -> s = block_source && t = block_sink)
+      (Articulation.serial_blocks g)
+  in
+  Cycles.search ?max_cycles ~within g ~limit is_multi_source
 
 let is_cs4_brute ?max_cycles g =
   match Topo.is_two_terminal g with

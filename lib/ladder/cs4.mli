@@ -49,4 +49,20 @@ val bad_cycle_witness : ?max_cycles:int -> Graph.t -> Cycles.t option
     [max_cycles] counts the cycles examined before it
     ({!Cycles.find}). *)
 
+val block_witnesses :
+  ?max_cycles:int ->
+  Graph.t ->
+  block_source:Graph.node ->
+  block_sink:Graph.node ->
+  limit:int ->
+  Cycles.t list * bool
+(** The first [limit] multi-source cycles of the serial block
+    [block_source..block_sink] of a two-terminal DAG — the block a
+    [Bad_block] names, which holds at least one — in {!Cycles.enumerate}
+    order, searched over that block's edges only ({!Cycles.search},
+    whose budget and flag it returns). The search stops at the
+    [limit]-th, so its cost depends on that block alone, never on the
+    cycles of the rest of the graph.
+    @raise Not_found if no serial block has those endpoints. *)
+
 val pp_failure : Format.formatter -> failure -> unit

@@ -69,7 +69,8 @@ let repair ?max_rounds ?relay_cap g =
   | None -> Error "not a connected two-terminal DAG"
   | Some _ ->
     let rec loop g reroutes rounds =
-      if Cs4.is_cs4 g then
+      match Cs4.classify g with
+      | Ok _ ->
         Ok
           {
             graph = g;
@@ -79,15 +80,18 @@ let repair ?max_rounds ?relay_cap g =
                 (List.filter (fun r -> r.added <> None) reroutes);
             deleted_edges = List.length reroutes;
           }
-      else if rounds >= budget then
+      | Error _ when rounds >= budget ->
         Error "repair did not converge within its round budget"
-      else
-        match Cs4.bad_cycle_witness g with
-        | None -> Error "not CS4 yet no multi-source cycle witness"
-        | Some cycle -> (
+      | Error Cs4.Not_two_terminal -> Error "not a connected two-terminal DAG"
+      | Error (Cs4.Bad_block { block_source; block_sink; _ }) -> (
+        (* the witness comes from the rejected block alone *)
+        match Cs4.block_witnesses g ~block_source ~block_sink ~limit:1 with
+        | [], true -> Error "no multi-source cycle within the cycle budget"
+        | [], false -> Error "not CS4 yet no multi-source cycle witness"
+        | cycle :: _, _ -> (
           match rewrite_step ~relay_cap g cycle with
           | None -> Error "witness cycle admits no acyclic reroute"
-          | Some (g', r) -> loop g' (r :: reroutes) (rounds + 1))
+          | Some (g', r) -> loop g' (r :: reroutes) (rounds + 1)))
     in
     loop g [] 0
 

@@ -8,7 +8,9 @@
     iterative heuristic:
 
     - while the graph is not CS4, take a witness cycle with two or more
-      sources ({!Fstream_ladder.Cs4.bad_cycle_witness});
+      sources from the first block {!Fstream_ladder.Cs4.classify}
+      rejects ({!Fstream_ladder.Cs4.block_witnesses}: that block's
+      cycles only);
     - pick a single-edge run [s -> t] of the witness and reroute it
       through the sink [t'] of an adjacent run: delete [s -> t], ensure
       a relay channel [t' -> t] (or [t -> t'] if the opposite direction

@@ -208,6 +208,34 @@ let oracle_families =
    largest dense draws both sides must raise it at the same cycle. *)
 let oracle_budget = 1_000
 
+(* [Cycles.search] against the complete list: the first [limit] matches
+   in order; given one biconnected block, exactly the block's cycles;
+   under a budget, the matches among the first [max_cycles] cycles,
+   flagged when the budget ran out first. *)
+let search_matches g cycles =
+  let bad c = not (Cycles.is_cs4_cycle c) and any _ = true in
+  let expect ?(max_cycles = max_int) p cs limit =
+    let found = Tutil.take limit (List.filter p (Tutil.take max_cycles cs)) in
+    (found, List.length found < limit && List.length cs > max_cycles)
+  in
+  let in_block es c =
+    List.for_all
+      (fun (o : Cycles.oriented) ->
+        List.exists (fun (e : Graph.edge) -> e.id = o.Cycles.edge.Graph.id) es)
+      c
+  in
+  Cycles.search g ~limit:2 bad = expect bad cycles 2
+  && Cycles.search ~max_cycles:3 g ~limit:2 bad
+     = expect ~max_cycles:3 bad cycles 2
+  && List.for_all
+       (fun es ->
+         let mine = List.filter (in_block es) cycles in
+         Cycles.search ~within:es g ~limit:max_int any = (mine, false)
+         && Cycles.search ~within:es g ~limit:3 bad = expect bad mine 3
+         && Cycles.search ~max_cycles:2 ~within:es g ~limit:1 bad
+            = expect ~max_cycles:2 bad mine 1)
+       (Articulation.biconnected_components g)
+
 let prop_matches_reference (name, family) =
   Tutil.qtest ~count:300
     (Printf.sprintf "enumerate = whole-graph DFS reference (%s)" name)
@@ -227,7 +255,9 @@ let prop_matches_reference (name, family) =
          = Result.map List.length expected
       &&
       match expected with
-      | Ok cycles -> Cycles.find g bad = List.find_opt bad cycles
+      | Ok cycles ->
+        Cycles.find g bad = List.find_opt bad cycles
+        && search_matches g cycles
       | Error _ -> true)
 
 let test_find_stops_early () =

@@ -414,31 +414,17 @@ let test_fs303_multigraph_run_sum () =
       | _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* differential: lazy, plan-taking lint = the eager reference          *)
+(* differential: lint = a self-contained reference, FS201/FS202 = eager  *)
 
 module Cs4 = Fstream_ladder.Cs4
 
-(* The rules' context as lint built it before cycles became lazy and
-   the plan could come from the caller — kept verbatim as the reference:
-   every cycle enumerated up front, its own classification, and (unless
-   a plan is given) its own cold compile. *)
+(* The rules' context as a self-contained reference builds it: its own
+   classification and, unless a plan is given, its own cold compile. The
+   FS3xx/FS4xx rules and FS203 run over it unchanged; FS201 and FS202
+   are checked against {!eager_fs2} below instead. *)
 let reference_ctx ?plan (cfg : Lint.config) g : Lint.ctx =
   let dag = Topo.is_dag g in
   let connected = Topo.connected g in
-  let incomplete = ref None in
-  let cycles =
-    if not dag then None
-    else
-      try Some (Cycles.enumerate ~max_cycles:cfg.max_cycles g)
-      with Cycles.Budget_exceeded _ ->
-        incomplete :=
-          Some
-            (Printf.sprintf
-               "cycle enumeration exceeded the budget of %d simple cycles; \
-                cycle-structure rules (FS2xx, FS303) were skipped"
-               cfg.max_cycles);
-        None
-  in
   let classification =
     match Topo.is_two_terminal g with
     | Some _ when connected -> Some (Cs4.classify g)
@@ -460,26 +446,129 @@ let reference_ctx ?plan (cfg : Lint.config) g : Lint.ctx =
             cfg.algorithm g)
     else None
   in
-  (match plan with
-  | Some (Stdlib.Error (Compiler.Cycle_budget_exceeded n))
-    when !incomplete = None ->
-    incomplete :=
+  let incomplete =
+    match plan with
+    | Some (Stdlib.Error (Compiler.Cycle_budget_exceeded n)) ->
       Some
         (Printf.sprintf
            "interval computation gave up after %d enumerated cycles; \
             interval rules (FS3xx) were skipped"
            n)
-  | _ -> ());
-  {
-    Lint.g;
-    cfg;
-    dag;
-    connected;
-    cycles = Lazy.from_val cycles;
-    classification;
-    plan;
-    incomplete = !incomplete;
-  }
+    | _ -> None
+  in
+  { Lint.g; cfg; dag; connected; classification; plan; incomplete }
+
+(* Every cycle of a DAG, enumerated up front; [None] on a cyclic graph
+   or past the default lint budget. *)
+let eager_cycles g =
+  if not (Topo.is_dag g) then None
+  else
+    try
+      Some (Cycles.enumerate ~max_cycles:Lint.default_config.Lint.max_cycles g)
+    with Cycles.Budget_exceeded _ -> None
+
+let multi_source c = not (Cycles.is_cs4_cycle c)
+
+(* The eager FS201/FS202 of one configuration: the locations the rules
+   must report, and whether FS202 leaves the report incomplete. A bad
+   block decides both rules; its witnesses are the first multi-source
+   cycles among the first [max_cycles] cycles of that block, in
+   enumeration order (FS201 one, FS202 up to five), and a block whose
+   budget ran out before any is reported at its endpoints. Without a
+   classification FS202 reads the whole graph the same way, and a budget
+   that runs out before any witness is incomplete. [None]: the eager
+   enumeration itself ran out, so only the structural checks apply. *)
+type eager_fs2 = {
+  fs201 : Lint.location option;
+  fs202 : Lint.location list;
+  fs202_incomplete : bool;
+}
+
+let ids c = List.map (fun (o : Cycles.oriented) -> o.Cycles.edge.Graph.id) c
+let channels c = Lint.Channels (ids c)
+
+let block_ids g bsrc bsnk =
+  let _, _, es =
+    List.find
+      (fun (s, t, _) -> s = bsrc && t = bsnk)
+      (Articulation.serial_blocks g)
+  in
+  List.map (fun (e : Graph.edge) -> e.Graph.id) es
+
+let in_block block c = List.for_all (fun id -> List.mem id block) (ids c)
+
+let eager_fs2 (cfg : Lint.config) g classification cycles =
+  let first_bad k cs =
+    Tutil.take k (List.filter multi_source (Tutil.take cfg.max_cycles cs))
+  in
+  match (classification, cycles) with
+  | Some (Ok _), _ ->
+    Some { fs201 = None; fs202 = []; fs202_incomplete = false }
+  | _, None -> None
+  | ( Some (Stdlib.Error (Cs4.Bad_block { block_source; block_sink; _ })),
+      Some all ) ->
+    let block =
+      List.filter (in_block (block_ids g block_source block_sink)) all
+    in
+    let ends = Lint.Nodes [ block_source; block_sink ] in
+    Some
+      {
+        fs201 =
+          Some (match first_bad 1 block with c :: _ -> channels c | [] -> ends);
+        fs202 =
+          (match first_bad 5 block with
+          | [] -> [ ends ]
+          | cs -> List.map channels cs);
+        fs202_incomplete = false;
+      }
+  | _, Some all ->
+    let found = first_bad 5 all in
+    Some
+      {
+        fs201 = None;
+        fs202 = List.map channels found;
+        fs202_incomplete = found = [] && List.length all > cfg.max_cycles;
+      }
+
+(* The cycle a channel-list location names, re-oriented from its edge
+   ids; [None] unless consecutive channels share an endpoint, the walk
+   closes and no vertex repeats. *)
+let cycle_of_channels g ids =
+  let edges = List.map (Graph.edge g) ids in
+  let walk v0 =
+    let rec go v seen acc = function
+      | [] -> if v = v0 then Some (List.rev acc) else None
+      | (e : Graph.edge) :: rest ->
+        let fwd = e.src = v in
+        if not (fwd || e.dst = v) then None
+        else
+          let w = if fwd then e.dst else e.src in
+          if rest <> [] && List.mem w seen then None
+          else go w (w :: seen) ({ Cycles.edge = e; fwd } :: acc) rest
+    in
+    go v0 [ v0 ] [] edges
+  in
+  match edges with
+  | [] | [ _ ] -> None
+  | e0 :: _ -> (
+    match walk e0.Graph.src with Some c -> Some c | None -> walk e0.Graph.dst)
+
+(* Every witness FS201/FS202 report is a multi-source simple cycle, inside
+   the rejected block when there is one. *)
+let witness_ok g classification (d : Lint.diagnostic) =
+  match d.Lint.location with
+  | Lint.Channels ids -> (
+    match cycle_of_channels g ids with
+    | None -> false
+    | Some c -> (
+      multi_source c
+      &&
+      match classification with
+      | Some (Stdlib.Error (Cs4.Bad_block { block_source; block_sink; _ })) ->
+        in_block (block_ids g block_source block_sink) c
+      | _ -> true))
+  | Lint.Nodes [ _; _ ] -> d.Lint.witness = []
+  | _ -> false
 
 let differential_families =
   [
@@ -524,35 +613,100 @@ let algorithm_name = function
   | Compiler.Non_propagation -> "non-propagation"
   | Compiler.Relay_propagation -> "relay"
 
-(* Findings must be identical, witnesses and fixits included. The
-   verdicts' completeness must be identical whenever the reference is
-   complete; where it is not, lint may be complete only on a CS4 graph
-   under a non-Propagation audit — the one case no rule reads cycles. *)
-let agrees_with_reference ?plan (cfg : Lint.config) g =
-  let expected = Lint.run_ctx (reference_ctx ?plan cfg g) in
+(* FS201 and FS202 fire exactly when the eager rules do, at the same
+   locations and severities, FS201 with the reference's message and
+   fixit; every other finding is the reference's, witnesses and fixits
+   included. The report is incomplete exactly when the plan gave up on
+   its budget, FS303's whole-graph fold ran out under Propagation, or
+   FS202's whole-graph search ran out before its first witness. *)
+let agrees_with_reference ?plan ~cycles (cfg : Lint.config) g =
+  let ctx = reference_ctx ?plan cfg g in
+  let plan_incomplete = ctx.Lint.incomplete <> None in
+  let expected = Lint.run_ctx ctx in
   let actual = Lint.run ~config:cfg ?plan g in
   let codes (r : Lint.report) =
     String.concat ","
       (List.map (fun (d : Lint.diagnostic) -> d.Lint.code) r.diagnostics)
   in
   let where () =
-    Printf.sprintf "%s/%s, budget %d: expected [%s] %s, got [%s] %s"
+    Printf.sprintf "%s/%s, budget %d: reference [%s], got [%s] %s"
       (algorithm_name cfg.algorithm)
       (backend_name cfg.backend)
-      cfg.max_cycles (codes expected)
-      (Option.value ~default:"complete" expected.incomplete)
-      (codes actual)
+      cfg.max_cycles (codes expected) (codes actual)
       (Option.value ~default:"complete" actual.incomplete)
   in
-  if expected.diagnostics <> actual.diagnostics then
-    QCheck.Test.fail_reportf "findings differ (%s)" (where ());
-  (match (expected.incomplete, actual.incomplete) with
-  | Some _, None ->
-    if not (Cs4.is_cs4 g && cfg.algorithm <> Compiler.Propagation) then
-      QCheck.Test.fail_reportf "complete where the reference is not (%s)"
-        (where ())
-  | e, a ->
-    if e <> a then
+  let pick code (r : Lint.report) =
+    List.filter (fun (d : Lint.diagnostic) -> d.Lint.code = code) r.diagnostics
+  in
+  let others (r : Lint.report) =
+    List.filter
+      (fun (d : Lint.diagnostic) ->
+        d.Lint.code <> "FS201" && d.Lint.code <> "FS202")
+      r.diagnostics
+  in
+  if others expected <> others actual then
+    QCheck.Test.fail_reportf "findings other than FS201/FS202 differ (%s)"
+      (where ());
+  let fs201 = pick "FS201" actual and fs202 = pick "FS202" actual in
+  let bad_block =
+    match ctx.classification with
+    | Some (Stdlib.Error (Cs4.Bad_block _)) -> true
+    | _ -> false
+  in
+  (* the classification decides FS201; its message and fixit are the
+     reference's *)
+  (match (fs201, pick "FS201" expected) with
+  | [], [] when not bad_block -> ()
+  | [ d ], [ e ] when bad_block ->
+    if
+      d.Lint.message <> e.Lint.message
+      || d.Lint.severity <> e.Lint.severity
+      || d.Lint.fixit <> e.Lint.fixit
+      || d.Lint.severity
+         <> (if cfg.backend = Compiler.Lp then Lint.Warning else Lint.Error)
+    then QCheck.Test.fail_reportf "FS201 differs (%s)" (where ())
+  | _ -> QCheck.Test.fail_reportf "FS201 fires differently (%s)" (where ()));
+  if bad_block && fs202 = [] then
+    QCheck.Test.fail_reportf "FS202 silent on a bad block (%s)" (where ());
+  if
+    List.exists
+      (fun (d : Lint.diagnostic) -> d.Lint.severity <> Lint.Warning)
+      fs202
+  then QCheck.Test.fail_reportf "FS202 is not a Warning (%s)" (where ());
+  if not (List.for_all (witness_ok g ctx.classification) (fs201 @ fs202)) then
+    QCheck.Test.fail_reportf "not a multi-source cycle of the block (%s)"
+      (where ());
+  let locations ds =
+    List.map (fun (d : Lint.diagnostic) -> d.Lint.location) ds
+  in
+  let sorted l = List.sort compare l in
+  let fs202_incomplete =
+    match eager_fs2 cfg g ctx.classification cycles with
+    | None -> None
+    | Some e ->
+      if locations fs201 <> Option.to_list e.fs201 then
+        QCheck.Test.fail_reportf "FS201 witness is not the eager one (%s)"
+          (where ());
+      if sorted (locations fs202) <> sorted e.fs202 then
+        QCheck.Test.fail_reportf "FS202 witnesses are not the eager ones (%s)"
+          (where ());
+      Some e.fs202_incomplete
+  in
+  let fs303_incomplete =
+    match (cfg.algorithm, ctx.plan) with
+    | Compiler.Propagation, Some (Ok _) -> (
+      match cycles with
+      | Some all -> List.length all > cfg.max_cycles
+      | None -> true)
+    | _ -> false
+  in
+  (match fs202_incomplete with
+  | None -> ()
+  | Some fs202_incomplete ->
+    let expected_incomplete =
+      plan_incomplete || fs303_incomplete || fs202_incomplete
+    in
+    if expected_incomplete <> (actual.incomplete <> None) then
       QCheck.Test.fail_reportf "incomplete differs (%s)" (where ()));
   true
 
@@ -562,7 +716,10 @@ let prop_lint_eq_reference (fname, family) =
        fname)
     Tutil.seed_gen (fun seed ->
       let g = family seed in
-      List.for_all (fun cfg -> agrees_with_reference cfg g) (configs seed))
+      let cycles = eager_cycles g in
+      List.for_all
+        (fun cfg -> agrees_with_reference ~cycles cfg g)
+        (configs seed))
 
 (* The plan a server lints after a reconfigure: Compiler.recompile's,
    audited against the reference run on that same plan (its own
@@ -579,6 +736,8 @@ let prop_recompiled_plan_eq_reference =
       match Edit.apply g0 (Tutil.random_ops rng g0) with
       | Error e -> Alcotest.failf "generator produced an invalid script: %s" e
       | Ok delta ->
+        let g = delta.Edit.graph in
+        let cycles = eager_cycles g in
         List.for_all
           (fun (cfg : Lint.config) ->
             let options =
@@ -594,7 +753,7 @@ let prop_recompiled_plan_eq_reference =
               Result.map fst
                 (Compiler.recompile ~options cache cfg.algorithm delta)
             in
-            agrees_with_reference ~plan cfg delta.Edit.graph)
+            agrees_with_reference ~plan ~cycles cfg g)
           (configs seed))
 
 (* What the two rule shortcuts rest on, checked against enumeration:
@@ -623,6 +782,131 @@ let prop_rule_shortcuts (fname, family) =
         no_bad_cycle
         && ((not all_sp)
            || Result.is_ok (Fstream_spdag.Sp_recognize.recognize g)))
+
+(* The bounded search examines the rejected block's cycles only. An SP
+   fan on the lowest node ids (28 cycles, all single-source, first in
+   whole-graph order) feeds a 3 x 3 layered-dense block. Under a budget
+   of exactly the block cycles up to its fifth multi-source one, FS201
+   and all five FS202 findings carry witnesses and the report is
+   complete, though the whole graph has more cycles than the budget
+   before its first multi-source one; one cycle less and the fifth
+   witness is gone. *)
+let fan_then_dense () =
+  let fan = 8 in
+  let s = fan + 1 in
+  let dense = Topo_gen.layered_dense ~layers:3 ~width:3 ~cap:2 in
+  Graph.make
+    ~nodes:(s + Graph.num_nodes dense)
+    (List.concat_map (fun i -> [ (0, i, 2); (i, s, 2) ]) (List.init fan succ)
+    @ List.map
+        (fun (e : Graph.edge) -> (e.src + s, e.dst + s, e.cap))
+        (Graph.edges dense))
+
+let test_block_search_budget () =
+  let g = fan_then_dense () in
+  let all = Cycles.enumerate g in
+  let fan_edges = 16 in
+  let block =
+    List.filter (fun c -> List.for_all (( <= ) fan_edges) (ids c)) all
+  in
+  (* 1-based position of the fifth multi-source cycle of the block *)
+  let fifth =
+    let rec go i k = function
+      | [] -> Alcotest.fail "fewer than five multi-source cycles"
+      | c :: rest ->
+        let k = if multi_source c then k + 1 else k in
+        if k = 5 then i else go (i + 1) k rest
+    in
+    go 1 0 block
+  in
+  let first_bad_overall =
+    let rec go i = function
+      | c :: rest -> if multi_source c then i else go (i + 1) rest
+      | [] -> max_int
+    in
+    go 1 all
+  in
+  Alcotest.(check bool)
+    "the whole graph meets its first multi-source cycle past the budget" true
+    (first_bad_overall > fifth);
+  let lint max_cycles =
+    Lint.run
+      ~config:
+        { Lint.default_config with Lint.backend = Compiler.Lp; max_cycles }
+      g
+  in
+  let witnessed code (r : Lint.report) =
+    List.length
+      (List.filter
+         (fun (d : Lint.diagnostic) ->
+           d.Lint.code = code
+           && match d.Lint.location with Lint.Channels _ -> true | _ -> false)
+         r.diagnostics)
+  in
+  let r = lint fifth in
+  Alcotest.(check bool) "complete" true (r.Lint.incomplete = None);
+  Alcotest.(check int) "FS201 has its witness" 1 (witnessed "FS201" r);
+  Alcotest.(check int) "five FS202 witnesses" 5 (witnessed "FS202" r);
+  let r = lint (fifth - 1) in
+  Alcotest.(check bool) "still complete" true (r.Lint.incomplete = None);
+  Alcotest.(check int) "one cycle less: four FS202 witnesses" 4
+    (witnessed "FS202" r);
+  (* FS303 still folds the whole graph *)
+  Alcotest.(check bool)
+    "propagation runs out on the whole graph" true
+    ((Lint.run
+        ~config:
+          {
+            prop_config with
+            Lint.backend = Compiler.Lp;
+            max_cycles = List.length all - 1;
+          }
+        g)
+       .Lint.incomplete
+    <> None)
+
+(* The served non-CS4 tenant: the 7 x 3 layered-dense demo has about
+   28 million cycles, far past the budget, yet under the LP backend lint
+   completes with a witnessed FS201 Warning and five FS202 Warnings. *)
+let test_layered_dense_lp () =
+  let g = Topo_gen.layered_dense ~layers:7 ~width:3 ~cap:2 in
+  let r =
+    Lint.run ~config:{ Lint.default_config with Lint.backend = Compiler.Lp } g
+  in
+  Alcotest.(check bool) "complete" true (r.Lint.incomplete = None);
+  Alcotest.(check int) "no Errors" 0 (errors r);
+  let d = find "FS201" r in
+  Alcotest.(check bool)
+    "FS201 is a Warning" true
+    (d.Lint.severity = Lint.Warning);
+  Alcotest.(check bool) "FS201 has a witness" true (d.Lint.witness <> []);
+  Alcotest.(check int) "five FS202 findings" 5
+    (List.length
+       (List.filter
+          (fun (d : Lint.diagnostic) -> d.Lint.code = "FS202")
+          r.diagnostics))
+
+(* Under Non-Propagation no rule's cycle search can leave a two-terminal
+   DAG undecided: a draw that compiles lints complete, on every backend. *)
+let prop_nonprop_compiled_is_complete (fname, family) =
+  Tutil.qtest ~count:300
+    (Printf.sprintf "non-propagation: compiled => lint complete (%s)" fname)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      List.for_all
+        (fun backend ->
+          let config = { Lint.default_config with Lint.backend } in
+          let options =
+            {
+              Compiler.Options.default with
+              max_cycles = config.max_cycles;
+              backend;
+            }
+          in
+          match Compiler.compile ~options Compiler.Non_propagation g with
+          | Error _ -> true
+          | Ok p -> (Lint.run ~config ~plan:(Ok p) g).Lint.incomplete = None)
+        backends)
 
 let suite =
   [
@@ -653,8 +937,15 @@ let suite =
       test_fs303_guards_the_contract;
     Alcotest.test_case "FS303 multigraph run-sum" `Quick
       test_fs303_multigraph_run_sum;
+    Alcotest.test_case "block search budget counts the block only" `Quick
+      test_block_search_budget;
+    Alcotest.test_case "layered-dense under lp completes" `Quick
+      test_layered_dense_lp;
     prop_lint_clean_implies_safe;
     prop_recompiled_plan_eq_reference;
   ]
+  @ List.map prop_nonprop_compiled_is_complete
+      [ ("random_dense", Tutil.random_dense_of_seed);
+        ("random_dag", Tutil.random_dag_of_seed) ]
   @ List.map prop_lint_eq_reference differential_families
   @ List.map prop_rule_shortcuts differential_families

@@ -258,6 +258,24 @@ let test_over_budget_cs4_admitted () =
   | Error r ->
     Alcotest.failf "wrong rejection: %a" (fun ppf -> Serve.pp_rejection ppf) r
 
+(* A non-CS4 topology far past the cycle budget (the 7 x 3
+   layered-dense demo, about 28 million cycles) is admitted under the
+   LP backend: lint decides FS201/FS202 from the classification and
+   searches only the rejected block, so the analysis completes, and the
+   tenant runs to completion on the shared table. *)
+let test_layered_dense_lp_admitted () =
+  let g = Topo_gen.layered_dense ~layers:7 ~width:3 ~cap:2 in
+  let t = Serve.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+  match Serve.admit t ~backend:Compiler.Lp ~mode:Serve.Non_propagation g with
+  | Error r ->
+    Alcotest.failf "layered-dense refused under lp: %a"
+      (fun ppf -> Serve.pp_rejection ppf)
+      r
+  | Ok s ->
+    let r = Serve.run t ~kernels:(mixed_kernels g 1 ()) ~inputs:20 s in
+    Alcotest.(check bool) "completed" true (r.Report.outcome = Report.Completed)
+
 (* A spec'd admission on a registry hit re-lints the registry's plan
    with the spec: its verdict carries exactly the Error findings of a
    fresh Lint.run with that spec, and an admissible spec gets the
@@ -379,6 +397,8 @@ let suite =
       `Quick test_hundred_twenty_tenants_three_topologies;
     Alcotest.test_case "over-budget CS4 admitted under non-propagation"
       `Quick test_over_budget_cs4_admitted;
+    Alcotest.test_case "layered-dense admitted under lp" `Quick
+      test_layered_dense_lp_admitted;
     Alcotest.test_case "spec'd admission re-lints the registry's plan" `Quick
       test_spec_on_registry_hit;
     prop_serve_eq_direct_no_avoidance;

@@ -14,6 +14,9 @@ let check_intervals msg expected actual =
 
 let rng_of seed = Random.State.make [| seed; 0x5f1ee7 |]
 
+(* The first [k] elements of [l] (all of them when it is shorter). *)
+let take k l = List.filteri (fun i _ -> i < k) l
+
 (* Random graph families keyed by an integer seed, so QCheck can use a
    plain int generator (with shrinking) while the graphs stay
    reproducible. *)
