@@ -66,6 +66,12 @@ let row fmt = Format.printf fmt
 
 let ok b = if b then "ok" else "MISMATCH"
 
+(* A deterministic check fails the run; call it after the row that
+   prints [ok b], so the mismatch is on screen first. Timing
+   comparisons vary with the host and are only printed. *)
+let require section what b =
+  if not b then failwith (Printf.sprintf "%s: %s" section what)
+
 (* ------------------------------------------------------------------ *)
 (* Headline JSON: [--json FILE] makes the sections deposit their key
    numbers here and the driver write them out at exit, so CI can attach

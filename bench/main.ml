@@ -556,8 +556,9 @@ let c6 () =
     (!elapsed /. float (max 1 !msgs));
   headline "C6" "cs4_ns_per_message" (!elapsed /. float (max 1 !msgs));
   row "  every run completed: %s@." (ok (!incomplete = 0));
-  if !incomplete > 0 then
-    failwith (Printf.sprintf "C6: %d runs did not complete" !incomplete)
+  require "C6"
+    (Printf.sprintf "%d runs did not complete" !incomplete)
+    (!incomplete = 0)
 
 (* ------------------------------------------------------------------ *)
 (* C7. Hot-path cost of the steady-state loop: throughput + GC load.    *)
@@ -1552,6 +1553,9 @@ let lp1 () =
         "  %6d %6d: exact gave up at %d cycles in %a (%s); lp %a (%d rows)@."
         layers (Graph.num_edges g) giveup_budget pp_ns t_give
         (ok gave_up) pp_ns t_lp rows;
+      require "LP1"
+        (Printf.sprintf "the exact route did not give up on layered %dx3" layers)
+        gave_up;
       if layers = 7 then begin
         headline "LP1" "lp_compile_ns_giant" t_lp;
         headline "LP1" "giant_exact_giveup_ns" t_give
@@ -1645,7 +1649,8 @@ let lp1 () =
         all_safe := false;
         row "  %-14s LP compile failed@." name)
     verify_instances;
-  headline "LP1" "verify_wedge_free" (if !all_safe then 1.0 else 0.0)
+  headline "LP1" "verify_wedge_free" (if !all_safe then 1.0 else 0.0);
+  require "LP1" "an LP table failed to compile or reached a wedge" !all_safe
 
 (* ------------------------------------------------------------------ *)
 (* RC1. Hot reconfiguration: incremental recompile vs full compile.    *)
@@ -1768,8 +1773,7 @@ let rc1 () =
   | Error _ -> row "  edit failed@."
   | Ok d ->
     let _, w, _ =
-      Lp.resolve ~warm:st ~edge_map:d.Edit.edge_map ~node_map:d.Edit.node_map
-        ~dirty:d.Edit.dirty d.Edit.graph
+      Lp.resolve ~warm:(st, d) d.Edit.graph
     in
     let _, c, _ = Lp.resolve d.Edit.graph in
     row
@@ -1778,7 +1782,9 @@ let rc1 () =
       layers base.Lp.rpivots w.Lp.rpivots c.Lp.rpivots
       (ok (w.Lp.rpivots < c.Lp.rpivots));
     headline "RC1" "warm_pivots" (float w.Lp.rpivots);
-    headline "RC1" "cold_pivots" (float c.Lp.rpivots))
+    headline "RC1" "cold_pivots" (float c.Lp.rpivots);
+    require "RC1" "the warm re-solve took no fewer pivots than cold"
+      (w.Lp.rpivots < c.Lp.rpivots))
 
 (* ------------------------------------------------------------------ *)
 (* ADM. Admission analysis of a served non-CS4 tenant: lint of each

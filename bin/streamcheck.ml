@@ -218,8 +218,10 @@ let max_cycles_arg =
     & opt (some int) None
     & info [ "max-cycles" ] ~docv:"N"
         ~doc:
-          "Budget for the general fallback's simple-cycle enumeration \
-           (default 10 million).")
+          "Budget of simple cycles a cycle search may examine. When \
+           compiling: the general fallback's enumeration (default 10 \
+           million). For $(b,lint): each rule's search, and each round of \
+           FS201's reroute fixit (default 200,000).")
 
 let backend_arg =
   Arg.(

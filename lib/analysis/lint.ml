@@ -431,7 +431,7 @@ let rule_fs201 ctx =
       | None -> []
     in
     let fixit =
-      match Repair.repair ctx.g with
+      match Repair.repair ~max_cycles:ctx.cfg.max_cycles ctx.g with
       | Ok r when r.Repair.reroutes <> [] -> Some (Reroute r)
       | _ -> None
     in

@@ -80,8 +80,9 @@ type config = {
           [Lp] additionally arms the FS305 run-sum audit *)
   max_cycles : int;
       (** budget, in simple cycles examined, for each rule's cycle
-          search (default 200_000), and for the general route of lint's
-          own compile *)
+          search (default 200_000) — FS201's witness and each round of
+          its reroute fixit's repair, FS202, FS303 — and for the
+          general route of lint's own compile *)
   audit_thresholds : Fstream_core.Thresholds.t option;
       (** an externally supplied threshold table to audit against the
           computed intervals (rule FS302); [None] audits nothing *)

@@ -155,11 +155,13 @@ type recompile_stats = {
   lp_stats : Lp.resolve_stats option;
 }
 
-(* The exact-route residue of one epoch: the classification and the
-   exact table of this epoch, which the next epoch's clean blocks
-   splice from. *)
+(* The exact-route residue of one epoch: the classification, each
+   block's edge ids in block order (the partition the next epoch's
+   blocks trace their ancestry to) and the exact table, which the next
+   epoch's unedited blocks splice from. *)
 type exact_snap = {
   scls : Cs4.t;
+  sblocks : int list list;
   stable : Interval.t array;
 }
 
@@ -210,90 +212,54 @@ let block_edges = function
   | Cs4.Sp_block t -> Sp_tree.edges t
   | Cs4.Ladder_block l -> Ladder.edges l
 
-let sorted_ids ids = List.sort Stdlib.compare ids
-
 let refresh_block g = function
   | Cs4.Sp_block t -> Cs4.Sp_block (Sp_tree.refresh g t)
   | Cs4.Ladder_block l -> Cs4.Ladder_block (Ladder.refresh g l)
 
-(* What the previous epoch lends the per-block loop. A block whose
-   edges pass [clean] is the previous block's subgraph up to id
-   translation, and block values are block-local, so it splices [vals]
-   read at [origin] — no interval arithmetic at all. A fresh compile
-   borrows nothing. *)
-type reuse = {
-  vals : Interval.t array;
-  clean : Graph.edge list -> bool;
-  origin : int -> int;
-}
-
-let no_reuse = { vals = [||]; clean = (fun _ -> false); origin = Fun.id }
-
-(* A capacity-only edit: every id survives in place, so a block is
-   clean iff none of its edges is dirty. *)
-let in_place_reuse (delta : Edit.delta) pe =
-  {
-    vals = pe.stable;
-    clean =
-      List.for_all (fun (e : Graph.edge) -> not delta.Edit.dirty.(e.id));
-    origin = Fun.id;
-  }
-
-(* Any other edit: origins come from the edit's edge map, and a block
-   is clean when every edge is non-dirty with a surviving origin and
-   the origin set is exactly one previous block's edge set. *)
-let remapped_reuse (delta : Edit.delta) pe =
-  let rev = Hashtbl.create 64 in
-  Array.iteri
-    (fun o -> Option.iter (fun nid -> Hashtbl.replace rev nid o))
-    delta.Edit.edge_map;
-  let origin = Hashtbl.find_opt rev in
-  let old_blocks = Hashtbl.create 16 in
-  List.iter
-    (fun (_, _, b) ->
-      Hashtbl.replace old_blocks
-        (sorted_ids (List.map (fun (e : Graph.edge) -> e.id) (block_edges b)))
-        ())
-    pe.scls.Cs4.blocks;
-  {
-    vals = pe.stable;
-    clean =
-      (fun edges ->
-        List.for_all
-          (fun (e : Graph.edge) ->
-            (not delta.Edit.dirty.(e.id)) && origin e.id <> None)
-          edges
-        && Hashtbl.mem old_blocks
-             (sorted_ids
-                (List.filter_map (fun (e : Graph.edge) -> origin e.id) edges)));
-    origin = (fun id -> Option.get (origin id));
-  }
-
-(* The CS4 table, one serial block at a time: a clean block splices,
-   any other block is rebuilt by [refresh] against [g]'s records (the
-   identity on a fresh classification) and recomputed by the paper's
-   update for its class. *)
-let run_cs4 ~refresh algorithm g (cls : Cs4.t) r =
+(* The CS4 table, one serial block at a time. A block the edit left an
+   unedited copy of a previous block ({!Edit.ancestry}) splices that
+   block's values read at the edges' origins: block values are
+   block-local, so no interval arithmetic at all. Any other block is
+   rebuilt by [refresh] against [g]'s records (the identity on a fresh
+   classification) and recomputed by the paper's update for its class.
+   A fresh compile has no previous epoch and splices nothing. *)
+let run_cs4 ~refresh algorithm g (cls : Cs4.t) prev =
   let ivals = Array.make (Graph.num_edges g) Interval.inf in
   let spliced = ref 0 and recomputed = ref 0 in
-  let block (s, d, b) =
-    let edges = block_edges b in
-    if r.clean edges then begin
-      List.iter
-        (fun (e : Graph.edge) -> ivals.(e.id) <- r.vals.(r.origin e.id))
-        edges;
-      spliced := !spliced + List.length edges;
-      (s, d, b)
-    end
-    else begin
-      let b = refresh b in
-      update_block algorithm ivals b;
-      recomputed := !recomputed + List.length edges;
-      (s, d, b)
-    end
+  let splice =
+    match prev with
+    | None -> fun _ -> false
+    | Some ((d : Edit.delta), pe) -> (
+      let ancestry = Edit.ancestry d ~base:pe.sblocks in
+      fun ids ->
+        match ancestry ids with
+        | Some { Edit.unedited = true; _ } ->
+          List.iter
+            (fun id -> ivals.(id) <- pe.stable.(Option.get d.Edit.origin.(id)))
+            ids;
+          true
+        | _ -> false)
   in
-  let blocks = List.map block cls.Cs4.blocks in
-  ({ scls = { cls with Cs4.blocks }; stable = ivals }, !spliced, !recomputed)
+  let block (s, d, b) =
+    let ids = List.map (fun (e : Graph.edge) -> e.id) (block_edges b) in
+    let b =
+      if splice ids then begin
+        spliced := !spliced + List.length ids;
+        b
+      end
+      else begin
+        let b = refresh b in
+        update_block algorithm ivals b;
+        recomputed := !recomputed + List.length ids;
+        b
+      end
+    in
+    ((s, d, b), ids)
+  in
+  let blocks, sblocks = List.split (List.map block cls.Cs4.blocks) in
+  ( { scls = { cls with Cs4.blocks }; sblocks; stable = ivals },
+    !spliced,
+    !recomputed )
 
 (* Every edge and node kept its own id: the script only changed
    capacities, so the edited graph's topology — and therefore its
@@ -354,19 +320,11 @@ let compile_locked cache (options : Options.t) algorithm
   in
   let exact () =
     match in_place with
-    | Some (d, pe) ->
-      cs4
-        (run_cs4 ~refresh:(refresh_block g) algorithm g pe.scls
-           (in_place_reuse d pe))
+    | Some (_, pe) ->
+      cs4 (run_cs4 ~refresh:(refresh_block g) algorithm g pe.scls in_place)
     | None -> (
       match Cs4.classify g with
-      | Ok cls ->
-        let reuse =
-          match prev_exact with
-          | Some (d, pe) -> remapped_reuse d pe
-          | None -> no_reuse
-        in
-        cs4 (run_cs4 ~refresh:Fun.id algorithm g cls reuse)
+      | Ok cls -> cs4 (run_cs4 ~refresh:Fun.id algorithm g cls prev_exact)
       | Error failure when not options.allow_general ->
         give_up
           (match failure with
@@ -382,15 +340,10 @@ let compile_locked cache (options : Options.t) algorithm
      all three avoidance algorithms; [algorithm] is recorded for the
      threshold-derivation step downstream. *)
   let lp () =
-    let warm = Option.bind prev (fun (_, s) -> s.slp) in
-    let d = Option.map fst prev in
-    let intervals, st, state =
-      Lp.resolve ?warm
-        ?edge_map:(Option.map (fun d -> d.Edit.edge_map) d)
-        ?node_map:(Option.map (fun d -> d.Edit.node_map) d)
-        ?dirty:(Option.map (fun d -> d.Edit.dirty) d)
-        g
+    let warm =
+      Option.bind prev (fun (d, s) -> Option.map (fun st -> (st, d)) s.slp)
     in
+    let intervals, st, state = Lp.resolve ?warm g in
     let route =
       Lp_route { components = st.Lp.rcomponents; rows = st.Lp.rrows }
     in

@@ -152,14 +152,16 @@ val compile :
     the previous LP solver state. {!recompile} consumes an
     {!Fstream_graph.Edit.delta} and recomputes only what the edit
     touched. Every interval is local to its serial block (Theorem V.7),
-    so the block is the unit of reuse: a block whose edges all survive
-    unedited splices the previous values without any interval
-    arithmetic, and every other block is recomputed whole by the
-    paper's update for its class. A capacity-only edit also skips the
-    DAG, connectivity and classification checks and rebuilds only the
-    edited blocks' decompositions against the new capacities. Cyclic
-    LP components re-solve warm from the previous optimal basis
-    ({!Lp.resolve}). The result is bit-for-bit the table a full
+    so the block is the unit of reuse: a block that
+    {!Fstream_graph.Edit.ancestry} finds an unedited copy of a previous
+    block splices that block's values without any interval arithmetic,
+    and every other block is recomputed whole by the paper's update for
+    its class. A capacity-only edit also skips the DAG, connectivity and
+    classification checks and rebuilds only the edited blocks'
+    decompositions against the new capacities. The LP asks the same
+    rule of its cyclic components: a copy splices the previous optimum,
+    any other component with an ancestor re-solves warm from that
+    ancestor's basis ({!Lp.resolve}). The result is bit-for-bit the table a full
     recompile of the edited graph would produce on the exact route,
     and objective-equal on the LP route (the simplex optimum need not
     be vertex-unique) — both property-checked in

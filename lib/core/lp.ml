@@ -2,14 +2,14 @@ open Fstream_graph
 module R = Rational
 
 (* ------------------------------------------------------------------ *)
-(* Dense two-phase primal simplex over exact rationals.
+(* Dense simplex over exact rationals.
 
-   Bland's smallest-index rule everywhere (entering column and
-   leaving-row ties), so cycling is impossible and termination needs
-   no perturbation. The tableau is dense: the programs this module
-   builds have a few hundred rows at the bench's largest sizes, where
-   a revised/sparse implementation would be complexity without
-   payoff. *)
+   One tableau, one pivot, one primal and one dual loop, all under
+   Bland's smallest-index rule (entering column and leaving-row ties),
+   so cycling is impossible and termination needs no perturbation. The
+   tableau is dense: the programs this module builds have a few hundred
+   rows at the bench's largest sizes, where a revised/sparse
+   implementation would be complexity without payoff. *)
 module Simplex = struct
   type outcome =
     | Optimal of {
@@ -20,7 +20,23 @@ module Simplex = struct
     | Unbounded
     | Infeasible of { farkas : R.t array }
 
-  let maximize ~objective ~rows =
+  type solution = {
+    outcome : outcome;
+    basis : int array;
+    pivots : int;
+    warm : bool;
+  }
+
+  (* [tab.(i)] holds row i over the columns and its right-hand side in
+     the last slot; [basis.(i)] is its basic column. A row phase 1
+     proves redundant is dead: no pivot reads or updates it again. *)
+  type tableau = {
+    tab : R.t array array;
+    basis : int array;
+    live : bool array;
+  }
+
+  let maximize ?hint ~objective ~rows () =
     let n = Array.length objective in
     let m = Array.length rows in
     Array.iter
@@ -31,221 +47,44 @@ module Simplex = struct
     (* Rows with a negative right-hand side are negated (so the RHS is
        positive) and given an artificial variable; phase 1 drives the
        artificials to zero or proves the program empty. Columns:
-       [0, n) structural, [n, n + m) slack, [n + m, ...) artificial. *)
+       [0, n) structural, [n, n + m) slack, [n + m, ncols) artificial. *)
     let negated = Array.map (fun (_, b) -> R.sign b < 0) rows in
-    let nart = Array.fold_left (fun k v -> if v then k + 1 else k) 0 negated in
-    let ncols = n + m + nart in
     let art_index = Array.make m (-1) in
-    let next_art = ref (n + m) in
+    let ncols = ref (n + m) in
     Array.iteri
       (fun i v ->
         if v then begin
-          art_index.(i) <- !next_art;
-          incr next_art
+          art_index.(i) <- !ncols;
+          incr ncols
         end)
       negated;
-    let tab =
-      Array.init m (fun i ->
-          let a, b = rows.(i) in
-          let row = Array.make (ncols + 1) R.zero in
-          let s = if negated.(i) then R.minus_one else R.one in
-          for j = 0 to n - 1 do
-            row.(j) <- R.mul s a.(j)
-          done;
-          row.(n + i) <- s;
-          if negated.(i) then row.(art_index.(i)) <- R.one;
-          row.(ncols) <- R.mul s b;
-          row)
-    in
-    let basis = Array.init m (fun i -> if negated.(i) then art_index.(i) else n + i) in
-    let live = Array.make m true in
-    (* the objective row holds reduced costs; its RHS slot holds -z so
-       the ordinary row update maintains it *)
-    let pivot obj ~pr ~pc =
-      let prow = tab.(pr) in
-      let d = prow.(pc) in
-      for j = 0 to ncols do
-        prow.(j) <- R.div prow.(j) d
-      done;
-      let elim row =
-        let f = row.(pc) in
-        if not (R.is_zero f) then
-          for j = 0 to ncols do
-            row.(j) <- R.sub row.(j) (R.mul f prow.(j))
-          done
-      in
-      Array.iteri (fun i row -> if live.(i) && i <> pr then elim row) tab;
-      elim obj;
-      basis.(pr) <- pc
-    in
-    let run obj ~max_col =
-      let rec loop () =
-        let pc = ref (-1) in
-        (try
-           for j = 0 to max_col - 1 do
-             if R.sign obj.(j) > 0 then begin
-               pc := j;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !pc < 0 then `Optimal
-        else begin
-          let pc = !pc in
-          let pr = ref (-1) in
-          for i = 0 to m - 1 do
-            if live.(i) && R.sign tab.(i).(pc) > 0 then
-              if !pr < 0 then pr := i
-              else begin
-                let cur = R.div tab.(!pr).(ncols) tab.(!pr).(pc) in
-                let cand = R.div tab.(i).(ncols) tab.(i).(pc) in
-                let c = R.compare cand cur in
-                if c < 0 || (c = 0 && basis.(i) < basis.(!pr)) then pr := i
-              end
-          done;
-          if !pr < 0 then `Unbounded
-          else begin
-            pivot obj ~pr:!pr ~pc;
-            loop ()
-          end
-        end
-      in
-      loop ()
-    in
-    let infeasible obj1 =
-      (* Farkas multipliers from the phase-1 reduced costs: the
-         multiplier of original row i sits on its initial basis
-         column, adjusted for the row's sign flip. *)
-      let farkas =
-        Array.init m (fun i ->
-            if negated.(i) then R.add R.one obj1.(art_index.(i))
-            else R.neg obj1.(n + i))
-      in
-      Infeasible { farkas }
-    in
-    let phase1_verdict =
-      if nart = 0 then `Feasible
-      else begin
-        let obj1 = Array.make (ncols + 1) R.zero in
-        for j = n + m to ncols - 1 do
-          obj1.(j) <- R.minus_one
-        done;
-        (* price out the basic artificials (cost -1 each) *)
-        Array.iteri
-          (fun i row ->
-            if negated.(i) then
-              for j = 0 to ncols do
-                obj1.(j) <- R.add obj1.(j) row.(j)
-              done)
-          tab;
-        match run obj1 ~max_col:ncols with
-        | `Unbounded -> assert false (* phase-1 objective is <= 0 *)
-        | `Optimal ->
-          if R.sign obj1.(ncols) > 0 then `Infeasible (infeasible obj1)
-          else begin
-            (* drive leftover zero-level artificials out of the basis;
-               an all-zero row (over real columns) is redundant *)
-            for i = 0 to m - 1 do
-              if live.(i) && basis.(i) >= n + m then begin
-                let j = ref (-1) in
-                (try
-                   for c = 0 to n + m - 1 do
-                     if R.sign tab.(i).(c) <> 0 then begin
-                       j := c;
-                       raise Exit
-                     end
-                   done
-                 with Exit -> ());
-                if !j >= 0 then pivot obj1 ~pr:i ~pc:!j
-                else live.(i) <- false
-              end
-            done;
-            `Feasible
-          end
-      end
-    in
-    match phase1_verdict with
-    | `Infeasible r -> r
-    | `Feasible -> (
-      let obj2 = Array.make (ncols + 1) R.zero in
-      for j = 0 to n - 1 do
-        obj2.(j) <- objective.(j)
-      done;
-      Array.iteri
-        (fun i row ->
-          if live.(i) && basis.(i) < n then begin
-            let cb = objective.(basis.(i)) in
-            if R.sign cb <> 0 then
-              for j = 0 to ncols do
-                obj2.(j) <- R.sub obj2.(j) (R.mul cb row.(j))
-              done
-          end)
-        tab;
-      match run obj2 ~max_col:(n + m) with
-      | `Unbounded -> Unbounded
-      | `Optimal ->
-        let primal = Array.make n R.zero in
-        Array.iteri
-          (fun i b -> if live.(i) && b < n then primal.(b) <- tab.(i).(ncols))
-          basis;
-        let dual =
-          Array.init m (fun i ->
-              if negated.(i) then obj2.(art_index.(i))
-              else R.neg obj2.(n + i))
-        in
-        Optimal { objective = R.neg obj2.(ncols); primal; dual })
-
-  (* Specialized solver for programs with every right-hand side
-     non-negative (the interval LP): the slack basis is feasible, so
-     there is never a phase 1. Cold solves replicate [maximize]'s
-     phase-2 rules exactly (same Bland entering column, same ratio
-     test with basis-index ties), so a cold [Lp.resolve] keeps producing
-     bit-identical tables through this path.
-
-     A warm solve crash-loads a suggested basis (the previous optimum
-     of a nearby program, columns translated by the caller), then
-     repairs it: if the crash landed primal-feasible, plain primal
-     simplex finishes; if it landed dual-feasible (the typical case
-     after a capacity change — the old optimum's reduced costs still
-     price out, only some right-hand sides went negative), dual simplex
-     pivots the violated rows out. Both use Bland-style smallest-index
-     ties, so termination is unconditional. Anything else — crash
-     produced a basis that is neither — abandons the hint and re-solves
-     cold; correctness never depends on the hint. *)
-  let solve_nonneg ?hint ~objective ~rows () =
-    let n = Array.length objective in
-    let m = Array.length rows in
-    let ncols = n + m in
-    Array.iter
-      (fun ((a : R.t array), b) ->
-        if Array.length a <> n then
-          invalid_arg "Lp.Simplex.solve_nonneg: coefficient row length";
-        if R.sign b < 0 then
-          invalid_arg "Lp.Simplex.solve_nonneg: negative right-hand side")
-      rows;
+    let ncols = !ncols in
     let pivots = ref 0 in
-    let build () =
+    let fresh () =
       let tab =
         Array.init m (fun i ->
             let a, b = rows.(i) in
             let row = Array.make (ncols + 1) R.zero in
+            let s = if negated.(i) then R.minus_one else R.one in
             for j = 0 to n - 1 do
-              row.(j) <- a.(j)
+              row.(j) <- R.mul s a.(j)
             done;
-            row.(n + i) <- R.one;
-            row.(ncols) <- b;
+            row.(n + i) <- s;
+            if negated.(i) then row.(art_index.(i)) <- R.one;
+            row.(ncols) <- R.mul s b;
             row)
       in
-      let basis = Array.init m (fun i -> n + i) in
-      let obj = Array.make (ncols + 1) R.zero in
-      for j = 0 to n - 1 do
-        obj.(j) <- objective.(j)
-      done;
-      (tab, basis, obj)
+      let basis =
+        Array.init m (fun i -> if negated.(i) then art_index.(i) else n + i)
+      in
+      { tab; basis; live = Array.make m true }
     in
-    let pivot tab basis obj ~pr ~pc =
+    (* An objective row holds reduced costs and, in its RHS slot, -z, so
+       the ordinary row update maintains it. Phase 1 and phase 2 price
+       different objectives over one tableau. *)
+    let pivot t obj ~pr ~pc =
       incr pivots;
-      let prow = tab.(pr) in
+      let prow = t.tab.(pr) in
       let d = prow.(pc) in
       for j = 0 to ncols do
         prow.(j) <- R.div prow.(j) d
@@ -257,126 +96,181 @@ module Simplex = struct
             row.(j) <- R.sub row.(j) (R.mul f prow.(j))
           done
       in
-      Array.iteri (fun i row -> if i <> pr then elim row) tab;
+      Array.iteri (fun i row -> if t.live.(i) && i <> pr then elim row) t.tab;
       elim obj;
-      basis.(pr) <- pc
+      t.basis.(pr) <- pc
     in
-    let primal tab basis obj =
-      let rec loop () =
-        let pc = ref (-1) in
-        (try
-           for j = 0 to ncols - 1 do
-             if R.sign obj.(j) > 0 then begin
-               pc := j;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !pc < 0 then `Optimal
-        else begin
-          let pc = !pc in
-          let pr = ref (-1) in
-          for i = 0 to m - 1 do
-            if R.sign tab.(i).(pc) > 0 then
-              if !pr < 0 then pr := i
-              else begin
-                let cur = R.div tab.(!pr).(ncols) tab.(!pr).(pc) in
-                let cand = R.div tab.(i).(ncols) tab.(i).(pc) in
-                let c = R.compare cand cur in
-                if c < 0 || (c = 0 && basis.(i) < basis.(!pr)) then pr := i
-              end
-          done;
-          if !pr < 0 then `Unbounded
-          else begin
-            pivot tab basis obj ~pr:!pr ~pc;
-            loop ()
-          end
-        end
+    let improving obj ~max_col =
+      let rec go j =
+        if j >= max_col then -1
+        else if R.sign obj.(j) > 0 then j
+        else go (j + 1)
       in
-      loop ()
+      go 0
     in
-    let dual tab basis obj =
-      (* Bland for the dual: leave the negative-rhs row whose basic
-         variable has the smallest index; enter the column minimizing
-         obj_j / a_rj over a_rj < 0 (both non-positive, so the ratio
-         is >= 0), ties to the smallest column. *)
-      let rec loop () =
+    let rec primal t obj ~max_col =
+      let pc = improving obj ~max_col in
+      if pc < 0 then `Optimal
+      else begin
         let pr = ref (-1) in
         for i = 0 to m - 1 do
-          if R.sign tab.(i).(ncols) < 0 then
-            if !pr < 0 || basis.(i) < basis.(!pr) then pr := i
-        done;
-        if !pr < 0 then `Feasible
-        else begin
-          let pr = !pr in
-          let pc = ref (-1) and best = ref R.zero in
-          for j = 0 to ncols - 1 do
-            if R.sign tab.(pr).(j) < 0 then begin
-              let ratio = R.div obj.(j) tab.(pr).(j) in
-              if !pc < 0 || R.compare ratio !best < 0 then begin
-                pc := j;
-                best := ratio
-              end
+          if t.live.(i) && R.sign t.tab.(i).(pc) > 0 then
+            if !pr < 0 then pr := i
+            else begin
+              let cur = R.div t.tab.(!pr).(ncols) t.tab.(!pr).(pc) in
+              let cand = R.div t.tab.(i).(ncols) t.tab.(i).(pc) in
+              let c = R.compare cand cur in
+              if c < 0 || (c = 0 && t.basis.(i) < t.basis.(!pr)) then pr := i
             end
-          done;
-          if !pc < 0 then `Stuck
-          else begin
-            pivot tab basis obj ~pr ~pc:!pc;
-            loop ()
-          end
+        done;
+        if !pr < 0 then `Unbounded
+        else begin
+          pivot t obj ~pr:!pr ~pc;
+          primal t obj ~max_col
         end
-      in
-      loop ()
-    in
-    let finish tab basis obj =
-      match primal tab basis obj with
-      | `Unbounded -> None
-      | `Optimal ->
-        let sol = Array.make n R.zero in
-        Array.iteri
-          (fun i b -> if b < n then sol.(b) <- tab.(i).(ncols))
-          basis;
-        Some (sol, Array.copy basis)
-    in
-    let attempt_warm hint =
-      if Array.length hint <> m then None
-      else begin
-        let tab, basis, obj = build () in
-        Array.iteri
-          (fun i c ->
-            if c >= 0 && c < ncols && basis.(i) <> c then begin
-              let taken = Array.exists (fun b -> b = c) basis in
-              if (not taken) && R.sign tab.(i).(c) <> 0 then
-                pivot tab basis obj ~pr:i ~pc:c
-            end)
-          hint;
-        let primal_feasible =
-          Array.for_all (fun row -> R.sign row.(ncols) >= 0) tab
-        in
-        let dual_feasible =
-          let ok = ref true in
-          for j = 0 to ncols - 1 do
-            if R.sign obj.(j) > 0 then ok := false
-          done;
-          !ok
-        in
-        if primal_feasible then finish tab basis obj
-        else if dual_feasible then
-          match dual tab basis obj with
-          | `Stuck -> None
-          | `Feasible -> finish tab basis obj
-        else None
       end
     in
-    (* the pivot count is cumulative across a failed warm attempt and
-       the cold re-solve it falls back to: wasted work is still work *)
-    match Option.bind hint attempt_warm with
-    | Some (sol, basis) -> Some (sol, basis, !pivots, true)
-    | None -> (
-      let tab, basis, obj = build () in
-      match finish tab basis obj with
-      | Some (sol, basis) -> Some (sol, basis, !pivots, false)
-      | None -> None)
+    (* Bland for the dual: leave the negative-RHS row whose basic
+       variable has the smallest index; enter the column minimizing
+       obj_j / a_rj over a_rj < 0 (both non-positive, so the ratio is
+       >= 0), ties to the smallest column. *)
+    let rec dual t obj =
+      let pr = ref (-1) in
+      for i = 0 to m - 1 do
+        if t.live.(i) && R.sign t.tab.(i).(ncols) < 0
+           && (!pr < 0 || t.basis.(i) < t.basis.(!pr))
+        then pr := i
+      done;
+      if !pr < 0 then `Feasible
+      else begin
+        let pr = !pr in
+        let pc = ref (-1) and best = ref R.zero in
+        for j = 0 to ncols - 1 do
+          if R.sign t.tab.(pr).(j) < 0 then begin
+            let ratio = R.div obj.(j) t.tab.(pr).(j) in
+            if !pc < 0 || R.compare ratio !best < 0 then begin
+              pc := j;
+              best := ratio
+            end
+          end
+        done;
+        if !pc < 0 then `Stuck
+        else begin
+          pivot t obj ~pr ~pc:!pc;
+          dual t obj
+        end
+      end
+    in
+    (* Phase 1 maximizes minus the sum of the artificials. [Some farkas]
+       proves the program empty; [None] leaves [t] on a feasible basis
+       of real columns, with redundant rows dead. *)
+    let phase1 t =
+      let obj1 = Array.make (ncols + 1) R.zero in
+      for j = n + m to ncols - 1 do
+        obj1.(j) <- R.minus_one
+      done;
+      (* price out the basic artificials (cost -1 each) *)
+      Array.iteri
+        (fun i row ->
+          if negated.(i) then
+            for j = 0 to ncols do
+              obj1.(j) <- R.add obj1.(j) row.(j)
+            done)
+        t.tab;
+      match primal t obj1 ~max_col:ncols with
+      | `Unbounded -> assert false (* phase-1 objective is <= 0 *)
+      | `Optimal when R.sign obj1.(ncols) > 0 ->
+        (* Farkas multipliers from the phase-1 reduced costs: the
+           multiplier of original row i sits on its initial basis
+           column, adjusted for the row's sign flip. *)
+        Some
+          (Array.init m (fun i ->
+               if negated.(i) then R.add R.one obj1.(art_index.(i))
+               else R.neg obj1.(n + i)))
+      | `Optimal ->
+        (* drive leftover zero-level artificials out of the basis; an
+           all-zero row (over real columns) is redundant *)
+        for i = 0 to m - 1 do
+          if t.live.(i) && t.basis.(i) >= n + m then begin
+            let rec nonzero c =
+              if c >= n + m then -1
+              else if R.sign t.tab.(i).(c) <> 0 then c
+              else nonzero (c + 1)
+            in
+            let j = nonzero 0 in
+            if j >= 0 then pivot t obj1 ~pr:i ~pc:j else t.live.(i) <- false
+          end
+        done;
+        None
+    in
+    (* the phase-2 objective row, priced out against [t]'s basis *)
+    let price t =
+      let obj = Array.make (ncols + 1) R.zero in
+      Array.blit objective 0 obj 0 n;
+      Array.iteri
+        (fun i row ->
+          if t.live.(i) && t.basis.(i) < n then begin
+            let cb = objective.(t.basis.(i)) in
+            if R.sign cb <> 0 then
+              for j = 0 to ncols do
+                obj.(j) <- R.sub obj.(j) (R.mul cb row.(j))
+              done
+          end)
+        t.tab;
+      obj
+    in
+    let finish ~warm t obj =
+      let outcome =
+        match primal t obj ~max_col:(n + m) with
+        | `Unbounded -> Unbounded
+        | `Optimal ->
+          let primal = Array.make n R.zero in
+          Array.iteri
+            (fun i b ->
+              if t.live.(i) && b < n then primal.(b) <- t.tab.(i).(ncols))
+            t.basis;
+          let dual =
+            Array.init m (fun i ->
+                if negated.(i) then obj.(art_index.(i)) else R.neg obj.(n + i))
+          in
+          Optimal { objective = R.neg obj.(ncols); primal; dual }
+      in
+      { outcome; basis = t.basis; pivots = !pivots; warm }
+    in
+    let cold () =
+      let t = fresh () in
+      match if ncols > n + m then phase1 t else None with
+      | Some farkas ->
+        { outcome = Infeasible { farkas }; basis = t.basis; pivots = !pivots;
+          warm = false }
+      | None -> finish ~warm:false t (price t)
+    in
+    (* The crash: pivot each row's suggested column in, where it is not
+       basic elsewhere and the pivot element is nonzero. A basis that
+       lands primal-feasible goes straight to phase 2; a dual-feasible
+       one (the typical case after a capacity change: the old optimum
+       still prices out, only some right-hand sides went negative) is
+       repaired by the dual loop first. Anything else abandons the hint;
+       its pivots still count. *)
+    let warm_start hint =
+      let t = fresh () in
+      let obj = price t in
+      Array.iteri
+        (fun i c ->
+          if c >= 0 && c < ncols && t.basis.(i) <> c
+             && (not (Array.mem c t.basis))
+             && R.sign t.tab.(i).(c) <> 0
+          then pivot t obj ~pr:i ~pc:c)
+        hint;
+      if Array.for_all (fun row -> R.sign row.(ncols) >= 0) t.tab
+         || (improving obj ~max_col:ncols < 0 && dual t obj = `Feasible)
+      then Some (finish ~warm:true t obj)
+      else None
+    in
+    match hint with
+    | Some hint when ncols = n + m && Array.length hint = m -> (
+      match warm_start hint with Some s -> s | None -> cold ())
+    | _ -> cold ()
 end
 
 (* ------------------------------------------------------------------ *)
@@ -514,7 +408,7 @@ type resolve_stats = {
    surviving node, slack columns follow their row (chain rows by edge,
    branch rows by node, box row by position). Anything that did not
    survive translates to no hint for that row. *)
-let translate_basis ~emap ~nmap (oc : comp_state) c =
+let translate_basis (d : Edit.delta) (oc : comp_state) c =
   let me_o = Array.length oc.sedges and nv_o = Array.length oc.snodes in
   let nb_o = Array.length oc.sbranches in
   let nvars_o = me_o + nv_o in
@@ -530,21 +424,20 @@ let translate_basis ~emap ~nmap (oc : comp_state) c =
   let new_row r =
     if r < me_o then
       (* chain row of old edge *)
-      Option.bind (emap oc.sedges.(r)) (Hashtbl.find_opt xcol)
+      Option.bind d.edge_map.(oc.sedges.(r)) (Hashtbl.find_opt xcol)
     else if r < me_o + nb_o then
-      Option.bind (nmap oc.sbranches.(r - me_o)) (Hashtbl.find_opt branchrow)
+      Option.bind
+        d.node_map.(oc.sbranches.(r - me_o))
+        (Hashtbl.find_opt branchrow)
     else Some (nrows_n - 1)
   in
   let new_col col =
     if col < me_o then
-      Option.bind (emap oc.sedges.(col)) (Hashtbl.find_opt xcol)
+      Option.bind d.edge_map.(oc.sedges.(col)) (Hashtbl.find_opt xcol)
     else if col < nvars_o then
-      Option.bind
-        (nmap oc.snodes.(col - me_o))
-        (fun v ->
+      Option.bind d.node_map.(oc.snodes.(col - me_o)) (fun v ->
           Option.map (fun slot -> me_n + slot) (Hashtbl.find_opt c.node_slot v))
-    else
-      Option.map (fun r' -> nvars_n + r') (new_row (col - nvars_o))
+    else Option.map (fun r' -> nvars_n + r') (new_row (col - nvars_o))
   in
   let hint = Array.make nrows_n (-1) in
   for r = 0 to nrows_o - 1 do
@@ -557,150 +450,76 @@ let translate_basis ~emap ~nmap (oc : comp_state) c =
   done;
   hint
 
-let resolve ?warm ?edge_map ?node_map ?dirty g =
+let resolve ?warm g =
   require_dag "Lp.resolve" g;
   let ivals = Array.make (Graph.num_edges g) Interval.inf in
   let comps = cycle_components g in
-  let emap o =
-    match edge_map with
-    | None -> Some o
-    | Some m -> if o >= 0 && o < Array.length m then m.(o) else None
-  in
-  let nmap v =
-    match node_map with
-    | None -> Some v
-    | Some m -> if v >= 0 && v < Array.length m then m.(v) else None
-  in
-  let is_dirty ne = match dirty with None -> false | Some d -> d.(ne) in
-  (* base edge id for each current edge, from the forward map *)
-  let origin =
-    match edge_map with
-    | None -> Hashtbl.find_opt (Hashtbl.create 0) (* identity below *)
-    | Some m ->
-      let rev = Hashtbl.create 64 in
-      Array.iteri
-        (fun o n -> match n with Some n -> Hashtbl.add rev n o | None -> ())
-        m;
-      Hashtbl.find_opt rev
-  in
-  let origin ne = match edge_map with None -> Some ne | Some _ -> origin ne in
-  let old_comps = Array.of_list (match warm with None -> [] | Some s -> s) in
-  let old_comp_of_edge = Hashtbl.create 64 in
-  Array.iteri
-    (fun ci (oc : comp_state) ->
-      Array.iter (fun oe -> Hashtbl.replace old_comp_of_edge oe ci) oc.sedges)
-    old_comps;
-  let stats =
-    ref
-      {
-        rcomponents = List.length comps;
-        rrows = 0;
-        rspliced = 0;
-        rwarm = 0;
-        rcold = 0;
-        rpivots = 0;
-      }
-  in
-  let rev_state = ref [] in
-  List.iter
-    (fun c ->
-      let nrows = Array.length c.cedges + List.length c.branches + 1 in
-      stats := { !stats with rrows = !stats.rrows + nrows };
-      (* the old component this one descends from, by origin majority *)
-      let votes = Hashtbl.create 4 in
-      let clean = ref true in
-      Array.iter
-        (fun (e : Graph.edge) ->
-          if is_dirty e.id then clean := false;
-          match origin e.id with
-          | None -> clean := false
-          | Some o -> (
-            match Hashtbl.find_opt old_comp_of_edge o with
-            | None -> clean := false
-            | Some ci ->
-              Hashtbl.replace votes ci
-                (1 + Option.value ~default:0 (Hashtbl.find_opt votes ci))))
-        c.cedges;
-      let ancestor =
-        Hashtbl.fold
-          (fun ci n best ->
-            match best with
-            | Some (_, bn) when bn >= n -> best
-            | _ -> Some (ci, n))
-          votes None
-        |> Option.map (fun (ci, _) -> old_comps.(ci))
+  (* the previous components, and where each current one comes from *)
+  let ancestry =
+    match warm with
+    | None -> fun _ -> None
+    | Some (state, d) ->
+      let olds = Array.of_list state in
+      let of_block =
+        Edit.ancestry d
+          ~base:(List.map (fun oc -> Array.to_list oc.sedges) state)
       in
-      let exact_match =
-        !clean
-        && match ancestor with
-           | None -> false
-           | Some oc ->
-             Array.length oc.sedges = Array.length c.cedges
-             && begin
-                  let olds =
-                    Array.to_list (Array.map (fun (e : Graph.edge) ->
-                        Option.get (origin e.id)) c.cedges)
-                    |> List.sort Stdlib.compare
-                  in
-                  List.sort Stdlib.compare (Array.to_list oc.sedges) = olds
-                end
-      in
-      match (exact_match, ancestor) with
-      | true, Some oc ->
-        (* clean component: splice the previous optimum, zero pivots *)
+      fun ids ->
+        Option.map
+          (fun (a : Edit.ancestry) -> (d, olds.(a.ancestor), a.unedited))
+          (of_block (Array.to_list ids))
+  in
+  let rows = ref 0 and spliced = ref 0 and warmed = ref 0 and cold = ref 0 in
+  let pivots = ref 0 in
+  let solve c =
+    let ids = Array.map (fun (e : Graph.edge) -> e.id) c.cedges in
+    rows := !rows + Array.length ids + List.length c.branches + 1;
+    let lineage = ancestry ids in
+    let svals, sbasis =
+      match lineage with
+      | Some (d, oc, true) ->
+        (* an unedited copy: its program is the ancestor's, so is its
+           optimum — splice it, zero pivots *)
+        incr spliced;
         let pos = Hashtbl.create 16 in
         Array.iteri (fun k oe -> Hashtbl.add pos oe k) oc.sedges;
-        let svals =
-          Array.map
-            (fun (e : Graph.edge) ->
-              let v = oc.svals.(Hashtbl.find pos (Option.get (origin e.id))) in
-              ivals.(e.id) <- v;
-              v)
-            c.cedges
-        in
-        let sbasis = translate_basis ~emap ~nmap oc c in
-        stats := { !stats with rspliced = !stats.rspliced + 1 };
-        rev_state :=
-          {
-            sedges = Array.map (fun (e : Graph.edge) -> e.id) c.cedges;
-            snodes = Array.copy c.cnodes;
-            sbranches = Array.of_list (List.map fst c.branches);
-            svals;
-            sbasis;
-          }
-          :: !rev_state
+        let origin id = Option.get d.Edit.origin.(id) in
+        ( Array.map (fun id -> oc.svals.(Hashtbl.find pos (origin id))) ids,
+          translate_basis d oc c )
       | _ -> (
         let rows, objective = interval_rows c in
-        let hint = Option.map (fun oc -> translate_basis ~emap ~nmap oc c) ancestor in
-        match Simplex.solve_nonneg ?hint ~objective ~rows () with
-        | None -> assert false (* the box row bounds sum x *)
-        | Some (primal, sbasis, pivots, warmed) ->
-          let svals =
-            Array.mapi
-              (fun k (e : Graph.edge) ->
-                let v = interval_of_primal primal.(k) in
-                ivals.(e.id) <- v;
-                v)
-              c.cedges
-          in
-          stats :=
-            {
-              !stats with
-              rpivots = !stats.rpivots + pivots;
-              rwarm = (!stats.rwarm + if warmed then 1 else 0);
-              rcold = (!stats.rcold + if warmed then 0 else 1);
-            };
-          rev_state :=
-            {
-              sedges = Array.map (fun (e : Graph.edge) -> e.id) c.cedges;
-              snodes = Array.copy c.cnodes;
-              sbranches = Array.of_list (List.map fst c.branches);
-              svals;
-              sbasis;
-            }
-            :: !rev_state))
-    comps;
-  (ivals, !stats, List.rev !rev_state)
+        let hint =
+          Option.map (fun (d, oc, _) -> translate_basis d oc c) lineage
+        in
+        let s = Simplex.maximize ?hint ~objective ~rows () in
+        pivots := !pivots + s.pivots;
+        incr (if s.warm then warmed else cold);
+        match s.outcome with
+        | Simplex.Optimal { primal; _ } ->
+          (Array.mapi (fun k _ -> interval_of_primal primal.(k)) ids, s.basis)
+        | Simplex.Unbounded | Simplex.Infeasible _ ->
+          assert false (* the origin is feasible, the box row bounds sum x *))
+    in
+    Array.iteri (fun k id -> ivals.(id) <- svals.(k)) ids;
+    {
+      sedges = ids;
+      snodes = Array.copy c.cnodes;
+      sbranches = Array.of_list (List.map fst c.branches);
+      svals;
+      sbasis;
+    }
+  in
+  let state = List.map solve comps in
+  ( ivals,
+    {
+      rcomponents = List.length comps;
+      rrows = !rows;
+      rspliced = !spliced;
+      rwarm = !warmed;
+      rcold = !cold;
+      rpivots = !pivots;
+    },
+    state )
 
 (* --- dimensioning: minimal capacities for a given table ----------- *)
 
@@ -777,7 +596,7 @@ let min_buffers g ~thresholds =
       let rows = Array.of_list (List.rev !rows) in
       let objective = Array.make nvars R.zero in
       Array.iteri (fun k _ -> objective.(k) <- R.minus_one) c.cedges;
-      match Simplex.maximize ~objective ~rows with
+      match (Simplex.maximize ~objective ~rows ()).outcome with
       | Simplex.Optimal { primal; _ } ->
         Array.iteri
           (fun k (e : Graph.edge) -> caps.(e.id) <- 1 + R.ceil primal.(k))
@@ -867,7 +686,7 @@ let audit g ~thresholds =
       let rows = Array.of_list (List.rev !rows) in
       let tags = Array.of_list (List.rev !tags) in
       let objective = Array.make nv R.zero in
-      match Simplex.maximize ~objective ~rows with
+      match (Simplex.maximize ~objective ~rows ()).outcome with
       | Simplex.Optimal _ -> first_violation rest
       | Simplex.Unbounded -> assert false (* zero objective *)
       | Simplex.Infeasible { farkas } ->

@@ -39,10 +39,11 @@
 
 open Fstream_graph
 
-(** Dense two-phase primal simplex over {!Rational}, Bland's rule (so
-    it terminates on degenerate bases). Exposed for unit tests and for
-    callers with bespoke programs; the interval encoding above is
-    {!resolve}. *)
+(** Dense simplex over {!Rational}: one tableau, one pivot, one primal
+    and one dual loop, Bland's smallest-index rule throughout (so it
+    terminates on degenerate bases). {!resolve} solves the interval
+    programs through it, {!min_buffers} and {!audit} their own; it is
+    exposed for unit tests and for callers with bespoke programs. *)
 module Simplex : sig
   type outcome =
     | Optimal of {
@@ -57,37 +58,39 @@ module Simplex : sig
             empty. Rows with positive weight are the conflicting
             constraints — the "dual witness" surfaced by lint. *)
 
-  val maximize :
-    objective:Rational.t array ->
-    rows:(Rational.t array * Rational.t) array ->
-    outcome
-  (** [maximize ~objective ~rows] solves
-      [max objective^T x  s.t.  a_i^T x <= b_i  for (a_i, b_i) in rows,
-      x >= 0]. Negative right-hand sides are allowed (phase 1 runs
-      automatically). Every coefficient array must have length
-      [Array.length objective]. *)
+  type solution = {
+    outcome : outcome;
+    basis : int array;
+        (** the basic column per row at the end: structural variables
+            [0, n), then one slack per row, then phase 1's artificials.
+            Passed as a later [hint], it warm-starts a nearby program. *)
+    pivots : int;
+        (** every pivot made: phase 1, the crash onto a hint and any
+            repair of it, phase 2, and a cold re-solve after a hint was
+            abandoned (wasted work is still work) *)
+    warm : bool;  (** the solve started from [hint] and kept it *)
+  }
 
-  val solve_nonneg :
+  val maximize :
     ?hint:int array ->
     objective:Rational.t array ->
     rows:(Rational.t array * Rational.t) array ->
     unit ->
-    (Rational.t array * int array * int * bool) option
-  (** Warm-startable variant for programs whose right-hand sides are
-      all non-negative (every interval program is: chain rows have
-      [b = 0], branch rows [min_cap - 1 >= 0], the box row a capacity
-      sum) — the slack basis is always primal-feasible, so no phase 1
-      ever runs and the cold path replays {!maximize}'s phase 2
-      pivot-for-pivot. [hint] is a proposed basic column per row
-      ([-1] = keep the row's slack): the tableau is crashed onto it,
-      then repaired by primal simplex if primal-feasible, by Bland
-      dual simplex if dual-feasible, and otherwise re-solved cold from
-      the slack basis. Returns
-      [Some (primal, basis, pivots, used_warm)] — [pivots] counts
-      every pivot made, {e including} those of a failed warm attempt
-      that fell back cold — or [None] if the program is unbounded.
-      @raise Invalid_argument on a length mismatch or a negative
-      right-hand side. *)
+    solution
+  (** [maximize ~objective ~rows ()] solves
+      [max objective^T x  s.t.  a_i^T x <= b_i  for (a_i, b_i) in rows,
+      x >= 0]. Every coefficient array must have length
+      [Array.length objective].
+
+      A program with a negative right-hand side runs phase 1 first and
+      ignores [hint]. Otherwise the slack basis is feasible and phase 1
+      never runs: with no [hint], phase 2 starts from the slack basis;
+      with a [hint] (a proposed basic column per row, [-1] keeps the
+      row's slack; ignored unless its length is the row count) the
+      tableau is crashed onto it, then repaired by the primal loop if
+      primal-feasible, by the dual loop if dual-feasible, and otherwise
+      abandoned for a cold solve. The optimum's objective never depends
+      on the hint; which optimal vertex is reached may. *)
 end
 
 type state
@@ -105,10 +108,7 @@ type resolve_stats = {
 }
 
 val resolve :
-  ?warm:state ->
-  ?edge_map:int option array ->
-  ?node_map:int option array ->
-  ?dirty:bool array ->
+  ?warm:state * Edit.delta ->
   Graph.t ->
   Interval.t array * resolve_stats * state
 (** The backend entry point: a safe-interval table for any connected
@@ -116,22 +116,19 @@ val resolve :
     solver state a later call can warm-start from. Total work is
     polynomial in nodes + edges. The table is valid for all three
     avoidance algorithms (it bounds the run sums themselves, not any
-    per-algorithm refinement). With no optional argument every
-    component solves cold.
+    per-algorithm refinement). Without [warm] every component solves
+    cold.
 
-    With [warm] (the state of a previous solve of the graph this one
-    was edited from), [edge_map] / [node_map] (old id -> surviving new
-    id, as in {!Fstream_graph.Edit.delta}) and [dirty] (new edge ids
-    whose records changed), each biconnected component of [g] is
-    handled by the cheapest sound route: a component whose edges all
-    survive unedited from exactly one old component is {e spliced} —
-    previous optimum copied, no simplex at all; any other component
-    with an identifiable ancestor is re-solved {e warm} from the
-    ancestor's translated basis (falling back to a cold solve if the
-    crash is neither primal- nor dual-feasible); components with no
-    ancestor solve cold. Splicing is exact, not approximate: the
-    component's program is syntactically identical to the old one's,
-    so its optimum is the old optimum.
+    With [warm:(s, d)] — [s] the state of a solve of [d.base] and [g]
+    the graph [d] edited it into, [d.graph] — each biconnected
+    component of [g] asks {!Edit.ancestry} which previous
+    component it descends from. An unedited copy of one is {e spliced}:
+    the previous optimum is copied, no simplex at all. That is exact,
+    not approximate: the component's program is the old one's, so its
+    optimum is the old optimum. Any other component with an ancestor
+    is re-solved {e warm} from the ancestor's basis, translated to the
+    new columns ({!Simplex.maximize}'s [hint]); components with no
+    ancestor solve cold.
     @raise Invalid_argument if [g] has a directed cycle (the LP's
     demand chains presuppose acyclicity). *)
 

@@ -10,6 +10,7 @@ type delta = {
   graph : Graph.t;
   edge_map : int option array;
   node_map : int option array;
+  origin : int option array;
   dirty : bool array;
 }
 
@@ -184,7 +185,54 @@ let apply base ops =
   Array.iteri
     (fun v b -> match b with Some b -> node_map.(b) <- Some v | None -> ())
     st.node_of;
-  Ok { base; graph; edge_map; node_map; dirty = Array.map (fun e -> e.edirty) st.entries }
+  Ok
+    {
+      base;
+      graph;
+      edge_map;
+      node_map;
+      origin = Array.map (fun e -> e.origin) st.entries;
+      dirty = Array.map (fun e -> e.edirty) st.entries;
+    }
+
+(* --- what an edit lets a consumer reuse ---------------------------- *)
+
+type ancestry = { ancestor : int; unedited : bool }
+
+let ancestry d ~base =
+  let block_of = Array.make (Array.length d.edge_map) (-1) in
+  let size = Array.of_list (List.map List.length base) in
+  List.iteri (fun b ids -> List.iter (fun o -> block_of.(o) <- b) ids) base;
+  fun ids ->
+    let edited = ref false in
+    let votes =
+      List.filter_map
+        (fun id ->
+          if d.dirty.(id) then edited := true;
+          match d.origin.(id) with
+          | Some o when block_of.(o) >= 0 -> Some block_of.(o)
+          | _ ->
+            edited := true;
+            None)
+        ids
+    in
+    (* votes per block, the largest block index first *)
+    let runs =
+      List.fold_left
+        (fun acc b ->
+          match acc with
+          | (b', k) :: rest when b' = b -> (b, k + 1) :: rest
+          | _ -> (b, 1) :: acc)
+        [] (List.sort Int.compare votes)
+    in
+    (* the most votes; down the indices, a tie goes to the smaller *)
+    List.fold_left
+      (fun best (b, k) ->
+        match best with Some (_, k') when k' > k -> best | _ -> Some (b, k))
+      None runs
+    |> Option.map (fun (b, k) ->
+           let copy = (not !edited) && k = List.length ids && k = size.(b) in
+           { ancestor = b; unedited = copy })
 
 (* --- concrete syntax ---------------------------------------------- *)
 

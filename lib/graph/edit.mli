@@ -46,6 +46,10 @@ type delta = {
           [dirty]. *)
   node_map : int option array;
       (** indexed by base node id: its id in [graph], or [None] *)
+  origin : int option array;
+      (** indexed by [graph] edge id: the base edge it survives from
+          (the inverse of [edge_map]), or [None] for an edge the script
+          added or put in place of a removed one *)
   dirty : bool array;
       (** indexed by [graph] edge id: the edge was added or resized by
           the script (so values computed for the base graph must not be
@@ -57,6 +61,31 @@ val apply : Graph.t -> op list -> (delta, string) result
     (id out of range, capacity < 1, self-loop, or a {!Remove_stage}
     target whose degree is not 1/1); the graph is never partially
     edited — any error discards the whole script. *)
+
+(** {2 What an edit lets a consumer reuse}
+
+    An incremental consumer computes its values per block of a
+    partition of the graph's edges (the CS4 serial blocks of the exact
+    route, the cyclic biconnected components of the LP) and, after an
+    edit, asks of each block of the edited graph where it came from.
+    This is the one rule both routes splice by. *)
+
+type ancestry = {
+  ancestor : int;
+      (** index in [base] of the block the most of this block's edges
+          descend from; a tie goes to the smallest index *)
+  unedited : bool;
+      (** the block is an unedited copy of [ancestor]: none of its edges
+          is [dirty], every one survives from the base graph, and their
+          origins are exactly [ancestor]'s edges. Values that depend
+          only on a block's own edges can then be copied over. *)
+}
+
+val ancestry : delta -> base:int list list -> int list -> ancestry option
+(** [ancestry d ~base] indexes [base], pairwise disjoint blocks of
+    [d.base]'s edge ids, once; the function it returns takes a block of
+    [d.graph] (its edge ids) and returns its ancestry, or [None] when
+    none of its edges descends from an edge of [base]. *)
 
 val parse_ops : string -> (op list, string) result
 (** Parse a [;]-separated op list, e.g.

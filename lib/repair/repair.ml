@@ -63,7 +63,7 @@ let rewrite_step ~relay_cap g cycle =
           added = (if relay_exists then None else Some (via, t));
         } )
 
-let repair ?max_rounds ?relay_cap g =
+let repair ?max_rounds ?max_cycles ?relay_cap g =
   let budget = Option.value max_rounds ~default:(4 * Graph.num_edges g) in
   match Topo.is_two_terminal g with
   | None -> Error "not a connected two-terminal DAG"
@@ -85,7 +85,9 @@ let repair ?max_rounds ?relay_cap g =
       | Error Cs4.Not_two_terminal -> Error "not a connected two-terminal DAG"
       | Error (Cs4.Bad_block { block_source; block_sink; _ }) -> (
         (* the witness comes from the rejected block alone *)
-        match Cs4.block_witnesses g ~block_source ~block_sink ~limit:1 with
+        match
+          Cs4.block_witnesses ?max_cycles g ~block_source ~block_sink ~limit:1
+        with
         | [], true -> Error "no multi-source cycle within the cycle budget"
         | [], false -> Error "not CS4 yet no multi-source cycle witness"
         | cycle :: _, _ -> (

@@ -42,12 +42,19 @@ type t = {
 }
 
 val repair :
-  ?max_rounds:int -> ?relay_cap:int -> Graph.t -> (t, string) result
+  ?max_rounds:int ->
+  ?max_cycles:int ->
+  ?relay_cap:int ->
+  Graph.t ->
+  (t, string) result
 (** [repair g] returns a CS4 topology when the heuristic converges
     (identity repair if [g] is already CS4). [relay_cap] is the buffer
     capacity of newly created relay channels (default: capacity of the
     deleted channel). [max_rounds] bounds the rewrite loop (default
-    [4 * num_edges]). *)
+    [4 * num_edges]). [max_cycles] bounds each round's search for a
+    witness cycle in the rejected block ({!Fstream_ladder.Cs4.block_witnesses}, whose
+    default applies without it); a round that exhausts it ends the
+    repair in [Error]. *)
 
 val preserves_reachability : Graph.t -> t -> bool
 (** Every ordered node pair connected by a directed path in the

@@ -8,6 +8,7 @@ open Fstream_graph
 open Fstream_core
 module Lint = Fstream_analysis.Lint
 module Topo_gen = Fstream_workloads.Topo_gen
+module Repair = Fstream_repair.Repair
 module App_spec = Fstream_workloads.App_spec
 module Verify = Fstream_verify.Verify
 module Engine = Fstream_runtime.Engine
@@ -84,6 +85,24 @@ let test_fs201 () =
     "carries a reroute fixit" true
     (match d.Lint.fixit with Some (Lint.Reroute _) -> true | _ -> false);
   check_silent "fig5 ladder" "FS201" (Lint.run (Topo_gen.fig5_ladder ~cap:2))
+
+(* The reroute fixit's repair searches for its witness under lint's
+   budget, not the repair command's default: with no budget at all the
+   finding stays (the classification decides it) but carries neither a
+   witness nor a fixit. *)
+let test_fs201_fixit_budget () =
+  let g = Topo_gen.fig4_butterfly ~cap:2 in
+  let d =
+    find "FS201"
+      (Lint.run ~config:{ Lint.default_config with Lint.max_cycles = 0 } g)
+  in
+  Alcotest.(check bool) "no witness within budget 0" true (d.Lint.witness = []);
+  Alcotest.(check bool) "no fixit within budget 0" true (d.Lint.fixit = None);
+  match Repair.repair g with
+  | Ok r ->
+    Alcotest.(check bool) "repair's own default still reroutes" true
+      (r.Repair.reroutes <> [])
+  | Error e -> Alcotest.failf "repair failed: %s" e
 
 let test_fs202 () =
   check_fires "butterfly" "FS202" (Lint.run (Topo_gen.fig4_butterfly ~cap:2));
@@ -943,6 +962,8 @@ let suite =
       test_layered_dense_lp;
     prop_lint_clean_implies_safe;
     prop_recompiled_plan_eq_reference;
+    Alcotest.test_case "FS201 fixit honours the cycle budget" `Quick
+      test_fs201_fixit_budget;
   ]
   @ List.map prop_nonprop_compiled_is_complete
       [ ("random_dense", Tutil.random_dense_of_seed);

@@ -77,9 +77,11 @@ let rational_qcheck =
 let test_simplex_optimal () =
   (* max x + y  s.t.  x + 2y <= 4, 3x + y <= 6: optimum (8/5, 6/5) *)
   match
-    Lp.Simplex.maximize
-      ~objective:[| R.one; R.one |]
-      ~rows:[| ([| r 1; r 2 |], r 4); ([| r 3; r 1 |], r 6) |]
+    (Lp.Simplex.maximize
+       ~objective:[| R.one; R.one |]
+       ~rows:[| ([| r 1; r 2 |], r 4); ([| r 3; r 1 |], r 6) |]
+       ())
+      .outcome
   with
   | Lp.Simplex.Optimal { objective; primal; dual } ->
     Alcotest.check rational_t "objective" (rq 14 5) objective;
@@ -94,15 +96,17 @@ let test_simplex_degenerate () =
   (* redundant constraints meeting at one vertex must still terminate
      (Bland) and find the optimum *)
   match
-    Lp.Simplex.maximize
-      ~objective:[| R.one; R.one |]
-      ~rows:
-        [|
-          ([| r 1; r 0 |], r 1);
-          ([| r 0; r 1 |], r 1);
-          ([| r 1; r 1 |], r 2);
-          ([| r 2; r 2 |], r 4);
-        |]
+    (Lp.Simplex.maximize
+       ~objective:[| R.one; R.one |]
+       ~rows:
+         [|
+           ([| r 1; r 0 |], r 1);
+           ([| r 0; r 1 |], r 1);
+           ([| r 1; r 1 |], r 2);
+           ([| r 2; r 2 |], r 4);
+         |]
+       ())
+      .outcome
   with
   | Lp.Simplex.Optimal { objective; _ } ->
     Alcotest.check rational_t "objective" (r 2) objective
@@ -110,8 +114,9 @@ let test_simplex_degenerate () =
 
 let test_simplex_unbounded () =
   match
-    Lp.Simplex.maximize ~objective:[| R.one; R.zero |]
-      ~rows:[| ([| r 0; r 1 |], r 1) |]
+    (Lp.Simplex.maximize ~objective:[| R.one; R.zero |]
+       ~rows:[| ([| r 0; r 1 |], r 1) |] ())
+      .outcome
   with
   | Lp.Simplex.Unbounded -> ()
   | _ -> Alcotest.fail "expected Unbounded"
@@ -119,8 +124,9 @@ let test_simplex_unbounded () =
 let test_simplex_phase1 () =
   (* a negative RHS forces phase 1: min x at x >= 1 *)
   match
-    Lp.Simplex.maximize ~objective:[| R.minus_one |]
-      ~rows:[| ([| r (-1) |], r (-1)); ([| r 1 |], r 3) |]
+    (Lp.Simplex.maximize ~objective:[| R.minus_one |]
+       ~rows:[| ([| r (-1) |], r (-1)); ([| r 1 |], r 3) |] ())
+      .outcome
   with
   | Lp.Simplex.Optimal { objective; primal; _ } ->
     Alcotest.check rational_t "objective" (r (-1)) objective;
@@ -130,7 +136,7 @@ let test_simplex_phase1 () =
 let test_simplex_infeasible () =
   (* x <= 2 and x >= 3 *)
   let rows = [| ([| r 1 |], r 2); ([| r (-1) |], r (-3)) |] in
-  match Lp.Simplex.maximize ~objective:[| R.one |] ~rows with
+  match (Lp.Simplex.maximize ~objective:[| R.one |] ~rows ()).outcome with
   | Lp.Simplex.Infeasible { farkas } ->
     (* the certificate really certifies: y >= 0, y^T A >= 0, y^T b < 0 *)
     Alcotest.(check bool) "y >= 0" true
@@ -144,6 +150,99 @@ let test_simplex_infeasible () =
       (R.sign (combo (fun (a, _) -> a.(0))) >= 0);
     Alcotest.(check bool) "y^T b < 0" true (R.sign (combo snd) < 0)
   | _ -> Alcotest.fail "expected Infeasible"
+
+(* ---------------- Simplex warm start -------------------------------- *)
+
+(* A random program over 1-4 variables: 1-5 rows with coefficients in
+   [-3, 3] and right-hand sides drawn by [rhs], plus an all-ones box row
+   with a positive bound, so every feasible program is bounded. *)
+let random_program rng ~rhs =
+  let n = 1 + Random.State.int rng 4 in
+  let coeffs () = Array.init n (fun _ -> r (Random.State.int rng 7 - 3)) in
+  let rows =
+    Array.init (1 + Random.State.int rng 5) (fun _ -> (coeffs (), r (rhs ())))
+  in
+  let box = (Array.make n R.one, r (1 + Random.State.int rng 9)) in
+  (coeffs (), Array.append rows [| box |])
+
+let objective_of (s : Lp.Simplex.solution) =
+  match s.outcome with
+  | Lp.Simplex.Optimal { objective; _ } -> objective
+  | _ -> Alcotest.fail "expected Optimal"
+
+(* With every right-hand side non-negative the slack basis is feasible,
+   so a hint is always tried: its own optimal basis, the optimal basis
+   of the program with perturbed right-hand sides (the crash may land
+   primal-infeasible, where the dual loop repairs it) and a random basis
+   (which may be abandoned for a cold solve) must all reach the cold
+   optimum. A hint that keeps every slack crashes nothing and replays
+   the cold solve pivot for pivot. *)
+let simplex_warm_qcheck =
+  Tutil.qtest ~count:500 "simplex: every hint reaches the cold optimum"
+    Tutil.seed_gen (fun seed ->
+      let rng = Tutil.rng_of seed in
+      let objective, rows =
+        random_program rng ~rhs:(fun () -> Random.State.int rng 7)
+      in
+      let m = Array.length rows and n = Array.length objective in
+      let solve ?hint rows = Lp.Simplex.maximize ?hint ~objective ~rows () in
+      let cold = solve rows in
+      let z = objective_of cold in
+      let reaches name (s : Lp.Simplex.solution) =
+        if not (R.equal z (objective_of s)) then
+          QCheck.Test.fail_reportf "%s: objective %s, cold %s" name
+            (R.to_string (objective_of s)) (R.to_string z)
+      in
+      let own = solve ~hint:cold.basis rows in
+      reaches "own basis" own;
+      let nudge b =
+        let b = R.add b (r (Random.State.int rng 5 - 2)) in
+        if R.sign b < 0 then R.zero else b
+      in
+      let perturbed = Array.map (fun (a, b) -> (a, nudge b)) rows in
+      let zp = objective_of (solve perturbed) in
+      let repaired = solve ~hint:cold.basis perturbed in
+      if not (R.equal zp (objective_of repaired)) then
+        QCheck.Test.fail_reportf "perturbed: objective %s, cold %s"
+          (R.to_string (objective_of repaired)) (R.to_string zp);
+      let random_hint =
+        Array.init m (fun _ -> Random.State.int rng (n + m + 1) - 1)
+      in
+      reaches "random hint" (solve ~hint:random_hint rows);
+      let slack = solve ~hint:(Array.make m (-1)) rows in
+      reaches "slack hint" slack;
+      slack.warm && slack.pivots = cold.pivots && not cold.warm)
+
+(* A negative right-hand side runs phase 1, which ignores the hint. *)
+let simplex_phase1_hint_qcheck =
+  Tutil.qtest ~count:500 "simplex: phase 1 ignores the hint" Tutil.seed_gen
+    (fun seed ->
+      let rng = Tutil.rng_of seed in
+      let objective, rows =
+        random_program rng ~rhs:(fun () -> Random.State.int rng 9 - 3)
+      in
+      let m = Array.length rows and n = Array.length objective in
+      QCheck.assume (Array.exists (fun (_, b) -> R.sign b < 0) rows);
+      let plain = Lp.Simplex.maximize ~objective ~rows () in
+      let hinted =
+        Lp.Simplex.maximize
+          ~hint:(Array.init m (fun _ -> Random.State.int rng (n + m)))
+          ~objective ~rows ()
+      in
+      let same_array a b =
+        Array.length a = Array.length b && Array.for_all2 R.equal a b
+      in
+      (match (plain.outcome, hinted.outcome) with
+      | ( Lp.Simplex.Optimal { objective = z; primal = p; dual = d },
+          Lp.Simplex.Optimal { objective = z'; primal = p'; dual = d' } ) ->
+        R.equal z z' && same_array p p' && same_array d d'
+      | ( Lp.Simplex.Infeasible { farkas = f },
+          Lp.Simplex.Infeasible { farkas = f' } ) ->
+        same_array f f'
+      | Lp.Simplex.Unbounded, Lp.Simplex.Unbounded -> true
+      | _ -> false)
+      && plain.basis = hinted.basis && plain.pivots = hinted.pivots
+      && (not plain.warm) && not hinted.warm)
 
 (* ---------------- The interval backend ---------------------------- *)
 
@@ -340,4 +439,6 @@ let suite =
       test_min_buffers_pipeline;
     min_buffers_qcheck;
     Alcotest.test_case "audit witness decoding" `Quick test_audit_witness;
+    simplex_warm_qcheck;
+    simplex_phase1_hint_qcheck;
   ]

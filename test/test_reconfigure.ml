@@ -159,6 +159,98 @@ let exact_remove_readd (aname, algorithm) =
         | Error _ -> QCheck.assume_fail ()
         | Ok delta -> check_exact_round cache algorithm delta))
 
+(* ----- the splice rule both routes share ----- *)
+
+(* [Edit.ancestry] against its definition, computed the slow way: the
+   ancestor holds the most origins of the block's edges (ties to the
+   smallest index), and the block is an unedited copy when no edge is
+   dirty, every edge survives, and the origins are exactly one base
+   block's edge set. Origins come from [edge_map] here, not from the
+   delta's [origin]. *)
+let brute_ancestry (d : Edit.delta) base ids =
+  let origin id =
+    let found = ref None in
+    Array.iteri
+      (fun o n -> if n = Some id then found := Some o)
+      d.Edit.edge_map;
+    !found
+  in
+  let origins = List.map origin ids in
+  let votes blk =
+    List.length
+      (List.filter (function Some o -> List.mem o blk | None -> false) origins)
+  in
+  let best = ref None in
+  List.iteri
+    (fun b blk ->
+      let k = votes blk in
+      match !best with
+      | Some (_, k') when k' >= k -> ()
+      | _ -> if k > 0 then best := Some (b, k))
+    base;
+  let unedited =
+    List.for_all (fun id -> not d.Edit.dirty.(id)) ids
+    && List.for_all Option.is_some origins
+    && List.exists
+         (fun blk ->
+           List.sort compare blk
+           = List.sort compare (List.filter_map Fun.id origins))
+         base
+  in
+  Option.map (fun (b, _) -> (b, unedited)) !best
+
+let cs4_partition g =
+  let module Cs4 = Fstream_ladder.Cs4 in
+  match Cs4.classify g with
+  | Error _ -> None
+  | Ok cls ->
+    Some
+      (List.map
+         (fun (_, _, b) ->
+           let edges =
+             match b with
+             | Cs4.Sp_block t -> Fstream_spdag.Sp_tree.edges t
+             | Cs4.Ladder_block l -> Fstream_ladder.Ladder.edges l
+           in
+           List.map (fun (e : Graph.edge) -> e.id) edges)
+         cls.Cs4.blocks)
+
+let cyclic_partition g =
+  Some
+    (Articulation.biconnected_components g
+    |> List.filter (fun c -> List.length c >= 2)
+    |> List.map (List.map (fun (e : Graph.edge) -> e.id)))
+
+let ancestry_eq_brute (fname, family, _) =
+  Tutil.qtest ~count:300
+    (Printf.sprintf "splice rule == its definition (%s)" fname)
+    Tutil.seed_gen (fun seed ->
+      let g0 = family seed in
+      let rng = Tutil.rng_of (seed + 0x5b1) in
+      match Edit.apply g0 (Tutil.random_ops rng g0) with
+      | Error e -> Alcotest.failf "generator produced an invalid script: %s" e
+      | Ok d ->
+        List.iter
+          (fun (pname, partition) ->
+            match (partition g0, partition d.Edit.graph) with
+            | Some base, Some blocks ->
+              let ancestry = Edit.ancestry d ~base in
+              List.iter
+                (fun ids ->
+                  let got =
+                    Option.map
+                      (fun (a : Edit.ancestry) -> (a.ancestor, a.unedited))
+                      (ancestry ids)
+                  in
+                  if got <> brute_ancestry d base ids then
+                    QCheck.Test.fail_reportf
+                      "%s block {%s}: rule and definition differ" pname
+                      (String.concat ", " (List.map string_of_int ids)))
+                blocks
+            | _ -> ())
+          [ ("CS4", cs4_partition); ("cyclic", cyclic_partition) ];
+        true)
+
 (* ----- the LP route: objective-equal, not vertex-equal ----- *)
 
 let lp_options =
@@ -252,8 +344,7 @@ let test_warm_fewer_pivots () =
   | Error e -> Alcotest.fail e
   | Ok d ->
     let wivals, w, _ =
-      Lp.resolve ~warm:st ~edge_map:d.Edit.edge_map ~node_map:d.Edit.node_map
-        ~dirty:d.Edit.dirty d.Edit.graph
+      Lp.resolve ~warm:(st, d) d.Edit.graph
     in
     let civals, c, _ = Lp.resolve d.Edit.graph in
     Alcotest.(check bool) "warm re-solved a component" true (w.Lp.rwarm >= 1);
@@ -711,3 +802,4 @@ let suite =
       Alcotest.test_case "concurrent reconfigures of one session serialize"
         `Quick test_concurrent_reconfigures;
     ]
+  @ List.map ancestry_eq_brute families
