@@ -155,15 +155,11 @@ type recompile_stats = {
   lp_stats : Lp.resolve_stats option;
 }
 
-(* The exact-route residue of one epoch: the classification, each
-   block's edge ids in block order (the partition the next epoch's
-   blocks trace their ancestry to) and the exact table, which the next
-   epoch's unedited blocks splice from. *)
-type exact_snap = {
-  scls : Cs4.t;
-  sblocks : int list list;
-  stable : Interval.t array;
-}
+(* The exact-route residue of one epoch: the classification, whose
+   blocks' edge ids are the partition the next epoch's blocks trace
+   their ancestry to, and the exact table, which the next epoch's
+   unedited blocks splice from. *)
+type exact_snap = { scls : Cs4.t; stable : Interval.t array }
 
 type snapshot = {
   sfp : int;
@@ -208,10 +204,6 @@ let update_block algorithm ivals = function
     | Non_propagation -> Ladder_nonprop.update ivals l
     | Relay_propagation -> Ladder_nonprop.update_relay ivals l)
 
-let block_edges = function
-  | Cs4.Sp_block t -> Sp_tree.edges t
-  | Cs4.Ladder_block l -> Ladder.edges l
-
 let refresh_block g = function
   | Cs4.Sp_block t -> Cs4.Sp_block (Sp_tree.refresh g t)
   | Cs4.Ladder_block l -> Cs4.Ladder_block (Ladder.refresh g l)
@@ -230,7 +222,7 @@ let run_cs4 ~refresh algorithm g (cls : Cs4.t) prev =
     match prev with
     | None -> fun _ -> false
     | Some ((d : Edit.delta), pe) -> (
-      let ancestry = Edit.ancestry d ~base:pe.sblocks in
+      let ancestry = Edit.ancestry d ~base:pe.scls.Cs4.block_ids in
       fun ids ->
         match ancestry ids with
         | Some { Edit.unedited = true; _ } ->
@@ -240,24 +232,20 @@ let run_cs4 ~refresh algorithm g (cls : Cs4.t) prev =
           true
         | _ -> false)
   in
-  let block (s, d, b) =
-    let ids = List.map (fun (e : Graph.edge) -> e.id) (block_edges b) in
-    let b =
-      if splice ids then begin
-        spliced := !spliced + List.length ids;
-        b
-      end
-      else begin
-        let b = refresh b in
-        update_block algorithm ivals b;
-        recomputed := !recomputed + List.length ids;
-        b
-      end
-    in
-    ((s, d, b), ids)
+  let block (s, d, b) ids =
+    if splice ids then begin
+      spliced := !spliced + List.length ids;
+      (s, d, b)
+    end
+    else begin
+      let b = refresh b in
+      update_block algorithm ivals b;
+      recomputed := !recomputed + List.length ids;
+      (s, d, b)
+    end
   in
-  let blocks, sblocks = List.split (List.map block cls.Cs4.blocks) in
-  ( { scls = { cls with Cs4.blocks }; sblocks; stable = ivals },
+  let blocks = List.map2 block cls.Cs4.blocks cls.Cs4.block_ids in
+  ( { scls = { cls with Cs4.blocks }; stable = ivals },
     !spliced,
     !recomputed )
 

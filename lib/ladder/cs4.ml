@@ -9,6 +9,7 @@ type t = {
   source : Graph.node;
   sink : Graph.node;
   blocks : (Graph.node * Graph.node * block) list;
+  block_ids : int list list;
 }
 
 type failure =
@@ -46,15 +47,24 @@ let classify g =
   | Some (x, y) ->
     if not (Topo.connected g) then Error Not_two_terminal
     else begin
-      let rec go acc = function
-        | [] -> Ok { source = x; sink = y; blocks = List.rev acc }
+      let rec go acc ids = function
+        | [] ->
+          Ok
+            {
+              source = x;
+              sink = y;
+              blocks = List.rev acc;
+              block_ids = List.rev ids;
+            }
         | (bsrc, bsnk, edges) :: rest -> (
           match classify_block ~source:bsrc ~sink:bsnk edges with
-          | Ok b -> go ((bsrc, bsnk, b) :: acc) rest
+          | Ok b ->
+            let id (e : Graph.edge) = e.id in
+            go ((bsrc, bsnk, b) :: acc) (List.map id edges :: ids) rest
           | Error reason ->
             Error (Bad_block { block_source = bsrc; block_sink = bsnk; reason }))
       in
-      go [] (Articulation.serial_blocks g)
+      go [] [] (Articulation.serial_blocks g)
     end
 
 let is_cs4 g = Result.is_ok (classify g)

@@ -23,6 +23,8 @@ type t = {
   sink : Graph.node;
   blocks : (Graph.node * Graph.node * block) list;
       (** [(block_source, block_sink, class)], in serial order *)
+  block_ids : int list list;
+      (** each block's edge ids, in the order of [blocks] *)
 }
 
 type failure =

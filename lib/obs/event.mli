@@ -21,9 +21,8 @@
       when woken or after a visit that made progress). *)
 
 type payload = Data | Dummy | Eos
-(** What kind of message crossed a channel. The runtime re-exports it
-    as [Fstream_runtime.Message.kind] and reads it off the message's
-    int code. *)
+(** What kind of message crossed a channel. The runtime reads it off
+    the message's int code ([Fstream_runtime.Firing.Ring.kind]). *)
 
 type outcome = Completed | Deadlocked | Budget_exhausted
 (** How a run ended. This is the canonical definition; the runtime

@@ -133,8 +133,8 @@ val run :
     is one), so a non-thread-safe sink (ring buffer, JSON writer) is
     safe. [Event.Blocked] is emitted once per blocking episode (opened
     when a firing leaves sends pending on a full channel), not per
-    retry. Message counts come from the channels' own counters. The
-    engine never closes the sink.
+    retry. Message counts come from the channel rings' push counters.
+    The engine never closes the sink.
 
     @raise Invalid_argument if [domains] is outside [1, 126], if the
     graph is cyclic, if [avoidance] carries a threshold table computed

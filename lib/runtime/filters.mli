@@ -21,9 +21,10 @@ val drop_all : int list -> Engine.kernel
 
 val bernoulli : Random.State.t -> keep:float -> int list -> Engine.kernel
 (** Each out-edge independently receives data with probability [keep]
-    per fired sequence number: one [Random.State.float rng 1.0] per
-    out-edge and firing, in list order, the edge kept when it is below
-    [keep]. *)
+    per fired sequence number: the edge is kept when
+    [Random.State.float rng 1.0 < keep], drawn once per out-edge and
+    firing in list order. The decisions and the draws are exactly
+    those, but no float is boxed. *)
 
 val periodic : keep_every:int -> int list -> Engine.kernel
 (** Data on every [keep_every]-th sequence number (phase 0), filtered

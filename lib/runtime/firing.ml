@@ -19,6 +19,100 @@ let decode g = function
     Thresholds.check t g;
     (Thresholds.to_array t, false)
 
+(* A message is an immediate int: [seq lsl 1] for data, [seq lsl 1 lor
+   1] for a dummy, [max_int] for EOS. Data codes are even and EOS is
+   odd, so one bit test tells data from the rest.
+
+   Every channel of a run is a ring in one [int array] ([buf]): edge
+   [e] owns the slots [base_e, base_e + cap_e) and holds [len] messages
+   from the absolute index [head]. Its scalars are packed into the
+   stride-8 [rs] (offsets below). A push or a pop touches [buf] and one
+   stride, stores no pointer and takes no write barrier; the step
+   calls these functions inlined, so no message costs a call out of
+   the step. *)
+module Ring = struct
+  type msg = int
+  type t = { buf : int array; rs : int array }
+
+  let max_seq = (max_int asr 1) - 1
+  let[@inline] data ~seq = seq lsl 1
+  let[@inline] dummy ~seq = (seq lsl 1) lor 1
+  let eos = max_int
+  let[@inline] seq m = if m = eos then max_int else m asr 1
+  let[@inline] is_data m = m land 1 = 0
+
+  let[@inline] kind m : Event.payload =
+    if is_data m then Data else if m = eos then Eos else Dummy
+
+  let pp ppf m =
+    match kind m with
+    | Data -> Format.fprintf ppf "#%d:%d" (seq m) (seq m)
+    | Dummy -> Format.fprintf ppf "#%d:dummy" (seq m)
+    | Eos -> Format.pp_print_string ppf "#eos"
+
+  let r_base = 0
+  let r_cap = 1
+  let r_head = 2 (* absolute index into [buf] *)
+  let r_len = 3
+  let r_last = 4 (* last sequence number pushed *)
+  let r_data = 5 (* data messages pushed *)
+  let r_dummy = 6 (* dummies pushed *)
+
+  let create caps =
+    let rs = Array.make (Array.length caps * 8) 0 in
+    let size = ref 0 in
+    Array.iteri
+      (fun e cap ->
+        if cap < 1 then invalid_arg "Firing.Ring.create: capacity < 1";
+        rs.((e * 8) + r_base) <- !size;
+        rs.((e * 8) + r_cap) <- cap;
+        rs.((e * 8) + r_head) <- !size;
+        rs.((e * 8) + r_last) <- -1;
+        size := !size + cap)
+      caps;
+    { buf = Array.make !size eos; rs }
+
+  let[@inline] capacity r e = r.rs.((e * 8) + r_cap)
+  let[@inline] length r e = r.rs.((e * 8) + r_len)
+  let data_pushed r e = r.rs.((e * 8) + r_data)
+  let dummies_pushed r e = r.rs.((e * 8) + r_dummy)
+
+  let[@inline] push r e m =
+    let rs = r.rs and rb = e * 8 in
+    let len = rs.(rb + r_len) and cap = rs.(rb + r_cap) in
+    if len >= cap then false
+    else begin
+      let sq = seq m in
+      if sq <= rs.(rb + r_last) then
+        invalid_arg "Firing.Ring.push: sequence numbers must increase";
+      rs.(rb + r_last) <- sq;
+      if is_data m then rs.(rb + r_data) <- rs.(rb + r_data) + 1
+      else if m <> eos then rs.(rb + r_dummy) <- rs.(rb + r_dummy) + 1;
+      let tail = rs.(rb + r_head) + len in
+      r.buf.(if tail >= rs.(rb + r_base) + cap then tail - cap else tail) <- m;
+      rs.(rb + r_len) <- len + 1;
+      true
+    end
+
+  (* the head of a non-empty ring *)
+  let[@inline] head r e = r.buf.(r.rs.((e * 8) + r_head))
+  let peek r e = if length r e = 0 then None else Some (head r e)
+
+  let peek_seq r e =
+    if length r e = 0 then invalid_arg "Firing.Ring.peek_seq: empty channel";
+    seq (head r e)
+
+  let[@inline] pop r e =
+    let rs = r.rs and rb = e * 8 in
+    let len = rs.(rb + r_len) in
+    if len = 0 then invalid_arg "Firing.Ring.pop: empty channel";
+    let h = rs.(rb + r_head) and base = rs.(rb + r_base) in
+    rs.(rb + r_head) <-
+      (if h + 1 >= base + rs.(rb + r_cap) then base else h + 1);
+    rs.(rb + r_len) <- len - 1;
+    r.buf.(h)
+end
+
 (* Scratch of one firing: the in-edges that delivered data and the
    producers whose full channel its pops drained. *)
 type scratch = { got : int array; freed : int array; mutable nfreed : int }
@@ -28,13 +122,13 @@ type scratch = { got : int array; freed : int array; mutable nfreed : int }
    per node, loaded once per step). A node cannot fire while its
    pending ring is non-empty, so the ring never holds more than one
    firing's sends — at most [out_degree] entries — and is preallocated
-   to exactly that. Both ring arrays hold immediate ints ({!Message.t}
-   is one), so a step stores no pointer into them and takes no write
+   to exactly that. Both ring arrays hold immediate ints (a message is
+   one), so a step stores no pointer into them and takes no write
    barrier. *)
 type node = {
   kernel : kernel;
   pend_eid : int array;
-  pend_msg : Message.t array;
+  pend_msg : int array;
   mutable pend_head : int;
   mutable pend_len : int;
   mutable next_input : int;
@@ -61,7 +155,8 @@ type t = {
   hooks : hooks;
   obs : bool;
   ev : Event.t -> unit;
-  chan : Channel.t array;
+  edges : int;
+  ring : Ring.t;
   ed : int array;
   out_off : int array;
   out_flat : int array;
@@ -113,9 +208,7 @@ let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
     | Some s -> Sink.emit s
   in
   let thresholds, forwarding = decode g avoidance in
-  let chan =
-    Array.init m (fun i -> Channel.create ~capacity:(Graph.edge g i).cap)
-  in
+  let ring = Ring.create (Array.init m (fun i -> (Graph.edge g i).cap)) in
   let ed = Array.make (m * 8) 0 in
   for i = 0 to m - 1 do
     let eb = i * 8 in
@@ -171,7 +264,7 @@ let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
         {
           kernel = kernels v;
           pend_eid = Array.make deg 0;
-          pend_msg = Array.make deg Message.eos;
+          pend_msg = Array.make deg Ring.eos;
           pend_head = 0;
           pend_len = 0;
           next_input = 0;
@@ -203,7 +296,8 @@ let create ~who ?sink ~hooks ~graph:g ~kernels ~inputs ~avoidance () =
     hooks;
     obs = sink <> None;
     ev;
-    chan;
+    edges = m;
+    ring;
     ed;
     out_off;
     out_flat;
@@ -229,14 +323,12 @@ let send t v e msg =
   let dst = t.ed.((e * 8) + f_dst) in
   let locked = t.concurrent && Bytes.unsafe_get t.cross e <> '\000' in
   if locked then Mutex.lock t.locks.(dst);
-  let c = t.chan.(e) in
-  let landed = Channel.push c msg in
+  let landed = Ring.push t.ring e msg in
   if landed then begin
-    if Channel.length c = 1 then t.hooks.woke v dst;
+    if Ring.length t.ring e = 1 then t.hooks.woke v dst;
     if t.obs then
       t.ev
-        (Event.Push
-           { edge = e; seq = Message.seq msg; payload = Message.kind msg })
+        (Event.Push { edge = e; seq = Ring.seq msg; payload = Ring.kind msg })
   end;
   if locked then Mutex.unlock t.locks.(dst);
   landed
@@ -298,7 +390,7 @@ let rec flush_slots t v s k hi progress =
     if
       seq >= 0
       && t.ed.(eb + f_bstamp) <> s.flush_id
-      && send t v e (Message.dummy ~seq)
+      && send t v e (Ring.dummy ~seq)
     then begin
       t.ed.(eb + f_slot) <- -1;
       s.slots <- s.slots - 1;
@@ -326,8 +418,7 @@ let rec validate_ids t v stamp ids =
   match ids with
   | [] -> ()
   | id :: rest ->
-    if id < 0 || id >= Array.length t.chan || t.ed.((id * 8) + f_owner) <> v
-    then
+    if id < 0 || id >= t.edges || t.ed.((id * 8) + f_owner) <> v then
       invalid_arg
         (Printf.sprintf "%s: kernel of node %d returned edge %d" t.who v id);
     t.ed.((id * 8) + f_dstamp) <- stamp;
@@ -343,7 +434,7 @@ let rec validate_ids t v stamp ids =
    ring for the next flush. *)
 let emit t v s ~seq ~got_dummy =
   let ed = t.ed in
-  let msg = Message.data ~seq in
+  let msg = Ring.data ~seq in
   for k = t.out_off.(v) to t.out_off.(v + 1) - 1 do
     let e = t.out_flat.(k) in
     let eb = e * 8 in
@@ -368,7 +459,7 @@ let send_eos t v s =
   for k = t.out_off.(v) to t.out_off.(v + 1) - 1 do
     let e = t.out_flat.(k) in
     clear_slot t s e;
-    if not (send t v e Message.eos) then enqueue s e Message.eos
+    if not (send t v e Ring.eos) then enqueue s e Ring.eos
   done;
   if t.obs then t.ev (Event.Eos { node = v });
   s.finished <- true
@@ -403,10 +494,10 @@ let fire_source t v s =
 let rec min_head t k hi acc =
   if k >= hi then acc
   else
-    let c = t.chan.(t.in_flat.(k)) in
-    if Channel.is_empty c then min_int
+    let e = t.in_flat.(k) in
+    if Ring.length t.ring e = 0 then min_int
     else
-      let sq = Channel.peek_seq c in
+      let sq = Ring.seq (Ring.head t.ring e) in
       min_head t (k + 1) hi (if sq < acc then sq else acc)
 
 (* Consume every head carrying [i], in increasing edge order; data
@@ -421,22 +512,20 @@ let rec consume t s (sc : scratch) i k hi acc =
   if k >= hi then acc
   else begin
     let e = t.in_flat.(k) in
-    let c = t.chan.(e) in
-    if Channel.peek_seq c = i then begin
-      let was_full = Channel.is_full c in
-      let msg = Channel.pop_exn c in
-      if was_full then begin
+    if Ring.seq (Ring.head t.ring e) = i then begin
+      if Ring.length t.ring e = Ring.capacity t.ring e then begin
         sc.freed.(sc.nfreed) <- t.ed.((e * 8) + f_owner);
         sc.nfreed <- sc.nfreed + 1
       end;
+      let msg = Ring.pop t.ring e in
       if t.obs then
-        t.ev (Event.Pop { edge = e; seq = i; payload = Message.kind msg });
-      if Message.is_data msg then begin
+        t.ev (Event.Pop { edge = e; seq = i; payload = Ring.kind msg });
+      if Ring.is_data msg then begin
         sc.got.(acc land lnot dummy_bit) <- e;
         s.got_data <- s.got_data + 1;
         consume t s sc i (k + 1) hi (acc + 1)
       end
-      else if Message.is_dummy msg then
+      else if msg <> Ring.eos then
         consume t s sc i (k + 1) hi (acc lor dummy_bit)
       else consume t s sc i (k + 1) hi acc
     end
@@ -516,32 +605,40 @@ let visitor t order =
   let visit_rank r = visit t order.(r) in
   visit_rank
 
+let per_edge t f = Array.init t.edges (f t.ring)
+
+let sum t f =
+  let s = ref 0 in
+  for e = 0 to t.edges - 1 do
+    s := !s + f t.ring e
+  done;
+  !s
+
 let drained t =
   Array.for_all (fun s -> s.finished && s.pend_len = 0) t.nodes
-  && Array.for_all Channel.is_empty t.chan
+  && sum t Ring.length = 0
 
 let snapshot t =
   {
-    Report.channel_lengths = Array.map Channel.length t.chan;
+    Report.channel_lengths = per_edge t Ring.length;
     node_blocked = Array.map (fun s -> s.pend_len > 0) t.nodes;
     node_finished = Array.map (fun s -> s.finished) t.nodes;
   }
 
 let pp_state ppf t =
   Format.fprintf ppf "@[<v>deadlock state:";
-  Array.iteri
-    (fun i c ->
-      Format.fprintf ppf "@,  e%d %d->%d cap=%d len=%d head=%s last_sent=%d" i
-        t.ed.((i * 8) + f_owner)
-        t.ed.((i * 8) + f_dst)
-        (Channel.capacity c) (Channel.length c)
-        (match Channel.peek c with
-        | None -> "-"
-        | Some msg -> Format.asprintf "%a" Message.pp msg)
-        t.ed.((i * 8) + f_last);
-      if t.ed.((i * 8) + f_slot) >= 0 then
-        Format.fprintf ppf " slot=#%d" t.ed.((i * 8) + f_slot))
-    t.chan;
+  for i = 0 to t.edges - 1 do
+    let eb = i * 8 in
+    Format.fprintf ppf "@,  e%d %d->%d cap=%d len=%d head=%s last_sent=%d" i
+      t.ed.(eb + f_owner) t.ed.(eb + f_dst)
+      (Ring.capacity t.ring i) (Ring.length t.ring i)
+      (match Ring.peek t.ring i with
+      | None -> "-"
+      | Some msg -> Format.asprintf "%a" Ring.pp msg)
+      t.ed.(eb + f_last);
+    if t.ed.(eb + f_slot) >= 0 then
+      Format.fprintf ppf " slot=#%d" t.ed.(eb + f_slot)
+  done;
   Array.iteri
     (fun v s ->
       if s.pend_len > 0 then
@@ -552,20 +649,15 @@ let pp_state ppf t =
 
 let report t outcome detail =
   if t.obs then t.ev (Event.Run_finished { outcome });
-  let sum f = Array.fold_left (fun a c -> a + f c) 0 t.chan in
-  let dropped = ref 0 in
-  for i = 0 to Array.length t.chan - 1 do
-    dropped := !dropped + t.ed.((i * 8) + f_drop)
-  done;
   {
     Report.outcome;
-    data_messages = sum Channel.data_pushed;
-    dummy_messages = sum Channel.dummies_pushed;
+    data_messages = sum t Ring.data_pushed;
+    dummy_messages = sum t Ring.dummies_pushed;
     sink_data =
       Array.fold_left
         (fun a s -> if Array.length s.pend_eid = 0 then a + s.got_data else a)
         0 t.nodes;
-    dropped_dummies = !dropped;
-    per_edge_dummies = Array.map Channel.dummies_pushed t.chan;
+    dropped_dummies = sum t (fun _ e -> t.ed.((e * 8) + f_drop));
+    per_edge_dummies = per_edge t Ring.dummies_pushed;
     detail;
   }

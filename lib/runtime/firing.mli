@@ -28,6 +28,15 @@
     coalesces to the newest sequence number, and is superseded by data
     or EOS on the same channel (DESIGN.md, "Deviations").
 
+    The step also owns the channels. Every channel of a run is a ring
+    in one flat [int array], edge [e] at slots
+    [\[base_e, base_e + cap_e)], with its head, length, last pushed
+    sequence number and per-kind push counts in a per-edge stride
+    array; a message is an immediate int coding its sequence number
+    and kind ({!Ring}). A push or pop is a few array accesses inside
+    this module, with no per-channel record and no call out of the
+    step.
+
     {!Engine} (the deterministic sequential scheduler) and
     [Fstream_parallel.Parallel_engine] (the sharded domain pool) both
     run this step; they differ only in which node they step next and
@@ -37,6 +46,68 @@
     this step is checked against. *)
 
 open Fstream_graph
+
+(** The message codec and the channel rings the step runs on, exposed
+    for their tests; a run's rings are internal to its {!t}. *)
+module Ring : sig
+  type msg = private int
+  (** A message (§II.A): an immediate int coding the sequence number
+      of the external input it derives from and its kind. A [Dummy] is
+      the §II.B deadlock-avoidance message, carrying the sequence
+      number of an input the sender filtered; [Eos] is a runtime-level
+      end-of-stream marker (sequence number [max_int]) letting a finite
+      run drain. Data carries no payload: what a node learns from a
+      data message is its sequence number and the channel it arrived
+      on, which is all a kernel is given. *)
+
+  val max_seq : int
+  (** Largest sequence number a data or dummy message can code
+      ([max_int / 2 - 1]); sequence numbers may also be negative, down
+      to [min_int / 2]. *)
+
+  val data : seq:int -> msg
+  val dummy : seq:int -> msg
+  val eos : msg
+
+  val seq : msg -> int
+  (** The sequence number; [max_int] for {!eos}. *)
+
+  val kind : msg -> Fstream_obs.Event.payload
+
+  val pp : Format.formatter -> msg -> unit
+  (** [#seq:seq] for data (the sequence number doubles as the printed
+      value), [#seq:dummy], [#eos]. *)
+
+  type t
+  (** Bounded FIFO channels, one per edge id: reliable, in order, each
+      with a finite buffer — the finiteness that makes filtering
+      deadlocks possible. *)
+
+  val create : int array -> t
+  (** [create caps]: empty channels, edge [e] with capacity [caps.(e)].
+      @raise Invalid_argument if some capacity is [< 1]. *)
+
+  val capacity : t -> int -> int
+  val length : t -> int -> int
+
+  val push : t -> int -> msg -> bool
+  (** [push r e m]: [false] (and no effect) when channel [e] is full.
+      @raise Invalid_argument if [m]'s sequence number is not greater
+      than the last one pushed on [e]. *)
+
+  val peek : t -> int -> msg option
+
+  val peek_seq : t -> int -> int
+  (** Sequence number of the head message.
+      @raise Invalid_argument on an empty channel. *)
+
+  val pop : t -> int -> msg
+  (** Removes and returns the head message.
+      @raise Invalid_argument on an empty channel. *)
+
+  val data_pushed : t -> int -> int
+  val dummies_pushed : t -> int -> int
+end
 
 type kernel = seq:int -> got:int list -> int list
 (** See {!Engine.kernel}. *)
@@ -78,8 +149,9 @@ type hooks = {
 }
 
 type t
-(** The channels, the packed per-edge wrapper state, the CSR adjacency
-    and the per-node state (pending sends, dummy slots) of one run. *)
+(** The channel rings, the packed per-edge wrapper state, the CSR
+    adjacency and the per-node state (pending sends, dummy slots) of one
+    run. *)
 
 val create :
   who:string ->
@@ -128,5 +200,5 @@ val pp_state : Format.formatter -> t -> unit
     slot, then every node with sends pending. *)
 
 val report : t -> Report.outcome -> Report.detail -> Report.t
-(** Narrates [Run_finished]; message counts come from the channels'
-    own counters. *)
+(** Narrates [Run_finished]; message counts come from the rings' push
+    counters. *)

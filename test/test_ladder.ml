@@ -111,7 +111,7 @@ let test_classify_serial_mix () =
   let g = Graph.make ~nodes:10 edges in
   match Cs4.classify g with
   | Error e -> Alcotest.failf "should classify: %s" (Format.asprintf "%a" Cs4.pp_failure e)
-  | Ok { blocks; source; sink } ->
+  | Ok { blocks; source; sink; _ } ->
     Alcotest.(check int) "source" 0 source;
     Alcotest.(check int) "sink" 9 sink;
     let shape =
@@ -343,8 +343,15 @@ module Reference_reduce = struct
     | Some _ when not (Topo.connected g) -> Error Cs4.Not_two_terminal
     | Some (x, y) ->
       let nodes = Graph.num_nodes g in
-      let rec go acc = function
-        | [] -> Ok { Cs4.source = x; sink = y; blocks = List.rev acc }
+      let rec go acc ids = function
+        | [] ->
+          Ok
+            {
+              Cs4.source = x;
+              sink = y;
+              blocks = List.rev acc;
+              block_ids = List.rev ids;
+            }
         | (source, sink, edges) :: rest -> (
           let core =
             reduce ~nodes ~protect:(fun v -> v = source || v = sink) edges
@@ -360,13 +367,15 @@ module Reference_reduce = struct
                 (Ladder.of_core ~source ~sink core)
           in
           match block with
-          | Ok b -> go ((source, sink, b) :: acc) rest
+          | Ok b ->
+            let id (e : Graph.edge) = e.id in
+            go ((source, sink, b) :: acc) (List.map id edges :: ids) rest
           | Error reason ->
             Error
               (Cs4.Bad_block
                  { block_source = source; block_sink = sink; reason }))
       in
-      go [] (Articulation.serial_blocks g)
+      go [] [] (Articulation.serial_blocks g)
 end
 
 let classify_families =
@@ -396,6 +405,29 @@ let prop_classify_matches_reference (name, family) =
       && Sp_recognize.reduce ~protect (Graph.edges g)
          = Reference_reduce.reduce ~nodes:(Graph.num_nodes g) ~protect
              (Graph.edges g))
+
+(* The edge ids [classify] keeps per block are exactly the edges of
+   the recognized block (as sets: the compiler's splice and ancestry
+   read them in any order). *)
+let prop_block_ids_match_blocks (name, family) =
+  Tutil.qtest ~count:200
+    (Printf.sprintf "block_ids = the blocks' own edges (%s)" name)
+    Tutil.seed_gen (fun seed ->
+      match Cs4.classify (family seed) with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok c ->
+        let own (_, _, b) =
+          let edges =
+            match b with
+            | Cs4.Sp_block t -> Sp_tree.edges t
+            | Cs4.Ladder_block l -> Ladder.edges l
+          in
+          List.sort compare (List.map (fun (e : Graph.edge) -> e.id) edges)
+        in
+        List.length c.blocks = List.length c.block_ids
+        && List.for_all2
+             (fun blk ids -> own blk = List.sort compare ids)
+             c.blocks c.block_ids)
 
 (* A capacity-only edit keeps the decomposition: refreshing each
    block of the old classification with the resized graph's records
@@ -447,3 +479,4 @@ let suite =
     prop_refresh_matches_reclassify;
   ]
   @ List.map prop_classify_matches_reference classify_families
+  @ List.map prop_block_ids_match_blocks classify_families

@@ -427,6 +427,42 @@ let prop_one_shard (name, family) =
           { seq with Report.detail = par.Report.detail } = par)
         (avoidances g))
 
+(* The report's message counts are the rings' own push counters; a
+   recount of the [Push] events the same run narrated must give the
+   same totals and the same per-edge dummies, sequentially and on a
+   two-domain pool (whose events arrive through the step's emission
+   lock). *)
+let prop_counts_match_pushes (name, family) =
+  Tutil.qtest ~count:20
+    (Printf.sprintf "report counts = recount of Push events on %s workloads"
+       name)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      let kernels = mixed_kernels g seed in
+      let agrees run =
+        let data = ref 0 and dummies = Array.make (Graph.num_edges g) 0 in
+        let sink =
+          Sink.make (function
+            | Fstream_obs.Event.Push { payload = Data; _ } -> incr data
+            | Push { edge; payload = Dummy; _ } ->
+              dummies.(edge) <- dummies.(edge) + 1
+            | _ -> ())
+        in
+        let r : Report.t = run sink in
+        r.data_messages = !data
+        && r.dummy_messages = Array.fold_left ( + ) 0 dummies
+        && r.per_edge_dummies = dummies
+      in
+      List.for_all
+        (fun avoidance ->
+          agrees (fun sink ->
+              Engine.run ~sink ~graph:g ~kernels:(kernels ()) ~inputs:30
+                ~avoidance ())
+          && agrees (fun sink ->
+                 P.run ~sink ~domains:2 ~graph:g ~kernels:(kernels ())
+                   ~inputs:30 ~avoidance ()))
+        (avoidances g))
+
 (* Cross-shard traffic: a CS4 chain of more than 512 nodes plus chords
    that each span a quarter of the topological order, so every chord
    crosses a shard boundary at 2 and at 4 domains. The chords make the
@@ -525,3 +561,4 @@ let suite =
     prop_avoidance_sound_in_parallel;
   ]
   @ List.map prop_one_shard one_shard_families
+  @ List.map prop_counts_match_pushes one_shard_families

@@ -3,28 +3,28 @@ open Fstream_runtime
 open Fstream_workloads
 
 let test_channel () =
-  let c = Channel.create ~capacity:2 in
-  Alcotest.(check bool) "empty at start" true (Channel.is_empty c);
-  Alcotest.(check bool) "push 0" true (Channel.push c (Message.data ~seq:0));
-  Alcotest.(check bool) "push 1" true (Channel.push c (Message.dummy ~seq:1));
-  Alcotest.(check bool) "full now" true (Channel.is_full c);
+  let module Ring = Firing.Ring in
+  let r = Ring.create [| 2 |] in
+  Alcotest.(check bool) "empty at start" true (Ring.length r 0 = 0);
+  Alcotest.(check bool) "push 0" true (Ring.push r 0 (Ring.data ~seq:0));
+  Alcotest.(check bool) "push 1" true (Ring.push r 0 (Ring.dummy ~seq:1));
+  Alcotest.(check bool) "full now" true (Ring.length r 0 = Ring.capacity r 0);
   Alcotest.(check bool) "push on full fails" false
-    (Channel.push c (Message.data ~seq:2));
-  Alcotest.(check int) "dummies counted" 1 (Channel.dummies_pushed c);
-  Alcotest.(check int) "data counted" 1 (Channel.data_pushed c);
-  (match Channel.pop c with
-  | Some m ->
-    Alcotest.(check int) "FIFO head" 0 (Message.seq m);
-    Alcotest.(check bool) "head is data" true (Message.is_data m)
-  | None -> Alcotest.fail "expected a message");
+    (Ring.push r 0 (Ring.data ~seq:2));
+  Alcotest.(check int) "dummies counted" 1 (Ring.dummies_pushed r 0);
+  Alcotest.(check int) "data counted" 1 (Ring.data_pushed r 0);
+  let m = Ring.pop r 0 in
+  Alcotest.(check int) "FIFO head" 0 (Ring.seq m);
+  Alcotest.(check bool) "head is data" true
+    (Ring.kind m = Fstream_obs.Event.Data);
   Alcotest.check_raises "non-monotone sequence rejected"
-    (Invalid_argument "Channel.push: sequence numbers must increase")
-    (fun () -> ignore (Channel.push c (Message.data ~seq:1)))
+    (Invalid_argument "Firing.Ring.push: sequence numbers must increase")
+    (fun () -> ignore (Ring.push r 0 (Ring.data ~seq:1)))
 
 let test_channel_validation () =
   Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Channel.create: capacity < 1") (fun () ->
-      ignore (Channel.create ~capacity:0))
+    (Invalid_argument "Firing.Ring.create: capacity < 1") (fun () ->
+      ignore (Firing.Ring.create [| 0 |]))
 
 let run_fig2 avoidance =
   let g = Topo_gen.fig2_triangle ~cap:2 in
@@ -314,9 +314,47 @@ let test_zero_inputs () =
   Alcotest.(check bool) "empty stream drains" true (s.outcome = Report.Completed);
   Alcotest.(check int) "no data" 0 s.data_messages
 
+(* [Filters.bernoulli] keeps exactly the edges that
+   [Random.State.float rng 1.0 < keep] keeps, and draws as often: twin
+   generator states, one driving the kernel and one the float test,
+   stay in step. Besides fixed and random keeps, some keeps sit on the
+   next float draw itself or one float either side of it, where a
+   rounding slip in the integer bound would show. *)
+let test_bernoulli_draws =
+  Tutil.qtest ~count:200 "bernoulli decisions = Random.State.float's"
+    Tutil.seed_gen (fun seed ->
+      let g = Tutil.rng_of seed in
+      let a = Random.State.make [| seed |] in
+      let b = Random.State.copy a in
+      let fixed =
+        [| 0.; 0x1p-53; 0.5; 0.999; 1. -. 0x1p-53; 1.; 1.5; -0.5; Float.nan |]
+      in
+      let ok = ref true in
+      for _ = 1 to 50 do
+        let keep =
+          match Random.State.int g 3 with
+          | 0 -> fixed.(Random.State.int g (Array.length fixed))
+          | 1 -> Random.State.float g 1.2
+          | _ ->
+            let f = Random.State.float (Random.State.copy b) 1.0 in
+            [| f; Float.pred f; Float.succ f |].(Random.State.int g 3)
+        in
+        let outs = List.init (1 + Random.State.int g 4) Fun.id in
+        let kernel = Filters.bernoulli a ~keep outs in
+        for _ = 0 to Random.State.int g 3 do
+          let kept = kernel ~seq:0 ~got:[ 0 ] in
+          let expected =
+            List.filter (fun _ -> Random.State.float b 1.0 < keep) outs
+          in
+          if kept <> expected then ok := false
+        done
+      done;
+      !ok && Random.State.bits a = Random.State.bits b)
+
 let suite =
   [
     Alcotest.test_case "channel basics" `Quick test_channel;
+    test_bernoulli_draws;
     Alcotest.test_case "channel validation" `Quick test_channel_validation;
     Alcotest.test_case "fig2 deadlocks bare" `Quick test_fig2_deadlock;
     Alcotest.test_case "fig2 avoided by both wrappers" `Quick test_fig2_avoided;
