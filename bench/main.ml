@@ -302,33 +302,42 @@ let c3 () =
 
 (* ------------------------------------------------------------------ *)
 (* FE1. Front-end scaling: the passes every cold admission runs before
-   the §IV/§VI interval algorithms — CS4 classification (SP reduction
-   per biconnected block), compilation, cycle search, lint and repair —
-   on graphs of 1024 to 8192 stages. All three families are CS4, so
-   each pass should be linear: a doubling ratio near 2. Ladder
-   Non-Propagation compile is cubic by design (§VI, C3), so the wide
-   ladder times only classification and repair. *)
+   the §IV/§VI interval algorithms — parsing the graph file, CS4
+   classification (SP reduction per biconnected block), compilation,
+   cycle search, lint and repair — on graphs of 1024 to 8192 stages.
+   All three families are CS4, so each pass should be linear: a
+   doubling ratio near 2. Ladder Non-Propagation compile is cubic by
+   design (§VI, C3), so the wide ladder times only parsing,
+   classification and repair. Each pass's minor words per edge at the
+   largest size are exact [Gc.minor_words] counts of one evaluation,
+   the same on every run. *)
 
 let fe1 () =
-  section "FE1" "front end: classify / compile / cycles / lint / repair scaling";
+  section "FE1"
+    "front end: parse / classify / compile / cycles / lint / repair scaling";
   let sizes = if !quick then [ 1_024; 2_048 ] else [ 1_024; 2_048; 4_096; 8_192 ] in
-  let classify g =
+  let classify (g, _) =
     match Cs4.classify g with
     | Ok _ -> ()
     | Error e -> failwith (Format.asprintf "FE1: %a" Cs4.pp_failure e)
   in
   let all_passes =
     [
+      ( "parse",
+        fun (_, text) ->
+          match Graph_io.of_string text with
+          | Ok _ -> ()
+          | Error e -> failwith ("FE1: " ^ e) );
       ("classify", classify);
       ( "compile",
-        fun g ->
+        fun (g, _) ->
           match Compiler.compile Compiler.Non_propagation g with
           | Ok _ -> ()
           | Error e -> failwith (Compiler.error_to_string e) );
-      ("cycles", fun g -> ignore (Cycles.count g));
-      ("lint", fun g -> ignore (Lint.run g));
+      ("cycles", fun (g, _) -> ignore (Cycles.count g));
+      ("lint", fun (g, _) -> ignore (Lint.run g));
       ( "repair",
-        fun g ->
+        fun (g, _) ->
           match Repair.repair g with
           | Ok r when r.Repair.reroutes = [] -> ()
           | _ -> failwith "FE1: repair of a CS4 graph is not the identity" );
@@ -342,17 +351,25 @@ let fe1 () =
     row "  %8s %7s %7s" "stages" "nodes" "edges";
     List.iter (fun (p, _) -> row " %11s" p) passes;
     row "@.";
+    let words = ref [] in
     let times =
       List.map
         (fun stages ->
           let g = make stages in
+          let input = (g, Graph_io.to_string g) in
           let ts =
             List.map
               (fun (_, f) ->
                 Gc.compact ();
-                time_best (fun () -> f g))
+                time_best (fun () -> f input))
               passes
           in
+          words :=
+            List.map
+              (fun (_, f) ->
+                let st, () = with_gc_stats (fun () -> f input) in
+                st.minor_words /. float (Graph.num_edges g))
+              passes;
           row "  %8d %7d %7d" stages (Graph.num_nodes g) (Graph.num_edges g);
           List.iter (fun t -> row " %a" pp_ns t) ts;
           row "@.";
@@ -381,6 +398,14 @@ let fe1 () =
         headline "FE1" (Printf.sprintf "%s_%s_doubling" name p) mean;
         row " %11.2f" mean)
       passes;
+    row "@.";
+    row "  %24s"
+      (Printf.sprintf "words/edge at %d" (List.nth sizes (List.length sizes - 1)));
+    List.iter2
+      (fun (p, _) w ->
+        headline "FE1" (Printf.sprintf "%s_%s_minor_words_per_edge" name p) w;
+        row " %11.1f" w)
+      passes !words;
     row "@."
   in
   let every = List.map fst all_passes in
@@ -393,7 +418,7 @@ let fe1 () =
     every;
   family "wide_ladder"
     (fun stages -> Topo_gen.wide_ladder ~rungs:(stages / 2) ~cap:3)
-    [ "classify"; "repair" ]
+    [ "parse"; "classify"; "repair" ]
 
 (* ------------------------------------------------------------------ *)
 (* C4. The headline: exponential baseline vs polynomial algorithms.     *)
@@ -1011,12 +1036,14 @@ let p1 () =
             (msgs /. (ns /. 1e9)))
         domain_counts)
     sizes;
-  (* scheduling overhead alone: zero-work kernels on the smallest size *)
+  (* scheduling overhead alone: zero-work kernels on the smallest size.
+     A run lasts a few milliseconds, so best of 15, not 2: fewer left
+     the pool rows' spread wider than any change they were to show *)
   let stages = List.hd sizes in
   let g = Topo_gen.pipeline ~stages ~cap:4 in
   let msgs = float (stages * inputs) in
   let seq_ns =
-    time_best ~repeat:2 (fun () ->
+    time_best ~repeat:15 (fun () ->
         let r =
           Engine.run ~graph:g ~kernels:(kernels g 0 ()) ~inputs
             ~avoidance:Engine.No_avoidance ()
@@ -1034,7 +1061,7 @@ let p1 () =
   List.iter
     (fun domains ->
       let ns =
-        time_best ~repeat:2 (fun () ->
+        time_best ~repeat:15 (fun () ->
             let r =
               P.run ~domains ~graph:g ~kernels:(kernels g 0 ()) ~inputs
                 ~avoidance:Engine.No_avoidance ()
@@ -1082,7 +1109,8 @@ let fu1 () =
      do the same logical work per input (every stage's kernel runs) but
      push only boundary messages, so raw msgs/sec would flatter them. *)
   let firings = float (stages * inputs) in
-  let repeat = if !quick then 1 else 2 in
+  (* runs of tens of milliseconds: best of 15 (3 under --quick) *)
+  let repeat = if !quick then 3 else 15 in
   let domains = min 4 (max 1 (Domain.recommended_domain_count ())) in
   let check (r : Report.t) = assert (r.Report.sink_data = inputs) in
   let time name key thunk =

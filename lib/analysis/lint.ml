@@ -23,14 +23,30 @@ type location =
 
 type fixit = Reroute of Repair.t | Scale_buffers of int
 
+(* FS201's reroute is a whole repair, and admission reads severities
+   only: a fixit is computed when it is first read. The cell is atomic,
+   not a [Lazy.t], because a report may be read on another domain than
+   the one that linted it; two first reads at once both compute the
+   same value. *)
+type fixit_state = Ready of fixit option | Pending of (unit -> fixit option)
+type fixit_cell = fixit_state Atomic.t
+
 type diagnostic = {
   code : string;
   severity : severity;
   location : location;
   message : string;
   witness : string list;
-  fixit : fixit option;
+  fixit : fixit_cell;
 }
+
+let fixit d =
+  match Atomic.get d.fixit with
+  | Ready f -> f
+  | Pending compute ->
+    let f = compute () in
+    Atomic.set d.fixit (Ready f);
+    f
 
 type rule = { id : string; title : string; default_severity : severity }
 
@@ -157,6 +173,7 @@ let diag ?(witness = []) ?fixit code location message =
     | Some r -> r.default_severity
     | None -> invalid_arg (Printf.sprintf "Lint.diag: unknown rule %s" code)
   in
+  let fixit = Atomic.make (Ready fixit) in
   { code; severity; location; message; witness; fixit }
 
 let node_list_string nodes =
@@ -430,7 +447,7 @@ let rule_fs201 ctx =
         ]
       | None -> []
     in
-    let fixit =
+    let reroute () =
       match Repair.repair ~max_cycles:ctx.cfg.max_cycles ctx.g with
       | Ok r when r.Repair.reroutes <> [] -> Some (Reroute r)
       | _ -> None
@@ -457,12 +474,13 @@ let rule_fs201 ctx =
     in
     [
       {
-        (diag ~witness ?fixit "FS201" loc
+        (diag ~witness "FS201" loc
            (Printf.sprintf
               "not CS4: block %d..%d is neither SP nor an SP-ladder (%s); %s"
               block_source block_sink reason consequence))
         with
         severity;
+        fixit = Atomic.make (Pending reroute);
       };
     ]
   | _ -> []
@@ -1007,13 +1025,13 @@ let run ?(config = default_config) ?plan g = run_ctx (make_ctx ?plan config g)
 let apply_fixes g report =
   let reroute =
     List.find_map
-      (fun d -> match d.fixit with Some (Reroute r) -> Some r | _ -> None)
+      (fun d -> match fixit d with Some (Reroute r) -> Some r | _ -> None)
       report.diagnostics
   in
   let scale =
     List.fold_left
       (fun acc d ->
-        match d.fixit with
+        match fixit d with
         | Some (Scale_buffers c) -> max acc c
         | _ -> acc)
       1 report.diagnostics

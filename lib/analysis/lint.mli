@@ -51,14 +51,24 @@ type fixit =
       (** multiply every buffer capacity by this factor
           ({!Fstream_core.Sizing.scale_caps}) *)
 
+type fixit_cell
+(** A diagnostic's fixit, computed when first read: see {!fixit}. *)
+
 type diagnostic = {
   code : string;  (** stable rule code, e.g. ["FS201"] *)
   severity : severity;
   location : location;
   message : string;  (** one-line human message *)
   witness : string list;  (** concrete evidence, one line per element *)
-  fixit : fixit option;
+  fixit : fixit_cell;
 }
+
+val fixit : diagnostic -> fixit option
+(** The diagnostic's fixit. FS201's reroute runs
+    {!Fstream_repair.Repair.repair} on the first read, not when the rule
+    fires, so a caller that reads only codes and severities (admission)
+    never pays for it. Safe to call from any domain; the value does not
+    depend on which read computes it. *)
 
 type rule = {
   id : string;

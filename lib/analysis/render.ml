@@ -58,7 +58,7 @@ let text ?(color = false) ppf ~graph ~source (report : Lint.report) =
         (location_string graph d.location)
         d.message;
       List.iter (fun w -> Format.fprintf ppf "    witness: %s@." w) d.witness;
-      match d.fixit with
+      match Lint.fixit d with
       | Some f -> Format.fprintf ppf "    fix: %s@." (fixit_string f)
       | None -> ())
     report.diagnostics;
@@ -125,7 +125,7 @@ let jsonl ppf ~graph (report : Lint.report) =
         (str (severity_string d.severity))
         (location_json graph d.location)
         (str d.message) (strs d.witness)
-        (match d.fixit with
+        (match Lint.fixit d with
         | None -> ""
         | Some f -> Printf.sprintf {|,"fixit":%s|} (fixit_json f));
       Format.pp_print_newline ppf ())
@@ -189,7 +189,7 @@ let sarif ppf ~graph ~source (report : Lint.report) =
         (d.message
          :: List.map (fun w -> "witness: " ^ w) d.witness
         @
-        match d.fixit with
+        match Lint.fixit d with
         | Some f -> [ "fix: " ^ fixit_string f ]
         | None -> [])
     in

@@ -130,11 +130,21 @@ module Options = struct
     }
 end
 
+(* A CS4 graph's bridges are its one-edge serial blocks. *)
+let rec route_bridges g = function
+  | Cs4_route cls ->
+    let b = Array.make (Graph.num_edges g) false in
+    List.iter (function [ id ] -> b.(id) <- true | _ -> ()) cls.Cs4.block_ids;
+    Some b
+  | Min_route { exact; _ } -> route_bridges g exact
+  | General_route _ | Lp_route _ -> None
+
 let attach_fusion (options : Options.t) g p =
   if not options.fuse then p
   else
     let fusion =
-      Fusion.fuse ?pin:options.pin ?filter_class:options.filter_class g
+      Fusion.fuse ?pin:options.pin ?filter_class:options.filter_class
+        ?bridges:(route_bridges g p.route) g
     in
     let fused_intervals = Fusion.derive_intervals fusion p.intervals in
     { p with fused = Some { fusion; fused_intervals } }
@@ -306,12 +316,12 @@ let compile_locked cache (options : Options.t) algorithm
     in
     Ok (Some (plan, Some pe, spliced, recomputed))
   in
-  let exact () =
+  let exact order =
     match in_place with
     | Some (_, pe) ->
       cs4 (run_cs4 ~refresh:(refresh_block g) algorithm g pe.scls in_place)
     | None -> (
-      match Cs4.classify g with
+      match Cs4.classify ?order g with
       | Ok cls -> cs4 (run_cs4 ~refresh:Fun.id algorithm g cls prev_exact)
       | Error failure when not options.allow_general ->
         give_up
@@ -337,11 +347,16 @@ let compile_locked cache (options : Options.t) algorithm
     in
     ({ algorithm; intervals; route; fused = None }, st, state)
   in
+  (* the compile's one sort; a two-terminal DAG is connected *)
   let recheck = Option.is_none in_place in
-  if recheck && not (Topo.is_dag g) then Error Not_a_dag
-  else if recheck && not (Topo.connected g) then Error Disconnected
+  let order = if recheck then Topo.order g else None in
+  if recheck && Option.is_none order then Error Not_a_dag
+  else if
+    recheck && Option.is_none (Topo.dag_terminals g)
+    && not (Topo.connected g)
+  then Error Disconnected
   else
-    match if backend = Lp then Ok None else exact () with
+    match if backend = Lp then Ok None else exact order with
     | Error e -> Error e
     | Ok exact ->
       let lp = if backend = Exact then None else Some (lp ()) in
@@ -392,18 +407,11 @@ let compile ?options algorithm g =
   Result.map fst (compile_cached ?options (cache_create ()) algorithm g)
 
 let propagation_thresholds g intervals =
-  let on_cycle = Array.make (Graph.num_edges g) false in
-  List.iter
-    (fun comp ->
-      match comp with
-      | [] | [ _ ] -> ()
-      | edges ->
-        List.iter (fun (e : Graph.edge) -> on_cycle.(e.id) <- true) edges)
-    (Articulation.biconnected_components g);
+  let bridge = Articulation.bridges g in
   Thresholds.of_array g
     (Array.mapi
        (fun i v ->
          match Interval.threshold v with
          | Some k -> Some k
-         | None -> if on_cycle.(i) then Some 1 else None)
+         | None -> if bridge.(i) then None else Some 1)
        intervals)

@@ -9,10 +9,12 @@ type t = {
   orig_edge : int array;
 }
 
-let fuse ?(pin = fun _ -> false) ?filter_class g =
+let fuse ?(pin = fun _ -> false) ?filter_class ?bridges g =
   let n = Graph.num_nodes g in
   let m = Graph.num_edges g in
-  let bridge = Articulation.bridges g in
+  let bridge =
+    match bridges with Some b -> b | None -> Articulation.bridges g
+  in
   let same_class u v =
     match filter_class with None -> true | Some f -> f u = f v
   in

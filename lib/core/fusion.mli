@@ -68,9 +68,11 @@ type t = private {
 val fuse :
   ?pin:(Graph.node -> bool) ->
   ?filter_class:(Graph.node -> int) ->
+  ?bridges:bool array ->
   Graph.t ->
   t
-(** Maximal partition under the boundary rules above. Deterministic:
+(** Maximal partition under the boundary rules above. [bridges], when
+    given, must be [g]'s {!Fstream_graph.Articulation.bridges}. Deterministic:
     fused node ids are assigned by scanning chain heads in original node
     order, fused edge ids preserve original relative order. [g] need not
     be a DAG: on a cyclic graph the bridge condition alone already

@@ -225,7 +225,6 @@ let make num den =
 let is_zero t = nat_is_zero t.num
 let sign t = if nat_is_zero t.num then 0 else if t.neg then -1 else 1
 let neg t = if nat_is_zero t.num then t else { t with neg = not t.neg }
-let abs t = { t with neg = false }
 
 (* signed magnitude addition on num * den cross products *)
 let add a b =
@@ -252,8 +251,6 @@ let div a b =
 
 let compare a b = sign (sub a b)
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let floor t =
   let q, r = nat_divmod t.num t.den in
@@ -270,15 +267,6 @@ let to_int_pair t =
   match (nat_to_int_opt t.num, nat_to_int_opt t.den) with
   | Some n, Some d -> Some ((if t.neg then -n else n), d)
   | _ -> None
-
-let nat_to_float (a : nat) =
-  Array.fold_right
-    (fun limb acc -> (acc *. float_of_int base) +. float_of_int limb)
-    a 0.
-
-let to_float t =
-  let f = nat_to_float t.num /. nat_to_float t.den in
-  if t.neg then -.f else f
 
 let nat_to_string (a : nat) =
   if nat_is_zero a then "0"

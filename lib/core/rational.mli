@@ -28,12 +28,9 @@ val div : t -> t -> t
 (** @raise Division_by_zero on a zero divisor. *)
 
 val neg : t -> t
-val abs : t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 val sign : t -> int
 (** [-1], [0] or [1]. *)
@@ -51,9 +48,6 @@ val ceil : t -> int
 val to_int_pair : t -> (int * int) option
 (** [(num, den)] in lowest terms with [den > 0], when both fit in an
     OCaml [int]; [None] once either has outgrown 62 bits. *)
-
-val to_float : t -> float
-(** Lossy, for reporting only. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -25,12 +25,4 @@ val update_relay : Interval.t array -> Sp_tree.t -> unit
 (** Relay-Propagation variant: the same sweep without the hop-count
     division (see {!General.relay_propagation}). *)
 
-val update_gen :
-  ratio:(int -> int -> Interval.t) ->
-  Interval.t array ->
-  Sp_tree.t ->
-  unit
-(** Shared implementation: [ratio len hops] combines the opposing
-    side's buffer length with the own side's through-hop count. *)
-
 val intervals : Graph.t -> Sp_tree.t -> Interval.t array

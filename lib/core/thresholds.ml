@@ -33,24 +33,11 @@ let get t i =
     invalid_arg "Thresholds.get: edge id out of range";
   t.table.(i)
 
-let length t = Array.length t.table
 let to_array t = Array.copy t.table
 let compatible t g = t.fp = graph_fingerprint g
-let fingerprint t = t.fp
 
 let check t g =
   if not (compatible t g) then
     invalid_arg
       "Thresholds: table was computed for a different graph (fingerprint \
        mismatch)"
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>{";
-  Array.iteri
-    (fun i v ->
-      Format.fprintf ppf "%se%d:%s"
-        (if i = 0 then "" else " ")
-        i
-        (match v with None -> "-" | Some k -> string_of_int k))
-    t.table;
-  Format.fprintf ppf "}@]"

@@ -36,8 +36,6 @@ val of_array : Graph.t -> int option array -> t
 val get : t -> int -> int option
 (** [get t edge_id]. @raise Invalid_argument if out of range. *)
 
-val length : t -> int
-
 val to_array : t -> int option array
 (** A fresh copy of the raw table (the runtime boundary). *)
 
@@ -54,8 +52,6 @@ val graph_fingerprint : Graph.t -> int
     [(id, src, dst, cap)] — capacities included, since thresholds are
     functions of buffer sizes. *)
 
-val fingerprint : t -> int
-
 val epoch : t -> int
 (** Reconfiguration epoch tag, [0] for a freshly built table. Purely
     observational — the serving layer stamps each reconfigured
@@ -66,5 +62,3 @@ val epoch : t -> int
 val with_epoch : t -> int -> t
 (** The same table tagged with a different epoch (shares the
     underlying array). *)
-
-val pp : Format.formatter -> t -> unit

@@ -104,33 +104,40 @@ let articulation_points g =
     (biconnected_components g);
   List.filter (fun v -> count.(v) >= 2) (List.init (Graph.num_nodes g) Fun.id)
 
-let serial_blocks g =
-  match Topo.is_two_terminal g with
-  | None -> invalid_arg "Articulation.serial_blocks: not a two-terminal DAG"
-  | Some (x, y) ->
-    let rank = Topo.rank g in
-    let blocks =
-      List.map
-        (fun comp ->
-          let nodes = component_nodes comp in
-          let by_rank a b = compare rank.(a) rank.(b) in
-          let sorted = List.sort by_rank nodes in
-          match (sorted, List.rev sorted) with
-          | bsrc :: _, bsnk :: _ -> (bsrc, bsnk, comp)
-          | _ -> assert false)
-        (biconnected_components g)
+(* The block-cut tree of a two-terminal DAG is a path: file each block
+   under its end of least rank (its sink is the end of greatest rank)
+   and walk from [x] to [y]. A block off the walk, or a walk that stops
+   short, is a broken chain (cannot happen for a DAG). *)
+let serial_blocks ?order g =
+  let order = match order with Some _ -> order | None -> Topo.order g in
+  match (order, Topo.dag_terminals g) with
+  | None, _ | _, None ->
+    invalid_arg "Articulation.serial_blocks: not a two-terminal DAG"
+  | Some order, Some (x, y) ->
+    let n = Graph.num_nodes g in
+    let rank = Array.make n 0 in
+    Array.iteri (fun i v -> rank.(v) <- i) order;
+    let sink_of = Array.make n (-1) and comp_of = Array.make n [] in
+    let rec ends s t = function
+      | [] -> (s, t)
+      | (e : Graph.edge) :: rest ->
+        ends
+          (if rank.(e.src) < rank.(s) then e.src else s)
+          (if rank.(e.dst) > rank.(t) then e.dst else t)
+          rest
     in
-    let ordered =
-      List.sort (fun (a, _, _) (b, _, _) -> compare rank.(a) rank.(b)) blocks
+    let comps = biconnected_components g in
+    List.iter
+      (fun comp ->
+        let (e : Graph.edge) = List.hd comp in
+        let s, t = ends e.src e.dst comp in
+        sink_of.(s) <- t;
+        comp_of.(s) <- comp)
+      comps;
+    let broken () = invalid_arg "serial_blocks: broken chain" in
+    let rec walk v k acc =
+      if v = y then if k = List.length comps then List.rev acc else broken ()
+      else if sink_of.(v) < 0 then broken ()
+      else walk sink_of.(v) (k + 1) ((v, sink_of.(v), comp_of.(v)) :: acc)
     in
-    (* A two-terminal DAG's block-cut tree is necessarily a path from the
-       source's block to the sink's block; check the chain as a sanity
-       guard against malformed inputs. *)
-    let rec check expected = function
-      | [] -> if expected <> y then invalid_arg "serial_blocks: broken chain"
-      | (bsrc, bsnk, _) :: rest ->
-        if bsrc <> expected then invalid_arg "serial_blocks: broken chain";
-        check bsnk rest
-    in
-    check x ordered;
-    ordered
+    walk x 0 []

@@ -24,12 +24,16 @@ val bridges : Graph.t -> bool array
     (parallel edges form a 2-cycle, so neither copy is a bridge).
     Assumes connectivity, like {!biconnected_components}. *)
 
-val serial_blocks : Graph.t -> (Graph.node * Graph.node * Graph.edge list) list
+val serial_blocks :
+  ?order:Graph.node array ->
+  Graph.t ->
+  (Graph.node * Graph.node * Graph.edge list) list
 (** For a two-terminal DAG [g] with source [x] and sink [y]:
     the biconnected blocks ordered along the source-to-sink chain, each
     as [(block_source, block_sink, edges)], such that [g] is the serial
     composition of the blocks: the first block's source is [x], each
     block's sink is the next block's source, and the last sink is [y].
+    [order], when given, must be [g]'s {!Topo.order}.
     @raise Invalid_argument if [g] is not two-terminal or a block is not
     itself two-terminal between consecutive cut vertices (cannot happen
     for DAGs: every biconnected block of a two-terminal DAG is itself

@@ -41,5 +41,3 @@ let render ?(graph_name = "stream") ?node_label ?node_class ?edge_label
     (Graph.edges g);
   out "}\n";
   Buffer.contents buf
-
-let render_to_channel oc g = output_string oc (render g)

@@ -18,5 +18,3 @@ val render :
     to the node id; [edge_label] defaults to the buffer capacity.
     [node_class]/[edge_class] map to Graphviz [class] attributes
     (useful with SVG styling); [None] omits the attribute. *)
-
-val render_to_channel : out_channel -> Graph.t -> unit

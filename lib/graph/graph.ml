@@ -18,17 +18,16 @@ let make ~nodes spec =
     if v < 0 || v >= nodes then
       invalid_arg (Printf.sprintf "Graph.make: node %d out of range" v)
   in
-  let edge_arr =
-    Array.of_list
-      (List.mapi
-         (fun id (src, dst, cap) ->
-           check_node src;
-           check_node dst;
-           if src = dst then invalid_arg "Graph.make: self-loop";
-           if cap < 1 then invalid_arg "Graph.make: cap < 1";
-           { id; src; dst; cap })
-         spec)
-  in
+  let blank = { id = 0; src = 0; dst = 0; cap = 1 } in
+  let edge_arr = Array.make (List.length spec) blank in
+  List.iteri
+    (fun id (src, dst, cap) ->
+      check_node src;
+      check_node dst;
+      if src = dst then invalid_arg "Graph.make: self-loop";
+      if cap < 1 then invalid_arg "Graph.make: cap < 1";
+      edge_arr.(id) <- { id; src; dst; cap })
+    spec;
   let out_adj = Array.make nodes [] and in_adj = Array.make nodes [] in
   (* Iterate in decreasing id order so cons builds increasing-id lists. *)
   for i = Array.length edge_arr - 1 downto 0 do
@@ -40,10 +39,14 @@ let make ~nodes spec =
      counts it implies, precomputed once so degree queries are O(1) and
      the runtime engines can walk a node's edges without traversing
      cons cells. *)
-  let ids_of adj =
-    Array.map
-      (fun es -> Array.of_list (List.map (fun e -> e.id) es))
-      adj
+  let rec fill a i = function
+    | [] -> a
+    | e :: rest ->
+      a.(i) <- e.id;
+      fill a (i + 1) rest
+  in
+  let ids_of =
+    Array.map (fun es -> fill (Array.make (List.length es) 0) 0 es)
   in
   {
     n = nodes;

@@ -1,15 +1,16 @@
 (** Topological structure of directed multigraphs: acyclicity, orderings,
     and reachability. *)
 
-val order : Graph.t -> Graph.node list option
+val order : Graph.t -> Graph.node array option
 (** A topological order of the nodes, or [None] if the graph has a
-    directed cycle. Kahn's algorithm; stable for equal in-degrees (lower
-    node ids first). *)
+    directed cycle. Kahn's algorithm over a min-heap of the ready nodes
+    (lower ids first); three int arrays are its only allocation. A
+    compile sorts once and passes the order down. *)
 
 val is_dag : Graph.t -> bool
 
 val order_exn : Graph.t -> Graph.node array
-(** Like {!order} but as an array.
+(** {!order}, for a graph known to be acyclic.
     @raise Invalid_argument if the graph is cyclic. *)
 
 val rank : Graph.t -> int array
@@ -27,6 +28,11 @@ val is_two_terminal : Graph.t -> (Graph.node * Graph.node) option
 (** [Some (source, sink)] if the graph is a DAG with exactly one source
     and one sink and every node lies on some source-to-sink path;
     [None] otherwise. *)
+
+val dag_terminals : Graph.t -> (Graph.node * Graph.node) option
+(** {!is_two_terminal} for a graph known to be a DAG, where every node
+    lies on a path from some source to some sink: one source and one
+    sink suffice, and the graph is then connected. A degree count. *)
 
 val connected : Graph.t -> bool
 (** Whether the underlying undirected multigraph is connected. *)

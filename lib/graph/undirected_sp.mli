@@ -11,11 +11,6 @@
     Lemma V.1 / Lemma V.6 property tests and the topology-repair
     diagnostics. *)
 
-val component_is_sp : Graph.t -> Graph.edge list -> bool
-(** [component_is_sp g edges]: the biconnected component given by
-    [edges] (of [g]) reduces to a single edge. Edge directions are
-    ignored. *)
-
 val has_k4_subdivision : Graph.t -> bool
 (** Some biconnected component of the underlying undirected multigraph
     is not series-parallel — equivalently, the graph contains a

@@ -26,46 +26,42 @@ let pp_failure ppf = function
     Format.fprintf ppf "block %d..%d is neither SP nor an SP-ladder: %s"
       block_source block_sink reason
 
-let classify_block ~source ~sink edges =
-  (* One reduction serves both recognizers: a single surviving
-     super-edge means SP; otherwise the core must match the ladder
-     skeleton. *)
-  match
-    Sp_recognize.reduce ~protect:(fun v -> v = source || v = sink) edges
-  with
-  | [ { s_src; s_dst; s_tree } ] when s_src = source && s_dst = sink ->
-    Ok (Sp_block s_tree)
-  | core -> (
-    match Ladder.of_core ~source ~sink core with
-    | Ok ladder -> Ok (Ladder_block ladder)
-    | Error reason -> Error reason)
+(* One reduction serves both recognizers: a single surviving super-edge
+   means SP, else the core must be a ladder. A one-edge block is its leaf. *)
+let classify_block ~source ~sink = function
+  | [ e ] -> Ok (Sp_block (Sp_tree.leaf e))
+  | edges -> (
+    match
+      Sp_recognize.reduce ~protect:(fun v -> v = source || v = sink) edges
+    with
+    | [ { s_src; s_dst; s_tree } ] when s_src = source && s_dst = sink ->
+      Ok (Sp_block s_tree)
+    | core ->
+      Result.map (fun l -> Ladder_block l) (Ladder.of_core ~source ~sink core))
 
-let classify g =
-  match Topo.is_two_terminal g with
-  | None -> Error Not_two_terminal
-  | Some (x, y) when x = y -> Error Not_two_terminal
-  | Some (x, y) ->
-    if not (Topo.connected g) then Error Not_two_terminal
-    else begin
-      let rec go acc ids = function
-        | [] ->
-          Ok
-            {
-              source = x;
-              sink = y;
-              blocks = List.rev acc;
-              block_ids = List.rev ids;
-            }
-        | (bsrc, bsnk, edges) :: rest -> (
-          match classify_block ~source:bsrc ~sink:bsnk edges with
-          | Ok b ->
-            let id (e : Graph.edge) = e.id in
-            go ((bsrc, bsnk, b) :: acc) (List.map id edges :: ids) rest
-          | Error reason ->
-            Error (Bad_block { block_source = bsrc; block_sink = bsnk; reason }))
-      in
-      go [] [] (Articulation.serial_blocks g)
-    end
+let classify ?order g =
+  let order = match order with Some _ -> order | None -> Topo.order g in
+  match (order, Topo.dag_terminals g) with
+  | Some order, Some (x, y) when x <> y ->
+    let rec go acc ids = function
+      | [] ->
+        Ok
+          {
+            source = x;
+            sink = y;
+            blocks = List.rev acc;
+            block_ids = List.rev ids;
+          }
+      | (bsrc, bsnk, edges) :: rest -> (
+        match classify_block ~source:bsrc ~sink:bsnk edges with
+        | Ok b ->
+          let id (e : Graph.edge) = e.id in
+          go ((bsrc, bsnk, b) :: acc) (List.map id edges :: ids) rest
+        | Error reason ->
+          Error (Bad_block { block_source = bsrc; block_sink = bsnk; reason }))
+    in
+    go [] [] (Articulation.serial_blocks ~order g)
+  | _ -> Error Not_two_terminal
 
 let is_cs4 g = Result.is_ok (classify g)
 
@@ -83,7 +79,5 @@ let block_witnesses ?max_cycles g ~block_source ~block_sink ~limit =
 
 let is_cs4_brute ?max_cycles g =
   match Topo.is_two_terminal g with
-  | None -> false
-  | Some (x, y) when x = y -> false
-  | Some _ ->
-    Topo.connected g && Option.is_none (bad_cycle_witness ?max_cycles g)
+  | Some (x, y) when x <> y -> Option.is_none (bad_cycle_witness ?max_cycles g)
+  | _ -> false

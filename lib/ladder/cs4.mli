@@ -35,7 +35,9 @@ type failure =
       reason : string;  (** why the block is neither SP nor a ladder *)
     }
 
-val classify : Graph.t -> (t, failure) result
+val classify : ?order:Graph.node array -> Graph.t -> (t, failure) result
+(** [order], when given, must be [g]'s {!Topo.order} (a compile passes
+    down the order its DAG check computed). *)
 
 val is_cs4 : Graph.t -> bool
 (** [Result.is_ok (classify g)]. *)

@@ -18,13 +18,13 @@ type t = {
   rungs : rung array;
 }
 
-module Iset = Set.Make (Int)
-
 (* Validating walk over the skeleton (see .mli). State: the current
    frontier vertex on each rail. Non-crossing guarantees the next
    cross-link is always incident to the frontier, so every step either
    consumes a rung at the frontier or advances a rail whose frontier
-   vertex has no unconsumed cross-links left. *)
+   vertex has no unconsumed cross-links left. The core's nodes get
+   local ids; each keeps the count and the xor of its unconsumed
+   super-edges (the xor is the edge when the count is one). *)
 let of_core ~source ~sink core =
   let arr = Array.of_list core in
   let m = Array.length arr in
@@ -32,48 +32,55 @@ let of_core ~source ~sink core =
   let reject msg = raise (Reject msg) in
   try
     if m < 5 then reject "too small to be a ladder";
-    let inc : (Graph.node, Iset.t) Hashtbl.t = Hashtbl.create (2 * m) in
-    let pair : (Graph.node * Graph.node, int) Hashtbl.t =
-      Hashtbl.create (2 * m)
+    let local = Hashtbl.create (2 * m) in
+    let lid v = try Hashtbl.find local v with Not_found -> -1 in
+    let add v = if lid v < 0 then Hashtbl.add local v (Hashtbl.length local) in
+    Array.iter (fun (e : Sp_recognize.super_edge) -> add e.s_src; add e.s_dst)
+      arr;
+    let k = Hashtbl.length local in
+    let deg = Array.make k 0 and xor = Array.make k 0 in
+    let consumed = Array.make m false and pair = Hashtbl.create (2 * m) in
+    let key u v = (min (lid u) (lid v) * k) + max (lid u) (lid v) in
+    let touch i v d =
+      deg.(lid v) <- deg.(lid v) + d;
+      xor.(lid v) <- xor.(lid v) lxor i
     in
     Array.iteri
       (fun i (e : Sp_recognize.super_edge) ->
-        let add v =
-          let s =
-            Option.value ~default:Iset.empty (Hashtbl.find_opt inc v)
-          in
-          Hashtbl.replace inc v (Iset.add i s)
-        in
-        add e.s_src;
-        add e.s_dst;
-        let key = (min e.s_src e.s_dst, max e.s_src e.s_dst) in
-        if Hashtbl.mem pair key then reject "parallel super-edges in core";
-        Hashtbl.replace pair key i)
+        touch i e.s_src 1;
+        touch i e.s_dst 1;
+        if Hashtbl.mem pair (key e.s_src e.s_dst) then
+          reject "parallel super-edges in core";
+        Hashtbl.replace pair (key e.s_src e.s_dst) i)
       arr;
-    let get v = Option.value ~default:Iset.empty (Hashtbl.find_opt inc v) in
+    let count v = if lid v < 0 then 0 else deg.(lid v) in
+    (* a terminal's two super-edges in index order, before any is used *)
+    let two_at v =
+      let at i = arr.(i).s_src = v || arr.(i).s_dst = v in
+      if count v <> 2 then [] else List.filter at (List.init m Fun.id)
+    in
     let used = ref 0 in
     let use i =
       let e = arr.(i) in
-      let del v = Hashtbl.replace inc v (Iset.remove i (get v)) in
-      del e.s_src;
-      del e.s_dst;
+      consumed.(i) <- true;
+      touch i e.s_src (-1);
+      touch i e.s_dst (-1);
       incr used;
       e
     in
     let lefts = ref [] and rights = ref [] in
     let lsegs = ref [] and rsegs = ref [] in
     let rungs = ref [] in
-    let visited = Hashtbl.create (2 * m) in
+    let visited = Array.make k false in
     let visit v =
-      if Hashtbl.mem visited v then reject "rail revisits a vertex";
-      Hashtbl.replace visited v ()
+      if lid v >= 0 && visited.(lid v) then reject "rail revisits a vertex";
+      if lid v >= 0 then visited.(lid v) <- true
     in
     let take_rung l r =
-      match Hashtbl.find_opt pair (min l r, max l r) with
+      match Hashtbl.find_opt pair (key l r) with
       | None -> reject "missing cross-link at rail frontier"
       | Some i ->
-        if not (Iset.mem i (get l)) then
-          reject "cross-link already consumed";
+        if consumed.(i) then reject "cross-link already consumed";
         let e = use i in
         rungs :=
           {
@@ -87,8 +94,9 @@ let of_core ~source ~sink core =
     (* Advance a rail: its frontier's single unconsumed edge must leave
        the frontier along the rail. *)
     let advance v =
-      match Iset.elements (get v) with
-      | [ i ] ->
+      match count v with
+      | 1 ->
+        let i = xor.(lid v) in
         let e = arr.(i) in
         if e.s_src <> v then reject "rail edge directed against the rail";
         ignore (use i);
@@ -103,7 +111,7 @@ let of_core ~source ~sink core =
       let e = use i in
       (e.s_dst, e.s_tree)
     in
-    let y_edges = Iset.elements (get sink) in
+    let y_edges = two_at sink in
     (match y_edges with
     | [ _; _ ] ->
       if List.exists (fun i -> arr.(i).Sp_recognize.s_src = sink) y_edges
@@ -111,7 +119,7 @@ let of_core ~source ~sink core =
     | _ -> reject "sink degree is not 2");
     visit source;
     let (a, seg_a), (b, seg_b) =
-      match Iset.elements (get source) with
+      match two_at source with
       | [ i; j ] -> (rail_head i, rail_head j)
       | _ -> reject "source degree is not 2"
     in
@@ -124,7 +132,7 @@ let of_core ~source ~sink core =
     rsegs := [ seg_b ];
     take_rung a b;
     let rec walk l r =
-      let cl = Iset.cardinal (get l) and cr = Iset.cardinal (get r) in
+      let cl = count l and cr = count r in
       if cl >= 2 && cr >= 2 then reject "cross-links cross"
       else if cl = 0 || cr = 0 then reject "rail frontier exhausted"
       else if cl >= 2 then begin

@@ -36,14 +36,3 @@ let to_graph spec =
   let sink = 1 + num_inner_nodes spec in
   let edges = List.rev (emit spec 0 sink []) in
   Fstream_graph.Graph.make ~nodes:(sink + 1) edges
-
-let rec pp ppf = function
-  | Edge cap -> Format.fprintf ppf "%d" cap
-  | Series l ->
-    Format.fprintf ppf "(S%a)"
-      (fun ppf -> List.iter (Format.fprintf ppf " %a" pp))
-      l
-  | Parallel l ->
-    Format.fprintf ppf "(P%a)"
-      (fun ppf -> List.iter (Format.fprintf ppf " %a" pp))
-      l

@@ -20,5 +20,3 @@ val to_graph : spec -> Fstream_graph.Graph.t
 
 val num_edges : spec -> int
 val num_inner_nodes : spec -> int
-
-val pp : Format.formatter -> spec -> unit

@@ -10,74 +10,70 @@ type failure =
   | Not_two_terminal
   | Irreducible of { remaining_edges : int }
 
-let pp_failure ppf = function
-  | Not_two_terminal ->
-    Format.fprintf ppf "not a connected two-terminal DAG"
-  | Irreducible { remaining_edges } ->
-    Format.fprintf ppf
-      "not series-parallel (reduction stalled with %d super-edges)"
-      remaining_edges
-
-module Iset = Set.Make (Int)
-
-(* Mutable reduction state over block-local node ids [0 .. k-1], so
-   every per-call array is sized to the block rather than to the whole
-   graph; [glob] maps a local id back to its graph node. Super-edges
-   carry the decomposition tree of the subgraph they replace. The
-   [pair] index (keyed [src * k + dst]) keeps at most one live
-   super-edge per (src, dst), merging parallels eagerly on insertion. *)
+(* Mutable reduction state over block-local node ids [0 .. k-1] and
+   super-edge ids (one per leaf and per merge: fewer than 2m), sized to
+   the block, never to the whole graph; [glob] maps a local id back to
+   its graph node. Super-edge [id] replaces a subgraph with tree
+   [tree.(id)]. A node keeps the count and the xor of its live in- and
+   out-edge ids, so a count of one names the edge. [pair] (keyed
+   [src * k + dst]) keeps one live super-edge per (src, dst), merging
+   parallels eagerly; [live] only orders the survivors. *)
 type state = {
   glob : Graph.node array;
-  live : (int, int * int * Sp_tree.t) Hashtbl.t;
-  mutable next_id : int;
-  out_s : Iset.t array;
-  in_s : Iset.t array;
-  out_n : int array;  (* cardinals of [out_s] / [in_s] *)
+  live : (int, unit) Hashtbl.t;
+  src : int array;
+  dst : int array;
+  tree : Sp_tree.t array;
+  out_n : int array;
   in_n : int array;
+  out_x : int array;
+  in_x : int array;
   pair : (int, int) Hashtbl.t;
-  queue : int Queue.t;
+  queue : int array;  (* FIFO: super-edge [id] enqueues its ends at [2 * id] *)
+  mutable tail : int;
 }
 
 let pair_key st src dst = (src * Array.length st.glob) + dst
 
+let link st id sign =
+  let s = st.src.(id) and d = st.dst.(id) in
+  st.out_n.(s) <- st.out_n.(s) + sign;
+  st.out_x.(s) <- st.out_x.(s) lxor id;
+  st.in_n.(d) <- st.in_n.(d) + sign;
+  st.in_x.(d) <- st.in_x.(d) lxor id
+
 let remove_edge st id =
-  let src, dst, _ = Hashtbl.find st.live id in
   Hashtbl.remove st.live id;
-  st.out_s.(src) <- Iset.remove id st.out_s.(src);
-  st.out_n.(src) <- st.out_n.(src) - 1;
-  st.in_s.(dst) <- Iset.remove id st.in_s.(dst);
-  st.in_n.(dst) <- st.in_n.(dst) - 1;
-  let key = pair_key st src dst in
+  link st id (-1);
+  let key = pair_key st st.src.(id) st.dst.(id) in
   if Hashtbl.find_opt st.pair key = Some id then Hashtbl.remove st.pair key
 
 let rec add_edge st src dst tree =
   let key = pair_key st src dst in
   match Hashtbl.find_opt st.pair key with
   | Some other ->
-    let _, _, tree' = Hashtbl.find st.live other in
     remove_edge st other;
-    add_edge st src dst (Sp_tree.parallel tree' tree)
+    add_edge st src dst (Sp_tree.parallel st.tree.(other) tree)
   | None ->
-    let id = st.next_id in
-    st.next_id <- id + 1;
-    Hashtbl.replace st.live id (src, dst, tree);
-    st.out_s.(src) <- Iset.add id st.out_s.(src);
-    st.out_n.(src) <- st.out_n.(src) + 1;
-    st.in_s.(dst) <- Iset.add id st.in_s.(dst);
-    st.in_n.(dst) <- st.in_n.(dst) + 1;
+    let id = st.tail / 2 in
+    Hashtbl.replace st.live id ();
+    st.src.(id) <- src;
+    st.dst.(id) <- dst;
+    st.tree.(id) <- tree;
+    link st id 1;
     Hashtbl.replace st.pair key id;
-    Queue.add src st.queue;
-    Queue.add dst st.queue
+    st.queue.(st.tail) <- src;
+    st.queue.(st.tail + 1) <- dst;
+    st.tail <- st.tail + 2
 
 let try_series st ~protect v =
   if (not (protect st.glob.(v))) && st.in_n.(v) = 1 && st.out_n.(v) = 1
   then begin
-    let ein = Iset.choose st.in_s.(v) and eout = Iset.choose st.out_s.(v) in
-    let u, _, t_in = Hashtbl.find st.live ein in
-    let _, w, t_out = Hashtbl.find st.live eout in
+    let ein = st.in_x.(v) and eout = st.out_x.(v) in
     remove_edge st ein;
     remove_edge st eout;
-    add_edge st u w (Sp_tree.series t_in t_out)
+    add_edge st st.src.(ein) st.dst.(eout)
+      (Sp_tree.series st.tree.(ein) st.tree.(eout))
   end
 
 (* Dense renumbering without a graph-sized table: sort the endpoint
@@ -108,49 +104,51 @@ let renumber edges =
   (local, Array.sub glob 0 !k)
 
 let reduce ~protect edges =
-  let edges = Array.of_list edges in
-  let m = Array.length edges in
-  let local, glob = renumber edges in
-  let k = Array.length glob in
-  let st =
-    {
-      glob;
-      live = Hashtbl.create (2 * m);
-      next_id = 0;
-      out_s = Array.make k Iset.empty;
-      in_s = Array.make k Iset.empty;
-      out_n = Array.make k 0;
-      in_n = Array.make k 0;
-      pair = Hashtbl.create (2 * m);
-      queue = Queue.create ();
-    }
-  in
-  Array.iteri
-    (fun i e ->
-      add_edge st local.(2 * i) local.((2 * i) + 1) (Sp_tree.leaf e))
-    edges;
-  while not (Queue.is_empty st.queue) do
-    try_series st ~protect (Queue.pop st.queue)
-  done;
-  Hashtbl.fold
-    (fun _ (src, dst, s_tree) acc ->
-      { s_src = glob.(src); s_dst = glob.(dst); s_tree } :: acc)
-    st.live []
-
-let recognize_block ~source ~sink edges =
-  if edges = [] then Error Not_two_terminal
-  else
-    match reduce ~protect:(fun v -> v = source || v = sink) edges with
-    | [ { s_src; s_dst; s_tree } ] when s_src = source && s_dst = sink ->
-      Ok s_tree
-    | rest -> Error (Irreducible { remaining_edges = List.length rest })
+  match Array.of_list edges with
+  | [||] -> []
+  | edges ->
+    let m = Array.length edges in
+    let local, glob = renumber edges in
+    let k = Array.length glob in
+    let ids = 2 * m in
+    let st =
+      {
+        glob;
+        live = Hashtbl.create ids;
+        src = Array.make ids 0;
+        dst = Array.make ids 0;
+        tree = Array.make ids (Sp_tree.leaf edges.(0));
+        out_n = Array.make k 0;
+        in_n = Array.make k 0;
+        out_x = Array.make k 0;
+        in_x = Array.make k 0;
+        pair = Hashtbl.create ids;
+        queue = Array.make (2 * ids) 0;
+        tail = 0;
+      }
+    in
+    Array.iteri
+      (fun i e ->
+        add_edge st local.(2 * i) local.((2 * i) + 1) (Sp_tree.leaf e))
+      edges;
+    let head = ref 0 in
+    while !head < st.tail do
+      incr head;
+      try_series st ~protect st.queue.(!head - 1)
+    done;
+    Hashtbl.fold
+      (fun id () acc ->
+        { s_src = glob.(st.src.(id)); s_dst = glob.(st.dst.(id));
+          s_tree = st.tree.(id) }
+        :: acc)
+      st.live []
 
 let recognize g =
   match Topo.is_two_terminal g with
-  | None -> Error Not_two_terminal
-  | Some (x, y) when x = y -> Error Not_two_terminal
-  | Some (x, y) ->
-    if not (Topo.connected g) then Error Not_two_terminal
-    else recognize_block ~source:x ~sink:y (Graph.edges g)
+  | Some (x, y) when x <> y -> (
+    match reduce ~protect:(fun v -> v = x || v = y) (Graph.edges g) with
+    | [ { s_src; s_dst; s_tree } ] when s_src = x && s_dst = y -> Ok s_tree
+    | rest -> Error (Irreducible { remaining_edges = List.length rest }))
+  | _ -> Error Not_two_terminal
 
 let is_sp g = Result.is_ok (recognize g)

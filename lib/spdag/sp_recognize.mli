@@ -50,18 +50,8 @@ val reduce :
     surviving super-edges come back in the same order for the same
     input. *)
 
-val recognize_block :
-  source:Fstream_graph.Graph.node ->
-  sink:Fstream_graph.Graph.node ->
-  Fstream_graph.Graph.edge list ->
-  (Sp_tree.t, failure) result
-(** Recognize a subgraph given by an explicit edge list and intended
-    terminals — used on the biconnected blocks of a CS4 candidate. *)
-
 val recognize : Fstream_graph.Graph.t -> (Sp_tree.t, failure) result
 (** Whole-graph recognition: checks the connected two-terminal DAG
     property, then reduces. *)
 
 val is_sp : Fstream_graph.Graph.t -> bool
-
-val pp_failure : Format.formatter -> failure -> unit

@@ -95,12 +95,6 @@ let check_against t g =
   | Some (x, y) -> t.source = x && t.sink = y
   | None -> false
 
-let rec pp ppf t =
-  match t.shape with
-  | Leaf e -> Format.fprintf ppf "e%d" e.id
-  | Series (a, b) -> Format.fprintf ppf "(S %a %a)" pp a pp b
-  | Parallel (a, b) -> Format.fprintf ppf "(P %a %a)" pp a pp b
-
 let rec refresh g t =
   match t.shape with
   | Leaf e -> leaf (Graph.edge g e.id)

@@ -58,9 +58,6 @@ val check_against : t -> Graph.t -> bool
     graph's edges (each once), every composition is well-connected, and
     the tree's terminals are the graph's unique source and sink. *)
 
-val pp : Format.formatter -> t -> unit
-(** S-expression-style rendering, e.g. [(S (P e0 e1) e2)]. *)
-
 val refresh : Graph.t -> t -> t
 (** [refresh g t] rebuilds [t] with every leaf replaced by [g]'s
     current record at the same edge id, recomputing the [l]/[h]

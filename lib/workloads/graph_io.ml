@@ -1,49 +1,78 @@
 open Fstream_graph
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
+(* [text.[k..j)] as decimal digits after [acc], or -1 at any other byte *)
+let rec decimal text k j acc =
+  if k = j then acc
+  else
+    match text.[k] with
+    | '0' .. '9' as c -> decimal text (k + 1) j ((10 * acc) + Char.code c - 48)
+    | _ -> -1
 
+(* [int_of_string_opt] of [text.[i..j)], clearing [valid] for [None].
+   Up to 18 digits, perhaps after a '-', cannot overflow and are read
+   in place; any other word goes to [int_of_string_opt] itself. *)
+let read_int text i j valid =
+  let neg = text.[i] = '-' in
+  let d = if neg then i + 1 else i in
+  let v = if d < j && j - d <= 18 then decimal text d j 0 else -1 in
+  if v >= 0 then if neg then -v else v
+  else
+    match int_of_string_opt (String.sub text i (j - i)) with
+    | Some v -> v
+    | None ->
+      valid := false;
+      0
+
+(* One pass over the text. A line's words are the runs of bytes other
+   than ' ' between the whitespace [String.trim] would strip, up to the
+   first '#'; the first four are kept as offsets. *)
 let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let parse (nodes, edges, lineno) line =
-    match (nodes, edges, lineno) with
-    | Error _, _, _ -> (nodes, edges, lineno + 1)
-    | Ok n, edges, _ -> (
-      let words =
-        String.split_on_char ' ' (String.trim (strip_comment line))
-        |> List.filter (fun w -> w <> "")
-      in
-      match words with
-      | [] -> (Ok n, edges, lineno + 1)
-      | [ "nodes"; count ] -> (
-        match int_of_string_opt count with
-        | Some c when c >= 1 -> (Ok (Some c), edges, lineno + 1)
-        | _ ->
-          ( Error (Printf.sprintf "line %d: bad node count" lineno),
-            edges,
-            lineno + 1 ))
-      | [ "edge"; src; dst; cap ] -> (
-        match
-          (int_of_string_opt src, int_of_string_opt dst, int_of_string_opt cap)
-        with
-        | Some s, Some d, Some c -> (Ok n, (s, d, c) :: edges, lineno + 1)
-        | _ ->
-          ( Error (Printf.sprintf "line %d: bad edge" lineno),
-            edges,
-            lineno + 1 ))
-      | _ ->
-        ( Error (Printf.sprintf "line %d: unrecognized directive" lineno),
-          edges,
-          lineno + 1 ))
-  in
-  let nodes, edges, _ = List.fold_left parse (Ok None, [], 1) lines in
-  match nodes with
-  | Error e -> Error e
-  | Ok None -> Error "missing 'nodes N' directive"
-  | Ok (Some n) -> (
-    try Ok (Graph.make ~nodes:n (List.rev edges))
+  let len = String.length text in
+  let space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
+  let starts = Array.make 4 0 and stops = Array.make 4 0 in
+  let valid = ref true in
+  let int_word w = read_int text starts.(w) stops.(w) valid in
+  let word w = String.sub text starts.(w) (stops.(w) - starts.(w)) in
+  let nodes = ref None and edges = ref [] and error = ref None in
+  let pos = ref 0 and lineno = ref 1 in
+  let fail what = error := Some (Printf.sprintf "line %d: %s" !lineno what) in
+  while Option.is_none !error && !pos <= len do
+    let eol = ref !pos in
+    while !eol < len && text.[!eol] <> '\n' do incr eol done;
+    let a = ref !pos and b = ref !pos in
+    while !b < !eol && text.[!b] <> '#' do incr b done;
+    while !a < !b && space text.[!a] do incr a done;
+    while !b > !a && space text.[!b - 1] do decr b done;
+    let words = ref 0 and i = ref !a in
+    while !i < !b do
+      if text.[!i] = ' ' then incr i
+      else begin
+        if !words < 4 then starts.(!words) <- !i;
+        while !i < !b && text.[!i] <> ' ' do incr i done;
+        if !words < 4 then stops.(!words) <- !i;
+        incr words
+      end
+    done;
+    valid := true;
+    if !words = 2 && word 0 = "nodes" then begin
+      let c = int_word 1 in
+      if !valid && c >= 1 then nodes := Some c else fail "bad node count"
+    end
+    else if !words = 4 && word 0 = "edge" then begin
+      let s = int_word 1 in
+      let d = int_word 2 in
+      let c = int_word 3 in
+      if !valid then edges := (s, d, c) :: !edges else fail "bad edge"
+    end
+    else if !words > 0 then fail "unrecognized directive";
+    pos := !eol + 1;
+    incr lineno
+  done;
+  match (!error, !nodes) with
+  | Some e, _ -> Error e
+  | None, None -> Error "missing 'nodes N' directive"
+  | None, Some n -> (
+    try Ok (Graph.make ~nodes:n (List.rev !edges))
     with Invalid_argument msg -> Error msg)
 
 let to_string g =

@@ -212,6 +212,29 @@ let prop_partition_well_formed =
       && Graph.num_edges g - Graph.num_edges fg
          = Graph.num_nodes g - Graph.num_nodes fg)
 
+(* A fused compile takes its bridges from the classification on the
+   CS4 route and searches for them itself on the others; either way the
+   partition is [Fusion.fuse]'s. Every classification family, CS4 or
+   not, under the exact backend and under the LP. *)
+let prop_compile_fusion_is_fuse (name, family) =
+  Tutil.qtest ~count:100
+    (Printf.sprintf "compiled fusion = Fusion.fuse (%s)" name)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      let filter_class v = v / 3 mod 2 in
+      List.for_all
+        (fun (backend, filter_class) ->
+          let options =
+            { Compiler.Options.default with fuse = true; backend; filter_class }
+          in
+          match Compiler.compile ~options Compiler.Non_propagation g with
+          | Ok { Compiler.fused = Some { fusion; _ }; _ } ->
+            fusion = Fusion.fuse ?filter_class g
+          | Ok _ -> false
+          | Error _ -> QCheck.assume_fail ())
+        [ (Compiler.Exact, None); (Compiler.Lp, None);
+          (Compiler.Exact, Some filter_class) ])
+
 let algorithm_of seed =
   match seed mod 3 with
   | 0 -> Compiler.Propagation
@@ -594,6 +617,7 @@ let suite =
     prop_derived_equals_recompiled;
     prop_fuse_on_every_entry_point;
   ]
+  @ List.map prop_compile_fusion_is_fuse Test_ladder.classify_families
   @ differential_suite
   @ [
       prop_verify_no_avoidance_iff;

@@ -55,7 +55,7 @@ let test_topo () =
       (fun (e : Graph.edge) ->
         Alcotest.(check bool) "edges go forward" true (rank.(e.src) < rank.(e.dst)))
       (Graph.edges g);
-    Alcotest.(check int) "order covers all nodes" 4 (List.length o));
+    Alcotest.(check int) "order covers all nodes" 4 (Array.length o));
   Alcotest.(check bool) "two-terminal" true
     (Topo.is_two_terminal g = Some (0, 3));
   let disconnected = Graph.make ~nodes:4 [ (0, 1, 1); (2, 3, 1) ] in

@@ -378,6 +378,37 @@ module Reference_reduce = struct
       go [] [] (Articulation.serial_blocks g)
 end
 
+(* Random SP and ladder blocks in series, each joined to the next by a
+   single edge: a CS4 chain whose blocks alternate with bridges. *)
+let bridged_cs4 seed =
+  let rng = Tutil.rng_of seed in
+  let blocks =
+    List.init
+      (1 + Random.State.int rng 4)
+      (fun i ->
+        let s = Random.State.bits rng in
+        if i mod 2 = 0 then Tutil.random_sp_of_seed ~max_edges:8 s
+        else Tutil.random_ladder_of_seed ~max_rungs:3 s)
+  in
+  let spec, nodes, _ =
+    List.fold_left
+      (fun (spec, base, prev_sink) b ->
+        let x, y = Option.get (Topo.is_two_terminal b) in
+        let own =
+          List.map
+            (fun (e : Graph.edge) -> (base + e.src, base + e.dst, e.cap))
+            (Graph.edges b)
+        in
+        let bridge =
+          match prev_sink with
+          | Some t -> [ (t, base + x, 1 + Random.State.int rng 4) ]
+          | None -> []
+        in
+        (spec @ bridge @ own, base + Graph.num_nodes b, Some (base + y)))
+      ([], 0, None) blocks
+  in
+  Graph.make ~nodes spec
+
 let classify_families =
   [
     ("random_sp", Tutil.random_sp_of_seed ?max_edges:None);
@@ -390,7 +421,81 @@ let classify_families =
         Topo_gen.diamond_chain ~bypass:(seed mod 2 = 1)
           ~diamonds:(1 + (seed / 2 mod 8))
           ~cap:1 () );
+    (* every block a single edge, the classifier's short path *)
+    ( "pipeline",
+      fun seed ->
+        Topo_gen.pipeline ~stages:(1 + (seed mod 40)) ~cap:(1 + (seed mod 3)) );
+    (* consecutive stages joined by one to three parallel edges: bridges
+       and two-edge SP blocks *)
+    ( "multi_edge_pipeline",
+      fun seed ->
+        let rng = Tutil.rng_of seed in
+        let stages = 1 + Random.State.int rng 20 in
+        Graph.make ~nodes:(stages + 1)
+          (List.concat
+             (List.init stages (fun i ->
+                  List.init
+                    (1 + Random.State.int rng 3)
+                    (fun _ -> (i, i + 1, 1 + Random.State.int rng 4))))) );
+    ("bridged_cs4", bridged_cs4);
   ]
+
+(* A random two-terminal DAG with a directed cycle added: a back edge
+   from the sink to the source. *)
+let cyclic g =
+  match Topo.is_two_terminal g with
+  | Some (x, y) when x <> y ->
+    Graph.make ~nodes:(Graph.num_nodes g)
+      ((y, x, 1)
+      :: List.map (fun (e : Graph.edge) -> (e.src, e.dst, e.cap)) (Graph.edges g))
+  | _ -> g
+
+(* The set-based Kahn sort [Topo.order] used before its min-heap: the
+   smallest ready node id first. *)
+let reference_order g =
+  let n = Graph.num_nodes g in
+  let indeg = Array.init n (Graph.in_degree g) in
+  let module Iset = Set.Make (Int) in
+  let ready = ref Iset.empty in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then ready := Iset.add v !ready
+  done;
+  let rec loop acc count =
+    match Iset.min_elt_opt !ready with
+    | None -> if count = n then Some (List.rev acc) else None
+    | Some v ->
+      ready := Iset.remove v !ready;
+      List.iter
+        (fun (e : Graph.edge) ->
+          indeg.(e.dst) <- indeg.(e.dst) - 1;
+          if indeg.(e.dst) = 0 then ready := Iset.add e.dst !ready)
+        (Graph.out_edges g v);
+      loop (v :: acc) (count + 1)
+  in
+  loop [] 0
+
+let prop_order_matches_reference (name, family) =
+  Tutil.qtest ~count:200
+    (Printf.sprintf "Topo.order = set-based reference (%s, and cyclic)" name)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      (* relabel the nodes so that id order is not the generator's *)
+      let n = Graph.num_nodes g in
+      let perm = Array.init n (fun v -> (v * 7919) mod n) in
+      let perm =
+        if List.sort_uniq compare (Array.to_list perm) = List.init n Fun.id
+        then perm
+        else Array.init n Fun.id
+      in
+      let h =
+        Graph.make ~nodes:n
+          (List.map
+             (fun (e : Graph.edge) -> (perm.(e.src), perm.(e.dst), e.cap))
+             (Graph.edges g))
+      in
+      List.for_all
+        (fun g -> Topo.order g = Option.map Array.of_list (reference_order g))
+        [ g; cyclic g; h; cyclic h ])
 
 let prop_classify_matches_reference (name, family) =
   Tutil.qtest ~count:300
@@ -480,3 +585,4 @@ let suite =
   ]
   @ List.map prop_classify_matches_reference classify_families
   @ List.map prop_block_ids_match_blocks classify_families
+  @ List.map prop_order_matches_reference classify_families

@@ -83,8 +83,25 @@ let test_fs201 () =
   Alcotest.(check bool) "witness cycle shown" true (d.Lint.witness <> []);
   Alcotest.(check bool)
     "carries a reroute fixit" true
-    (match d.Lint.fixit with Some (Lint.Reroute _) -> true | _ -> false);
+    (match Lint.fixit d with Some (Lint.Reroute _) -> true | _ -> false);
   check_silent "fig5 ladder" "FS201" (Lint.run (Topo_gen.fig5_ladder ~cap:2))
+
+(* FS201's reroute is computed on its first read, which may happen on
+   another domain than the lint: there, here, and once more after both,
+   it is the repair the eager rule attached. *)
+let test_fs201_fixit_on_read () =
+  let g = Topo_gen.fig4_butterfly ~cap:2 in
+  let d = find "FS201" (Lint.run g) in
+  let there = Domain.spawn (fun () -> Lint.fixit d) in
+  let here = Lint.fixit d in
+  let expected =
+    match Repair.repair ~max_cycles:Lint.default_config.Lint.max_cycles g with
+    | Ok r when r.Repair.reroutes <> [] -> Some (Lint.Reroute r)
+    | _ -> None
+  in
+  Alcotest.(check bool) "a reroute" true (expected <> None);
+  Alcotest.(check bool) "same value on both domains and after" true
+    (here = expected && Domain.join there = expected && Lint.fixit d = expected)
 
 (* The reroute fixit's repair searches for its witness under lint's
    budget, not the repair command's default: with no budget at all the
@@ -97,7 +114,7 @@ let test_fs201_fixit_budget () =
       (Lint.run ~config:{ Lint.default_config with Lint.max_cycles = 0 } g)
   in
   Alcotest.(check bool) "no witness within budget 0" true (d.Lint.witness = []);
-  Alcotest.(check bool) "no fixit within budget 0" true (d.Lint.fixit = None);
+  Alcotest.(check bool) "no fixit within budget 0" true (Lint.fixit d = None);
   match Repair.repair g with
   | Ok r ->
     Alcotest.(check bool) "repair's own default still reroutes" true
@@ -126,7 +143,7 @@ let test_fs301 () =
   let d = find "FS301" r in
   Alcotest.(check bool)
     "carries a buffer-scaling fixit" true
-    (match d.Lint.fixit with Some (Lint.Scale_buffers c) -> c >= 4 | _ -> false);
+    (match Lint.fixit d with Some (Lint.Scale_buffers c) -> c >= 4 | _ -> false);
   check_silent "fig2 cap 2" "FS301" (Lint.run (Topo_gen.fig2_triangle ~cap:2))
 
 (* The fixit comes from the audited plan's table when it took the CS4
@@ -148,7 +165,7 @@ let test_fs301_fixit_from_plan () =
       let d = find "FS301" (Lint.run ~plan g) in
       Alcotest.(check bool)
         (name ^ ": fixit = cold sizing") true
-        (d.Lint.fixit = Some (Lint.Scale_buffers expected)))
+        (Lint.fixit d = Some (Lint.Scale_buffers expected)))
     [ ("undersized", undersized ());
       ("wide ladder", Topo_gen.wide_ladder ~rungs:6 ~cap:1) ]
 
@@ -680,7 +697,7 @@ let agrees_with_reference ?plan ~cycles (cfg : Lint.config) g =
     if
       d.Lint.message <> e.Lint.message
       || d.Lint.severity <> e.Lint.severity
-      || d.Lint.fixit <> e.Lint.fixit
+      || Lint.fixit d <> Lint.fixit e
       || d.Lint.severity
          <> (if cfg.backend = Compiler.Lp then Lint.Warning else Lint.Error)
     then QCheck.Test.fail_reportf "FS201 differs (%s)" (where ())
@@ -964,6 +981,8 @@ let suite =
     prop_recompiled_plan_eq_reference;
     Alcotest.test_case "FS201 fixit honours the cycle budget" `Quick
       test_fs201_fixit_budget;
+    Alcotest.test_case "FS201 fixit computed on first read, any domain"
+      `Quick test_fs201_fixit_on_read;
   ]
   @ List.map prop_nonprop_compiled_is_complete
       [ ("random_dense", Tutil.random_dense_of_seed);
