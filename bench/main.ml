@@ -1550,6 +1550,24 @@ let lp1 () =
         t_lp)
     both_sizes;
   headline "LP1" "exact_over_lp_at_cliff" !cliff;
+  (* the solver alone, best of 5, with the exact minor words and
+     augmenting paths of one call (CI gates the 20 x 6 pair) *)
+  row "  Lp.resolve on layered_dense (cap 2):@.  %10s %6s %6s %12s %12s@."
+    "layers x w" "edges" "paths" "time" "minor words";
+  List.iter
+    (fun (layers, width) ->
+      let g = Topo_gen.layered_dense ~layers ~width ~cap:2 in
+      let gc, (_, st, _) = with_gc_stats (fun () -> Lp.resolve g) in
+      let t = time_best ~repeat:5 (fun () -> Lp.resolve g) in
+      let edges = Graph.num_edges g in
+      row "  %6d x %d %6d %6d %a %12.0f@." layers width edges st.Lp.rpivots
+        pp_ns t gc.minor_words;
+      headline "LP1" (Printf.sprintf "resolve_ns_edges_%d" edges) t;
+      if layers = 20 then begin
+        headline "LP1" "resolve_minor_words_layered_20x6" gc.minor_words;
+        headline "LP1" "resolve_paths_layered_20x6" (float st.Lp.rpivots)
+      end)
+    [ (3, 3); (7, 3); (14, 3); (28, 3); (10, 6); (20, 6) ];
   (* beyond the exact horizon: 7 layers carries ~28M simple cycles,
      past the default 10M budget, so the exact route's only possible
      answer is Cycle_budget_exceeded (exit 14 at the CLI) — measured
@@ -1690,28 +1708,28 @@ let rc1 () =
      previous epoch's snapshot, so the cache is re-primed before every
      trial. The incremental table is asserted bit-identical to the full
      one first. *)
-  let resize_trial algorithm g delta =
+  let resize_trial ?options algorithm g delta =
     let cache = Compiler.cache_create () in
     let prime () =
-      match Compiler.compile_cached cache algorithm g with
+      match Compiler.compile_cached ?options cache algorithm g with
       | Ok _ -> ()
       | Error _ -> assert false
     in
     let full () =
-      match Compiler.compile algorithm delta.Edit.graph with
+      match Compiler.compile ?options algorithm delta.Edit.graph with
       | Ok p -> p
       | Error _ -> assert false
     in
     let incr () =
-      match Compiler.recompile cache algorithm delta with
+      match Compiler.recompile ?options cache algorithm delta with
       | Ok r -> r
       | Error _ -> assert false
     in
     prime ();
     let pi, stats = incr () in
-    Array.iteri
-      (fun i v -> assert (Interval.equal v pi.Compiler.intervals.(i)))
-      (full ()).Compiler.intervals;
+    require "RC1" "an incremental table differs from the full compile's"
+      (Array.for_all2 Interval.equal (full ()).Compiler.intervals
+         pi.Compiler.intervals);
     let t_full = time_best full in
     let best = ref infinity in
     for _ = 1 to 3 do
@@ -1792,27 +1810,29 @@ let rc1 () =
         headline "RC1" (Printf.sprintf "one_block_incr_ns_%s" name) t_incr)
       [ ("propagation", Compiler.Propagation);
         ("non-propagation", Compiler.Non_propagation) ]);
-  (* warm-started simplex: resize one edge of layered-dense and
-     re-solve from the previous optimal basis vs cold *)
-  let layers = if !quick then 4 else 6 in
-  let g = Topo_gen.layered_dense ~layers ~width:3 ~cap:2 in
-  let _, base, st = Lp.resolve g in
-  (match Edit.apply g [ Edit.Resize { edge = 0; cap = 3 } ] with
+  (* the LP backend on a chain of cyclic components: a one-edge resize
+     splices every component but the edited one, and since the LP's
+     optimum is canonical the recompiled table is the cold compile's,
+     bit for bit ([resize_trial] checks it) *)
+  let blocks = if !quick then 8 else 32 in
+  let rng = Random.State.make [| 4711 |] in
+  let g = Topo_gen.random_cs4 rng ~blocks ~block_edges:8 ~max_cap:4 in
+  let options = { Compiler.Options.default with backend = Compiler.Lp } in
+  match resize_first g with
   | Error _ -> row "  edit failed@."
-  | Ok d ->
-    let _, w, _ =
-      Lp.resolve ~warm:(st, d) d.Edit.graph
+  | Ok delta ->
+    let t_full, t_incr, stats =
+      resize_trial ~options Compiler.Non_propagation g delta
     in
-    let _, c, _ = Lp.resolve d.Edit.graph in
+    let lp = Option.get stats.Compiler.lp_stats in
     row
-      "  layered %dx3 resize e0: base %d pivots; warm re-solve %d vs cold %d \
-       (%s)@."
-      layers base.Lp.rpivots w.Lp.rpivots c.Lp.rpivots
-      (ok (w.Lp.rpivots < c.Lp.rpivots));
-    headline "RC1" "warm_pivots" (float w.Lp.rpivots);
-    headline "RC1" "cold_pivots" (float c.Lp.rpivots);
-    require "RC1" "the warm re-solve took no fewer pivots than cold"
-      (w.Lp.rpivots < c.Lp.rpivots))
+      "  LP, %d-block CS4 chain, resize e0: %d of %d components spliced; full \
+       %a, incr %a; recompile = cold (ok)@."
+      blocks lp.Lp.rspliced lp.Lp.rcomponents pp_ns t_full pp_ns t_incr;
+    headline "RC1" "lp_chain_spliced_components" (float lp.Lp.rspliced);
+    headline "RC1" "lp_chain_full_ns" t_full;
+    headline "RC1" "lp_chain_incr_ns" t_incr;
+    require "RC1" "the LP recompile spliced no component" (lp.Lp.rspliced >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* ADM. Admission analysis of a served non-CS4 tenant: lint of each

@@ -238,8 +238,8 @@ let backend_arg =
         ~doc:
           "Interval machinery: $(b,exact) (the paper's constructions, \
            exponential on general DAGs), $(b,lp) (polynomial sufficient \
-           intervals from one simplex program per biconnected component, any \
-           DAG), or $(b,auto) (exact until the cycle budget blows, then \
+           intervals from one max-flow program per biconnected component, \
+           any DAG), or $(b,auto) (exact until the cycle budget blows, then \
            LP).")
 
 (* The compiler-configuration flag group, as a [Compiler.Options.t]
@@ -1016,9 +1016,8 @@ let serve_cmd =
                           | None -> ""
                           | Some lp ->
                             Printf.sprintf
-                              " lp:spliced=%d warm=%d cold=%d pivots=%d"
-                              lp.Lp.rspliced lp.Lp.rwarm lp.Lp.rcold
-                              lp.Lp.rpivots))))))
+                              " lp:spliced=%d solved=%d paths=%d"
+                              lp.Lp.rspliced lp.Lp.rcold lp.Lp.rpivots))))))
           reconfig;
         List.iter
           (fun (s, spec) ->
@@ -1091,8 +1090,8 @@ let serve_cmd =
              DST CAP), $(b,remove-edge E), $(b,add-stage E CIN COUT), \
              $(b,remove-stage N [CAP]). The edited topology passes the \
              same lint bar as admission; its threshold table is \
-             recomputed incrementally (clean blocks splice, LP \
-             components warm-start) and swapped at the run boundary.")
+             recomputed incrementally (clean blocks and LP components \
+             splice) and swapped at the run boundary.")
   in
   let doc =
     "Serve many tenant applications on one shared worker pool, with lint \

@@ -23,11 +23,11 @@ type location =
 
 type fixit = Reroute of Repair.t | Scale_buffers of int
 
-(* FS201's reroute is a whole repair, and admission reads severities
-   only: a fixit is computed when it is first read. The cell is atomic,
-   not a [Lazy.t], because a report may be read on another domain than
-   the one that linted it; two first reads at once both compute the
-   same value. *)
+(* FS201's reroute is a whole repair and FS301's scale a whole
+   compile, and admission reads severities only: a fixit is computed
+   when it is first read. The cell is atomic, not a [Lazy.t], because a
+   report may be read on another domain than the one that linted it;
+   two first reads at once both compute the same value. *)
 type fixit_state = Ready of fixit option | Pending of (unit -> fixit option)
 type fixit_cell = fixit_state Atomic.t
 
@@ -167,13 +167,13 @@ let max_severity r =
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                        *)
 
-let diag ?(witness = []) ?fixit code location message =
+let diag ?(witness = []) ?(fixit = Atomic.make (Ready None)) code location
+    message =
   let severity =
     match rule code with
     | Some r -> r.default_severity
     | None -> invalid_arg (Printf.sprintf "Lint.diag: unknown rule %s" code)
   in
-  let fixit = Atomic.make (Ready fixit) in
   { code; severity; location; message; witness; fixit }
 
 let node_list_string nodes =
@@ -458,7 +458,7 @@ let rule_fs201 ctx =
       | None -> Nodes [ block_source; block_sink ]
     in
     (* under the LP backend a non-CS4 topology is first-class: the
-       polynomial simplex encoding replaces the exponential fallback,
+       polynomial LP encoding replaces the exponential fallback,
        so the finding informs (conservative table) instead of failing
        admission *)
     let severity, consequence =
@@ -474,13 +474,12 @@ let rule_fs201 ctx =
     in
     [
       {
-        (diag ~witness "FS201" loc
+        (diag ~witness ~fixit:(Atomic.make (Pending reroute)) "FS201" loc
            (Printf.sprintf
               "not CS4: block %d..%d is neither SP nor an SP-ladder (%s); %s"
               block_source block_sink reason consequence))
         with
         severity;
-        fixit = Atomic.make (Pending reroute);
       };
     ]
   | _ -> []
@@ -581,16 +580,20 @@ let rule_fs301 ctx =
     else
       (* A CS4-route plan of the audited algorithm already holds the
          table the cold sizing compile (Exact, no general fallback)
-         would compute; any other route sizes on that compile. *)
-      let scale =
-        match p.Compiler.route with
-        | Compiler.Cs4_route _ when p.algorithm = ctx.cfg.algorithm ->
-          Sizing.scale_of_intervals p.intervals ~target:1
-        | _ -> Sizing.min_uniform_scale ctx.g ctx.cfg.algorithm ~target:1
+         would compute; any other route sizes on that compile. Like
+         FS201's reroute, the scale is computed on the first read, once
+         for all the offenders, which share the cell. *)
+      let scale () =
+        match
+          match p.Compiler.route with
+          | Compiler.Cs4_route _ when p.algorithm = ctx.cfg.algorithm ->
+            Sizing.scale_of_intervals p.intervals ~target:1
+          | _ -> Sizing.min_uniform_scale ctx.g ctx.cfg.algorithm ~target:1
+        with
+        | Ok c when c > 1 -> Some (Scale_buffers c)
+        | _ -> None
       in
-      let fixit =
-        match scale with Ok c when c > 1 -> Some (Scale_buffers c) | _ -> None
-      in
+      let fixit = Atomic.make (Pending scale) in
       List.map
         (fun (id, i) ->
           diag
@@ -600,7 +603,7 @@ let rule_fs301 ctx =
                   (Format.asprintf "%a" Interval.pp i)
                   (chan_string ctx.g id);
               ]
-            ?fixit "FS301" (Channel id)
+            ~fixit "FS301" (Channel id)
             (Printf.sprintf
                "buffer too small on channel %s: the dummy interval is below \
                 1, so the runtime clamps to a dummy every sequence number \
@@ -820,11 +823,12 @@ let rule_fs304 ctx =
   |> List.rev
 
 (* FS305: the LP backend's run-sum audit of a supplied threshold
-   table. The discipline is sufficient, not necessary, so a violation
-   is a Warning: the table may still be safe, but it no longer carries
-   the polynomial certificate the LP backend relies on. Gated on
-   [backend = Lp] so the default lint output (and the cram suite) is
-   byte-identical to the exact route. *)
+   table, reporting the witness {!Lp.audit} picks. The discipline is
+   sufficient, not necessary, so a violation is a Warning: the table
+   may still be safe, but it no longer carries the polynomial
+   certificate the LP backend relies on. Gated on [backend = Lp] so the
+   default lint output (and the cram suite) is byte-identical to the
+   exact route. *)
 let rule_fs305 ctx =
   match (ctx.cfg.backend, ctx.cfg.audit_thresholds) with
   | Compiler.Lp, Some t when Thresholds.compatible t ctx.g && ctx.dag -> (

@@ -65,9 +65,10 @@ type diagnostic = {
 
 val fixit : diagnostic -> fixit option
 (** The diagnostic's fixit. FS201's reroute runs
-    {!Fstream_repair.Repair.repair} on the first read, not when the rule
-    fires, so a caller that reads only codes and severities (admission)
-    never pays for it. Safe to call from any domain; the value does not
+    {!Fstream_repair.Repair.repair} and FS301's buffer scale its sizing
+    compile ({!Fstream_core.Sizing.min_uniform_scale}) on the first
+    read, not when the rule fires, so a caller that reads only codes
+    and severities (admission) never pays for them. Safe to call from any domain; the value does not
     depend on which read computes it. *)
 
 type rule = {

@@ -64,7 +64,7 @@ let rec pp_route ppf = function
     Format.fprintf ppf "general DAG fallback (%d cycles enumerated)" cycles
   | Lp_route { components; rows } ->
     Format.fprintf ppf
-      "LP backend (%d cyclic component%s, %d simplex rows)" components
+      "LP backend (%d cyclic component%s, %d rows)" components
       (if components = 1 then "" else "s")
       rows
   | Min_route { exact; lp } ->
@@ -277,7 +277,7 @@ let structure_preserving (d : Edit.delta) g =
 
 (* The one compile route; caller holds [clock]. Every public entry
    point lands here, and a usable previous epoch changes only what the
-   route starts from — the spliced blocks, the LP's warm basis — never
+   route starts from — the spliced blocks and LP components — never
    which route runs. The previous epoch is usable only when it
    describes exactly the graph the edit script was applied to, under
    the same algorithm and backend; anything else is a fresh compile. *)
@@ -338,10 +338,10 @@ let compile_locked cache (options : Options.t) algorithm
      all three avoidance algorithms; [algorithm] is recorded for the
      threshold-derivation step downstream. *)
   let lp () =
-    let warm =
+    let prev =
       Option.bind prev (fun (d, s) -> Option.map (fun st -> (st, d)) s.slp)
     in
-    let intervals, st, state = Lp.resolve ?warm g in
+    let intervals, st, state = Lp.resolve ?prev g in
     let route =
       Lp_route { components = st.Lp.rcomponents; rows = st.Lp.rrows }
     in

@@ -16,7 +16,7 @@
     or the LP according to {!backend}, the Auto backend's edge-wise
     min, and finally {!Options.fuse}. A usable previous epoch (see
     {!recompile}) changes only what that dispatch starts from — the
-    blocks it may splice, the LP's warm basis — never which route
+    blocks and LP components it may splice — never which route
     runs. *)
 
 open Fstream_graph
@@ -41,9 +41,10 @@ type backend =
                general fallback — today's behaviour, and the default *)
   | Lp
       (** the polynomial {!Lp} backend on every topology: sufficient,
-          conservative intervals from one simplex program per
-          biconnected component; accepts any connected DAG (no
-          two-terminal requirement, no cycle enumeration) *)
+          conservative intervals from one difference-constraint
+          program per biconnected component, solved by max-flow;
+          accepts any connected DAG (no two-terminal requirement, no
+          cycle enumeration) *)
   | Auto
       (** exact wherever it is polynomial or affordable — CS4 graphs,
           then the general fallback under [max_cycles] — and the LP
@@ -57,7 +58,8 @@ type route =
           cycles were enumerated *)
   | Lp_route of { components : int; rows : int }
       (** polynomial LP backend; [components] biconnected components
-          carried cycles, [rows] total simplex rows solved *)
+          carried cycles, [rows] their programs' chain and branch
+          rows ({!Lp.resolve_stats}) *)
   | Min_route of { exact : route; lp : route }
       (** the {!Auto} backend when both tables were affordable: the
           plan's intervals are the edge-wise minimum of the exact and
@@ -149,7 +151,7 @@ val compile :
 
     A {!cache} carries one tenant's compile residue from epoch to
     epoch: the previous epoch's classification and exact table, and
-    the previous LP solver state. {!recompile} consumes an
+    the previous LP components' solved intervals. {!recompile} consumes an
     {!Fstream_graph.Edit.delta} and recomputes only what the edit
     touched. Every interval is local to its serial block (Theorem V.7),
     so the block is the unit of reuse: a block that
@@ -160,12 +162,10 @@ val compile :
     classification checks and rebuilds only the edited blocks'
     decompositions against the new capacities. The LP asks the same
     rule of its cyclic components: a copy splices the previous optimum,
-    any other component with an ancestor re-solves warm from that
-    ancestor's basis ({!Lp.resolve}). The result is bit-for-bit the table a full
-    recompile of the edited graph would produce on the exact route,
-    and objective-equal on the LP route (the simplex optimum need not
-    be vertex-unique) — both property-checked in
-    [test/test_reconfigure.ml]. *)
+    every other component is solved ({!Lp.resolve}). The result is
+    bit-for-bit the table a full recompile of the edited graph would
+    produce, on both routes (the LP's optimum is canonical) —
+    property-checked in [test/test_reconfigure.ml]. *)
 
 type cache
 

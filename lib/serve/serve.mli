@@ -38,7 +38,7 @@
     {!Fstream_graph.Edit} script applied through {!reconfigure}
     recomputes the edited topology's threshold table {e incrementally}
     against the session's current compile cache (clean serial blocks
-    splice, edited blocks recompute, LP components warm-start —
+    splice, edited blocks recompute, unedited LP components splice —
     {!Fstream_core.Compiler.recompile}), lints that table, drains the
     session to its run boundary and swaps graph + table
     atomically as a new epoch. A session whose report has been
@@ -184,8 +184,8 @@ val reconfigure :
     topology, or it was refused before) reuses the outcome —
     [Ok None], no compile at all; otherwise an {e incremental}
     recompile against the session's current registry entry's cache,
-    linted as compiled ([Ok (Some stats)] reports what was spliced,
-    recomputed and warm-started). The recompile runs on a fork of that
+    linted as compiled ([Ok (Some stats)] reports what was spliced
+    and recomputed). The recompile runs on a fork of that
     cache ({!Fstream_core.Compiler.cache_fork}), so the entry keeps its
     own epoch for later edits. A rejection leaves the session untouched
     on its current epoch, the compile counters unchanged, and the next
@@ -216,8 +216,9 @@ type stats = {
   recompiles : int;
       (** admitted incremental recompiles by {!reconfigure} *)
   warm_pivots : int;
-      (** simplex pivots spent by those recompiles' LP re-solves
-          (cumulative, including any failed warm attempt's) *)
+      (** solver steps spent by those recompiles' LP solves: the
+          augmenting paths of {!Fstream_core.Lp.resolve_stats}'s
+          [rpivots], summed *)
 }
 
 val stats : t -> stats

@@ -1,4 +1,4 @@
-(** Exact rational arithmetic for the LP backend.
+(** Exact rational arithmetic for the oracle simplex.
 
     Simplex pivoting multiplies and divides tableau entries; floats
     would silently lose the exactness the safety argument needs, and

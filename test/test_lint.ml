@@ -169,6 +169,33 @@ let test_fs301_fixit_from_plan () =
     [ ("undersized", undersized ());
       ("wide ladder", Topo_gen.wide_ladder ~rungs:6 ~cap:1) ]
 
+(* FS301's scale is computed on its first read, which may happen on
+   another domain than the lint: there, here, and once more after both,
+   it is the factor the cold sizing compile gives, and every offender
+   carries it. *)
+let test_fs301_fixit_on_read () =
+  let g = undersized () in
+  let r = Lint.run g in
+  let ds =
+    List.filter (fun (d : Lint.diagnostic) -> d.Lint.code = "FS301")
+      r.Lint.diagnostics
+  in
+  let d = List.hd ds in
+  let there = Domain.spawn (fun () -> Lint.fixit d) in
+  let here = Lint.fixit d in
+  let expected =
+    match
+      Sizing.min_uniform_scale g Lint.default_config.algorithm ~target:1
+    with
+    | Ok c -> Some (Lint.Scale_buffers c)
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "more than one offender" true (List.length ds > 1);
+  Alcotest.(check bool) "same value on both domains and after" true
+    (here = expected && Domain.join there = expected);
+  Alcotest.(check bool) "every offender carries it" true
+    (List.for_all (fun d -> Lint.fixit d = expected) ds)
+
 let test_fs301_fix_roundtrip () =
   let g = undersized () in
   let r = Lint.run g in
@@ -215,8 +242,9 @@ let test_fs304 () =
   check_silent "symmetric pair" "FS304" (Lint.run even)
 
 (* FS305 is armed only under [backend = Lp]: the run-sum audit of a
-   supplied table, with the Farkas-decoded demand chain as witness
-   (the same fixture test_lp.ml checks at the Lp.audit level). *)
+   supplied table, with {!Lp.audit}'s witness (the same fixture
+   test_lp.ml checks at the Lp.audit level). FS305 has no CLI path, so
+   its text is pinned here. *)
 let test_fs305 () =
   let g = Topo_gen.fig2_triangle ~cap:3 in
   let overloaded = Thresholds.of_array g [| Some 4; Some 4; Some 1 |] in
@@ -229,7 +257,15 @@ let test_fs305 () =
   Alcotest.(check bool)
     "FS305 is a Warning, not an Error" true
     (d.Lint.severity = Lint.Warning);
-  Alcotest.(check bool) "carries the demand chain" true (d.Lint.witness <> []);
+  Alcotest.(check string) "message"
+    "the supplied thresholds break the LP run-sum discipline at branch node \
+     0: a run out of it may legally lag 6 sequence numbers while its \
+     smallest out-buffer frees only 2"
+    d.Lint.message;
+  Alcotest.(check (list string)) "witness"
+    [ "branch node 0: worst chain demand 6 > out-buffer slack 2";
+      "demand chain: e0 (0->1) -> e1 (1->2)" ]
+    d.Lint.witness;
   check_silent "same table, default backend" "FS305"
     (Lint.run ~config:(cfg Compiler.Exact overloaded) g);
   (* the LP backend's own table audits clean *)
@@ -247,6 +283,30 @@ let test_fs305 () =
     (Lint.run
        ~config:{ Lint.default_config with Lint.backend = Compiler.Lp }
        g)
+
+(* Two overloaded branch nodes in one component: node 2 is upstream
+   and owns the lowest edge id, but the witness is the branch of lowest
+   node id, node 1, and its chain takes the lowest-id out-edge that
+   attains the demand at each step. *)
+let test_fs305_witness_rule () =
+  let g =
+    Graph.make ~nodes:4
+      [ (2, 1, 2); (2, 3, 2); (1, 3, 2); (1, 0, 2); (3, 0, 2) ]
+  in
+  let t = Thresholds.of_array g (Array.make 5 (Some 3)) in
+  let r =
+    Lint.run
+      ~config:
+        { Lint.default_config with
+          Lint.backend = Compiler.Lp; audit_thresholds = Some t }
+      g
+  in
+  let d = find "FS305" r in
+  Alcotest.(check bool) "at node 1" true (d.Lint.location = Lint.Node 1);
+  Alcotest.(check (list string)) "witness"
+    [ "branch node 1: worst chain demand 4 > out-buffer slack 1";
+      "demand chain: e2 (1->3) -> e4 (3->0)" ]
+    d.Lint.witness
 
 (* under [backend = Lp] a non-CS4 topology is first-class, so FS201
    downgrades to Warning and the report carries no Errors *)
@@ -674,10 +734,15 @@ let agrees_with_reference ?plan ~cycles (cfg : Lint.config) g =
   let pick code (r : Lint.report) =
     List.filter (fun (d : Lint.diagnostic) -> d.Lint.code = code) r.diagnostics
   in
+  (* every field, the fixit read through its cell *)
   let others (r : Lint.report) =
-    List.filter
+    List.filter_map
       (fun (d : Lint.diagnostic) ->
-        d.Lint.code <> "FS201" && d.Lint.code <> "FS202")
+        if d.Lint.code = "FS201" || d.Lint.code = "FS202" then None
+        else
+          Some
+            ( d.Lint.code, d.severity, d.location, d.message, d.witness,
+              Lint.fixit d ))
       r.diagnostics
   in
   if others expected <> others actual then
@@ -956,12 +1021,16 @@ let suite =
     Alcotest.test_case "FS203 not SP" `Quick test_fs203;
     Alcotest.test_case "FS301 undersized buffers" `Quick test_fs301;
     Alcotest.test_case "FS301 fix round-trip" `Quick test_fs301_fix_roundtrip;
+    Alcotest.test_case "FS301 fixit computed on first read" `Quick
+      test_fs301_fixit_on_read;
     Alcotest.test_case "FS301 fixit sized from the plan" `Quick
       test_fs301_fixit_from_plan;
     Alcotest.test_case "FS302 threshold audit" `Quick test_fs302;
     Alcotest.test_case "FS303 budget erosion" `Quick test_fs303;
     Alcotest.test_case "FS304 parallel asymmetry" `Quick test_fs304;
     Alcotest.test_case "FS305 LP run-sum audit" `Quick test_fs305;
+    Alcotest.test_case "FS305 witness: lowest branch id, lowest edge" `Quick
+      test_fs305_witness_rule;
     Alcotest.test_case "FS201 downgrade under lp" `Quick
       test_fs201_lp_downgrade;
     Alcotest.test_case "FS401 unknown bindings" `Quick test_fs401;

@@ -1,10 +1,13 @@
-(* The LP backend: simplex fixtures, encoding safety (every produced
-   table model-checked wedge-free), tightness against the exact
-   backend, dimensioning, and the audit/witness direction. *)
+(* The LP backend: the oracle simplex's fixtures, the graph
+   algorithms against the oracle's programs, encoding safety (every
+   produced table model-checked wedge-free), tightness against the
+   exact backend, dimensioning, and the audit/witness direction. *)
 
 open Fstream_graph
 open Fstream_core
-module R = Rational
+module R = Lp_oracle.Rational
+module Simplex = Lp_oracle.Simplex
+module Programs = Lp_oracle.Programs
 module Verify = Fstream_verify.Verify
 module Engine = Fstream_runtime.Engine
 module Topo_gen = Fstream_workloads.Topo_gen
@@ -77,13 +80,12 @@ let rational_qcheck =
 let test_simplex_optimal () =
   (* max x + y  s.t.  x + 2y <= 4, 3x + y <= 6: optimum (8/5, 6/5) *)
   match
-    (Lp.Simplex.maximize
+    (Simplex.maximize
        ~objective:[| R.one; R.one |]
        ~rows:[| ([| r 1; r 2 |], r 4); ([| r 3; r 1 |], r 6) |]
        ())
-      .outcome
   with
-  | Lp.Simplex.Optimal { objective; primal; dual } ->
+  | Simplex.Optimal { objective; primal; dual } ->
     Alcotest.check rational_t "objective" (rq 14 5) objective;
     Alcotest.check rational_t "x" (rq 8 5) primal.(0);
     Alcotest.check rational_t "y" (rq 6 5) primal.(1);
@@ -96,7 +98,7 @@ let test_simplex_degenerate () =
   (* redundant constraints meeting at one vertex must still terminate
      (Bland) and find the optimum *)
   match
-    (Lp.Simplex.maximize
+    (Simplex.maximize
        ~objective:[| R.one; R.one |]
        ~rows:
          [|
@@ -106,29 +108,26 @@ let test_simplex_degenerate () =
            ([| r 2; r 2 |], r 4);
          |]
        ())
-      .outcome
   with
-  | Lp.Simplex.Optimal { objective; _ } ->
+  | Simplex.Optimal { objective; _ } ->
     Alcotest.check rational_t "objective" (r 2) objective
   | _ -> Alcotest.fail "expected Optimal"
 
 let test_simplex_unbounded () =
   match
-    (Lp.Simplex.maximize ~objective:[| R.one; R.zero |]
+    (Simplex.maximize ~objective:[| R.one; R.zero |]
        ~rows:[| ([| r 0; r 1 |], r 1) |] ())
-      .outcome
   with
-  | Lp.Simplex.Unbounded -> ()
+  | Simplex.Unbounded -> ()
   | _ -> Alcotest.fail "expected Unbounded"
 
 let test_simplex_phase1 () =
   (* a negative RHS forces phase 1: min x at x >= 1 *)
   match
-    (Lp.Simplex.maximize ~objective:[| R.minus_one |]
+    (Simplex.maximize ~objective:[| R.minus_one |]
        ~rows:[| ([| r (-1) |], r (-1)); ([| r 1 |], r 3) |] ())
-      .outcome
   with
-  | Lp.Simplex.Optimal { objective; primal; _ } ->
+  | Simplex.Optimal { objective; primal; _ } ->
     Alcotest.check rational_t "objective" (r (-1)) objective;
     Alcotest.check rational_t "x" (r 1) primal.(0)
   | _ -> Alcotest.fail "expected Optimal"
@@ -136,8 +135,8 @@ let test_simplex_phase1 () =
 let test_simplex_infeasible () =
   (* x <= 2 and x >= 3 *)
   let rows = [| ([| r 1 |], r 2); ([| r (-1) |], r (-3)) |] in
-  match (Lp.Simplex.maximize ~objective:[| R.one |] ~rows ()).outcome with
-  | Lp.Simplex.Infeasible { farkas } ->
+  match Simplex.maximize ~objective:[| R.one |] ~rows () with
+  | Simplex.Infeasible { farkas } ->
     (* the certificate really certifies: y >= 0, y^T A >= 0, y^T b < 0 *)
     Alcotest.(check bool) "y >= 0" true
       (Array.for_all (fun y -> R.sign y >= 0) farkas);
@@ -150,99 +149,6 @@ let test_simplex_infeasible () =
       (R.sign (combo (fun (a, _) -> a.(0))) >= 0);
     Alcotest.(check bool) "y^T b < 0" true (R.sign (combo snd) < 0)
   | _ -> Alcotest.fail "expected Infeasible"
-
-(* ---------------- Simplex warm start -------------------------------- *)
-
-(* A random program over 1-4 variables: 1-5 rows with coefficients in
-   [-3, 3] and right-hand sides drawn by [rhs], plus an all-ones box row
-   with a positive bound, so every feasible program is bounded. *)
-let random_program rng ~rhs =
-  let n = 1 + Random.State.int rng 4 in
-  let coeffs () = Array.init n (fun _ -> r (Random.State.int rng 7 - 3)) in
-  let rows =
-    Array.init (1 + Random.State.int rng 5) (fun _ -> (coeffs (), r (rhs ())))
-  in
-  let box = (Array.make n R.one, r (1 + Random.State.int rng 9)) in
-  (coeffs (), Array.append rows [| box |])
-
-let objective_of (s : Lp.Simplex.solution) =
-  match s.outcome with
-  | Lp.Simplex.Optimal { objective; _ } -> objective
-  | _ -> Alcotest.fail "expected Optimal"
-
-(* With every right-hand side non-negative the slack basis is feasible,
-   so a hint is always tried: its own optimal basis, the optimal basis
-   of the program with perturbed right-hand sides (the crash may land
-   primal-infeasible, where the dual loop repairs it) and a random basis
-   (which may be abandoned for a cold solve) must all reach the cold
-   optimum. A hint that keeps every slack crashes nothing and replays
-   the cold solve pivot for pivot. *)
-let simplex_warm_qcheck =
-  Tutil.qtest ~count:500 "simplex: every hint reaches the cold optimum"
-    Tutil.seed_gen (fun seed ->
-      let rng = Tutil.rng_of seed in
-      let objective, rows =
-        random_program rng ~rhs:(fun () -> Random.State.int rng 7)
-      in
-      let m = Array.length rows and n = Array.length objective in
-      let solve ?hint rows = Lp.Simplex.maximize ?hint ~objective ~rows () in
-      let cold = solve rows in
-      let z = objective_of cold in
-      let reaches name (s : Lp.Simplex.solution) =
-        if not (R.equal z (objective_of s)) then
-          QCheck.Test.fail_reportf "%s: objective %s, cold %s" name
-            (R.to_string (objective_of s)) (R.to_string z)
-      in
-      let own = solve ~hint:cold.basis rows in
-      reaches "own basis" own;
-      let nudge b =
-        let b = R.add b (r (Random.State.int rng 5 - 2)) in
-        if R.sign b < 0 then R.zero else b
-      in
-      let perturbed = Array.map (fun (a, b) -> (a, nudge b)) rows in
-      let zp = objective_of (solve perturbed) in
-      let repaired = solve ~hint:cold.basis perturbed in
-      if not (R.equal zp (objective_of repaired)) then
-        QCheck.Test.fail_reportf "perturbed: objective %s, cold %s"
-          (R.to_string (objective_of repaired)) (R.to_string zp);
-      let random_hint =
-        Array.init m (fun _ -> Random.State.int rng (n + m + 1) - 1)
-      in
-      reaches "random hint" (solve ~hint:random_hint rows);
-      let slack = solve ~hint:(Array.make m (-1)) rows in
-      reaches "slack hint" slack;
-      slack.warm && slack.pivots = cold.pivots && not cold.warm)
-
-(* A negative right-hand side runs phase 1, which ignores the hint. *)
-let simplex_phase1_hint_qcheck =
-  Tutil.qtest ~count:500 "simplex: phase 1 ignores the hint" Tutil.seed_gen
-    (fun seed ->
-      let rng = Tutil.rng_of seed in
-      let objective, rows =
-        random_program rng ~rhs:(fun () -> Random.State.int rng 9 - 3)
-      in
-      let m = Array.length rows and n = Array.length objective in
-      QCheck.assume (Array.exists (fun (_, b) -> R.sign b < 0) rows);
-      let plain = Lp.Simplex.maximize ~objective ~rows () in
-      let hinted =
-        Lp.Simplex.maximize
-          ~hint:(Array.init m (fun _ -> Random.State.int rng (n + m)))
-          ~objective ~rows ()
-      in
-      let same_array a b =
-        Array.length a = Array.length b && Array.for_all2 R.equal a b
-      in
-      (match (plain.outcome, hinted.outcome) with
-      | ( Lp.Simplex.Optimal { objective = z; primal = p; dual = d },
-          Lp.Simplex.Optimal { objective = z'; primal = p'; dual = d' } ) ->
-        R.equal z z' && same_array p p' && same_array d d'
-      | ( Lp.Simplex.Infeasible { farkas = f },
-          Lp.Simplex.Infeasible { farkas = f' } ) ->
-        same_array f f'
-      | Lp.Simplex.Unbounded, Lp.Simplex.Unbounded -> true
-      | _ -> false)
-      && plain.basis = hinted.basis && plain.pivots = hinted.pivots
-      && (not plain.warm) && not hinted.warm)
 
 (* ---------------- The interval backend ---------------------------- *)
 
@@ -372,6 +278,122 @@ let test_tightness_small () =
         lp)
     instances
 
+(* ----- the graph algorithms against the oracle's programs ----- *)
+
+let families =
+  [
+    ("random SP", fun seed -> Tutil.random_sp_of_seed seed);
+    ("random ladder", fun seed -> Tutil.random_ladder_of_seed seed);
+    ("random CS4", fun seed -> Tutil.random_cs4_of_seed seed);
+    ("random dense", Tutil.random_dense_of_seed);
+    ("random chorded DAG", Tutil.random_dag_of_seed);
+  ]
+
+(* Per cyclic component, the table's slack sum (interval - 1) must be
+   the optimum the oracle simplex finds for the program with its box
+   row. *)
+let check_objectives name g =
+  let ivals, _, _ = Lp.resolve g in
+  List.iter
+    (fun (ids, z) ->
+      let slack =
+        List.fold_left
+          (fun acc id ->
+            match ivals.(id) with
+            | Interval.Fin { num; den } ->
+              R.add acc (R.sub (R.make num den) R.one)
+            | Interval.Inf ->
+              Alcotest.failf "%s: component edge e%d is Inf" name id)
+          R.zero ids
+      in
+      if not (R.equal slack z) then
+        Alcotest.failf "%s: component at e%d: slack %s, oracle optimum %s" name
+          (List.hd ids) (R.to_string slack) (R.to_string z))
+    (Programs.interval_objectives g)
+
+let objective_qcheck (name, of_seed) =
+  Tutil.qtest ~count:300 (name ^ ": objective = oracle simplex per component")
+    Tutil.seed_gen (fun seed ->
+      check_objectives name (of_seed seed);
+      true)
+
+let test_objective_layered () =
+  for layers = 2 to 20 do
+    for width = 3 to 6 do
+      check_objectives
+        (Printf.sprintf "layered %dx%d" layers width)
+        (Topo_gen.layered_dense ~layers ~width ~cap:2)
+    done
+  done
+
+(* the programs test/cram/lp.t solves, edited ones included *)
+let test_objective_cram () =
+  let edited g script =
+    match Result.bind (Edit.parse_ops script) (Edit.apply g) with
+    | Ok d -> d.Edit.graph
+    | Error e -> Alcotest.fail e
+  in
+  let layered = Topo_gen.layered_dense ~layers:7 ~width:3 ~cap:2 in
+  let cs4 =
+    Topo_gen.random_cs4 (Random.State.make [| 3 |]) ~blocks:3 ~block_edges:8
+      ~max_cap:4
+  in
+  List.iter
+    (fun (name, g) -> check_objectives name g)
+    [
+      ("butterfly", Topo_gen.fig4_butterfly ~cap:2);
+      ("fig2", Topo_gen.fig2_triangle ~cap:2);
+      ("layered-dense", layered);
+      ("layered-dense resized", edited layered "resize e0 3");
+      ("random-cs4", cs4);
+      ("random-cs4 edited", edited cs4 "resize e0 1; add-stage e5 2 2");
+    ]
+
+(* a random threshold table: about a quarter of the edges never send *)
+let random_table rng g =
+  Array.init (Graph.num_edges g) (fun _ ->
+      if Random.State.int rng 4 = 0 then None
+      else Some (1 + Random.State.int rng 3))
+
+let table_qcheck (name, of_seed) =
+  Tutil.qtest ~count:300
+    (name ^ ": audit verdict, min_buffers = oracle on random tables")
+    Tutil.seed_gen (fun seed ->
+      let g = of_seed seed in
+      let thresholds = random_table (Tutil.rng_of (seed + 0x5a)) g in
+      Result.is_ok (Lp.audit g ~thresholds)
+      = Programs.audit_feasible g ~thresholds
+      && Lp.min_buffers g ~thresholds = Programs.min_buffers g ~thresholds)
+
+(* The optimum is canonical: renumber the nodes and reorder the edges,
+   and every edge keeps its interval. *)
+let canonical_qcheck (name, of_seed) =
+  Tutil.qtest ~count:300 (name ^ ": table independent of numbering")
+    Tutil.seed_gen (fun seed ->
+      let g = of_seed seed in
+      let rng = Tutil.rng_of (seed + 0xc4) in
+      let shuffled k =
+        let key = Array.init k (fun _ -> Random.State.bits rng) in
+        List.init k Fun.id
+        |> List.sort (fun i j -> compare (key.(i), i) (key.(j), j))
+        |> Array.of_list
+      in
+      let m = Graph.num_edges g in
+      let node = shuffled (Graph.num_nodes g) and edge = shuffled m in
+      (* edge [i] of [g] is edge [edge.(i)] of [h] *)
+      let back = Array.make m 0 in
+      Array.iteri (fun i j -> back.(j) <- i) edge;
+      let h =
+        Graph.make ~nodes:(Graph.num_nodes g)
+          (List.init m (fun j ->
+               let e = Graph.edge g back.(j) in
+               (node.(e.src), node.(e.dst), e.cap)))
+      in
+      let a, _, _ = Lp.resolve g and b, _, _ = Lp.resolve h in
+      List.for_all
+        (fun i -> Interval.equal a.(i) b.(edge.(i)))
+        (List.init m Fun.id))
+
 (* ----- dimensioning + audit ---------------------------------------- *)
 
 let test_min_buffers_pipeline () =
@@ -439,6 +461,11 @@ let suite =
       test_min_buffers_pipeline;
     min_buffers_qcheck;
     Alcotest.test_case "audit witness decoding" `Quick test_audit_witness;
-    simplex_warm_qcheck;
-    simplex_phase1_hint_qcheck;
+    Alcotest.test_case "objective = oracle on layered-dense 2-20 x 3-6" `Quick
+      test_objective_layered;
+    Alcotest.test_case "objective = oracle on the lp.t programs" `Quick
+      test_objective_cram;
   ]
+  @ List.map objective_qcheck families
+  @ List.map table_qcheck families
+  @ List.map canonical_qcheck families

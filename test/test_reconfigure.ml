@@ -1,10 +1,10 @@
 (* Hot-reconfiguration differential suites.
 
    Layer 1: applying a random edit script and recompiling incrementally
-   (splicing clean blocks, recomputing the edited ones, warm-starting
-   the LP) is bit-for-bit the table a full recompile of the edited
-   graph produces, across the three avoidance algorithms and the graph
-   families of the paper, one-block SP DAGs included.
+   (splicing clean blocks and LP components, recomputing the edited
+   ones) is bit-for-bit the table a full recompile of the edited graph
+   produces, across the three avoidance algorithms, both backends and
+   the graph families of the paper, one-block SP DAGs included.
 
    Layer 2: the serving layer — reconfigure-then-run behaves exactly
    like admitting the edited topology fresh, the epoch/stat counters
@@ -251,38 +251,17 @@ let ancestry_eq_brute (fname, family, _) =
           [ ("CS4", cs4_partition); ("cyclic", cyclic_partition) ];
         true)
 
-(* ----- the LP route: objective-equal, not vertex-equal ----- *)
+(* ----- the LP route: bit-for-bit a cold compile ----- *)
 
 let lp_options =
   { Compiler.Options.default with Compiler.Options.backend = Compiler.Lp }
 
-(* Spliced components are bit-identical to a cold solve (same program,
-   same Bland pivot sequence); warm-started components may stop at a
-   different optimal vertex of the same polytope. The sound contract:
-   the Inf set (structural: bridges) agrees, the total interval mass
-   (finite-edge rational sum = component count + LP objectives) agrees,
-   and the incremental table sits inside the LP's safe polytope. *)
-let rational_sum ivals =
-  Array.fold_left
-    (fun acc (iv : Interval.t) ->
-      match iv with
-      | Interval.Fin { num; den } -> Rational.add acc (Rational.make num den)
-      | Interval.Inf -> acc)
-    Rational.zero ivals
-
-let same_inf_set a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun i iv ->
-      if Interval.is_finite iv <> Interval.is_finite b.(i) then ok := false)
-    a;
-  !ok
-
+(* The LP's optimum is canonical, so an incremental recompile (spliced
+   components copied, the rest solved) is the full compile's table
+   interval for interval, and on the LP's safe polytope. *)
 let lp_incr_eq_full (fname, family, _) =
   Tutil.qtest ~count:300
-    (Printf.sprintf "LP incremental objective-equal to full (%s)" fname)
+    (Printf.sprintf "LP incremental equal to full (%s)" fname)
     Tutil.seed_gen (fun seed ->
       let g0 = family seed in
       let rng = Tutil.rng_of (seed + 0x1b) in
@@ -306,13 +285,8 @@ let lp_incr_eq_full (fname, family, _) =
           in
           match (incr, full) with
           | Ok (pi, _), Ok pf ->
-            Alcotest.(check bool) "Inf sets equal" true
-              (same_inf_set pf.Compiler.intervals pi.Compiler.intervals);
-            Alcotest.(check bool) "objective sums equal" true
-              (Rational.equal
-                 (rational_sum pf.Compiler.intervals)
-                 (rational_sum pi.Compiler.intervals));
-            (* the incremental table is on the LP's safe polytope *)
+            Tutil.check_intervals "incremental = full" pf.Compiler.intervals
+              pi.Compiler.intervals;
             (match
                Lp.audit delta.Edit.graph
                  ~thresholds:
@@ -333,29 +307,35 @@ let lp_incr_eq_full (fname, family, _) =
             Alcotest.failf "full Ok but incremental failed: %s"
               (Compiler.error_to_string e))))
 
-(* The warm-start payoff the acceptance bar names: on layered-dense, a
-   single-edge resize re-solved from the previous basis spends strictly
-   fewer pivots than solving the edited program cold. *)
-let test_warm_fewer_pivots () =
-  let g = Topo_gen.layered_dense ~layers:5 ~width:3 ~cap:2 in
-  let _, base, st = Lp.resolve g in
-  Alcotest.(check bool) "cold base solve pivots" true (base.Lp.rpivots > 0);
-  match Edit.apply g [ Edit.Resize { edge = 0; cap = 3 } ] with
-  | Error e -> Alcotest.fail e
-  | Ok d ->
-    let wivals, w, _ =
-      Lp.resolve ~warm:(st, d) d.Edit.graph
-    in
-    let civals, c, _ = Lp.resolve d.Edit.graph in
-    Alcotest.(check bool) "warm re-solved a component" true (w.Lp.rwarm >= 1);
-    Alcotest.(check bool)
-      (Printf.sprintf "warm (%d) strictly fewer pivots than cold (%d)"
-         w.Lp.rpivots c.Lp.rpivots)
-      true
-      (w.Lp.rpivots < c.Lp.rpivots);
-    Alcotest.(check bool) "Inf sets equal" true (same_inf_set civals wivals);
-    Alcotest.(check bool) "objective sums equal" true
-      (Rational.equal (rational_sum civals) (rational_sum wivals))
+(* On a chain of cyclic components, an edit of one component splices
+   the others, and the recompiled table is the cold compile's. *)
+let test_lp_recompile_is_cold () =
+  let g =
+    Topo_gen.random_cs4 (Random.State.make [| 7 |]) ~blocks:6 ~block_edges:8
+      ~max_cap:4
+  in
+  let cache = Compiler.cache_create () in
+  match
+    ( Compiler.compile_cached ~options:lp_options cache
+        Compiler.Non_propagation g,
+      Edit.apply g [ Edit.Resize { edge = 0; cap = 5 } ] )
+  with
+  | Ok _, Ok d -> (
+    match
+      ( Compiler.recompile ~options:lp_options cache Compiler.Non_propagation d,
+        Compiler.compile ~options:lp_options Compiler.Non_propagation
+          d.Edit.graph )
+    with
+    | Ok (pi, { Compiler.lp_stats = Some lp; _ }), Ok pf ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d of %d components spliced" lp.Lp.rspliced
+           lp.Lp.rcomponents)
+        true
+        (lp.Lp.rspliced >= 1 && lp.Lp.rcold >= 1);
+      Tutil.check_intervals "recompile = cold compile" pf.Compiler.intervals
+        pi.Compiler.intervals
+    | _ -> Alcotest.fail "LP recompile or compile failed")
+  | _ -> Alcotest.fail "base compile or edit failed"
 
 (* Where the Auto backend can afford both routes, its table must be
    the edge-wise minimum of the exact and LP tables — safety is
@@ -538,7 +518,7 @@ let test_epoch_and_counters () =
       st.Serve.warm_pivots
 
 (* Same, under the Lp backend: the warm-pivot counter is fed by the
-   re-solve's cumulative pivot count. *)
+   solves' augmenting paths. *)
 let test_lp_reconfigure_counters () =
   let t = Serve.create ~domains:2 () in
   Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
@@ -555,7 +535,7 @@ let test_lp_reconfigure_counters () =
       | None -> Alcotest.fail "Lp backend recompile carried no LP stats"
       | Some lp ->
         Alcotest.(check bool) "the LP touched a component" true
-          (lp.Lp.rspliced + lp.Lp.rwarm + lp.Lp.rcold >= 1);
+          (lp.Lp.rspliced + lp.Lp.rcold >= 1);
         Alcotest.(check int) "pivots surfaced on the server counter"
           lp.Lp.rpivots (Serve.stats t).Serve.warm_pivots)
     | Ok None -> Alcotest.fail "expected an incremental recompile"
@@ -780,8 +760,9 @@ let suite =
   @ List.map lp_incr_eq_full families
   @ List.map auto_min_combine families
   @ [
-      Alcotest.test_case "warm resize beats cold on layered-dense" `Quick
-        test_warm_fewer_pivots;
+      Alcotest.test_case "LP recompile of a component chain is the cold table"
+        `Quick
+        test_lp_recompile_is_cold;
     ]
   @ List.map reconfigure_eq_fresh_admit modes
   @ [
