@@ -1557,7 +1557,7 @@ let lp1 () =
   List.iter
     (fun (layers, width) ->
       let g = Topo_gen.layered_dense ~layers ~width ~cap:2 in
-      let gc, (_, st, _) = with_gc_stats (fun () -> Lp.resolve g) in
+      let gc, (_, st) = with_gc_stats (fun () -> Lp.resolve g) in
       let t = time_best ~repeat:5 (fun () -> Lp.resolve g) in
       let edges = Graph.num_edges g in
       row "  %6d x %d %6d %6d %a %12.0f@." layers width edges st.Lp.rpivots
@@ -1706,22 +1706,22 @@ let rc1 () =
   (* Full compile of the edited graph vs incremental recompile from a
      cache primed on [g], best of 3 each. A recompile consumes the
      previous epoch's snapshot, so the cache is re-primed before every
-     trial. The incremental table is asserted bit-identical to the full
+     trial. The incremental table is required bit-identical to the full
      one first. *)
-  let resize_trial ?options algorithm g delta =
+  let trial algorithm g delta =
     let cache = Compiler.cache_create () in
     let prime () =
-      match Compiler.compile_cached ?options cache algorithm g with
+      match Compiler.compile_cached cache algorithm g with
       | Ok _ -> ()
       | Error _ -> assert false
     in
     let full () =
-      match Compiler.compile ?options algorithm delta.Edit.graph with
+      match Compiler.compile algorithm delta.Edit.graph with
       | Ok p -> p
       | Error _ -> assert false
     in
     let incr () =
-      match Compiler.recompile ?options cache algorithm delta with
+      match Compiler.recompile cache algorithm delta with
       | Ok r -> r
       | Error _ -> assert false
     in
@@ -1761,7 +1761,7 @@ let rc1 () =
       | Error _ -> row "  edit failed@."
       | Ok delta ->
         let t_full, t_incr, stats =
-          resize_trial Compiler.Non_propagation g delta
+          trial Compiler.Non_propagation g delta
         in
         if !t_incr_first = 0. then t_incr_first := t_incr;
         t_incr_last := t_incr;
@@ -1803,36 +1803,37 @@ let rc1 () =
       "speedup";
     List.iter
       (fun (name, algorithm) ->
-        let t_full, t_incr, stats = resize_trial algorithm g delta in
+        let t_full, t_incr, stats = trial algorithm g delta in
         row "  %-16s %a %a %10d %8.1fx@." name pp_ns t_full pp_ns t_incr
           stats.Compiler.recomputed_edges (t_full /. t_incr);
         headline "RC1" (Printf.sprintf "one_block_full_ns_%s" name) t_full;
         headline "RC1" (Printf.sprintf "one_block_incr_ns_%s" name) t_incr)
       [ ("propagation", Compiler.Propagation);
         ("non-propagation", Compiler.Non_propagation) ]);
-  (* the LP backend on a chain of cyclic components: a one-edge resize
-     splices every component but the edited one, and since the LP's
-     optimum is canonical the recompiled table is the cold compile's,
-     bit for bit ([resize_trial] checks it) *)
-  let blocks = if !quick then 8 else 32 in
-  let rng = Random.State.make [| 4711 |] in
-  let g = Topo_gen.random_cs4 rng ~blocks ~block_edges:8 ~max_cap:4 in
-  let options = { Compiler.Options.default with backend = Compiler.Lp } in
-  match resize_first g with
-  | Error _ -> row "  edit failed@."
-  | Ok delta ->
-    let t_full, t_incr, stats =
-      resize_trial ~options Compiler.Non_propagation g delta
-    in
-    let lp = Option.get stats.Compiler.lp_stats in
-    row
-      "  LP, %d-block CS4 chain, resize e0: %d of %d components spliced; full \
-       %a, incr %a; recompile = cold (ok)@."
-      blocks lp.Lp.rspliced lp.Lp.rcomponents pp_ns t_full pp_ns t_incr;
-    headline "RC1" "lp_chain_spliced_components" (float lp.Lp.rspliced);
-    headline "RC1" "lp_chain_full_ns" t_full;
-    headline "RC1" "lp_chain_incr_ns" t_incr;
-    require "RC1" "the LP recompile spliced no component" (lp.Lp.rspliced >= 1)
+  (* a structural edit compiles cold: an add-stage on e0 of a CS4
+     chain splices nothing, so the recompile costs what a cold compile
+     does ([trial] checks the tables are equal) *)
+  let rng = Random.State.make [| 6032 |] in
+  row "  random CS4 chain, add a stage on e0: cold compile vs recompile@.";
+  row "  %6s %6s %12s %12s %8s@." "blocks" "edges" "full" "incr" "spliced";
+  List.iter
+    (fun blocks ->
+      let g = Topo_gen.random_cs4 rng ~blocks ~block_edges:6 ~max_cap:5 in
+      match
+        Edit.apply g [ Edit.Add_stage { edge = 0; cap_in = 2; cap_out = 2 } ]
+      with
+      | Error _ -> row "  edit failed@."
+      | Ok delta ->
+        let t_full, t_incr, stats = trial Compiler.Non_propagation g delta in
+        row "  %6d %6d %a %a %8d@." blocks (Graph.num_edges g) pp_ns t_full
+          pp_ns t_incr stats.Compiler.spliced_edges;
+        headline "RC1" (Printf.sprintf "add_stage_full_ns_blocks_%d" blocks)
+          t_full;
+        headline "RC1" (Printf.sprintf "add_stage_incr_ns_blocks_%d" blocks)
+          t_incr;
+        require "RC1" "a structural edit spliced a block"
+          (stats.Compiler.spliced_edges = 0))
+    [ 6; 32 ]
 
 (* ------------------------------------------------------------------ *)
 (* ADM. Admission analysis of a served non-CS4 tenant: lint of each

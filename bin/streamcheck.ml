@@ -827,15 +827,20 @@ let size_cmd =
       | Ok c ->
         Format.printf
           "smallest uniform buffer scaling for intervals >= %d: x%d@." target c;
-        (match Compiler.compile algorithm (Sizing.scale_caps g c) with
-        | Ok p ->
-          let tightest =
-            Array.fold_left Interval.min Interval.inf p.intervals
-          in
-          Format.printf "tightest interval after scaling: %a@." Interval.pp
-            tightest
-        | Error _ -> ());
-        0)
+        match Sizing.scale_caps g c with
+        | Error e ->
+          Format.eprintf "error: %s@." e;
+          1
+        | Ok scaled ->
+          (match Compiler.compile algorithm scaled with
+          | Ok p ->
+            let tightest =
+              Array.fold_left Interval.min Interval.inf p.intervals
+            in
+            Format.printf "tightest interval after scaling: %a@." Interval.pp
+              tightest
+          | Error _ -> ());
+          0)
   in
   let target =
     Arg.(
@@ -1015,9 +1020,7 @@ let serve_cmd =
                           (match st.Compiler.lp_stats with
                           | None -> ""
                           | Some lp ->
-                            Printf.sprintf
-                              " lp:spliced=%d solved=%d paths=%d"
-                              lp.Lp.rspliced lp.Lp.rcold lp.Lp.rpivots))))))
+                            Printf.sprintf " lp:paths=%d" lp.Lp.rpivots))))))
           reconfig;
         List.iter
           (fun (s, spec) ->

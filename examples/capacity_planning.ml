@@ -57,4 +57,4 @@ let () =
   | Error e -> failwith e
   | Ok c ->
     Format.printf "  -> smallest scaling for intervals >= %d: x%d@." target c;
-    report (Printf.sprintf "scaled x%d" c) (Sizing.scale_caps g c)
+    report (Printf.sprintf "scaled x%d" c) (Result.get_ok (Sizing.scale_caps g c))

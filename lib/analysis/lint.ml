@@ -1054,17 +1054,17 @@ let apply_fixes g report =
           ] )
       | None -> (g, [])
     in
-    let g, actions =
-      if scale > 1 then
-        ( Sizing.scale_caps g scale,
-          actions
-          @ [
-              Printf.sprintf
-                "scaled every buffer capacity by x%d to lift all dummy \
-                 intervals to >= 1"
-                scale;
-            ] )
-      else (g, actions)
-    in
-    Ok (g, actions)
+    if scale = 1 then Ok (g, actions)
+    else
+      Result.map
+        (fun g ->
+          ( g,
+            actions
+            @ [
+                Printf.sprintf
+                  "scaled every buffer capacity by x%d to lift all dummy \
+                   intervals to >= 1"
+                  scale;
+              ] ))
+        (Sizing.scale_caps g scale)
   end

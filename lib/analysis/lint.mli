@@ -194,4 +194,6 @@ val apply_fixes : Graph.t -> report -> (Graph.t * string list, string) result
 (** Apply every fixit of the report to the graph: first the CS4 reroute
     (if any finding carries one), then the largest buffer-scaling
     factor. Returns the fixed graph and a human summary line per action
-    taken; [Error] if the report carries no fixit at all. *)
+    taken; [Error] if the report carries no fixit at all, or if the
+    scaled capacities would sum past
+    {!Fstream_graph.Graph.max_total_cap}. *)

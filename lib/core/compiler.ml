@@ -165,19 +165,15 @@ type recompile_stats = {
   lp_stats : Lp.resolve_stats option;
 }
 
-(* The exact-route residue of one epoch: the classification, whose
-   blocks' edge ids are the partition the next epoch's blocks trace
-   their ancestry to, and the exact table, which the next epoch's
-   unedited blocks splice from. *)
-type exact_snap = { scls : Cs4.t; stable : Interval.t array }
-
+(* The residue of an epoch whose exact route took the CS4 path: its
+   classification and table, which a resize-only edit of that graph
+   refreshes and splices. *)
 type snapshot = {
   sfp : int;
   salgo : algorithm;
   sbackend : backend;
-  sexact : exact_snap option;
-  slp : Lp.state option;
-  splan : plan;
+  scls : Cs4.t;
+  stable : Interval.t array;
 }
 
 type cache = {
@@ -186,12 +182,6 @@ type cache = {
 }
 
 let cache_create () = { clock = Mutex.create (); snap = None }
-
-let cache_plan cache =
-  Mutex.lock cache.clock;
-  let p = Option.map (fun s -> s.splan) cache.snap in
-  Mutex.unlock cache.clock;
-  p
 
 (* a snapshot is never mutated once stored, so the fork shares it *)
 let cache_fork cache =
@@ -218,111 +208,68 @@ let refresh_block g = function
   | Cs4.Sp_block t -> Cs4.Sp_block (Sp_tree.refresh g t)
   | Cs4.Ladder_block l -> Cs4.Ladder_block (Ladder.refresh g l)
 
-(* The CS4 table, one serial block at a time. A block the edit left an
-   unedited copy of a previous block ({!Edit.ancestry}) splices that
-   block's values read at the edges' origins: block values are
-   block-local, so no interval arithmetic at all. Any other block is
-   rebuilt by [refresh] against [g]'s records (the identity on a fresh
-   classification) and recomputed by the paper's update for its class.
-   A fresh compile has no previous epoch and splices nothing. *)
-let run_cs4 ~refresh algorithm g (cls : Cs4.t) prev =
+(* The CS4 table, one serial block at a time. Given a resize-only
+   edit's dirty edges and the previous epoch's table ([prev]), a block
+   with no dirty edge splices its previous values: block values are
+   block-local (Theorem V.7), so no interval arithmetic at all. Every
+   other block is refreshed against [g]'s capacities and recomputed by
+   the paper's update for its class. A cold compile ([prev = None])
+   computes every block of a fresh classification. *)
+let run_cs4 algorithm g (cls : Cs4.t) prev =
   let ivals = Array.make (Graph.num_edges g) Interval.inf in
   let spliced = ref 0 and recomputed = ref 0 in
-  let splice =
-    match prev with
-    | None -> fun _ -> false
-    | Some ((d : Edit.delta), pe) -> (
-      let ancestry = Edit.ancestry d ~base:pe.scls.Cs4.block_ids in
-      fun ids ->
-        match ancestry ids with
-        | Some { Edit.unedited = true; _ } ->
-          List.iter
-            (fun id -> ivals.(id) <- pe.stable.(Option.get d.Edit.origin.(id)))
-            ids;
-          true
-        | _ -> false)
-  in
   let block (s, d, b) ids =
-    if splice ids then begin
+    match prev with
+    | Some (dirty, table) when not (List.exists (Array.get dirty) ids) ->
+      List.iter (fun id -> ivals.(id) <- table.(id)) ids;
       spliced := !spliced + List.length ids;
       (s, d, b)
-    end
-    else begin
-      let b = refresh b in
+    | _ ->
+      let b = if Option.is_some prev then refresh_block g b else b in
       update_block algorithm ivals b;
       recomputed := !recomputed + List.length ids;
       (s, d, b)
-    end
   in
   let blocks = List.map2 block cls.Cs4.blocks cls.Cs4.block_ids in
-  ( { scls = { cls with Cs4.blocks }; stable = ivals },
-    !spliced,
-    !recomputed )
-
-(* Every edge and node kept its own id: the script only changed
-   capacities, so the edited graph's topology — and therefore its
-   classification — is the base graph's. *)
-let structure_preserving (d : Edit.delta) g =
-  let ident m =
-    let ok = ref true in
-    Array.iteri
-      (fun i -> function Some j when j = i -> () | _ -> ok := false)
-      m;
-    !ok
-  in
-  Array.length d.Edit.edge_map = Graph.num_edges g
-  && Array.length d.Edit.node_map = Graph.num_nodes g
-  && ident d.Edit.edge_map
-  && ident d.Edit.node_map
+  ({ cls with Cs4.blocks }, ivals, !spliced, !recomputed)
 
 (* The one compile route; caller holds [clock]. Every public entry
-   point lands here, and a usable previous epoch changes only what the
-   route starts from — the spliced blocks and LP components — never
-   which route runs. The previous epoch is usable only when it
-   describes exactly the graph the edit script was applied to, under
-   the same algorithm and backend; anything else is a fresh compile. *)
+   point lands here. The one reuse: a resize-only edit of the graph the
+   previous epoch compiled on the CS4 path, under the same algorithm
+   and backend, keeps that epoch's classification (the topology did
+   not change, so neither did DAG-ness, connectivity or the
+   decomposition) and splices its clean blocks. Anything else — a
+   structural edit, no previous epoch, any other route — compiles cold
+   through the same dispatch, and the LP always solves every
+   component. *)
 let compile_locked cache (options : Options.t) algorithm
     ~(delta : Edit.delta option) g =
   let backend = options.backend in
   let prev =
     match (delta, cache.snap) with
     | Some d, Some snap
-      when snap.sfp = Thresholds.graph_fingerprint d.Edit.base
+      when d.Edit.resize_only
+           && snap.sfp = Thresholds.graph_fingerprint d.Edit.base
            && snap.salgo = algorithm && snap.sbackend = backend ->
       Some (d, snap)
-    | _ -> None
-  in
-  let prev_exact =
-    match prev with
-    | Some (d, { sexact = Some pe; _ }) -> Some (d, pe)
-    | _ -> None
-  in
-  (* a structure-preserving edit of a previously classified graph
-     cannot change DAG-ness, connectivity or the classification: skip
-     all three and refresh the previous decomposition in place — the
-     reason a single-edge resize is sublinear in the graph size *)
-  let in_place =
-    match prev_exact with
-    | Some (d, _) when structure_preserving d g -> prev_exact
     | _ -> None
   in
   (* [Ok None]: the Auto backend hands over to the LP exactly where the
      exact route gives up *)
   let give_up e = if backend = Auto then Ok None else Error e in
-  let cs4 (pe, spliced, recomputed) =
+  let cs4 (cls, intervals, spliced, recomputed) =
     let plan =
-      { algorithm; intervals = pe.stable; route = Cs4_route pe.scls;
-        fused = None }
+      { algorithm; intervals; route = Cs4_route cls; fused = None }
     in
-    Ok (Some (plan, Some pe, spliced, recomputed))
+    Ok (Some (plan, Some (cls, intervals), spliced, recomputed))
   in
   let exact order =
-    match in_place with
-    | Some (_, pe) ->
-      cs4 (run_cs4 ~refresh:(refresh_block g) algorithm g pe.scls in_place)
+    match prev with
+    | Some (d, snap) ->
+      cs4 (run_cs4 algorithm g snap.scls (Some (d.Edit.dirty, snap.stable)))
     | None -> (
       match Cs4.classify ?order g with
-      | Ok cls -> cs4 (run_cs4 ~refresh:Fun.id algorithm g cls prev_exact)
+      | Ok cls -> cs4 (run_cs4 algorithm g cls None)
       | Error failure when not options.allow_general ->
         give_up
           (match failure with
@@ -338,17 +285,14 @@ let compile_locked cache (options : Options.t) algorithm
      all three avoidance algorithms; [algorithm] is recorded for the
      threshold-derivation step downstream. *)
   let lp () =
-    let prev =
-      Option.bind prev (fun (d, s) -> Option.map (fun st -> (st, d)) s.slp)
-    in
-    let intervals, st, state = Lp.resolve ?prev g in
+    let intervals, st = Lp.resolve g in
     let route =
       Lp_route { components = st.Lp.rcomponents; rows = st.Lp.rrows }
     in
-    ({ algorithm; intervals; route; fused = None }, st, state)
+    ({ algorithm; intervals; route; fused = None }, st)
   in
   (* the compile's one sort; a two-terminal DAG is connected *)
-  let recheck = Option.is_none in_place in
+  let recheck = Option.is_none prev in
   let order = if recheck then Topo.order g else None in
   if recheck && Option.is_none order then Error Not_a_dag
   else if
@@ -360,34 +304,30 @@ let compile_locked cache (options : Options.t) algorithm
     | Error e -> Error e
     | Ok exact ->
       let lp = if backend = Exact then None else Some (lp ()) in
-      let plan, sexact, spliced_edges, recomputed_edges =
+      let plan, cs4, spliced_edges, recomputed_edges =
         match (exact, lp) with
-        | Some (p, pe, s, r), None -> (p, pe, s, r)
-        | Some (p, pe, s, r), Some (lp_plan, _, _) ->
-          (min_combine p lp_plan, pe, s, r)
-        | None, Some (lp_plan, _, _) -> (lp_plan, None, 0, 0)
+        | Some (p, cs4, s, r), None -> (p, cs4, s, r)
+        | Some (p, cs4, s, r), Some (lp_plan, _) ->
+          (min_combine p lp_plan, cs4, s, r)
+        | None, Some (lp_plan, _) -> (lp_plan, None, 0, 0)
         | None, None ->
           (* only Auto hands over to the LP, and Auto runs it *)
           assert false
       in
-      let plan = attach_fusion options g plan in
       cache.snap <-
-        Some
-          {
-            sfp = Thresholds.graph_fingerprint g;
-            salgo = algorithm;
-            sbackend = backend;
-            sexact;
-            slp = Option.map (fun (_, _, state) -> state) lp;
-            splan = plan;
-          };
+        Option.map
+          (fun (scls, stable) ->
+            {
+              sfp = Thresholds.graph_fingerprint g;
+              salgo = algorithm;
+              sbackend = backend;
+              scls;
+              stable;
+            })
+          cs4;
       Ok
-        ( plan,
-          {
-            spliced_edges;
-            recomputed_edges;
-            lp_stats = Option.map (fun (_, st, _) -> st) lp;
-          } )
+        ( attach_fusion options g plan,
+          { spliced_edges; recomputed_edges; lp_stats = Option.map snd lp } )
 
 let with_clock cache f =
   Mutex.lock cache.clock;

@@ -16,8 +16,7 @@
     or the LP according to {!backend}, the Auto backend's edge-wise
     min, and finally {!Options.fuse}. A usable previous epoch (see
     {!recompile}) changes only what that dispatch starts from — the
-    blocks and LP components it may splice — never which route
-    runs. *)
+    CS4 blocks it may splice — never which route runs. *)
 
 open Fstream_graph
 open Fstream_ladder
@@ -150,31 +149,26 @@ val compile :
 (** {2 Incremental recompilation}
 
     A {!cache} carries one tenant's compile residue from epoch to
-    epoch: the previous epoch's classification and exact table, and
-    the previous LP components' solved intervals. {!recompile} consumes an
-    {!Fstream_graph.Edit.delta} and recomputes only what the edit
-    touched. Every interval is local to its serial block (Theorem V.7),
-    so the block is the unit of reuse: a block that
-    {!Fstream_graph.Edit.ancestry} finds an unedited copy of a previous
-    block splices that block's values without any interval arithmetic,
-    and every other block is recomputed whole by the paper's update for
-    its class. A capacity-only edit also skips the DAG, connectivity and
-    classification checks and rebuilds only the edited blocks'
-    decompositions against the new capacities. The LP asks the same
-    rule of its cyclic components: a copy splices the previous optimum,
-    every other component is solved ({!Lp.resolve}). The result is
-    bit-for-bit the table a full recompile of the edited graph would
-    produce, on both routes (the LP's optimum is canonical) —
-    property-checked in [test/test_reconfigure.ml]. *)
+    epoch: the previous epoch's CS4 classification and exact table,
+    when its exact route took the CS4 path. {!recompile} reuses it for
+    one kind of edit only. Every interval is local to its serial block
+    (Theorem V.7), so after a resize-only script
+    ({!Fstream_graph.Edit.delta}[.resize_only]) a block with no
+    resized edge splices its previous values without any interval
+    arithmetic, and every other block is refreshed against the new
+    capacities and recomputed by the paper's update for its class; the
+    DAG, connectivity and classification checks are skipped, since the
+    topology did not change. Any structural op compiles cold, and the
+    LP always solves every component. The result is bit-for-bit the
+    table a full compile of the edited graph would produce (the LP's
+    optimum is canonical) — property-checked in
+    [test/test_reconfigure.ml]. *)
 
 type cache
 
 val cache_create : unit -> cache
 (** A fresh, empty compile cache. Thread-safe: all operations on one
     cache serialize on an internal lock. *)
-
-val cache_plan : cache -> plan option
-(** The most recent epoch's plan, if any compile succeeded. *)
 
 val cache_fork : cache -> cache
 (** A cache starting from [cache]'s most recent epoch that records its
@@ -184,8 +178,9 @@ val cache_fork : cache -> cache
 
 type recompile_stats = {
   spliced_edges : int;
-      (** exact-route edges of clean blocks, whose values were copied
-          from the previous epoch *)
+      (** exact-route edges of the blocks a resize-only edit left
+          clean, whose values were copied from the previous epoch (0
+          on every other compile) *)
   recomputed_edges : int;
       (** exact-route edges of the blocks recomputed by interval
           arithmetic (every edge on a fresh compile) *)
@@ -209,11 +204,11 @@ val recompile :
   algorithm ->
   Fstream_graph.Edit.delta ->
   (plan * recompile_stats, error) result
-(** Compile [delta.graph] incrementally against the cache's previous
-    epoch. Falls back to a fresh compile (still recording the new
-    epoch) whenever the previous epoch is unusable — no prior compile,
-    or it was for a different graph than [delta.base], algorithm, or
-    backend. *)
+(** Compile [delta.graph] against the cache's previous epoch. The
+    epoch is usable when [delta] only resized, and the epoch compiled
+    [delta.base] on the CS4 path under the same algorithm and backend;
+    otherwise this is a fresh compile, still recording the new
+    epoch. *)
 
 val send_thresholds : Graph.t -> Interval.t array -> Thresholds.t
 (** Integer gap thresholds for the runtime wrappers, bound to the graph

@@ -202,57 +202,20 @@ let solve_component c ivals =
     c.cedges;
   paths
 
-type state = {
-  blocks : int list list; (* each component's edge ids *)
-  table : Interval.t array;
-}
+type resolve_stats = { rcomponents : int; rrows : int; rpivots : int }
 
-type resolve_stats = {
-  rcomponents : int;
-  rrows : int;
-  rspliced : int;
-  rcold : int;
-  rpivots : int;
-}
-
-let resolve ?prev g =
+let resolve g =
   let comps = cycle_components "Lp.resolve" g in
   let ivals = Array.make (Graph.num_edges g) Interval.inf in
-  let ids c =
-    Array.to_list (Array.map (fun (e : Graph.edge) -> e.id) c.cedges)
-  in
-  (* for a component that is an unedited copy of a previous one, the
-     previous interval of each edge: its program is the ancestor's, so
-     is its optimum *)
-  let copy =
-    match prev with
-    | None -> fun _ -> None
-    | Some (st, d) ->
-      let of_block = Edit.ancestry d ~base:st.blocks in
-      fun ids ->
-        match of_block ids with
-        | Some { Edit.unedited = true; _ } ->
-          Some (fun id -> st.table.(Option.get d.Edit.origin.(id)))
-        | _ -> None
-  in
-  let rows = ref 0 and spliced = ref 0 and paths = ref 0 in
+  let rows = ref 0 and paths = ref 0 in
   List.iter
     (fun c ->
-      let ids = ids c in
       rows :=
-        !rows + List.length ids
+        !rows + Array.length c.cedges
         + Array.fold_left (fun k s -> if s >= 0 then k + 1 else k) 0 c.supply;
-      match copy ids with
-      | Some old ->
-        incr spliced;
-        List.iter (fun id -> ivals.(id) <- old id) ids
-      | None -> paths := !paths + solve_component c ivals)
+      paths := !paths + solve_component c ivals)
     comps;
-  let ncomps = List.length comps in
-  ( ivals,
-    { rcomponents = ncomps; rrows = !rows; rspliced = !spliced;
-      rcold = ncomps - !spliced; rpivots = !paths },
-    { blocks = List.map ids comps; table = Array.copy ivals } )
+  (ivals, { rcomponents = List.length comps; rrows = !rows; rpivots = !paths })
 
 (* --- a supplied table: demands, dimensioning, audit ---------------- *)
 

@@ -57,36 +57,20 @@
 
 open Fstream_graph
 
-type state
-(** Opaque residue of a {!resolve} call — its table and each
-    component's edge ids — carried to the next call so an unedited
-    component can be spliced. *)
-
 type resolve_stats = {
-  rcomponents : int;  (** cyclic components, spliced or solved *)
-  rrows : int;
-      (** chain rows plus branch rows over every component, spliced
-          ones included *)
-  rspliced : int;  (** components copied verbatim, no solve *)
-  rcold : int;  (** components solved *)
+  rcomponents : int;  (** cyclic components, each solved *)
+  rrows : int;  (** chain rows plus branch rows over every component *)
   rpivots : int;  (** augmenting paths of the solves' max-flows *)
 }
 
-val resolve :
-  ?prev:state * Edit.delta ->
-  Graph.t ->
-  Interval.t array * resolve_stats * state
+val resolve : Graph.t -> Interval.t array * resolve_stats
 (** The backend entry point: a safe-interval table for any connected
     DAG, the canonical optimum per cyclic biconnected component,
-    bridges [Inf], plus the state a later call can splice from. The
-    table is valid for all three avoidance algorithms (it bounds the
-    run sums themselves, not any per-algorithm refinement).
-
-    With [prev:(s, d)] — [s] the state of a solve of [d.base], [g] the
-    edited [d.graph] — a component {!Edit.ancestry} finds an unedited
-    copy of a previous one is {e spliced} (same program, same optimum);
-    every other component is solved. The table is bit-for-bit the one
-    a call without [prev] returns.
+    bridges [Inf]. The table is valid for all three avoidance
+    algorithms (it bounds the run sums themselves, not any
+    per-algorithm refinement). Every call solves every component: the
+    optimum is canonical, so no earlier solve could give a different
+    table.
     @raise Invalid_argument if [g] has a directed cycle. *)
 
 val min_buffers : Graph.t -> thresholds:int option array -> int array

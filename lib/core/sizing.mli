@@ -26,7 +26,10 @@ val scale_of_intervals :
 (** The arithmetic of {!min_uniform_scale} on a table already computed:
     the least integer [c >= 1] such that [c] times the tightest finite
     interval is at least [target]; [Ok 1] when no interval is finite.
-    Errors when [target < 1]. *)
+    Errors when [target < 1] or [target > Graph.max_total_cap] (no
+    interval can reach it). *)
 
-val scale_caps : Graph.t -> int -> Graph.t
-(** Multiply every buffer capacity by a positive factor. *)
+val scale_caps : Graph.t -> int -> (Graph.t, string) result
+(** Multiply every buffer capacity by a positive factor; [Error] when
+    the scaled capacities would sum past {!Graph.max_total_cap}.
+    @raise Invalid_argument if the factor is below 1. *)

@@ -8,30 +8,15 @@ type op =
 type delta = {
   base : Graph.t;
   graph : Graph.t;
-  edge_map : int option array;
-  node_map : int option array;
-  origin : int option array;
   dirty : bool array;
+  resize_only : bool;
 }
 
 (* Working state while the script runs: the current edge list in id
-   order, each entry remembering which base edge it descends from
-   unchanged ([origin], kept through Resize since the edge's identity
-   survives even though its value must not), and the current node
-   count with each current node's base provenance. *)
-type entry = {
-  origin : int option;
-  esrc : int;
-  edst : int;
-  ecap : int;
-  edirty : bool;
-}
+   order and the current node count. *)
+type entry = { esrc : int; edst : int; ecap : int; edirty : bool }
 
-type st = {
-  mutable entries : entry array;
-  mutable nnodes : int;
-  mutable node_of : int option array; (* current node -> base node *)
-}
+type st = { mutable entries : entry array; mutable nnodes : int }
 
 let errf fmt = Format.kasprintf (fun s -> Error s) fmt
 
@@ -54,8 +39,10 @@ let ( let* ) = Result.bind
 let fresh_node st =
   let v = st.nnodes in
   st.nnodes <- v + 1;
-  st.node_of <- Array.append st.node_of [| None |];
   v
+
+let without i entries =
+  Array.of_list (List.filteri (fun j _ -> j <> i) (Array.to_list entries))
 
 let apply_op st = function
   | Resize { edge; cap } ->
@@ -72,14 +59,12 @@ let apply_op st = function
     else begin
       st.entries <-
         Array.append st.entries
-          [| { origin = None; esrc = src; edst = dst; ecap = cap; edirty = true } |];
+          [| { esrc = src; edst = dst; ecap = cap; edirty = true } |];
       Ok ()
     end
   | Remove_edge { edge } ->
     let* () = check_edge st ~op:"remove-edge" edge in
-    st.entries <-
-      Array.of_list
-        (List.filteri (fun i _ -> i <> edge) (Array.to_list st.entries));
+    st.entries <- without edge st.entries;
     Ok ()
   | Add_stage { edge; cap_in; cap_out } ->
     let* () = check_edge st ~op:"add-stage" edge in
@@ -88,10 +73,10 @@ let apply_op st = function
     let e = st.entries.(edge) in
     let v = fresh_node st in
     st.entries.(edge) <-
-      { origin = None; esrc = e.esrc; edst = v; ecap = cap_in; edirty = true };
+      { esrc = e.esrc; edst = v; ecap = cap_in; edirty = true };
     st.entries <-
       Array.append st.entries
-        [| { origin = None; esrc = v; edst = e.edst; ecap = cap_out; edirty = true } |];
+        [| { esrc = v; edst = e.edst; ecap = cap_out; edirty = true } |];
     Ok ()
   | Remove_stage { node; cap } ->
     let* () = check_node st ~op:"remove-stage" node in
@@ -112,28 +97,14 @@ let apply_op st = function
           match cap with Some c -> c | None -> min ein.ecap eout.ecap
         in
         let* () = check_cap ~op:"remove-stage" cap in
-        let spliced =
-          {
-            origin = None;
-            esrc = ein.esrc;
-            edst = eout.edst;
-            ecap = cap;
-            edirty = true;
-          }
-        in
-        st.entries.(i) <- spliced;
-        st.entries <-
-          Array.of_list
-            (List.filteri (fun j _ -> j <> o) (Array.to_list st.entries));
+        st.entries.(i) <-
+          { esrc = ein.esrc; edst = eout.edst; ecap = cap; edirty = true };
         (* drop the node; higher node ids shift down *)
         let renum v = if v > node then v - 1 else v in
         st.entries <-
           Array.map
             (fun e -> { e with esrc = renum e.esrc; edst = renum e.edst })
-            st.entries;
-        st.node_of <-
-          Array.of_list
-            (List.filteri (fun v _ -> v <> node) (Array.to_list st.node_of));
+            (without o st.entries);
         st.nnodes <- st.nnodes - 1;
         Ok ()
       end
@@ -152,16 +123,9 @@ let apply base ops =
       entries =
         Array.map
           (fun (e : Graph.edge) ->
-            {
-              origin = Some e.id;
-              esrc = e.src;
-              edst = e.dst;
-              ecap = e.cap;
-              edirty = false;
-            })
+            { esrc = e.src; edst = e.dst; ecap = e.cap; edirty = false })
           (Array.of_list (Graph.edges base));
       nnodes = Graph.num_nodes base;
-      node_of = Array.init (Graph.num_nodes base) (fun v -> Some v);
     }
   in
   let rec run = function
@@ -171,68 +135,21 @@ let apply base ops =
       run rest
   in
   let* () = run ops in
-  let graph =
+  (* every op passed its own checks, so [make] can refuse only the
+     capacity total *)
+  match
     Graph.make ~nodes:st.nnodes
-      (Array.to_list
-         (Array.map (fun e -> (e.esrc, e.edst, e.ecap)) st.entries))
-  in
-  let edge_map = Array.make (Graph.num_edges base) None in
-  Array.iteri
-    (fun i e ->
-      match e.origin with Some b -> edge_map.(b) <- Some i | None -> ())
-    st.entries;
-  let node_map = Array.make (Graph.num_nodes base) None in
-  Array.iteri
-    (fun v b -> match b with Some b -> node_map.(b) <- Some v | None -> ())
-    st.node_of;
-  Ok
-    {
-      base;
-      graph;
-      edge_map;
-      node_map;
-      origin = Array.map (fun e -> e.origin) st.entries;
-      dirty = Array.map (fun e -> e.edirty) st.entries;
-    }
-
-(* --- what an edit lets a consumer reuse ---------------------------- *)
-
-type ancestry = { ancestor : int; unedited : bool }
-
-let ancestry d ~base =
-  let block_of = Array.make (Array.length d.edge_map) (-1) in
-  let size = Array.of_list (List.map List.length base) in
-  List.iteri (fun b ids -> List.iter (fun o -> block_of.(o) <- b) ids) base;
-  fun ids ->
-    let edited = ref false in
-    let votes =
-      List.filter_map
-        (fun id ->
-          if d.dirty.(id) then edited := true;
-          match d.origin.(id) with
-          | Some o when block_of.(o) >= 0 -> Some block_of.(o)
-          | _ ->
-            edited := true;
-            None)
-        ids
-    in
-    (* votes per block, the largest block index first *)
-    let runs =
-      List.fold_left
-        (fun acc b ->
-          match acc with
-          | (b', k) :: rest when b' = b -> (b, k + 1) :: rest
-          | _ -> (b, 1) :: acc)
-        [] (List.sort Int.compare votes)
-    in
-    (* the most votes; down the indices, a tie goes to the smaller *)
-    List.fold_left
-      (fun best (b, k) ->
-        match best with Some (_, k') when k' > k -> best | _ -> Some (b, k))
-      None runs
-    |> Option.map (fun (b, k) ->
-           let copy = (not !edited) && k = List.length ids && k = size.(b) in
-           { ancestor = b; unedited = copy })
+      (Array.to_list (Array.map (fun e -> (e.esrc, e.edst, e.ecap)) st.entries))
+  with
+  | exception Invalid_argument msg -> Error msg
+  | graph ->
+    Ok
+      {
+        base;
+        graph;
+        dirty = Array.map (fun e -> e.edirty) st.entries;
+        resize_only = List.for_all (function Resize _ -> true | _ -> false) ops;
+      }
 
 (* --- concrete syntax ---------------------------------------------- *)
 

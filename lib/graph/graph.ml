@@ -12,8 +12,11 @@ type t = {
   in_ids : int array array;
 }
 
+let max_total_cap = 1 lsl 30
+
 let make ~nodes spec =
   if nodes < 1 then invalid_arg "Graph.make: nodes < 1";
+  let total = ref 0 in
   let check_node v =
     if v < 0 || v >= nodes then
       invalid_arg (Printf.sprintf "Graph.make: node %d out of range" v)
@@ -26,6 +29,11 @@ let make ~nodes spec =
       check_node dst;
       if src = dst then invalid_arg "Graph.make: self-loop";
       if cap < 1 then invalid_arg "Graph.make: cap < 1";
+      (* compared before adding, so the total cannot wrap *)
+      if cap > max_total_cap - !total then
+        invalid_arg
+          (Printf.sprintf "Graph.make: capacities sum past %d" max_total_cap);
+      total := !total + cap;
       edge_arr.(id) <- { id; src; dst; cap })
     spec;
   let out_adj = Array.make nodes [] and in_adj = Array.make nodes [] in

@@ -23,11 +23,21 @@ type edge = private {
 
 type t
 
+val max_total_cap : int
+(** [2^30], the largest sum of a graph's capacities. Every quantity the
+    interval algorithms build is a sum of capacities, or a count of
+    edges, or a ratio of the two, so numerators and denominators are at
+    most this bound and an interval comparison, which multiplies one
+    interval's numerator by the other's denominator, stays below
+    [2^60]. The runtime's channel rings, sized by the same sum, cannot
+    wrap either. *)
+
 val make : nodes:int -> (node * node * int) list -> t
 (** [make ~nodes spec] builds a graph with [nodes] nodes and one edge per
     [(src, dst, cap)] triple, with edge ids assigned in list order.
     @raise Invalid_argument if an endpoint is out of range, [cap < 1],
-    [nodes < 1], or an edge is a self-loop. *)
+    the capacities sum past {!max_total_cap}, [nodes < 1], or an edge
+    is a self-loop. *)
 
 val num_nodes : t -> int
 val num_edges : t -> int

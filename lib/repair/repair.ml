@@ -93,7 +93,10 @@ let repair ?max_rounds ?max_cycles ?relay_cap g =
         | cycle :: _, _ -> (
           match rewrite_step ~relay_cap g cycle with
           | None -> Error "witness cycle admits no acyclic reroute"
-          | Some (g', r) -> loop g' (r :: reroutes) (rounds + 1)))
+          | Some (g', r) -> loop g' (r :: reroutes) (rounds + 1)
+          (* a [relay_cap] larger than the deleted channel's can carry
+             the capacity total past [Graph.max_total_cap] *)
+          | exception Invalid_argument msg -> Error msg))
     in
     loop g [] 0
 

@@ -36,10 +36,11 @@
 
     Admitted sessions are additionally {e reconfigurable}: an
     {!Fstream_graph.Edit} script applied through {!reconfigure}
-    recomputes the edited topology's threshold table {e incrementally}
-    against the session's current compile cache (clean serial blocks
-    splice, edited blocks recompute, unedited LP components splice —
-    {!Fstream_core.Compiler.recompile}), lints that table, drains the
+    recompiles the edited topology's threshold table against the
+    session's current compile cache (after a resize-only script the
+    clean serial blocks splice and the resized ones recompute; any
+    other script compiles cold — {!Fstream_core.Compiler.recompile}),
+    lints that table, drains the
     session to its run boundary and swaps graph + table
     atomically as a new epoch. A session whose report has been
     collected may be {!start}ed again, so a tenant alternates runs and
@@ -182,22 +183,22 @@ val reconfigure :
     same admission bar as a fresh tenant, keyed by (fingerprint, mode,
     backend): a registry hit (another tenant already runs this
     topology, or it was refused before) reuses the outcome —
-    [Ok None], no compile at all; otherwise an {e incremental}
-    recompile against the session's current registry entry's cache,
-    linted as compiled ([Ok (Some stats)] reports what was spliced
-    and recomputed). The recompile runs on a fork of that
+    [Ok None], no compile at all; otherwise a recompile against the
+    session's current registry entry's cache, linted as compiled
+    ([Ok (Some stats)] reports what was spliced and recomputed: only a
+    resize-only script splices). The recompile runs on a fork of that
     cache ({!Fstream_core.Compiler.cache_fork}), so the entry keeps its
     own epoch for later edits. A rejection leaves the session untouched
     on its current epoch, the compile counters unchanged, and the next
-    edit recompiling incrementally from that epoch.
+    edit recompiling from that epoch.
     Only after the table is ready does the session
     drain: a running session is joined at its run boundary (its report
     stays cached for {!await}), then graph, table and {!epoch} swap
     atomically, with no run in flight. Concurrent reconfigures of one
     session apply one after the other, each to the epoch the previous
     one produced, so none is lost and {!epoch} counts the [Ok] results.
-    The server's [recompiles] / [warm_pivots] counters advance when an
-    incremental recompile happened.
+    The server's [recompiles] / [warm_pivots] counters advance when a
+    recompile happened.
 
     Draining joins the in-flight run, so the same restriction as
     {!await} applies: do not call from a pool worker. *)
@@ -213,8 +214,7 @@ type stats = {
   compiles : int;
       (** distinct (fingerprint, mode, backend) tables compiled and
           admitted *)
-  recompiles : int;
-      (** admitted incremental recompiles by {!reconfigure} *)
+  recompiles : int;  (** admitted recompiles by {!reconfigure} *)
   warm_pivots : int;
       (** solver steps spent by those recompiles' LP solves: the
           augmenting paths of {!Fstream_core.Lp.resolve_stats}'s

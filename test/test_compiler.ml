@@ -176,6 +176,37 @@ let oracle_families =
     ("random dag", Tutil.random_dag_of_seed);
     ("random dense", random_dense_of_seed) ]
 
+(* Capacities sum to at most [Graph.max_total_cap]. A file past it is
+   an [Error] (exit 1 at the CLI), not path sums that wrap; a graph at
+   exactly the bound compiles under every algorithm and backend. It is
+   never run: its rings would hold 2^30 messages. *)
+let test_capacity_bound () =
+  let text a b =
+    Printf.sprintf "nodes 4\nedge 0 1 %d\nedge 1 3 %d\nedge 0 2 1\nedge 2 3 1\n"
+      a b
+  in
+  (match Graph_io.of_string (text max_int max_int) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "capacities summing past the bound were accepted");
+  let half = Fstream_graph.Graph.max_total_cap / 2 in
+  match Graph_io.of_string (text half (half - 2)) with
+  | Error e -> Alcotest.fail e
+  | Ok g ->
+    List.iter
+      (fun (aname, algorithm) ->
+        List.iter
+          (fun backend ->
+            match
+              Compiler.compile
+                ~options:{ Compiler.Options.default with backend }
+                algorithm g
+            with
+            | Ok _ -> ()
+            | Error e ->
+              Alcotest.failf "%s: %s" aname (Compiler.error_to_string e))
+          [ Compiler.Exact; Compiler.Lp; Compiler.Auto ])
+      algorithms
+
 let cold_route_oracle (aname, algorithm) (fname, family) =
   Tutil.qtest ~count:300
     (Printf.sprintf "compile = classic oracle (%s, %s)" aname fname)
@@ -195,6 +226,8 @@ let suite =
     Alcotest.test_case "cyclic graph rejected" `Quick test_not_a_dag;
     Alcotest.test_case "SP avoids enumeration" `Quick test_max_cycles_cutoff;
     Alcotest.test_case "threshold tables" `Quick test_thresholds;
+    Alcotest.test_case "capacities bounded, compiled at the bound" `Quick
+      test_capacity_bound;
     Alcotest.test_case "bridge thresholds" `Quick
       test_propagation_thresholds_bridges;
     prop_nonprop_at_most_prop;

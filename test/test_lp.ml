@@ -293,7 +293,7 @@ let families =
    the optimum the oracle simplex finds for the program with its box
    row. *)
 let check_objectives name g =
-  let ivals, _, _ = Lp.resolve g in
+  let ivals, _ = Lp.resolve g in
   List.iter
     (fun (ids, z) ->
       let slack =
@@ -389,7 +389,7 @@ let canonical_qcheck (name, of_seed) =
                let e = Graph.edge g back.(j) in
                (node.(e.src), node.(e.dst), e.cap)))
       in
-      let a, _, _ = Lp.resolve g and b, _, _ = Lp.resolve h in
+      let a, _ = Lp.resolve g and b, _ = Lp.resolve h in
       List.for_all
         (fun i -> Interval.equal a.(i) b.(edge.(i)))
         (List.init m Fun.id))

@@ -12,7 +12,7 @@ let prop_homogeneity =
     QCheck.(pair Tutil.seed_gen (int_range 2 5))
     (fun (seed, c) ->
       let g = Tutil.random_cs4_of_seed seed in
-      let g' = Sizing.scale_caps g c in
+      let g' = Result.get_ok (Sizing.scale_caps g c) in
       List.for_all
         (fun algo ->
           match
@@ -41,6 +41,18 @@ let test_fig2_sizing () =
     Alcotest.(check int) "propagation scale factor" 3 c
   | Error e -> Alcotest.fail e
 
+(* A target above the capacity bound is an error, not a product that
+   wraps into a wrong factor (fig5's tightest interval has
+   denominator 3, so [target * 3] would wrap). *)
+let test_target_past_bound () =
+  let g = Topo_gen.fig5_ladder ~cap:2 in
+  match
+    Sizing.min_uniform_scale g Compiler.Non_propagation
+      ~target:(max_int / 3 * 2)
+  with
+  | Error _ -> ()
+  | Ok c -> Alcotest.failf "a target past the bound sized to x%d" c
+
 let test_acyclic_needs_nothing () =
   let g = Topo_gen.pipeline ~stages:4 ~cap:1 in
   match Sizing.min_uniform_scale g Compiler.Non_propagation ~target:100 with
@@ -56,7 +68,7 @@ let prop_sizing_achieves_target =
       match Sizing.min_uniform_scale g Compiler.Non_propagation ~target with
       | Error _ -> false
       | Ok c -> (
-        let g' = Sizing.scale_caps g c in
+        let g' = Result.get_ok (Sizing.scale_caps g c) in
         match Compiler.compile ~options:{ Compiler.Options.default with allow_general = false } Compiler.Non_propagation g' with
         | Error _ -> false
         | Ok p ->
@@ -75,7 +87,7 @@ let prop_sizing_minimal =
       | Error _ -> false
       | Ok 1 -> true
       | Ok c -> (
-        let g' = Sizing.scale_caps g (c - 1) in
+        let g' = Result.get_ok (Sizing.scale_caps g (c - 1)) in
         match Compiler.compile ~options:{ Compiler.Options.default with allow_general = false } Compiler.Non_propagation g' with
         | Error _ -> false
         | Ok p ->
@@ -114,6 +126,8 @@ let prop_cs4_plan_sizes_like_cold_compile =
 let suite =
   [
     Alcotest.test_case "fig2 sizing" `Quick test_fig2_sizing;
+    Alcotest.test_case "a target past the capacity bound is an error" `Quick
+      test_target_past_bound;
     Alcotest.test_case "acyclic graphs need nothing" `Quick
       test_acyclic_needs_nothing;
     prop_homogeneity;
