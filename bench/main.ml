@@ -1267,11 +1267,9 @@ let sv1 () =
         for i = 0 to tenants - 1 do
           let g = topologies.(i mod Array.length topologies) in
           check
-            (Run.exec
-               (Run.sequential
-                  ~avoidance:avoidance.(i mod Array.length topologies)
-                  ())
-               ~graph:g ~kernels:(kernels g i ()) ~inputs ())
+            (Engine.run ~graph:g ~kernels:(kernels g i ()) ~inputs
+               ~avoidance:avoidance.(i mod Array.length topologies)
+               ())
         done)
   in
   let isolated_ns =
@@ -1279,11 +1277,9 @@ let sv1 () =
         for i = 0 to tenants - 1 do
           let g = topologies.(i mod Array.length topologies) in
           check
-            (Run.exec
-               (Run.pool ~domains
-                  ~avoidance:avoidance.(i mod Array.length topologies)
-                  ())
-               ~graph:g ~kernels:(kernels g i ()) ~inputs ())
+            (P.run ~domains ~graph:g ~kernels:(kernels g i ()) ~inputs
+               ~avoidance:avoidance.(i mod Array.length topologies)
+               ())
         done)
   in
   headline "SV1" "serve_over_sequential" (seq_ns /. serve_ns);

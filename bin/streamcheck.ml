@@ -382,18 +382,19 @@ let domains_arg =
         ~doc:"Worker domains for $(b,--parallel) (default: automatic).")
 
 (* The engine flag group, shared by every command that executes a
-   topology: which engine, and on how many domains. Folded into a
-   [Run.config] by [run_config] — the one place engine dispatch
-   happens. *)
+   topology: which engine, and on how many domains. [run_engine] is
+   the one place engine dispatch happens. *)
 type engine_choice = { parallel : bool; domains : int option }
 
 let engine_term =
   let combine parallel domains = { parallel; domains } in
   Term.(const combine $ parallel_arg $ domains_arg)
 
-let run_config ec ?sink ?deadlock_dump ~avoidance () =
-  if ec.parallel then Run.pool ?domains:ec.domains ?sink ~avoidance ()
-  else Run.sequential ?sink ?deadlock_dump ~avoidance ()
+let run_engine ec ?sink ?deadlock_dump ~graph ~kernels ~inputs ~avoidance () =
+  if ec.parallel then
+    Fstream_parallel.Parallel_engine.run ?domains:ec.domains ?sink ~graph
+      ~kernels ~inputs ~avoidance ()
+  else Engine.run ?deadlock_dump ?sink ~graph ~kernels ~inputs ~avoidance ()
 
 let fuse_flag_arg =
   Arg.(
@@ -515,10 +516,8 @@ let simulate_cmd =
             Some (Fstream_obs.Sink.tee s (Fstream_obs.Metrics.sink c))
         in
         let report =
-          Run.exec
-            (run_config engine ?sink ~deadlock_dump:Format.std_formatter
-               ~avoidance ())
-            ~graph:g ~kernels ~inputs ()
+          run_engine engine ?sink ~deadlock_dump:Format.std_formatter ~graph:g
+            ~kernels ~inputs ~avoidance ()
         in
         Option.iter
           (fun (s, oc) ->
@@ -979,7 +978,7 @@ let serve_cmd =
       (* hot reconfiguration round: apply each "tenant: ops" script to
          its (drained) session, then rerun every session on its
          current epoch — reconfigured tenants under their edited
-         topology and incrementally recomputed table *)
+         topology and recompiled table *)
       if reconfig <> [] then begin
         List.iter
           (fun line ->
@@ -1093,8 +1092,10 @@ let serve_cmd =
              DST CAP), $(b,remove-edge E), $(b,add-stage E CIN COUT), \
              $(b,remove-stage N [CAP]). The edited topology passes the \
              same lint bar as admission; its threshold table is \
-             recomputed incrementally (clean blocks and LP components \
-             splice) and swapped at the run boundary.")
+             recompiled off the previous compile (after a resize-only \
+             script the serial blocks with no resized edge splice and \
+             the others are recomputed; any other script, and the LP, \
+             compiles cold) and swapped at the run boundary.")
   in
   let doc =
     "Serve many tenant applications on one shared worker pool, with lint \

@@ -86,7 +86,8 @@ let () =
   in
   let stats =
     Engine.run ~graph:g' ~kernels ~inputs:2000
-      ~avoidance:(Engine.Non_propagation (Compiler.send_thresholds g plan.intervals))
+      ~avoidance:
+        (Engine.Non_propagation (Compiler.send_thresholds g' plan.intervals))
       ()
   in
   Format.printf "@.simulation on repaired topology: %a@." Report.pp stats

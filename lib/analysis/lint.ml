@@ -12,8 +12,6 @@ let pp_severity ppf = function
   | Warning -> Format.pp_print_string ppf "warning"
   | Info -> Format.pp_print_string ppf "info"
 
-let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
-
 type location =
   | Whole_graph
   | Node of Graph.node
@@ -155,14 +153,6 @@ type report = { diagnostics : diagnostic list; incomplete : string option }
 
 let count r sev =
   List.length (List.filter (fun d -> d.severity = sev) r.diagnostics)
-
-let max_severity r =
-  List.fold_left
-    (fun acc d ->
-      match acc with
-      | Some s when severity_rank s <= severity_rank d.severity -> acc
-      | _ -> Some d.severity)
-    None r.diagnostics
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                        *)

@@ -161,7 +161,6 @@ val run :
     own budget still does). *)
 
 val count : report -> severity -> int
-val max_severity : report -> severity option
 
 (** {2 The rules' context}
 

@@ -6,10 +6,10 @@
     channels with a finite buffer capacity (the paper's edge "length").
 
     Values of type {!t} are immutable once built; all analyses in
-    {!Topo}, {!Dominators}, {!Articulation}, {!Paths} and {!Cycles} treat
-    them read-only. Parallel edges (same endpoints) and any number of
-    sources/sinks are allowed at this layer; the SP/CS4 layers impose
-    their own restrictions. *)
+    {!Topo}, {!Articulation} and {!Cycles} treat them read-only.
+    Parallel edges (same endpoints) and any number of sources/sinks are
+    allowed at this layer; the SP/CS4 layers impose their own
+    restrictions. *)
 
 type node = int
 (** Nodes are dense identifiers [0 .. num_nodes - 1]. *)

@@ -43,28 +43,3 @@ let pp_outcome ppf = function
   | Completed -> Format.pp_print_string ppf "completed"
   | Deadlocked -> Format.pp_print_string ppf "DEADLOCKED"
   | Budget_exhausted -> Format.pp_print_string ppf "budget exhausted"
-
-let pp_ids ppf ids =
-  Format.fprintf ppf "[%s]" (String.concat "," (List.map string_of_int ids))
-
-let pp ppf = function
-  | Round_started { round } -> Format.fprintf ppf "round %d" round
-  | Node_fired { node; seq; got; got_dummy; sent } ->
-    Format.fprintf ppf "n%d fires seq%d got=%a dummy=%b sent=%a" node seq
-      pp_ids got got_dummy pp_ids sent
-  | Subnode_fired { node; sub; seq } ->
-    Format.fprintf ppf "n%d fires sub-node n%d seq%d" node sub seq
-  | Push { edge; seq; payload } ->
-    Format.fprintf ppf "push e%d #%d %a" edge seq pp_payload payload
-  | Pop { edge; seq; payload } ->
-    Format.fprintf ppf "pop e%d #%d %a" edge seq pp_payload payload
-  | Dummy_emitted { node; edge; seq } ->
-    Format.fprintf ppf "n%d emits dummy #%d on e%d" node seq edge
-  | Dummy_dropped { edge; seq } ->
-    Format.fprintf ppf "dummy #%d dropped on e%d" seq edge
-  | Blocked { node; edge } ->
-    Format.fprintf ppf "n%d blocked on full e%d" node edge
-  | Eos { node } -> Format.fprintf ppf "n%d eos" node
-  | Wedge { round } -> Format.fprintf ppf "wedge in round %d" round
-  | Run_finished { outcome } ->
-    Format.fprintf ppf "run finished: %a" pp_outcome outcome

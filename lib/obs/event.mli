@@ -68,6 +68,5 @@ val name : t -> string
 (** Constructor name, e.g. ["Push"] — used as the Chrome trace event
     name. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_payload : Format.formatter -> payload -> unit

@@ -1,7 +1,6 @@
 open Fstream_graph
 module Firing = Fstream_runtime.Firing
 module Report = Fstream_runtime.Report
-module Run = Fstream_runtime.Run
 module Worklist = Fstream_runtime.Worklist
 
 (* The interface describes shards, budget, quota and tickets; this
@@ -446,17 +445,8 @@ module Pool = struct
 end
 
 let run ?domains ?sink ~graph ~kernels ~inputs ~avoidance () =
-  Run.exec (Run.pool ?domains ?sink ~avoidance ()) ~graph ~kernels ~inputs ()
-
-(* The Run facade dispatches [Pool] configs here; registration at
-   module-initialization time (plus -linkall on this library) breaks
-   the runtime -> parallel dependency cycle. *)
-let () =
-  Run.register_pool_impl
-    (fun ~domains ~sink ~graph ~kernels ~inputs ~avoidance ->
-      let pool = Pool.create ?domains () in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          Pool.await
-            (Pool.submit pool ?sink ~graph ~kernels ~inputs ~avoidance ())))
+  let pool = Pool.create ?domains () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Pool.await (Pool.submit pool ?sink ~graph ~kernels ~inputs ~avoidance ()))

@@ -118,10 +118,9 @@ val run :
   avoidance:Fstream_runtime.Engine.avoidance ->
   unit ->
   Fstream_runtime.Report.t
-(** One-shot convenience: builds a {!Fstream_runtime.Run.pool} config
-    and calls {!Fstream_runtime.Run.exec}, which lands back here on a
-    private single-instance pool of [domains] workers (default
-    {!default_domains}). The result's [detail] is
+(** One-shot convenience: runs the application as the only instance of
+    a private {!Pool} of [domains] workers (default {!default_domains}),
+    which it shuts down before returning. The result's [detail] is
     {!Fstream_runtime.Report.Parallel}: a preemptive execution has no
     round counter or wedge snapshot, and never reports
     [Budget_exhausted].

@@ -18,7 +18,7 @@ type t = {
    single-edge run [s -> t] whose source-adjacent run ends at a relay
    vertex [via] such that the relay channel [via -> t] keeps the graph
    acyclic; delete [s -> t] and ensure [via -> t] exists. *)
-let rewrite_step ~relay_cap g cycle =
+let rewrite_step g cycle =
   let runs = Cycles.runs cycle in
   let opposite = Cycles.opposite_run cycle in
   let has_edge u v =
@@ -46,14 +46,13 @@ let rewrite_step ~relay_cap g cycle =
   match candidates with
   | [] -> None
   | (e, via, t, relay_exists) :: _ ->
-    let cap = Option.value relay_cap ~default:e.Graph.cap in
     let edges =
       List.filter_map
         (fun (e' : Graph.edge) ->
           if e'.id = e.Graph.id then None else Some (e'.src, e'.dst, e'.cap))
         (Graph.edges g)
     in
-    let edges = if relay_exists then edges else edges @ [ (via, t, cap) ] in
+    let edges = if relay_exists then edges else edges @ [ (via, t, e.Graph.cap) ] in
     let g' = Graph.make ~nodes:(Graph.num_nodes g) edges in
     Some
       ( g',
@@ -63,8 +62,8 @@ let rewrite_step ~relay_cap g cycle =
           added = (if relay_exists then None else Some (via, t));
         } )
 
-let repair ?max_rounds ?max_cycles ?relay_cap g =
-  let budget = Option.value max_rounds ~default:(4 * Graph.num_edges g) in
+let repair ?max_cycles g =
+  let budget = 4 * Graph.num_edges g in
   match Topo.is_two_terminal g with
   | None -> Error "not a connected two-terminal DAG"
   | Some _ ->
@@ -91,11 +90,9 @@ let repair ?max_rounds ?max_cycles ?relay_cap g =
         | [], true -> Error "no multi-source cycle within the cycle budget"
         | [], false -> Error "not CS4 yet no multi-source cycle witness"
         | cycle :: _, _ -> (
-          match rewrite_step ~relay_cap g cycle with
+          match rewrite_step g cycle with
           | None -> Error "witness cycle admits no acyclic reroute"
           | Some (g', r) -> loop g' (r :: reroutes) (rounds + 1)
-          (* a [relay_cap] larger than the deleted channel's can carry
-             the capacity total past [Graph.max_total_cap] *)
           | exception Invalid_argument msg -> Error msg))
     in
     loop g [] 0

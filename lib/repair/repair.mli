@@ -41,20 +41,15 @@ type t = {
   deleted_edges : int;
 }
 
-val repair :
-  ?max_rounds:int ->
-  ?max_cycles:int ->
-  ?relay_cap:int ->
-  Graph.t ->
-  (t, string) result
+val repair : ?max_cycles:int -> Graph.t -> (t, string) result
 (** [repair g] returns a CS4 topology when the heuristic converges
-    (identity repair if [g] is already CS4). [relay_cap] is the buffer
-    capacity of newly created relay channels (default: capacity of the
-    deleted channel). [max_rounds] bounds the rewrite loop (default
-    [4 * num_edges]). [max_cycles] bounds each round's search for a
-    witness cycle in the rejected block ({!Fstream_ladder.Cs4.block_witnesses}, whose
-    default applies without it); a round that exhausts it ends the
-    repair in [Error]. *)
+    (identity repair if [g] is already CS4). A newly created relay
+    channel gets the capacity of the channel it replaces, and the
+    rewrite loop stops after [4 * num_edges] rounds. [max_cycles]
+    bounds each round's search for a witness cycle in the rejected
+    block ({!Fstream_ladder.Cs4.block_witnesses}, whose default applies
+    without it); a round that exhausts it ends the repair in
+    [Error]. *)
 
 val preserves_reachability : Graph.t -> t -> bool
 (** Every ordered node pair connected by a directed path in the

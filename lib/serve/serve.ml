@@ -9,11 +9,6 @@ module App_spec = Fstream_workloads.App_spec
 
 type mode = No_avoidance | Propagation | Non_propagation
 
-let pp_mode ppf = function
-  | No_avoidance -> Format.pp_print_string ppf "none"
-  | Propagation -> Format.pp_print_string ppf "propagation"
-  | Non_propagation -> Format.pp_print_string ppf "non-propagation"
-
 type rejection =
   | Lint_rejected of Lint.diagnostic list
   | Analysis_incomplete of string

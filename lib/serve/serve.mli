@@ -66,8 +66,6 @@ type t
     shares, so tenants name the mode only. *)
 type mode = No_avoidance | Propagation | Non_propagation
 
-val pp_mode : Format.formatter -> mode -> unit
-
 type rejection =
   | Lint_rejected of Lint.diagnostic list
       (** the Error-severity findings, in lint report order *)

@@ -3,6 +3,8 @@
    reachable from the root) converges, because every predecessor of a
    node precedes it in the order. *)
 
+open Fstream_graph
+
 let idoms g root =
   let n = Graph.num_nodes g in
   let reach = Topo.reachable g root in

@@ -1,10 +1,11 @@
 (** Dominator and postdominator trees on single-source DAGs.
 
     The paper's structural arguments (Lemma III.1 and the SP-ladder
-    characterization) are phrased in terms of domination; we expose the
-    computation so the test suite can check those lemmas directly on
-    generated graphs, and so the ladder decomposition can locate
-    immediate postdominators of split nodes. *)
+    characterization) are phrased in terms of domination; the test
+    suite checks those lemmas directly on generated graphs with this
+    computation. *)
+
+open Fstream_graph
 
 val idoms : Graph.t -> Graph.node -> int array
 (** [idoms g root] is the immediate-dominator array for paths from

@@ -1,5 +1,6 @@
 open Fstream_graph
 open Fstream_spdag
+open Fstream_ladder
 
 type t = int list array
 

@@ -16,6 +16,7 @@
     [e.dst]. *)
 
 open Fstream_graph
+open Fstream_ladder
 
 type t = int list array
 (** Per vertex, the CCW cyclic order of half-edges originating there. *)

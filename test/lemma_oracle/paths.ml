@@ -1,3 +1,5 @@
+open Fstream_graph
+
 let relax_from g start ~weight ~better =
   let dist = Array.make (Graph.num_nodes g) None in
   dist.(start) <- Some 0;

@@ -5,6 +5,8 @@
     paper's [h]). All routines require acyclicity and run in
     [O(V + E)] after one topological sort. *)
 
+open Fstream_graph
+
 val shortest_from :
   Graph.t -> Graph.node -> weight:(Graph.edge -> int) -> int option array
 (** [shortest_from g v ~weight] gives, per node, the minimum total

@@ -8,6 +8,8 @@
    A degree-2 vertex whose two edges go to the same neighbour is a
    2-cycle and is handled by the parallel rule first. *)
 
+open Fstream_graph
+
 module Iset = Set.Make (Int)
 
 type state = {

@@ -8,8 +8,9 @@
     parallel merges; and because K4 is 3-regular, having a K4 minor and
     containing a K4 subdivision coincide. This module implements that
     reduction, giving a linear-time K4-subdivision test used by the
-    Lemma V.1 / Lemma V.6 property tests and the topology-repair
-    diagnostics. *)
+    Lemma V.1 / Lemma V.6 property tests. *)
+
+open Fstream_graph
 
 val has_k4_subdivision : Graph.t -> bool
 (** Some biconnected component of the underlying undirected multigraph

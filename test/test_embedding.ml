@@ -1,6 +1,6 @@
 open Fstream_graph
-open Fstream_ladder
 open Fstream_workloads
+open Lemma_oracle
 
 let certify g =
   match Embedding.of_graph g with

@@ -1,5 +1,6 @@
 open Fstream_graph
 open Fstream_workloads
+open Lemma_oracle
 
 let diamond () =
   (* 0 -> {1,2} -> 3 *)

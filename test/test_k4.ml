@@ -1,5 +1,6 @@
 open Fstream_graph
 open Fstream_workloads
+open Lemma_oracle
 
 let k4_dag () =
   Graph.make ~nodes:4

@@ -1,13 +1,14 @@
 (* The multi-tenant serving layer: admission control (lint at the front
    door), the compile-once registry (physically shared threshold tables
    across fingerprint-equal tenants), and serve-session execution being
-   nothing but the pool behind the Run facade — pinned by differential
-   suites against direct Run.exec on both engines. *)
+   nothing but a run on the pool — pinned by differential suites
+   against direct runs on both engines. *)
 
 open Fstream_runtime
 open Fstream_workloads
 module Graph = Fstream_graph.Graph
 module Serve = Fstream_serve.Serve
+module Parallel_engine = Fstream_parallel.Parallel_engine
 module Lint = Fstream_analysis.Lint
 module Compiler = Fstream_core.Compiler
 module Thresholds = Fstream_core.Thresholds
@@ -192,11 +193,9 @@ let test_hundred_twenty_tenants_three_topologies () =
         true
         (r.Report.outcome = Report.Completed);
       let direct =
-        Run.exec
-          (Run.sequential ~avoidance:(Serve.avoidance sessions.(i)) ())
-          ~graph:topologies.(i mod 3)
+        Engine.run ~graph:topologies.(i mod 3)
           ~kernels:(mixed_kernels topologies.(i mod 3) i ())
-          ~inputs ()
+          ~inputs ~avoidance:(Serve.avoidance sessions.(i)) ()
       in
       Alcotest.(check int)
         (Printf.sprintf "tenant %d data count" i)
@@ -318,28 +317,26 @@ let test_spec_on_registry_hit () =
   | Error _ -> Alcotest.fail "warning-only spec refused");
   Alcotest.(check int) "one compile" 1 (Serve.stats t).Serve.compiles
 
-(* ----- differential: serve session = direct Run.exec, both engines ----- *)
+(* ----- differential: serve session = direct run, both engines ----- *)
 
 let serve_mode_of = function
   | Engine.No_avoidance -> Serve.No_avoidance
   | Engine.Propagation _ -> Serve.Propagation
   | Engine.Non_propagation _ -> Serve.Non_propagation
 
-(* Run one admitted session and the same application directly through
-   Run.exec under both engine configs; all three reports must agree on
-   outcome + data/sink counts (the schedule-independent fields). *)
+(* Run one admitted session and the same application directly on both
+   engines; all three reports must agree on outcome + data/sink counts
+   (the schedule-independent fields). *)
 let agree_all ~graph ~kernels ~inputs session =
   let t = Lazy.force server in
   let avoidance = Serve.avoidance session in
   let served = Serve.run t ~kernels:(kernels ()) ~inputs session in
   let direct_seq =
-    Run.exec (Run.sequential ~avoidance ()) ~graph ~kernels:(kernels ())
-      ~inputs ()
+    Engine.run ~graph ~kernels:(kernels ()) ~inputs ~avoidance ()
   in
   let direct_pool =
-    Run.exec
-      (Run.pool ~domains:2 ~avoidance ())
-      ~graph ~kernels:(kernels ()) ~inputs ()
+    Parallel_engine.run ~domains:2 ~graph ~kernels:(kernels ()) ~inputs
+      ~avoidance ()
   in
   let agree (a : Report.t) (b : Report.t) =
     a.Report.outcome = b.Report.outcome
@@ -349,7 +346,7 @@ let agree_all ~graph ~kernels ~inputs session =
   agree served direct_seq && agree served direct_pool
 
 let prop_serve_eq_direct_no_avoidance =
-  Tutil.qtest ~count:300 "serve = direct Run.exec, no avoidance (wedges too)"
+  Tutil.qtest ~count:300 "serve = direct run, no avoidance (wedges too)"
     Tutil.seed_gen (fun seed ->
       let t = Lazy.force server in
       let g = graph_of_family seed in
@@ -360,7 +357,7 @@ let prop_serve_eq_direct_no_avoidance =
         && agree_all ~graph:g ~kernels:(mixed_kernels g seed) ~inputs:24 s)
 
 let prop_serve_eq_direct_non_propagation =
-  Tutil.qtest ~count:300 "serve = direct Run.exec, non-propagation"
+  Tutil.qtest ~count:300 "serve = direct run, non-propagation"
     Tutil.seed_gen (fun seed ->
       let t = Lazy.force server in
       let g = graph_of_family seed in
@@ -372,7 +369,7 @@ let prop_serve_eq_direct_non_propagation =
 
 let prop_serve_eq_direct_propagation =
   Tutil.qtest ~count:300
-    "serve = direct Run.exec, propagation (paper-pattern filtering)"
+    "serve = direct run, propagation (paper-pattern filtering)"
     Tutil.seed_gen (fun seed ->
       let t = Lazy.force server in
       let g = graph_of_family seed in

@@ -1,6 +1,7 @@
 open Fstream_graph
 open Fstream_spdag
 open Fstream_workloads
+open Lemma_oracle
 
 let test_build_spec () =
   let spec =
