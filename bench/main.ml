@@ -138,13 +138,15 @@ let f4 () =
     let brute = Cs4.is_cs4_brute g in
     row "  %-12s SP=%-5b CS4=%-5b (brute: %b, agreement %s)@." name sp cs4
       brute (ok (cs4 = brute));
-    if not cs4 then
-      match Cs4.bad_cycle_witness g with
-      | Some c ->
-        row "    witness cycle: sources {%s}, sinks {%s}@."
-          (String.concat "," (List.map string_of_int (Cycles.cycle_sources c)))
-          (String.concat "," (List.map string_of_int (Cycles.cycle_sinks c)))
-      | None -> ()
+    match Cs4.classify g with
+    | Error (Cs4.Bad_block { block_ids; _ }) ->
+      List.iter
+        (fun c ->
+          row "    witness cycle: sources {%s}, sinks {%s}@."
+            (String.concat "," (List.map string_of_int (Cycles.cycle_sources c)))
+            (String.concat "," (List.map string_of_int (Cycles.cycle_sinks c))))
+        (fst (Cs4.block_witnesses g ~block_ids ~limit:1))
+    | _ -> ()
   in
   describe "left" (Topo_gen.fig4_left ~cap:2);
   describe "butterfly" (Topo_gen.fig4_butterfly ~cap:2)

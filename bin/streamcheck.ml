@@ -171,13 +171,22 @@ let classify_cmd =
           cls.Cs4.blocks
       | Error failure -> (
         Format.printf "not CS4: %a@." Cs4.pp_failure failure;
-        match Cs4.bad_cycle_witness g with
-        | Some c ->
-          Format.printf
-            "  witness cycle with sources {%s} and sinks {%s}@."
-            (String.concat ", " (List.map string_of_int (Cycles.cycle_sources c)))
-            (String.concat ", " (List.map string_of_int (Cycles.cycle_sinks c)))
-        | None -> ()));
+        (* the witness comes from the rejected block alone *)
+        let witness =
+          match failure with
+          | Cs4.Bad_block { block_ids; _ } ->
+            fst (Cs4.block_witnesses g ~block_ids ~limit:1)
+          | Cs4.Not_two_terminal -> []
+        in
+        List.iter
+          (fun c ->
+            Format.printf
+              "  witness cycle with sources {%s} and sinks {%s}@."
+              (String.concat ", "
+                 (List.map string_of_int (Cycles.cycle_sources c)))
+              (String.concat ", "
+                 (List.map string_of_int (Cycles.cycle_sinks c))))
+          witness));
       0
   in
   let doc = "Classify a topology: SP, SP-ladder, CS4 chain, or general DAG." in

@@ -1,7 +1,6 @@
 open Fstream_graph
 open Fstream_ladder
 open Fstream_core
-module Sp_recognize = Fstream_spdag.Sp_recognize
 module Repair = Fstream_repair.Repair
 module App_spec = Fstream_workloads.App_spec
 
@@ -212,32 +211,25 @@ let directed_cycle g =
   done;
   !found
 
-(* Undirected connected components, as sorted node lists. *)
+(* Undirected connected components, as sorted node lists, in the order
+   of their smallest nodes. One walk from every node in turn labels each
+   node as it is reached: one reached from a neighbour joins that
+   neighbour's component, and one with no labelled neighbour, where a
+   new walk starts, opens the next component. *)
 let components g =
   let n = Graph.num_nodes g in
-  let comp = Array.make n (-1) in
-  let next = ref 0 in
-  for v = 0 to n - 1 do
-    if comp.(v) = -1 then begin
-      let c = !next in
-      incr next;
-      let stack = ref [ v ] in
-      comp.(v) <- c;
-      while !stack <> [] do
-        let u = List.hd !stack in
-        stack := List.tl !stack;
-        List.iter
-          (fun (e : Graph.edge) ->
-            let w = Graph.other_endpoint e u in
-            if comp.(w) = -1 then begin
-              comp.(w) <- c;
-              stack := w :: !stack
-            end)
-          (Graph.incident_edges g u)
-      done
-    end
-  done;
-  let buckets = Array.make !next [] in
+  let comp = Array.make n (-1) and count = ref 0 in
+  let label v =
+    let ws = Topo.neighbours g v in
+    (match List.find_opt (fun w -> comp.(w) >= 0) ws with
+    | Some w -> comp.(v) <- comp.(w)
+    | None ->
+      comp.(v) <- !count;
+      incr count);
+    ws
+  in
+  ignore (Topo.search g (List.init n Fun.id) label);
+  let buckets = Array.make !count [] in
   for v = n - 1 downto 0 do
     buckets.(comp.(v)) <- v :: buckets.(comp.(v))
   done;
@@ -260,35 +252,43 @@ type ctx = {
 }
 
 (* One analysis per graph: the plan is the caller's when given (lint
-   compiles only otherwise), and the CS4 decomposition is the plan
-   route's when it carries one. No cycle is enumerated here: the rules
-   that need cycles search for them themselves, each under the budget,
-   and only a search that leaves its rule undecided marks the report
-   incomplete. *)
+   compiles otherwise), and the CS4 decomposition is the plan's when it
+   carries one. The compile checks acyclicity, then connectivity, and
+   anything but those two errors proves a connected DAG, so lint checks
+   neither again. No cycle is enumerated here: the rules that need
+   cycles search for them themselves, each under the budget, and only a
+   search that leaves its rule undecided marks the report incomplete. *)
 let make_ctx ?plan cfg g =
-  let dag = Topo.is_dag g in
-  let connected = Topo.connected g in
   let plan =
-    if not (dag && connected) then None
-    else
-      match plan with
-      | Some _ -> plan
-      | None ->
-        let options =
-          {
-            Compiler.Options.default with
-            max_cycles = cfg.max_cycles;
-            backend = cfg.backend;
-          }
-        in
-        Some (Compiler.compile ~options cfg.algorithm g)
+    match plan with
+    | Some p -> p
+    | None ->
+      let options =
+        {
+          Compiler.Options.default with
+          max_cycles = cfg.max_cycles;
+          backend = cfg.backend;
+        }
+      in
+      Compiler.compile ~options cfg.algorithm g
   in
+  let dag, connected =
+    match plan with
+    | Stdlib.Error Compiler.Not_a_dag -> (false, Topo.connected g)
+    | Stdlib.Error Compiler.Disconnected -> (true, false)
+    | _ -> (true, true)
+  in
+  let plan = if dag && connected then Some plan else None in
   let classification =
-    match Option.map (Result.map (fun p -> p.Compiler.route)) plan with
-    | Some (Ok (Cs4_route cls | Min_route { exact = Cs4_route cls; _ })) ->
+    match plan with
+    | Some
+        (Ok
+          { route = Cs4_route cls | Min_route { exact = Cs4_route cls; _ }; _ })
+      ->
       Some (Ok cls)
-    | _ when connected && Topo.is_two_terminal g <> None ->
-      Some (Cs4.classify g)
+    | Some (Stdlib.Error (Compiler.Non_cs4_rejected failure)) ->
+      Some (Stdlib.Error failure)
+    | Some _ when Topo.dag_terminals g <> None -> Some (Cs4.classify g)
     | _ -> None
   in
   { g; cfg; dag; connected; classification; plan; incomplete = None }
@@ -359,167 +359,125 @@ let rule_fs103 ctx =
 
 let rule_fs104 ctx =
   if ctx.dag then []
-  else begin
-    let n = Graph.num_nodes ctx.g in
-    let reach_from_sources = Array.make n false in
-    let reach_to_sinks = Array.make n false in
-    let sweep init adj mark =
-      let stack = ref init in
-      List.iter (fun v -> mark.(v) <- true) init;
-      while !stack <> [] do
-        let v = List.hd !stack in
-        stack := List.tl !stack;
-        List.iter
-          (fun w ->
-            if not mark.(w) then begin
-              mark.(w) <- true;
-              stack := w :: !stack
-            end)
-          (adj v)
-      done
+  else
+    let g = ctx.g in
+    let missing mark =
+      List.filter (fun v -> not mark.(v)) (List.init (Graph.num_nodes g) Fun.id)
     in
-    sweep (Graph.sources ctx.g)
-      (fun v ->
-        List.map (fun (e : Graph.edge) -> e.dst) (Graph.out_edges ctx.g v))
-      reach_from_sources;
-    sweep (Graph.sinks ctx.g)
-      (fun v ->
-        List.map (fun (e : Graph.edge) -> e.src) (Graph.in_edges ctx.g v))
-      reach_to_sinks;
-    let collect mark =
-      List.filter (fun v -> not mark.(v)) (List.init n Fun.id)
-    in
-    let unreachable = collect reach_from_sources in
-    let dead_end = collect reach_to_sinks in
-    let one what nodes =
-      if nodes = [] then []
-      else
+    let one roots next what consequence =
+      match missing (Topo.search g roots (next g)) with
+      | [] -> []
+      | nodes ->
         [
           diag "FS104" (Nodes nodes)
             (Printf.sprintf "node(s) %s %s: they can never %s"
-               (truncated_nodes nodes)
-               (if what = "unreachable" then
-                  "are unreachable from every source"
-                else "cannot reach any sink")
-               (if what = "unreachable" then "fire" else "drain"));
+               (truncated_nodes nodes) what consequence);
         ]
     in
-    one "unreachable" unreachable @ one "dead-end" dead_end
-  end
+    one (Graph.sources g) Topo.successors "are unreachable from every source"
+      "fire"
+    @ one (Graph.sinks g) Topo.predecessors "cannot reach any sink" "drain"
 
 (* ------------------------------------------------------------------ *)
 (* FS2xx: cycle structure                                               *)
 
 (* A bad block proves a multi-source cycle in that block (Theorem V.7):
-   the classification decides FS201, and the cycle is only its witness,
-   searched in that block alone and stopped at the first. *)
-let rule_fs201 ctx =
-  match ctx.classification with
-  | Some (Stdlib.Error (Cs4.Bad_block { block_source; block_sink; reason }))
-    ->
-    let witness_cycle =
-      match
-        Cs4.block_witnesses ~max_cycles:ctx.cfg.max_cycles ctx.g ~block_source
-          ~block_sink ~limit:1
-      with
-      | c :: _, _ -> Some c
-      | [], _ -> None
-    in
-    let witness =
-      match witness_cycle with
-      | Some c ->
-        [
-          Printf.sprintf "witness cycle through nodes {%s}"
-            (node_list_string (List.sort_uniq compare (Cycles.vertices c)));
-          Printf.sprintf "cycle sources {%s}, sinks {%s}"
-            (node_list_string (Cycles.cycle_sources c))
-            (node_list_string (Cycles.cycle_sinks c));
-        ]
-      | None -> []
-    in
-    let reroute () =
-      match Repair.repair ~max_cycles:ctx.cfg.max_cycles ctx.g with
-      | Ok r when r.Repair.reroutes <> [] -> Some (Reroute r)
-      | _ -> None
-    in
-    let loc =
-      match witness_cycle with
-      | Some c -> Channels (cycle_channel_ids c)
-      | None -> Nodes [ block_source; block_sink ]
-    in
-    (* under the LP backend a non-CS4 topology is first-class: the
-       polynomial LP encoding replaces the exponential fallback,
-       so the finding informs (conservative table) instead of failing
-       admission *)
-    let severity, consequence =
-      match ctx.cfg.backend with
-      | Compiler.Lp ->
-        ( Warning,
-          "the LP backend computes a conservative interval table in \
-           polynomial time" )
-      | Compiler.Exact | Compiler.Auto ->
-        ( Error,
-          "interval computation falls back to the exponential general route"
-        )
-    in
-    [
-      {
-        (diag ~witness ~fixit:(Atomic.make (Pending reroute)) "FS201" loc
-           (Printf.sprintf
-              "not CS4: block %d..%d is neither SP nor an SP-ladder (%s); %s"
-              block_source block_sink reason consequence))
-        with
-        severity;
-      };
-    ]
-  | _ -> []
-
-(* FS202 lists the first few multi-source cycles. A CS4 graph has none
-   (Theorem V.7); a bad block has some, so the search runs in that block
-   only and a budget that runs out there still leaves the finding, at
-   the block's endpoints. Without a classification nothing is known in
-   advance: the search runs over the whole graph, and a budget that
-   runs out before any witness leaves the rule undecided. *)
-let rule_fs202 ctx =
-  let keep = 5 in
-  let found scope cycles =
-    let k = List.length cycles in
-    List.mapi
-      (fun i c ->
-        let srcs = Cycles.cycle_sources c and sinks = Cycles.cycle_sinks c in
-        diag "FS202"
-          (Channels (cycle_channel_ids c))
-          (Printf.sprintf
-             "multi-source cycle %d (first %d found in %s): %d sources {%s}, \
-              %d sinks {%s} — each such cycle multiplies the general route's \
-              work"
-             (i + 1) k scope (List.length srcs) (node_list_string srcs)
-             (List.length sinks) (node_list_string sinks)))
-      cycles
+   the classification decides FS201 and FS202, and cycles are only
+   their witnesses. One search of that block alone, stopped at the
+   fifth, serves both: FS201 cites the first, FS202 lists them all, and
+   a budget that runs out there still leaves both findings, at the
+   block's endpoints. A CS4 graph has none. Without a classification
+   nothing is known in advance: FS202 searches the whole graph, and a
+   budget that runs out before any witness leaves the rule undecided. *)
+let rule_fs201 ctx ~block_source ~block_sink ~reason witness_cycle =
+  let witness =
+    match witness_cycle with
+    | Some c ->
+      [
+        Printf.sprintf "witness cycle through nodes {%s}"
+          (node_list_string (List.sort_uniq compare (Cycles.vertices c)));
+        Printf.sprintf "cycle sources {%s}, sinks {%s}"
+          (node_list_string (Cycles.cycle_sources c))
+          (node_list_string (Cycles.cycle_sinks c));
+      ]
+    | None -> []
   in
+  let reroute () =
+    match Repair.repair ~max_cycles:ctx.cfg.max_cycles ctx.g with
+    | Ok r when r.Repair.reroutes <> [] -> Some (Reroute r)
+    | _ -> None
+  in
+  let loc =
+    match witness_cycle with
+    | Some c -> Channels (cycle_channel_ids c)
+    | None -> Nodes [ block_source; block_sink ]
+  in
+  (* under the LP backend a non-CS4 topology is first-class: the
+     polynomial LP encoding replaces the exponential fallback,
+     so the finding informs (conservative table) instead of failing
+     admission *)
+  let severity, consequence =
+    match ctx.cfg.backend with
+    | Compiler.Lp ->
+      ( Warning,
+        "the LP backend computes a conservative interval table in \
+         polynomial time" )
+    | Compiler.Exact | Compiler.Auto ->
+      ( Error,
+        "interval computation falls back to the exponential general route" )
+  in
+  {
+    (diag ~witness ~fixit:(Atomic.make (Pending reroute)) "FS201" loc
+       (Printf.sprintf
+          "not CS4: block %d..%d is neither SP nor an SP-ladder (%s); %s"
+          block_source block_sink reason consequence))
+    with
+    severity;
+  }
+
+let rule_fs202 scope cycles =
+  let k = List.length cycles in
+  List.mapi
+    (fun i c ->
+      let srcs = Cycles.cycle_sources c and sinks = Cycles.cycle_sinks c in
+      diag "FS202"
+        (Channels (cycle_channel_ids c))
+        (Printf.sprintf
+           "multi-source cycle %d (first %d found in %s): %d sources {%s}, \
+            %d sinks {%s} — each such cycle multiplies the general route's \
+            work"
+           (i + 1) k scope (List.length srcs) (node_list_string srcs)
+           (List.length sinks) (node_list_string sinks)))
+    cycles
+
+let rule_fs201_fs202 ctx =
+  let keep = 5 and max_cycles = ctx.cfg.max_cycles in
   match ctx.classification with
   | Some (Ok _) -> []
-  | Some (Stdlib.Error (Cs4.Bad_block { block_source; block_sink; _ })) -> (
+  | Some
+      (Stdlib.Error
+        (Cs4.Bad_block { block_source; block_sink; block_ids; reason })) ->
     let scope = Printf.sprintf "block %d..%d" block_source block_sink in
-    match
-      Cs4.block_witnesses ~max_cycles:ctx.cfg.max_cycles ctx.g ~block_source
-        ~block_sink ~limit:keep
-    with
-    | [], _ ->
-      [
-        diag "FS202"
-          (Nodes [ block_source; block_sink ])
-          (Printf.sprintf
-             "multi-source cycles in %s: none found within the search \
-              budget of %d cycles — each such cycle multiplies the general \
-              route's work"
-             scope ctx.cfg.max_cycles);
-      ]
-    | cycles, _ -> found scope cycles)
+    let cycles, _ =
+      Cs4.block_witnesses ~max_cycles ctx.g ~block_ids ~limit:keep
+    in
+    rule_fs201 ctx ~block_source ~block_sink ~reason (List.nth_opt cycles 0)
+    ::
+    (if cycles <> [] then rule_fs202 scope cycles
+     else
+       [
+         diag "FS202"
+           (Nodes [ block_source; block_sink ])
+           (Printf.sprintf
+              "multi-source cycles in %s: none found within the search \
+               budget of %d cycles — each such cycle multiplies the general \
+               route's work"
+              scope max_cycles);
+       ])
   | _ when not ctx.dag -> []
   | _ -> (
     match
-      Cycles.search ~max_cycles:ctx.cfg.max_cycles ctx.g ~limit:keep (fun c ->
+      Cycles.search ~max_cycles ctx.g ~limit:keep (fun c ->
           not (Cycles.is_cs4_cycle c))
     with
     | [], true ->
@@ -527,29 +485,36 @@ let rule_fs202 ctx =
         (Printf.sprintf
            "the cycle search exceeded the budget of %d simple cycles before \
             a multi-source cycle was found; FS202 was skipped"
-           ctx.cfg.max_cycles);
+           max_cycles);
       []
-    | cycles, _ -> found "the graph" cycles)
+    | cycles, _ -> rule_fs202 "the graph" cycles)
 
-(* a serial composition of SP blocks is SP: only a ladder block can
-   stall the whole-graph reduction *)
+(* The whole-graph series/parallel reduction stalls exactly when a
+   ladder block exists (a serial composition of SP blocks is SP), and
+   the blocks give its count: each maximal run of consecutive SP blocks
+   collapses to one super-edge, and each ladder keeps its core, whose
+   rails never series-merge at its terminals. *)
 let rule_fs203 ctx =
+  let rec stalled ~after_sp n = function
+    | [] -> n
+    | (_, _, Cs4.Ladder_block l) :: rest ->
+      stalled ~after_sp:false (n + Ladder.core_edges l) rest
+    | (_, _, Cs4.Sp_block _) :: rest ->
+      stalled ~after_sp:true (if after_sp then n else n + 1) rest
+  in
   match ctx.classification with
   | Some (Ok cls)
     when List.exists
            (function _, _, Cs4.Ladder_block _ -> true | _ -> false)
-           cls.Cs4.blocks -> (
-    match Sp_recognize.recognize ctx.g with
-    | Stdlib.Error (Sp_recognize.Irreducible { remaining_edges }) ->
-      [
-        diag "FS203" Whole_graph
-          (Printf.sprintf
-             "not series-parallel: the series/parallel reduction stalls \
-              with %d super-edges; the ladder/CS4 algorithms are in use \
-              (polynomial, not linear)"
-             remaining_edges);
-      ]
-    | _ -> [])
+           cls.Cs4.blocks ->
+    [
+      diag "FS203" Whole_graph
+        (Printf.sprintf
+           "not series-parallel: the series/parallel reduction stalls with \
+            %d super-edges; the ladder/CS4 algorithms are in use \
+            (polynomial, not linear)"
+           (stalled ~after_sp:false 0 cls.Cs4.blocks));
+    ]
   | _ -> []
 
 (* ------------------------------------------------------------------ *)
@@ -985,8 +950,7 @@ let run_ctx ctx =
         rule_fs102 ctx;
         rule_fs103 ctx;
         rule_fs104 ctx;
-        rule_fs201 ctx;
-        rule_fs202 ctx;
+        rule_fs201_fs202 ctx;
         rule_fs203 ctx;
         rule_fs301 ctx;
         rule_fs302 ctx;

@@ -138,19 +138,25 @@ val run :
     [Cs4.classify] rejects a block only when that block holds a cycle
     with several sources, so on a two-terminal DAG both fire exactly
     when it rejects one, and neither fires on a CS4 graph. Cycles are
-    only their witnesses. They come from an early-stopping search
-    ({!Fstream_ladder.Cs4.block_witnesses}) over the rejected block's
-    edges alone, in {!Cycles.enumerate} order: FS201 stops at the first
-    multi-source cycle, FS202 at the fifth. Each search examines at
-    most [max_cycles] cycles. FS202 lists the witnesses found within
-    that budget; a rule whose search found none is reported once,
-    located at the block's endpoints, without a witness. Either way the
-    report stays complete. Only on a DAG lint cannot classify (not
-    connected or not two-terminal) does FS202 search the whole graph,
-    and there a budget that runs out before the first witness marks
-    the report incomplete. FS201's reroute fixit
-    ({!Fstream_repair.Repair.repair}) takes its witnesses from the
-    rejected block the same way.
+    only their witnesses. Both rules share one early-stopping search
+    ({!Fstream_ladder.Cs4.block_witnesses}) over the edges the
+    rejected block carries, in {!Cycles.enumerate} order, stopped at
+    the fifth multi-source cycle and examining at most [max_cycles]
+    cycles: FS201 cites the first (the cycle a search stopped at the
+    first would find), and FS202 lists them all. When the search found
+    none, each rule is reported once, located at the block's
+    endpoints, without a witness. Either way the report stays complete.
+    Only on a DAG lint cannot classify (not connected or not
+    two-terminal) does FS202 search the whole graph, and there a budget
+    that runs out before the first witness marks the report
+    incomplete. FS201's reroute fixit ({!Fstream_repair.Repair.repair})
+    takes its witnesses from the rejected block the same way.
+
+    FS203 reads its count off the classification: the whole-graph
+    series/parallel reduction stalls exactly when a ladder block
+    exists, with one super-edge per maximal run of consecutive SP
+    blocks plus each ladder's core ({!Fstream_ladder.Ladder.core_edges}).
+    Lint runs no reduction of its own.
 
     FS303 (under [Propagation] with a plan) still folds every cycle of
     the graph ({!Cycles.fold}), one at a time; its exhausted budget
@@ -167,7 +173,9 @@ val count : report -> severity -> int
     Exposed so a test can run the rules over a context built another
     way — the differential suite compares {!run} against a
     self-classifying, self-compiling reference, with FS201 and FS202
-    checked against eager whole-graph enumeration. *)
+    checked against eager whole-graph enumeration. {!run} skips the
+    DAG and connectivity checks when given an [Ok] plan, which proves
+    both. *)
 
 type ctx = {
   g : Graph.t;

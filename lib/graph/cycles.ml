@@ -33,7 +33,7 @@ type run = {
    reported.
 
    [within] replaces the block partition by one group holding the given
-   edges: the DFS then follows only those, and reports exactly the
+   edge ids: the DFS then follows only those, and reports exactly the
    cycles all of whose edges lie among them, in the order of the whole
    traversal (the relative order of first edges at s and of the edges
    scanned at each step is unchanged). Given one biconnected block,
@@ -50,7 +50,7 @@ let traverse ~max_cycles ?within g f =
         | [ _ ] -> ()
         | es -> List.iter (fun (e : Graph.edge) -> block.(e.id) <- b) es)
       (Articulation.biconnected_components g)
-  | Some es -> List.iter (fun (e : Graph.edge) -> block.(e.id) <- 0) es);
+  | Some ids -> List.iter (fun id -> block.(id) <- 0) ids);
   let by_block (a : Graph.edge) (b : Graph.edge) =
     compare block.(a.id) block.(b.id)
   in
@@ -144,12 +144,6 @@ let search ?(max_cycles = default_budget) ?within g ~limit p =
       | exception Budget_exceeded _ -> true
   in
   (List.rev !found, exhausted)
-
-let find ?(max_cycles = default_budget) g p =
-  match search ~max_cycles g ~limit:1 p with
-  | [ c ], _ -> Some c
-  | _, true -> raise (Budget_exceeded max_cycles)
-  | _, false -> None
 
 let enumerate ?max_cycles g =
   List.rev (fold ?max_cycles g ~init:[] ~f:(fun acc c -> c :: acc))

@@ -34,9 +34,9 @@ type run = {
 (** A maximal directed path along a cycle. *)
 
 exception Budget_exceeded of int
-(** Raised by {!enumerate}, {!fold}, {!count} and {!find} once more
-    than the given budget of distinct simple cycles has been met;
-    carries the budget. {!search} reports it instead. *)
+(** Raised by {!enumerate}, {!fold} and {!count} once more than the
+    given budget of distinct simple cycles has been met; carries the
+    budget. {!search} reports it instead. *)
 
 val enumerate : ?max_cycles:int -> Graph.t -> t list
 (** All undirected simple cycles, each reported once. A cycle is
@@ -57,17 +57,9 @@ val fold :
 val count : ?max_cycles:int -> Graph.t -> int
 (** [List.length (enumerate g)], without building the list. *)
 
-val find : ?max_cycles:int -> Graph.t -> (t -> bool) -> t option
-(** The first cycle, in {!enumerate} order, satisfying the predicate;
-    the traversal stops there. The budget counts the cycles examined
-    up to and including the one returned, so a witness among the first
-    [max_cycles] cycles is found even when the graph has more.
-    @raise Budget_exceeded when more than [max_cycles] cycles are
-    examined without a match. *)
-
 val search :
   ?max_cycles:int ->
-  ?within:Graph.edge list ->
+  ?within:int list ->
   Graph.t ->
   limit:int ->
   (t -> bool) ->
@@ -75,17 +67,19 @@ val search :
 (** [search g ~limit p] is the first [limit] cycles, in {!enumerate}
     order, that satisfy [p]; the traversal stops at the [limit]-th.
 
-    [within] restricts the search to the cycles all of whose edges lie
-    in that set, listed in the order {!enumerate} gives them. Given the
-    edges of one biconnected block, those are exactly the block's
-    cycles, and the traversal never leaves the block: the search costs
-    O(|G|) set-up plus the paths it explores inside the block, whatever
-    the rest of the graph holds.
+    [within] restricts the search to the cycles all of whose edges have
+    their ids in that list, listed in the order {!enumerate} gives
+    them. Given the edges of one biconnected block, those are exactly
+    the block's cycles, and the traversal never leaves the block: the
+    search costs O(|G|) set-up plus the paths it explores inside the
+    block, whatever the rest of the graph holds.
 
-    The budget counts the cycles examined, as for {!find}. The flag is
-    [true] when more than [max_cycles] were examined before [limit]
-    matches: the list then holds the matches among the first
-    [max_cycles] cycles. Never raises {!Budget_exceeded}. *)
+    The budget counts the cycles examined, up to and including the
+    [limit]-th match, so a match among the first [max_cycles] cycles
+    is found even when the graph has more. The flag is [true] when
+    more than [max_cycles] were examined before [limit] matches: the
+    list then holds the matches among the first [max_cycles] cycles.
+    Never raises {!Budget_exceeded}. *)
 
 val vertices : t -> Graph.node list
 (** Vertex sequence [v0; v1; ...] with [v_i] the tail of the i-th

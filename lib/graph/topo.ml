@@ -55,7 +55,7 @@ let rank g =
   Array.iteri (fun i v -> r.(v) <- i) (order_exn g);
   r
 
-let search g start next =
+let search g roots next =
   let seen = Array.make (Graph.num_nodes g) false in
   let rec visit v =
     if not seen.(v) then begin
@@ -63,23 +63,21 @@ let search g start next =
       List.iter visit (next v)
     end
   in
-  visit start;
+  List.iter visit roots;
   seen
 
-let reachable g v =
-  search g v (fun u ->
-      List.map (fun (e : Graph.edge) -> e.dst) (Graph.out_edges g u))
+let successors g u =
+  List.map (fun (e : Graph.edge) -> e.dst) (Graph.out_edges g u)
 
-let co_reachable g v =
-  search g v (fun u ->
-      List.map (fun (e : Graph.edge) -> e.src) (Graph.in_edges g u))
+let predecessors g u =
+  List.map (fun (e : Graph.edge) -> e.src) (Graph.in_edges g u)
 
-let connected g =
-  let seen =
-    search g 0 (fun u ->
-        List.map (fun e -> Graph.other_endpoint e u) (Graph.incident_edges g u))
-  in
-  Array.for_all Fun.id seen
+let neighbours g u =
+  List.map (fun e -> Graph.other_endpoint e u) (Graph.incident_edges g u)
+
+let reachable g v = search g [ v ] (successors g)
+let co_reachable g v = search g [ v ] (predecessors g)
+let connected g = Array.for_all Fun.id (search g [ 0 ] (neighbours g))
 
 (* Walking in-edges backwards from any node of a DAG ends at a source,
    and walking out-edges ends at a sink; with one of each, every node

@@ -17,6 +17,22 @@ val rank : Graph.t -> int array
 (** [rank g] maps each node to its position in [order_exn g].
     @raise Invalid_argument if the graph is cyclic. *)
 
+val search :
+  Graph.t -> Graph.node list -> (Graph.node -> Graph.node list) -> bool array
+(** [search g roots next] flags every node reached from [roots] by
+    repeatedly following [next], the roots included: one depth-first
+    walk, one [bool array]. *)
+
+val successors : Graph.t -> Graph.node -> Graph.node list
+(** The heads of a node's out-edges, one per edge: {!search}'s [next]
+    along the edges. *)
+
+val predecessors : Graph.t -> Graph.node -> Graph.node list
+(** The tails of a node's in-edges: {!search}'s [next] against them. *)
+
+val neighbours : Graph.t -> Graph.node -> Graph.node list
+(** Both: {!search}'s [next] in the undirected multigraph. *)
+
 val reachable : Graph.t -> Graph.node -> bool array
 (** [reachable g v] flags every node reachable from [v] by directed
     paths, including [v] itself. *)

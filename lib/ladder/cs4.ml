@@ -17,12 +17,13 @@ type failure =
   | Bad_block of {
       block_source : Graph.node;
       block_sink : Graph.node;
+      block_ids : int list;
       reason : string;
     }
 
 let pp_failure ppf = function
   | Not_two_terminal -> Format.fprintf ppf "not a connected two-terminal DAG"
-  | Bad_block { block_source; block_sink; reason } ->
+  | Bad_block { block_source; block_sink; reason; _ } ->
     Format.fprintf ppf "block %d..%d is neither SP nor an SP-ladder: %s"
       block_source block_sink reason
 
@@ -53,12 +54,13 @@ let classify ?order g =
             block_ids = List.rev ids;
           }
       | (bsrc, bsnk, edges) :: rest -> (
+        let block_ids = List.map (fun (e : Graph.edge) -> e.id) edges in
         match classify_block ~source:bsrc ~sink:bsnk edges with
-        | Ok b ->
-          let id (e : Graph.edge) = e.id in
-          go ((bsrc, bsnk, b) :: acc) (List.map id edges :: ids) rest
+        | Ok b -> go ((bsrc, bsnk, b) :: acc) (block_ids :: ids) rest
         | Error reason ->
-          Error (Bad_block { block_source = bsrc; block_sink = bsnk; reason }))
+          Error
+            (Bad_block
+               { block_source = bsrc; block_sink = bsnk; block_ids; reason }))
     in
     go [] [] (Articulation.serial_blocks ~order g)
   | _ -> Error Not_two_terminal
@@ -67,17 +69,13 @@ let is_cs4 g = Result.is_ok (classify g)
 
 let is_multi_source c = not (Cycles.is_cs4_cycle c)
 
-let bad_cycle_witness ?max_cycles g = Cycles.find ?max_cycles g is_multi_source
+let block_witnesses ?max_cycles g ~block_ids ~limit =
+  Cycles.search ?max_cycles ~within:block_ids g ~limit is_multi_source
 
-let block_witnesses ?max_cycles g ~block_source ~block_sink ~limit =
-  let _, _, within =
-    List.find
-      (fun (s, t, _) -> s = block_source && t = block_sink)
-      (Articulation.serial_blocks g)
-  in
-  Cycles.search ?max_cycles ~within g ~limit is_multi_source
-
-let is_cs4_brute ?max_cycles g =
+let is_cs4_brute g =
   match Topo.is_two_terminal g with
-  | Some (x, y) when x <> y -> Option.is_none (bad_cycle_witness ?max_cycles g)
+  | Some (x, y) when x <> y -> (
+    match Cycles.search g ~limit:1 is_multi_source with
+    | [], true -> invalid_arg "Cs4.is_cs4_brute: cycle budget exhausted"
+    | found, _ -> found = [])
   | _ -> false

@@ -7,7 +7,7 @@
     biconnected blocks along its articulation-point chain and recognizes
     each block, yielding the decomposition the interval algorithms of
     §VI consume. [is_cs4_brute] decides the same property directly from
-    the cycle-structure definition by enumerating all undirected simple
+    the cycle-structure definition by searching the undirected simple
     cycles (exponential); the test suite checks the two agree, which is
     the computational content of Theorem V.7. *)
 
@@ -32,6 +32,10 @@ type failure =
   | Bad_block of {
       block_source : Graph.node;
       block_sink : Graph.node;
+      block_ids : int list;
+          (** the block's edge ids, increasing, as [block_ids] keeps
+              them for an accepted block: what {!block_witnesses}
+              searches *)
       reason : string;  (** why the block is neither SP nor a ladder *)
     }
 
@@ -42,31 +46,27 @@ val classify : ?order:Graph.node array -> Graph.t -> (t, failure) result
 val is_cs4 : Graph.t -> bool
 (** [Result.is_ok (classify g)]. *)
 
-val is_cs4_brute : ?max_cycles:int -> Graph.t -> bool
+val is_cs4_brute : Graph.t -> bool
 (** Definition-level check: two-terminal and every undirected simple
-    cycle has exactly one source and one sink. Exponential. *)
-
-val bad_cycle_witness : ?max_cycles:int -> Graph.t -> Cycles.t option
-(** A cycle with more than one source (and sink), when one exists —
-    e.g. the a-c-b-d cycle of the Fig. 4 butterfly. The first such
-    cycle in {!Cycles.enumerate} order; the search stops there, and
-    [max_cycles] counts the cycles examined before it
-    ({!Cycles.find}). *)
+    cycle has exactly one source and one sink, decided by a whole-graph
+    search for the first multi-source cycle ({!Cycles.search} with
+    [~limit:1]). Exponential: the test oracle for {!classify}.
+    @raise Invalid_argument if the search's default budget runs out
+    before it decides. *)
 
 val block_witnesses :
   ?max_cycles:int ->
   Graph.t ->
-  block_source:Graph.node ->
-  block_sink:Graph.node ->
+  block_ids:int list ->
   limit:int ->
   Cycles.t list * bool
-(** The first [limit] multi-source cycles of the serial block
-    [block_source..block_sink] of a two-terminal DAG — the block a
-    [Bad_block] names, which holds at least one — in {!Cycles.enumerate}
-    order, searched over that block's edges only ({!Cycles.search},
-    whose budget and flag it returns). The search stops at the
-    [limit]-th, so its cost depends on that block alone, never on the
-    cycles of the rest of the graph.
-    @raise Not_found if no serial block has those endpoints. *)
+(** The first [limit] multi-source cycles of the block whose edge ids a
+    [Bad_block] carries — a block that holds at least one — in
+    {!Cycles.enumerate} order, searched over those edges only
+    ({!Cycles.search}, whose budget and flag it returns). The search
+    stops at the [limit]-th, so its cost depends on that block alone,
+    never on the cycles of the rest of the graph. Lint, repair and
+    [streamcheck classify] search the block {!classify} rejected this
+    way, and none of them splits the graph into blocks again. *)
 
 val pp_failure : Format.formatter -> failure -> unit

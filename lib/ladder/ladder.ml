@@ -203,6 +203,10 @@ let recognize_block ~source ~sink edges =
 
 let num_rungs t = Array.length t.rungs
 
+let core_edges t =
+  Array.length t.left_segments + Array.length t.right_segments
+  + Array.length t.rungs
+
 let constituents t =
   let tag prefix i tree = (Printf.sprintf "%s%d" prefix i, tree) in
   List.concat

@@ -65,6 +65,13 @@ val edges : t -> Graph.edge list
 
 val num_rungs : t -> int
 
+val core_edges : t -> int
+(** The super-edges its stalled series-parallel reduction leaves: the
+    [|left_nodes| + 1] and [|right_nodes| + 1] rail segments and the
+    rungs. The rails keep two or more super-edges at both terminals, so
+    the reduction of a graph that holds the ladder as one block stalls
+    with these still there. *)
+
 val refresh : Graph.t -> t -> t
 (** Substitute the graph's current edge records (same ids, new
     capacities) into every constituent via {!Sp_tree.refresh}; the

@@ -98,9 +98,10 @@ module Pool : sig
   val await : job -> Fstream_runtime.Report.t
   (** Block until the instance reaches permanent quiescence and return
       its report ({!run}'s contract). Re-raises the instance's kernel
-      (or kernel-validation) exception if one aborted it. [await] may
-      be called at most once per job, from any thread that is not a
-      pool worker. *)
+      (or kernel-validation) exception if one aborted it. The outcome
+      is kept with the job, so any number of threads that are not pool
+      workers may await one job, at once or one after another, and
+      each gets the same report (or exception). *)
 
   val shutdown : t -> unit
   (** Stop and join the worker domains. Call only after every

@@ -53,6 +53,8 @@ let rewrite_step g cycle =
         (Graph.edges g)
     in
     let edges = if relay_exists then edges else edges @ [ (via, t, e.Graph.cap) ] in
+    (* one channel out, at most one of its capacity in, [via <> t]: no
+       self-loop, and the capacities cannot sum past the original's *)
     let g' = Graph.make ~nodes:(Graph.num_nodes g) edges in
     Some
       ( g',
@@ -82,18 +84,15 @@ let repair ?max_cycles g =
       | Error _ when rounds >= budget ->
         Error "repair did not converge within its round budget"
       | Error Cs4.Not_two_terminal -> Error "not a connected two-terminal DAG"
-      | Error (Cs4.Bad_block { block_source; block_sink; _ }) -> (
+      | Error (Cs4.Bad_block { block_ids; _ }) -> (
         (* the witness comes from the rejected block alone *)
-        match
-          Cs4.block_witnesses ?max_cycles g ~block_source ~block_sink ~limit:1
-        with
+        match Cs4.block_witnesses ?max_cycles g ~block_ids ~limit:1 with
         | [], true -> Error "no multi-source cycle within the cycle budget"
         | [], false -> Error "not CS4 yet no multi-source cycle witness"
         | cycle :: _, _ -> (
           match rewrite_step g cycle with
           | None -> Error "witness cycle admits no acyclic reroute"
-          | Some (g', r) -> loop g' (r :: reroutes) (rounds + 1)
-          | exception Invalid_argument msg -> Error msg))
+          | Some (g', r) -> loop g' (r :: reroutes) (rounds + 1)))
     in
     loop g [] 0
 

@@ -74,13 +74,11 @@ type session = {
   sbackend : Compiler.backend;
   server : t;
   slock : Mutex.t;
-  scond : Condition.t;
   rlock : Mutex.t; (* serializes the session's reconfigures *)
   mutable graph : Graph.t;
   mutable savoidance : Engine.avoidance;
   mutable sepoch : int;
   mutable job : Pool.job option;
-  mutable awaiting : bool; (* a thread is inside Pool.await for [job] *)
   mutable report : Report.t option;
 }
 
@@ -258,13 +256,11 @@ let admit t ?name ?spec ?backend ~mode g =
         sbackend = backend;
         server = t;
         slock = Mutex.create ();
-        scond = Condition.create ();
         rlock = Mutex.create ();
         graph = g;
         savoidance;
         sepoch = 0;
         job = None;
-        awaiting = false;
         report = None;
       }
 
@@ -295,48 +291,34 @@ let start t ?sink ~kernels ~inputs s =
       s.report <- None;
       s.job <- Some job)
 
-(* Join the session's in-flight run, calling [Pool.await] exactly once
-   per job no matter how many threads need the boundary (user [await]s
-   racing a [reconfigure] drain): the first claims the join with
-   [awaiting]; the rest sleep on the condition until the report lands. *)
+(* Join the session's in-flight run. Any number of threads may be in
+   [Pool.await] on one job at once (user [await]s racing a [reconfigure]
+   drain); each gets the job's report, and the first back caches it as
+   the session's, unless a [start] has already replaced the job. *)
 let collect s =
   Mutex.lock s.slock;
-  let rec loop () =
-    match s.report with
-    | Some r ->
+  match (s.report, s.job) with
+  | Some r, _ ->
+    Mutex.unlock s.slock;
+    r
+  | None, None ->
+    Mutex.unlock s.slock;
+    invalid_arg "Serve.await: session was never started"
+  | None, Some job -> (
+    Mutex.unlock s.slock;
+    let current () = match s.job with Some j -> j == job | None -> false in
+    match Pool.await job with
+    | r ->
+      Mutex.lock s.slock;
+      if current () then s.report <- Some r;
       Mutex.unlock s.slock;
       r
-    | None -> (
-      match s.job with
-      | None ->
-        Mutex.unlock s.slock;
-        invalid_arg "Serve.await: session was never started"
-      | Some job ->
-        if s.awaiting then begin
-          Condition.wait s.scond s.slock;
-          loop ()
-        end
-        else begin
-          s.awaiting <- true;
-          Mutex.unlock s.slock;
-          (match Pool.await job with
-          | r ->
-            Mutex.lock s.slock;
-            s.report <- Some r;
-            s.awaiting <- false;
-            Condition.broadcast s.scond
-          | exception e ->
-            Mutex.lock s.slock;
-            (* the job is dead and may not be awaited again *)
-            s.job <- None;
-            s.awaiting <- false;
-            Condition.broadcast s.scond;
-            Mutex.unlock s.slock;
-            raise e);
-          loop ()
-        end)
-  in
-  loop ()
+    | exception e ->
+      Mutex.lock s.slock;
+      (* the job is dead and may not be awaited again *)
+      if current () then s.job <- None;
+      Mutex.unlock s.slock;
+      raise e)
 
 let await s = collect s
 

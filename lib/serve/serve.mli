@@ -155,10 +155,10 @@ val start :
 
 val await : session -> Report.t
 (** Block until the session's instance quiesces; re-raises its kernel
-    exception if one aborted it. Safe to call from several threads
-    (the pool join happens exactly once); subsequent calls return the
-    cached report until the next {!start}. Must not be called from a
-    pool worker. *)
+    exception if one aborted it. Safe to call from several threads,
+    each of which gets the run's report; later calls return the cached
+    report until the next {!start}. Must not be called from a pool
+    worker. *)
 
 val run :
   t ->

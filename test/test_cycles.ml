@@ -230,9 +230,10 @@ let search_matches g cycles =
   && List.for_all
        (fun es ->
          let mine = List.filter (in_block es) cycles in
-         Cycles.search ~within:es g ~limit:max_int any = (mine, false)
-         && Cycles.search ~within:es g ~limit:3 bad = expect bad mine 3
-         && Cycles.search ~max_cycles:2 ~within:es g ~limit:1 bad
+         let within = List.map (fun (e : Graph.edge) -> e.id) es in
+         Cycles.search ~within g ~limit:max_int any = (mine, false)
+         && Cycles.search ~within g ~limit:3 bad = expect bad mine 3
+         && Cycles.search ~max_cycles:2 ~within g ~limit:1 bad
             = expect ~max_cycles:2 bad mine 1)
        (Articulation.biconnected_components g)
 
@@ -247,7 +248,6 @@ let prop_matches_reference (name, family) =
       let expected =
         outcome (fun () -> reference_enumerate ~max_cycles:oracle_budget g)
       in
-      let bad c = not (Cycles.is_cs4_cycle c) in
       full = expected
       && outcome (fun () -> Cycles.enumerate ~max_cycles:3 g)
          = outcome (fun () -> reference_enumerate ~max_cycles:3 g)
@@ -255,21 +255,18 @@ let prop_matches_reference (name, family) =
          = Result.map List.length expected
       &&
       match expected with
-      | Ok cycles ->
-        Cycles.find g bad = List.find_opt bad cycles
-        && search_matches g cycles
+      | Ok cycles -> search_matches g cycles
       | Error _ -> true)
 
-let test_find_stops_early () =
+let test_search_stops_early () =
   (* The chain has 1,034 cycles; the first is the first diamond's
      parallel pair, returned within a budget of one cycle. *)
   let g = Topo_gen.diamond_chain ~bypass:true ~diamonds:10 ~cap:1 () in
   Alcotest.(check bool) "first cycle found within budget 1" true
-    (Cycles.find ~max_cycles:1 g (fun _ -> true)
-     = Some (List.hd (Cycles.enumerate g)));
-  Alcotest.check_raises "no match within the budget"
-    (Cycles.Budget_exceeded 5) (fun () ->
-      ignore (Cycles.find ~max_cycles:5 g (fun _ -> false)))
+    (Cycles.search ~max_cycles:1 g ~limit:1 (fun _ -> true)
+     = ([ List.hd (Cycles.enumerate g) ], false));
+  Alcotest.(check bool) "no match within the budget" true
+    (Cycles.search ~max_cycles:5 g ~limit:1 (fun _ -> false) = ([], true))
 
 let test_pipeline_has_no_cycles () =
   (* All bridges: the traversal follows none of them. *)
@@ -287,8 +284,8 @@ let suite =
     prop_cycle_wellformed;
     prop_runs_partition;
     prop_sources_share_opposite;
-    Alcotest.test_case "find stops at the first match" `Quick
-      test_find_stops_early;
+    Alcotest.test_case "search stops at the first match" `Quick
+      test_search_stops_early;
     Alcotest.test_case "pipeline: no cycles, no budget used" `Quick
       test_pipeline_has_no_cycles;
   ]

@@ -90,11 +90,16 @@ let test_classify_butterfly () =
   | _ -> Alcotest.fail "butterfly should fail classification");
   Alcotest.(check bool) "brute agrees" false
     (Cs4.is_cs4_brute (Topo_gen.fig4_butterfly ~cap:1));
-  match Cs4.bad_cycle_witness (Topo_gen.fig4_butterfly ~cap:1) with
-  | Some c ->
-    Alcotest.(check (list int)) "witness is the a-c-b-d cycle" [ 1; 2 ]
-      (Cycles.cycle_sources c)
-  | None -> Alcotest.fail "expected a bad-cycle witness"
+  match Cs4.classify (Topo_gen.fig4_butterfly ~cap:1) with
+  | Error (Cs4.Bad_block { block_ids; _ }) -> (
+    match
+      Cs4.block_witnesses (Topo_gen.fig4_butterfly ~cap:1) ~block_ids ~limit:1
+    with
+    | c :: _, false ->
+      Alcotest.(check (list int)) "witness is the a-c-b-d cycle" [ 1; 2 ]
+        (Cycles.cycle_sources c)
+    | _ -> Alcotest.fail "expected a bad-cycle witness")
+  | _ -> Alcotest.fail "butterfly should fail classification"
 
 let test_classify_serial_mix () =
   (* hexagon ; fig4-left ; single edge, composed serially *)
@@ -366,48 +371,16 @@ module Reference_reduce = struct
                 (fun l -> Cs4.Ladder_block l)
                 (Ladder.of_core ~source ~sink core)
           in
+          let block_ids = List.map (fun (e : Graph.edge) -> e.id) edges in
           match block with
-          | Ok b ->
-            let id (e : Graph.edge) = e.id in
-            go ((source, sink, b) :: acc) (List.map id edges :: ids) rest
+          | Ok b -> go ((source, sink, b) :: acc) (block_ids :: ids) rest
           | Error reason ->
             Error
               (Cs4.Bad_block
-                 { block_source = source; block_sink = sink; reason }))
+                 { block_source = source; block_sink = sink; block_ids; reason }))
       in
       go [] [] (Articulation.serial_blocks g)
 end
-
-(* Random SP and ladder blocks in series, each joined to the next by a
-   single edge: a CS4 chain whose blocks alternate with bridges. *)
-let bridged_cs4 seed =
-  let rng = Tutil.rng_of seed in
-  let blocks =
-    List.init
-      (1 + Random.State.int rng 4)
-      (fun i ->
-        let s = Random.State.bits rng in
-        if i mod 2 = 0 then Tutil.random_sp_of_seed ~max_edges:8 s
-        else Tutil.random_ladder_of_seed ~max_rungs:3 s)
-  in
-  let spec, nodes, _ =
-    List.fold_left
-      (fun (spec, base, prev_sink) b ->
-        let x, y = Option.get (Topo.is_two_terminal b) in
-        let own =
-          List.map
-            (fun (e : Graph.edge) -> (base + e.src, base + e.dst, e.cap))
-            (Graph.edges b)
-        in
-        let bridge =
-          match prev_sink with
-          | Some t -> [ (t, base + x, 1 + Random.State.int rng 4) ]
-          | None -> []
-        in
-        (spec @ bridge @ own, base + Graph.num_nodes b, Some (base + y)))
-      ([], 0, None) blocks
-  in
-  Graph.make ~nodes spec
 
 let classify_families =
   [
@@ -437,7 +410,7 @@ let classify_families =
                   List.init
                     (1 + Random.State.int rng 3)
                     (fun _ -> (i, i + 1, 1 + Random.State.int rng 4))))) );
-    ("bridged_cs4", bridged_cs4);
+    ("bridged_cs4", Tutil.bridged_cs4_of_seed);
   ]
 
 (* A random two-terminal DAG with a directed cycle added: a back edge

@@ -73,6 +73,62 @@ let test_fs104 () =
   check_fires "unreachable cycle" "FS104" r;
   check_silent "fig2" "FS104" (Lint.run (Topo_gen.fig2_triangle ~cap:2))
 
+(* FS102's and FS104's findings in full: location, message and witness
+   of every finding, on graphs with several components (the smallest
+   first among equals, then one past the eight listed nodes), with
+   unreachable nodes, with dead ends, and with no source or sink. *)
+let test_fs102_fs104_pinned () =
+  let pinned code g =
+    List.filter_map
+      (fun (d : Lint.diagnostic) ->
+        if d.Lint.code <> code then None
+        else
+          let nodes l = String.concat "," (List.map string_of_int l) in
+          let loc =
+            match d.Lint.location with
+            | Lint.Nodes l -> "nodes " ^ nodes l
+            | _ -> "other"
+          in
+          Some (String.concat " | " ((loc :: d.Lint.message :: d.Lint.witness))))
+      (Lint.run g).Lint.diagnostics
+  in
+  let check name code g expected =
+    Alcotest.(check (list string)) name expected (pinned code g)
+  in
+  let disconnected =
+    "the topology is not connected: isolated parts cannot exchange \
+     sequence numbers and the interval algorithms reject it"
+  in
+  check "three components" "FS102"
+    (Graph.make ~nodes:8 [ (0, 1, 1); (1, 2, 1); (3, 4, 1); (5, 6, 1); (6, 7, 1) ])
+    [ "nodes 3,4 | " ^ disconnected ^ " | 3 components; smallest is {3, 4}" ];
+  check "ten-node halves" "FS102"
+    (Graph.make ~nodes:20
+       (List.init 9 (fun i -> (i, i + 1, 1))
+       @ List.init 9 (fun i -> (i + 10, i + 11, 1))))
+    [
+      "nodes 0,1,2,3,4,5,6,7,8,9 | " ^ disconnected
+      ^ " | 2 components; smallest is {0, 1, 2, 3, 4, 5, 6, 7, ... (10 in all)}";
+    ];
+  check "unreachable" "FS104"
+    (Graph.make ~nodes:4 [ (0, 3, 1); (1, 2, 1); (2, 1, 1); (1, 3, 1) ])
+    [
+      "nodes 1,2 | node(s) 1, 2 are unreachable from every source: they can \
+       never fire";
+    ];
+  check "dead end" "FS104"
+    (Graph.make ~nodes:5
+       [ (0, 1, 1); (1, 4, 1); (1, 2, 1); (2, 3, 1); (3, 2, 1) ])
+    [ "nodes 2,3 | node(s) 2, 3 cannot reach any sink: they can never drain" ];
+  check "no source or sink" "FS104"
+    (Graph.make ~nodes:3 [ (0, 1, 1); (1, 2, 1); (2, 0, 1) ])
+    [
+      "nodes 0,1,2 | node(s) 0, 1, 2 are unreachable from every source: \
+       they can never fire";
+      "nodes 0,1,2 | node(s) 0, 1, 2 cannot reach any sink: they can never \
+       drain";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* FS2xx: cycle structure *)
 
@@ -859,8 +915,8 @@ let prop_recompiled_plan_eq_reference =
 
 (* What the two rule shortcuts rest on, checked against enumeration:
    a CS4 graph has no multi-source cycle (FS202 reads no cycles on it),
-   and a decomposition into SP blocks only is SP as a whole (FS203 runs
-   the whole-graph reduction only when a ladder block exists). *)
+   and a decomposition into SP blocks only is SP as a whole (FS203
+   fires only when a ladder block exists). *)
 let prop_rule_shortcuts (fname, family) =
   Tutil.qtest ~count:300
     (Printf.sprintf "CS4 has no multi-source cycle; SP blocks only is SP (%s)"
@@ -883,6 +939,77 @@ let prop_rule_shortcuts (fname, family) =
         no_bad_cycle
         && ((not all_sp)
            || Result.is_ok (Fstream_spdag.Sp_recognize.recognize g)))
+
+(* FS203 reads its count off the blocks; on every draw it fires exactly
+   when the whole-graph series/parallel reduction stalls, with the
+   count of super-edges that reduction is left with. *)
+let prop_fs203_count (fname, family) =
+  Tutil.qtest ~count:300
+    (Printf.sprintf "FS203 count = stalled whole-graph reduction (%s)" fname)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      let stalled =
+        match Fstream_spdag.Sp_recognize.recognize g with
+        | Ok _ -> None
+        | Error (Fstream_spdag.Sp_recognize.Irreducible { remaining_edges }) ->
+          Some remaining_edges
+        | Error Fstream_spdag.Sp_recognize.Not_two_terminal ->
+          Alcotest.fail "generator drew a graph that is not two-terminal"
+      in
+      let reported =
+        List.find_map
+          (fun (d : Lint.diagnostic) ->
+            if d.Lint.code <> "FS203" then None
+            else
+              Some
+                (Scanf.sscanf d.Lint.message
+                   "not series-parallel: the series/parallel reduction \
+                    stalls with %d super-edges"
+                   Fun.id))
+          (Lint.run g).Lint.diagnostics
+      in
+      if reported <> stalled then
+        QCheck.Test.fail_reportf "FS203 reports %s, the reduction %s"
+          (Option.fold ~none:"nothing" ~some:string_of_int reported)
+          (Option.fold ~none:"succeeds" ~some:string_of_int stalled);
+      true)
+
+let fs203_families =
+  [
+    ("random_cs4", Tutil.random_cs4_of_seed ?max_blocks:None);
+    ("random_ladder", Tutil.random_ladder_of_seed ?max_rungs:None);
+    ("bridged_cs4", Tutil.bridged_cs4_of_seed);
+  ]
+
+(* One search serves FS201 and FS202: on every draw with a rejected
+   block, FS201's witness is FS202's first cycle, or, when the budget
+   left none, both sit at the block's endpoints. *)
+let prop_fs201_is_first_fs202 (fname, family) =
+  Tutil.qtest ~count:300
+    (Printf.sprintf "FS201's witness is FS202's first cycle (%s)" fname)
+    Tutil.seed_gen (fun seed ->
+      let g = family seed in
+      match Cs4.classify g with
+      | Error (Cs4.Bad_block _) ->
+        List.for_all
+          (fun max_cycles ->
+            let r =
+              Lint.run ~config:{ Lint.default_config with max_cycles } g
+            in
+            let first =
+              List.find
+                (fun (d : Lint.diagnostic) ->
+                  d.Lint.code = "FS202"
+                  && (match d.Lint.location with
+                     | Lint.Channels _ ->
+                       String.starts_with ~prefix:"multi-source cycle 1 "
+                         d.Lint.message
+                     | _ -> true))
+                r.Lint.diagnostics
+            in
+            (find "FS201" r).Lint.location = first.Lint.location)
+          [ seed mod 7; Lint.default_config.max_cycles ]
+      | _ -> true)
 
 (* The bounded search examines the rejected block's cycles only. An SP
    fan on the lowest node ids (28 cycles, all single-source, first in
@@ -1016,6 +1143,8 @@ let suite =
     Alcotest.test_case "FS102 disconnected" `Quick test_fs102;
     Alcotest.test_case "FS103 arity" `Quick test_fs103;
     Alcotest.test_case "FS104 unreachable" `Quick test_fs104;
+    Alcotest.test_case "FS102 and FS104 findings pinned" `Quick
+      test_fs102_fs104_pinned;
     Alcotest.test_case "FS201 non-CS4 witness" `Quick test_fs201;
     Alcotest.test_case "FS202 multi-source cycles" `Quick test_fs202;
     Alcotest.test_case "FS203 not SP" `Quick test_fs203;
@@ -1058,3 +1187,7 @@ let suite =
         ("random_dag", Tutil.random_dag_of_seed) ]
   @ List.map prop_lint_eq_reference differential_families
   @ List.map prop_rule_shortcuts differential_families
+  @ List.map prop_fs203_count fs203_families
+  @ List.map prop_fs201_is_first_fs202
+      [ ("random_dense", Tutil.random_dense_of_seed);
+        ("random_dag", Tutil.random_dag_of_seed) ]

@@ -530,6 +530,24 @@ let test_submit_after_shutdown () =
            ~kernels:(Filters.for_graph g (fun _ outs -> Filters.passthrough outs))
            ~inputs:10 ~avoidance:Engine.No_avoidance ()))
 
+(* [Pool.await] keeps the outcome with the job: two threads awaiting one
+   job at once, and one more await after both, get equal reports. *)
+let test_await_from_two_threads () =
+  let g = Topo_gen.pipeline ~stages:8 ~cap:2 in
+  let pool = P.Pool.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> P.Pool.shutdown pool) @@ fun () ->
+  let job =
+    P.Pool.submit pool ~graph:g
+      ~kernels:(Filters.for_graph g (fun _ outs -> Filters.passthrough outs))
+      ~inputs:500 ~avoidance:Engine.No_avoidance ()
+  in
+  let there = Domain.spawn (fun () -> P.Pool.await job) in
+  let here = P.Pool.await job in
+  let there = Domain.join there in
+  Alcotest.(check bool) "completed" true (here.Report.outcome = Report.Completed);
+  Alcotest.(check bool) "both threads got the same report" true (here = there);
+  Alcotest.(check bool) "and a later await too" true (P.Pool.await job = here)
+
 let suite =
   [
     Alcotest.test_case "fig2 deadlocks across domains" `Quick
@@ -555,6 +573,8 @@ let suite =
       test_submit_after_shutdown;
     Alcotest.test_case "cross-shard chords match sequential" `Quick
       test_cross_shard_chords;
+    Alcotest.test_case "two threads await one job" `Quick
+      test_await_from_two_threads;
     prop_no_avoidance_agrees;
     prop_non_propagation_agrees;
     prop_propagation_agrees;

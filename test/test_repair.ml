@@ -76,6 +76,26 @@ let prop_repair_idempotent =
         | Error _ -> false
         | Ok r2 -> r2.deleted_edges = 0 && r2.added_edges = 0))
 
+(* A reroute deletes one channel and adds at most one relay of the same
+   capacity, so a repair never raises (no [Graph.make] can overflow
+   [Graph.max_total_cap]) and never adds capacity. *)
+let prop_repair_total_and_bounded =
+  let total g = Graph.fold_edges g ~init:0 ~f:(fun s e -> s + e.Graph.cap) in
+  Tutil.qtest ~count:300 "repair raises nothing and adds no capacity"
+    Tutil.seed_gen (fun seed ->
+      List.for_all
+        (fun g ->
+          match Repair.repair g with
+          | Ok r -> total r.graph <= total g
+          | Error _ -> true)
+        [
+          Tutil.random_dag_of_seed seed;
+          Tutil.random_dense_of_seed seed;
+          Tutil.random_cs4_of_seed seed;
+          Tutil.random_ladder_of_seed seed;
+          Topo_gen.fig4_butterfly ~cap:(1 + (seed mod 7));
+        ])
+
 let suite =
   [
     Alcotest.test_case "butterfly repair (paper's sketch)" `Quick
@@ -86,4 +106,5 @@ let suite =
     prop_repair_sound;
     prop_repair_usually_succeeds;
     prop_repair_idempotent;
+    prop_repair_total_and_bounded;
   ]

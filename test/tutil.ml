@@ -40,6 +40,37 @@ let random_cs4_of_seed ?(max_blocks = 4) seed =
     ~block_edges:(2 + Random.State.int rng 9)
     ~max_cap:7
 
+(* Random SP and ladder blocks in series, each joined to the next by a
+   single edge: a CS4 chain whose blocks alternate with bridges. *)
+let bridged_cs4_of_seed seed =
+  let rng = rng_of seed in
+  let blocks =
+    List.init
+      (1 + Random.State.int rng 4)
+      (fun i ->
+        let s = Random.State.bits rng in
+        if i mod 2 = 0 then random_sp_of_seed ~max_edges:8 s
+        else random_ladder_of_seed ~max_rungs:3 s)
+  in
+  let spec, nodes, _ =
+    List.fold_left
+      (fun (spec, base, prev_sink) b ->
+        let x, y = Option.get (Topo.is_two_terminal b) in
+        let own =
+          List.map
+            (fun (e : Graph.edge) -> (base + e.src, base + e.dst, e.cap))
+            (Graph.edges b)
+        in
+        let bridge =
+          match prev_sink with
+          | Some t -> [ (t, base + x, 1 + Random.State.int rng 4) ]
+          | None -> []
+        in
+        (spec @ bridge @ own, base + Graph.num_nodes b, Some (base + y)))
+      ([], 0, None) blocks
+  in
+  Graph.make ~nodes spec
+
 (* A random layered DAG, 1-3 layers of width 1-3: at most the 1,299
    simple cycles of a full 3 x 3 [layered_dense]. *)
 let random_dense_of_seed seed =
