@@ -1178,10 +1178,11 @@ let fu1 () =
 (* SV1. Multi-tenant serving: one shared pool vs N isolated runs.       *)
 
 (* The serving layer's claim: admitting N tenants onto one pool (lint
-   at the door, one threshold compile per distinct topology, fair-share
-   interleaving) beats giving each application its own run — both the
-   sequential engine back-to-back and a fresh pool per application
-   (which pays domain spawn/join N times). Per-tenant work is small and
+   at the door, one threshold compile per distinct topology, shards
+   interleaved through the pool's run queue) beats giving each
+   application its own run — both the sequential engine back-to-back
+   and a fresh pool per application (which pays domain spawn/join N
+   times). Per-tenant work is small and
    topologies repeat, the regime a daemon actually sees. *)
 let sv1 () =
   let module Serve = Fstream_serve.Serve in

@@ -279,12 +279,7 @@ let intervals_cmd =
       | Error e -> plan_error e
       | Ok plan ->
         Format.printf "route: %a@." Compiler.pp_route plan.route;
-        let thresholds =
-          match algorithm with
-          | Compiler.Propagation ->
-            Compiler.propagation_thresholds g plan.intervals
-          | _ -> Compiler.send_thresholds g plan.intervals
-        in
+        let thresholds = Compiler.thresholds algorithm g plan.intervals in
         Format.printf "%-6s %-10s %4s %10s %10s@." "edge" "channel" "cap"
           "interval" "threshold";
         List.iter
@@ -319,21 +314,24 @@ let avoidance_arg =
         ~doc:"Deadlock avoidance wrapper: $(b,none), $(b,propagation) or \
               $(b,non-propagation).")
 
+(* The algorithm a wrapper choice compiles under, and the wrapper that
+   runs its table; [None] for no wrapper. *)
+let wrapper = function
+  | A_none -> None
+  | A_prop -> Some (Compiler.Propagation, fun th -> Engine.Propagation th)
+  | A_nonprop ->
+    Some (Compiler.Non_propagation, fun th -> Engine.Non_propagation th)
+
 (* Compile the threshold table a wrapper choice needs (shared by
    simulate and verify). *)
 let resolve_avoidance ?(options = Compiler.Options.default) choice g =
-  match choice with
-  | A_none -> Ok Engine.No_avoidance
-  | A_prop -> (
-    match Compiler.compile ~options Compiler.Propagation g with
-    | Ok p ->
-      Ok (Engine.Propagation (Compiler.propagation_thresholds g p.intervals))
-    | Error e -> Error e)
-  | A_nonprop -> (
-    match Compiler.compile ~options Compiler.Non_propagation g with
-    | Ok p ->
-      Ok (Engine.Non_propagation (Compiler.send_thresholds g p.intervals))
-    | Error e -> Error e)
+  match wrapper choice with
+  | None -> Ok Engine.No_avoidance
+  | Some (algorithm, wrap) ->
+    Result.map
+      (fun (p : Compiler.plan) ->
+        wrap (Compiler.thresholds algorithm g p.intervals))
+      (Compiler.compile ~options algorithm g)
 
 let inputs_arg =
   Arg.(
@@ -463,35 +461,20 @@ let simulate_cmd =
             let fw = Fused.make fusion kernels in
             Ok (fusion.Fusion.graph, Fused.kernels fw, avoidance)
           in
-          match avoidance with
-          | A_none -> with_fusion (Fusion.fuse ?filter_class g) Engine.No_avoidance
-          | A_prop -> (
+          match wrapper avoidance with
+          | None -> with_fusion (Fusion.fuse ?filter_class g) Engine.No_avoidance
+          | Some (algorithm, wrap) -> (
             match
               Compiler.compile
                 ~options:
                   (options
                      { Compiler.Options.default with fuse = true; filter_class })
-                Compiler.Propagation g
+                algorithm g
             with
             | Ok { Compiler.fused = Some { fusion; fused_intervals }; _ } ->
               with_fusion fusion
-                (Engine.Propagation
-                   (Compiler.propagation_thresholds fusion.Fusion.graph
-                      fused_intervals))
-            | Ok _ -> assert false
-            | Error e -> Error e)
-          | A_nonprop -> (
-            match
-              Compiler.compile
-                ~options:
-                  (options
-                     { Compiler.Options.default with fuse = true; filter_class })
-                Compiler.Non_propagation g
-            with
-            | Ok { Compiler.fused = Some { fusion; fused_intervals }; _ } ->
-              with_fusion fusion
-                (Engine.Non_propagation
-                   (Compiler.send_thresholds fusion.Fusion.graph
+                (wrap
+                   (Compiler.thresholds algorithm fusion.Fusion.graph
                       fused_intervals))
             | Ok _ -> assert false
             | Error e -> Error e)
@@ -578,12 +561,7 @@ let fuse_cmd =
         Format.printf "route: %a@." Compiler.pp_route plan.Compiler.route;
         Format.printf "%a@." Fusion.pp fusion;
         let fg = fusion.Fusion.graph in
-        let thresholds =
-          match algorithm with
-          | Compiler.Propagation ->
-            Compiler.propagation_thresholds fg fused_intervals
-          | _ -> Compiler.send_thresholds fg fused_intervals
-        in
+        let thresholds = Compiler.thresholds algorithm fg fused_intervals in
         Format.printf "boundary channels:@.";
         Format.printf "%-6s %-6s %-10s %4s %10s %10s@." "edge" "orig" "channel"
           "cap" "interval" "threshold";
@@ -967,7 +945,7 @@ let serve_cmd =
           loaded
       in
       (* every admitted session is live on the pool before any await:
-         their shards interleave under the fair-share quota *)
+         their shards interleave in the pool's run queue *)
       List.iter
         (fun (s, spec) ->
           Serve.start t ~kernels:(App_spec.kernels spec ~seed) ~inputs s)

@@ -92,12 +92,13 @@ let run_general algorithm ~max_cycles g =
     fused = None;
   }
 
-(* Safety is downward-closed in the interval table (smaller intervals
-   send dummies sooner), so the edge-wise minimum of two safe tables is
-   safe — the sound way to combine the exact and LP tables when the
-   Auto backend can afford both. Neither table dominates the other
-   (bench §LP1 measures tightness ratios on both sides of 1), so the
-   min is the one table no single backend run can contradict. *)
+(* Safety is downward-closed in the interval table, so the edge-wise
+   minimum of two safe tables is safe — the sound way to combine the
+   exact and LP tables when the Auto backend can afford both. It is
+   not the cheaper table: on each edge it keeps the smaller interval,
+   which sends dummies sooner. ROADMAP item 12's probe had Auto send
+   at least as many dummies as the worse input on every graph it tried
+   (random-cs4 seed 6: 25,117 against 14,967 exact and 12,465 LP). *)
 let min_combine exact_plan lp_plan =
   {
     algorithm = exact_plan.algorithm;
@@ -355,3 +356,8 @@ let propagation_thresholds g intervals =
          | Some k -> Some k
          | None -> if bridge.(i) then None else Some 1)
        intervals)
+
+let thresholds algorithm g intervals =
+  match algorithm with
+  | Propagation -> propagation_thresholds g intervals
+  | Non_propagation | Relay_propagation -> send_thresholds g intervals

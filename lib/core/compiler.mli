@@ -236,4 +236,9 @@ val propagation_thresholds : Graph.t -> Interval.t array -> Thresholds.t
     accumulates past the opposing buffer capacity (the "relay erosion"
     deviation discussed in DESIGN.md). Bridge edges get [None]. *)
 
+val thresholds : algorithm -> Graph.t -> Interval.t array -> Thresholds.t
+(** The table a plan compiled under [algorithm] hands its runtime
+    wrapper: {!propagation_thresholds} for [Propagation],
+    {!send_thresholds} otherwise. *)
+
 val pp_route : Format.formatter -> route -> unit

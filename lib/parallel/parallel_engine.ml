@@ -3,8 +3,9 @@ module Firing = Fstream_runtime.Firing
 module Report = Fstream_runtime.Report
 module Worklist = Fstream_runtime.Worklist
 
-(* The interface describes shards, budget, quota and tickets; this
-   comment records the invariants the implementation hangs off.
+(* The interface describes shards, the run queue, the budget and
+   tickets; this comment records the invariants the implementation
+   hangs off.
 
    Ownership: a shard is claimed by at most one worker at a time (its
    [state], changed only under its lock, is [Running] exactly while
@@ -23,16 +24,23 @@ module Worklist = Fstream_runtime.Worklist
    owner absorbs the inbox between passes and re-checks it under the
    lock before going idle, so no wake is lost. Pops that free a remote
    producer wake it after the consumer's lock is released, so no path
-   holds two shard locks at once; the sink and idle locks are leaves.
+   holds two shard locks at once.
+
+   Run queue: a shard's claim is in the pool's queue, or popped and
+   not yet claimed, exactly while its state is [Queued]. Only an
+   Idle -> Queued transition and a claim that re-queues its shard push
+   it, both under the shard's lock, so no shard is queued twice. The
+   queue lock is a leaf (taken under a shard lock, never the other way
+   round), as is the sink's; a worker releases it before it claims the
+   shard it popped.
 
    Tickets: [live] counts queued-plus-running shards, and every wake is
    made by a running shard of the same instance, which holds a ticket,
    so [live] reaching zero is permanent quiescence. An instance's
-   setup-time state is published to the workers by the
-   sequentially-consistent write of the pool's instance array; its
-   report is assembled by the finalizing worker, whose last-ticket
-   decrement is ordered after every other worker's release of the same
-   atomic. *)
+   setup-time state is published to the workers by the queue lock its
+   seeded shards are pushed under; its report is assembled by the
+   finalizing worker, whose last-ticket decrement is ordered after
+   every other worker's release of the same atomic. *)
 
 (* Scheduling state of one shard, changed only under its lock. *)
 type state = Idle | Queued | Running
@@ -55,27 +63,14 @@ let default_domains () =
    at the bottom of the shard and starve its top. *)
 let budget = 1024
 
-(* Fair-share bound: consecutive claims one worker grants a single
-   instance while another instance has queued work. *)
-let quota = 4
-
 module Pool = struct
-  type inst = {
-    iid : int;
-    iq : int Atomic.t; (* queued shards of this instance; claim hint *)
-    claim : int -> bool; (* claim and run a shard for a worker *)
-  }
-
   type t = {
     nd : int;
-    insts : inst array Atomic.t; (* live instances; CAS add/remove *)
-    queued : int Atomic.t; (* queued shards, all instances *)
-    idlers : int Atomic.t; (* workers inside the idle section *)
-    idle_lock : Mutex.t;
-    idle_cond : Condition.t;
-    mutable stopping : bool; (* guarded by idle_lock *)
+    lock : Mutex.t; (* guards [runq] and [stopping]; a leaf *)
+    nonempty : Condition.t;
+    runq : (unit -> unit) Queue.t; (* claims of queued shards, FIFO *)
+    mutable stopping : bool;
     mutable workers : unit Domain.t array;
-    next_iid : int Atomic.t;
   }
 
   type job = {
@@ -86,95 +81,30 @@ module Pool = struct
 
   let domains t = t.nd
 
-  (* Wake at most [k] idle workers — one per shard queued, never more
-     than are napping; extra queued shards are picked up by the
-     workers' own scans. The wakeup handshake pairs with the idle
-     section's re-check of [queued]: both sides use
-     sequentially-consistent atomics, so either the enqueuer sees the
-     idler and signals, or the idler sees the new [queued] count
-     (incremented before any signalling decision) and rescans — a
-     wakeup cannot be lost. *)
-  let signal_idlers t k =
-    if Atomic.get t.idlers > 0 then begin
-      Mutex.lock t.idle_lock;
-      if k >= Atomic.get t.idlers then Condition.broadcast t.idle_cond
-      else
-        for _ = 1 to k do
-          Condition.signal t.idle_cond
-        done;
-      Mutex.unlock t.idle_lock
-    end
+  (* Push the claim of a shard that just became [Queued]; the caller
+     holds that shard's lock (or it is not yet published). *)
+  let enqueue t claim =
+    Mutex.lock t.lock;
+    Queue.push claim t.runq;
+    Condition.signal t.nonempty;
+    Mutex.unlock t.lock
 
-  (* Per-worker rotation state for the fair-share quota. [cursor]
-     indexes the instance array snapshot (re-taken every pick, so a
-     retire just shifts the rotation by one); [grants] counts
-     consecutive grants to [last]. *)
-  type wstate = { mutable cursor : int; mutable last : int; mutable grants : int }
-
-  let pick t pw w =
-    let insts = Atomic.get t.insts in
-    let ni = Array.length insts in
-    if ni = 0 then false
-    else begin
-      if pw.cursor >= ni then pw.cursor <- 0;
-      (* quota exhausted and someone else is waiting: rotate away from
-         the hot instance before scanning *)
-      if ni > 1 && pw.grants >= quota then begin
-        let rec waiting k =
-          k < ni
-          && ((let inst = insts.((pw.cursor + k) mod ni) in
-               inst.iid <> pw.last && Atomic.get inst.iq > 0)
-             || waiting (k + 1))
-        in
-        if waiting 0 then pw.cursor <- (pw.cursor + 1) mod ni;
-        pw.grants <- 0
-      end;
-      let rec scan k =
-        k < ni
-        &&
-        let idx = (pw.cursor + k) mod ni in
-        let inst = insts.(idx) in
-        if Atomic.get inst.iq > 0 && inst.claim w then begin
-          if inst.iid = pw.last then pw.grants <- pw.grants + 1
-          else begin
-            pw.last <- inst.iid;
-            pw.grants <- 1
-          end;
-          pw.cursor <- idx;
-          true
-        end
-        else scan (k + 1)
-      in
-      scan 0
-    end
-
-  (* Idle protocol: a worker that finds nothing increments [idlers]
-     and naps until an enqueue signals it or the pool stops. Instance
-     completion is detected by the per-instance ticket count, not
-     here. *)
-  let worker t w () =
-    let pw = { cursor = w; last = -1; grants = 0 } in
-    let rec loop () =
-      if pick t pw w then loop ()
-      else begin
-        Mutex.lock t.idle_lock;
-        Atomic.incr t.idlers;
-        let rec idle () =
-          if t.stopping then ()
-          else if Atomic.get t.queued > 0 then ()
-          else begin
-            Condition.wait t.idle_cond t.idle_lock;
-            idle ()
-          end
-        in
-        idle ();
-        Atomic.decr t.idlers;
-        let quit = t.stopping in
-        Mutex.unlock t.idle_lock;
-        if not quit then loop ()
-      end
-    in
-    loop ()
+  (* A worker runs the claim at the front of the queue, or naps until
+     one is pushed. Once the pool is stopping it empties the queue and
+     quits. Instance completion is detected by the per-instance ticket
+     count, not here. *)
+  let rec worker t () =
+    Mutex.lock t.lock;
+    while Queue.is_empty t.runq && not t.stopping do
+      Condition.wait t.nonempty t.lock
+    done;
+    let claim = Queue.take_opt t.runq in
+    Mutex.unlock t.lock;
+    match claim with
+    | None -> ()
+    | Some claim ->
+      claim ();
+      worker t ()
 
   let create ?domains () =
     let nd =
@@ -188,31 +118,28 @@ module Pool = struct
     let t =
       {
         nd;
-        insts = Atomic.make [||];
-        queued = Atomic.make 0;
-        idlers = Atomic.make 0;
-        idle_lock = Mutex.create ();
-        idle_cond = Condition.create ();
+        lock = Mutex.create ();
+        nonempty = Condition.create ();
+        runq = Queue.create ();
         stopping = false;
         workers = [||];
-        next_iid = Atomic.make 0;
       }
     in
-    t.workers <- Array.init nd (fun w -> Domain.spawn (worker t w));
+    t.workers <- Array.init nd (fun _ -> Domain.spawn (worker t));
     t
 
   let shutdown t =
-    Mutex.lock t.idle_lock;
+    Mutex.lock t.lock;
     let first = not t.stopping in
     t.stopping <- true;
-    Condition.broadcast t.idle_cond;
-    Mutex.unlock t.idle_lock;
+    Condition.broadcast t.nonempty;
+    Mutex.unlock t.lock;
     if first then Array.iter Domain.join t.workers
 
   let submit t ?sink ~graph:g ~kernels ~inputs ~avoidance () =
-    Mutex.lock t.idle_lock;
+    Mutex.lock t.lock;
     let stopped = t.stopping in
-    Mutex.unlock t.idle_lock;
+    Mutex.unlock t.lock;
     if stopped then
       invalid_arg "Parallel_engine.Pool.submit: pool is shut down";
     let n = Graph.num_nodes g in
@@ -241,24 +168,25 @@ module Pool = struct
           })
     in
     (* instance coordination *)
-    let iq = Atomic.make 0 in (* shards queued in this instance *)
     let live = Atomic.make 0 in (* tickets: queued + running shards *)
     let halt = Atomic.make false in
     let failure = Atomic.make None in
     let job =
       { jlock = Mutex.create (); jcond = Condition.create (); jres = None }
     in
-    (* Wake local rank [r] of [sh] from another shard. Caller holds
-       [sh.lock]. An Idle -> Queued transition mints a ticket. *)
-    let post sh r =
+    (* [claims.(i)] claims and serves shard [i]; filled in below, before
+       the first push *)
+    let claims = Array.make nshards ignore in
+    (* Wake local rank [r] of shard [i] from another shard. Caller holds
+       the shard's lock. An Idle -> Queued transition mints a ticket. *)
+    let post i r =
+      let sh = shards.(i) in
       Worklist.arm sh.inbox r;
       if not (Atomic.get sh.mail) then Atomic.set sh.mail true;
       if sh.state = Idle then begin
         sh.state <- Queued;
         Atomic.incr live;
-        Atomic.incr iq;
-        Atomic.incr t.queued;
-        signal_idlers t 1
+        enqueue t claims.(i)
       end
     in
     (* The pool's side of the shared step, under the discipline above.
@@ -269,19 +197,19 @@ module Pool = struct
         Firing.guard = Some (fun v -> shards.(shard_of.(v)).lock);
         woke =
           (fun v dst ->
-            let sh = shards.(shard_of.(dst)) in
-            if shard_of.(dst) = shard_of.(v) then Worklist.arm sh.wl local.(dst)
-            else post sh local.(dst));
+            let i = shard_of.(dst) in
+            if i = shard_of.(v) then Worklist.arm shards.(i).wl local.(dst)
+            else post i local.(dst));
         freed =
           (fun v producers k ->
             for j = 0 to k - 1 do
               let p = producers.(j) in
-              let sh = shards.(shard_of.(p)) in
-              if shard_of.(p) = shard_of.(v) then
-                Worklist.arm_next sh.wl local.(p)
+              let i = shard_of.(p) in
+              let sh = shards.(i) in
+              if i = shard_of.(v) then Worklist.arm_next sh.wl local.(p)
               else begin
                 Mutex.lock sh.lock;
-                post sh local.(p);
+                post i local.(p);
                 Mutex.unlock sh.lock
               end
             done);
@@ -291,21 +219,10 @@ module Pool = struct
       Firing.create ~who:"Parallel_engine" ?sink ~hooks ~graph:g ~kernels
         ~inputs ~avoidance ()
     in
-    let iid = Atomic.fetch_and_add t.next_iid 1 in
-    (* Finalize when the last ticket is released: unlist the instance,
-       assemble the report from the channels' ground-truth counters and
-       hand it to the job. Every queued shard holds a ticket, so none
-       is queued by then. *)
+    (* Finalize when the last ticket is released: assemble the report
+       from the channels' ground-truth counters and hand it to the job.
+       Every queued shard holds a ticket, so none is queued by then. *)
     let finalize () =
-      (let rec unlist () =
-         let cur = Atomic.get t.insts in
-         let nxt =
-           Array.of_seq
-             (Seq.filter (fun (i : inst) -> i.iid <> iid) (Array.to_seq cur))
-         in
-         if not (Atomic.compare_and_set t.insts cur nxt) then unlist ()
-       in
-       unlist ());
       let res =
         match Atomic.get failure with
         | Some ex -> Error ex
@@ -324,14 +241,15 @@ module Pool = struct
       Atomic.set sh.mail false;
       Worklist.absorb sh.wl sh.inbox
     in
-    (* A claim of [sh]: whole passes until the worklist is empty or the
-       budget is spent, with kernel-exception containment (the instance
-       halts and drains, the pool lives on). Then, under the lock, it
-       absorbs the wakes that raced with the last pass: with work and
-       budget left it keeps going; with work but no budget it re-queues
-       the shard, keeping its ticket; otherwise it goes idle and
-       releases the ticket, finalizing on the last one. *)
-    let rec serve sh left =
+    (* A claim of shard [i]: whole passes until the worklist is empty or
+       the budget is spent, with kernel-exception containment (the
+       instance halts and drains, the pool lives on). Then, under the
+       lock, it absorbs the wakes that raced with the last pass: with
+       work and budget left it keeps going; with work but no budget it
+       re-queues the shard at the back, keeping its ticket; otherwise it
+       goes idle and releases the ticket, finalizing on the last one. *)
+    let rec serve i left =
+      let sh = shards.(i) in
       let visit = Firing.visitor fr sh.members in
       let rec passes left =
         if Atomic.get sh.mail then begin
@@ -358,76 +276,45 @@ module Pool = struct
       end
       else if left > 0 then begin
         Mutex.unlock sh.lock;
-        serve sh left
+        serve i left
       end
       else begin
         sh.state <- Queued;
-        Atomic.incr iq;
-        Atomic.incr t.queued;
-        Mutex.unlock sh.lock;
-        signal_idlers t 1
+        enqueue t claims.(i);
+        Mutex.unlock sh.lock
       end
     in
-    (* Worker side of the instance: claim a queued shard, starting from
-       the worker's own index, and serve it. *)
-    let claim w =
-      let rec scan k =
-        k < nshards
-        &&
-        let sh = shards.((w + k) mod nshards) in
-        Mutex.lock sh.lock;
-        if sh.state = Queued then begin
-          sh.state <- Running;
-          Atomic.decr iq;
-          Atomic.decr t.queued;
-          Mutex.unlock sh.lock;
-          serve sh budget;
-          true
-        end
-        else begin
-          Mutex.unlock sh.lock;
-          scan (k + 1)
-        end
-      in
-      scan 0
-    in
-    (* Seed: the sources are armed from the start. The instance is
-       still private (no locks needed); the pool learns about the
-       queued shards only after the instance array CAS publishes
-       everything. *)
-    Array.iter
-      (fun sh ->
-        Array.iteri
-          (fun r v ->
-            if Graph.in_degree g v = 0 then begin
-              Worklist.arm sh.wl r;
-              sh.state <- Queued
-            end)
-          sh.members)
+    Array.iteri
+      (fun i (sh : shard) ->
+        claims.(i) <-
+          (fun () ->
+            Mutex.lock sh.lock;
+            sh.state <- Running;
+            Mutex.unlock sh.lock;
+            serve i budget))
       shards;
+    (* Seed: the sources are armed from the start. The instance is
+       still private (no locks needed) until its first claim is
+       pushed, and every seeded shard holds its ticket before that. *)
     let seeded =
-      Array.fold_left (fun k sh -> if sh.state = Queued then k + 1 else k) 0
-        shards
+      List.filter
+        (fun i ->
+          let sh = shards.(i) in
+          Array.iteri
+            (fun r v -> if Graph.in_degree g v = 0 then Worklist.arm sh.wl r)
+            sh.members;
+          if Worklist.is_empty sh.wl then false
+          else begin
+            sh.state <- Queued;
+            true
+          end)
+        (List.init nshards Fun.id)
     in
-    Atomic.set live seeded;
-    if seeded = 0 then
+    Atomic.set live (List.length seeded);
+    if seeded = [] then
       (* no sources: nothing can ever run, report on the spot *)
       finalize ()
-    else begin
-      let inst = { iid; iq; claim } in
-      let rec publish () =
-        let cur = Atomic.get t.insts in
-        let nxt = Array.append cur [| inst |] in
-        if not (Atomic.compare_and_set t.insts cur nxt) then publish ()
-      in
-      publish ();
-      (* [iq] goes live only after [t.queued]: pickers gate on [iq], so
-         no claim can decrement [t.queued] below zero before the adds
-         land; the idle re-check sees [t.queued] and rescans *)
-      ignore (Atomic.fetch_and_add t.queued seeded);
-      ignore (Atomic.fetch_and_add iq seeded);
-      signal_idlers t seeded
-    end;
+    else List.iter (fun i -> enqueue t claims.(i)) seeded;
     job
 
   let await job =

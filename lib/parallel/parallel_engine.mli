@@ -13,14 +13,18 @@
     the other shard through a locked inbox that the owner absorbs
     between passes. There is no limit on graph size.
 
-    Visit budget: a claim runs whole passes until its worklist is empty
-    or it has spent 1,024 node visits, then re-queues the shard. The
-    budget is checked only between passes, so a shard always finishes
-    the pass it started. Quota: a worker grants one instance at most 4
-    consecutive claims while another instance has a queued shard, so a
-    hot tenant cannot starve the rest. Both are constants: the schedule
-    does not decide deadlock freedom, so there is nothing to tune for
-    correctness.
+    Run queue: the pool keeps one first-in, first-out queue of queued
+    shards, shared by every live instance. A shard joins its back when
+    a wake finds it idle (its instance's sources, at submit) and when a
+    claim spends its visit budget with work left; workers take shards
+    from the front. A claim runs whole passes until its worklist is
+    empty or it has spent 1,024 node visits, checked only between
+    passes, so a shard always finishes the pass it started. A hot
+    tenant's re-queued shard goes behind every shard queued before it,
+    so it cannot starve the rest. The budget is the only scheduling
+    constant: the schedule does not decide deadlock freedom, so there is
+    nothing to tune for correctness. Lock order: a shard's lock, then
+    the queue's; no path holds two shard locks.
 
     Completion is an exact ticket count per instance: every
     queued-or-running shard holds a ticket and every wake comes from a
@@ -87,8 +91,9 @@ module Pool : sig
   (** Start an instance of the application on [inputs] external
       sequence numbers; returns immediately. Argument meanings and
       validation are exactly {!run}'s. The instance's sources become
-      runnable at once; its shards interleave with every other live
-      instance's under the fair-share quota.
+      runnable at once: their shards join the back of the run queue,
+      and its shards interleave with every other live instance's in
+      queue order.
 
       @raise Invalid_argument if the pool has been {!shutdown} (no
       worker is left to run the instance), if the graph is cyclic, or
@@ -104,10 +109,11 @@ module Pool : sig
       each gets the same report (or exception). *)
 
   val shutdown : t -> unit
-  (** Stop and join the worker domains. Call only after every
-      submitted job has been awaited; jobs still live at shutdown are
-      abandoned un-finalized and their [await] never returns. Every
-      later {!submit} raises [Invalid_argument]. *)
+  (** Stop and join the worker domains. A worker leaves only once the
+      run queue is empty, so an instance still live at shutdown runs
+      to its end first and its [await] returns as usual (a kernel that
+      never returns hangs [shutdown] with its instance). Every later
+      {!submit} raises [Invalid_argument]. *)
 end
 
 val run :

@@ -99,12 +99,13 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let lint_algorithm = function
+(* The algorithm a mode compiles, lints and builds its table under. *)
+let algorithm_of_mode = function
   | Propagation -> Compiler.Propagation
   | Non_propagation | No_avoidance -> Compiler.Non_propagation
 
 let lint ?plan (_, mode, backend) ~spec g =
-  let algorithm = lint_algorithm mode in
+  let algorithm = algorithm_of_mode mode in
   Lint.run ~config:{ Lint.default_config with algorithm; backend; spec } ?plan g
 
 (* The admission bar, in order: an analysis that could not finish, then
@@ -122,15 +123,15 @@ let verdict_of (report : Lint.report) compiled =
     | errors -> Error (Lint_rejected errors))
 
 let avoidance_of_plan ~epoch mode g (plan : Compiler.plan) =
-  let stamp th = Thresholds.with_epoch th epoch in
+  let table () =
+    Thresholds.with_epoch
+      (Compiler.thresholds (algorithm_of_mode mode) g plan.Compiler.intervals)
+      epoch
+  in
   match mode with
   | No_avoidance -> Engine.No_avoidance
-  | Propagation ->
-    Engine.Propagation
-      (stamp (Compiler.propagation_thresholds g plan.Compiler.intervals))
-  | Non_propagation ->
-    Engine.Non_propagation
-      (stamp (Compiler.send_thresholds g plan.Compiler.intervals))
+  | Propagation -> Engine.Propagation (table ())
+  | Non_propagation -> Engine.Non_propagation (table ())
 
 (* The registry outcome for [key]. A hit is reused as it stands: no
    compile, no lint. A miss compiles fresh on a new cache, or — given
@@ -157,7 +158,7 @@ let resolve t ((_, mode, backend) as key) ?delta g =
           min t.options.max_cycles Lint.default_config.Lint.max_cycles;
       }
     in
-    let algorithm = lint_algorithm mode in
+    let algorithm = algorithm_of_mode mode in
     let cache, eepoch, compiled =
       match delta with
       | None ->

@@ -29,10 +29,11 @@
        test pins down), or the same rejection. At production tenant
        counts, topologies repeat and compilation is the expensive
        step.}
-    {- {b Fair-share scheduling.} Sessions multiplex onto the one
-       pool; the pool's fixed per-instance grant quota (the
-       instance-level analogue of its per-claim visit budget) keeps a
-       hot tenant from starving the rest.}}
+    {- {b First-in, first-out scheduling.} Sessions multiplex onto
+       the one pool, whose queued shards wait in one first-in,
+       first-out run queue; a claim that spends its visit budget
+       re-queues its shard at the back, so a hot tenant cannot starve
+       the rest.}}
 
     Admitted sessions are additionally {e reconfigurable}: an
     {!Fstream_graph.Edit} script applied through {!reconfigure}

@@ -530,6 +530,27 @@ let test_submit_after_shutdown () =
            ~kernels:(Filters.for_graph g (fun _ outs -> Filters.passthrough outs))
            ~inputs:10 ~avoidance:Engine.No_avoidance ()))
 
+(* Workers leave a stopping pool only once its run queue is empty: an
+   instance still live at [shutdown] runs to its end, and its [await]
+   returns the completed report afterwards. *)
+let test_shutdown_finishes_live_jobs () =
+  let g = Topo_gen.pipeline ~stages:8 ~cap:2 in
+  List.iter
+    (fun domains ->
+      let pool = P.Pool.create ~domains () in
+      let job =
+        P.Pool.submit pool ~graph:g
+          ~kernels:(Filters.for_graph g (fun _ outs -> Filters.passthrough outs))
+          ~inputs:3000 ~avoidance:Engine.No_avoidance ()
+      in
+      P.Pool.shutdown pool;
+      let r = P.Pool.await job in
+      Alcotest.(check bool)
+        (Printf.sprintf "completed after shutdown (%d domains)" domains)
+        true
+        (r.Report.outcome = Report.Completed && r.sink_data = 3000))
+    [ 1; 2 ]
+
 (* [Pool.await] keeps the outcome with the job: two threads awaiting one
    job at once, and one more await after both, get equal reports. *)
 let test_await_from_two_threads () =
@@ -547,6 +568,120 @@ let test_await_from_two_threads () =
   Alcotest.(check bool) "completed" true (here.Report.outcome = Report.Completed);
   Alcotest.(check bool) "both threads got the same report" true (here = there);
   Alcotest.(check bool) "and a later await too" true (P.Pool.await job = here)
+
+(* A raising kernel stays inside its instance: on one and two domains,
+   instance A's kernel raises part way through while instance B runs on
+   the same pool. [await A] re-raises the kernel's exception, B still
+   delivers the sequential engine's data and sink counts, and the pool
+   runs a later instance to completion. *)
+let test_raising_kernel_contained () =
+  let ga = Topo_gen.pipeline ~stages:6 ~cap:2 in
+  let pass g = Filters.for_graph g (fun _ outs -> Filters.passthrough outs) in
+  let raising v =
+    let k = pass ga v in
+    if v = 3 then fun ~seq ~got ->
+      if seq = 40 then failwith "node 3 at seq 40" else k ~seq ~got
+    else k
+  in
+  let gb = Topo_gen.fig4_left ~cap:2 in
+  let kernels_b () =
+    Filters.for_graph gb (fun v outs ->
+        if v = 1 then Filters.periodic ~keep_every:3 outs
+        else Filters.passthrough outs)
+  in
+  match Compiler.compile Compiler.Non_propagation gb with
+  | Error e -> Alcotest.fail (Compiler.error_to_string e)
+  | Ok p ->
+    let avoidance =
+      Engine.Non_propagation (Compiler.send_thresholds gb p.intervals)
+    in
+    let seq =
+      Engine.run ~graph:gb ~kernels:(kernels_b ()) ~inputs:400 ~avoidance ()
+    in
+    List.iter
+      (fun domains ->
+        let pool = P.Pool.create ~domains () in
+        Fun.protect ~finally:(fun () -> P.Pool.shutdown pool) @@ fun () ->
+        let at = Printf.sprintf " (%d domains)" domains in
+        let a =
+          P.Pool.submit pool ~graph:ga ~kernels:raising ~inputs:200
+            ~avoidance:Engine.No_avoidance ()
+        in
+        let b =
+          P.Pool.submit pool ~graph:gb ~kernels:(kernels_b ()) ~inputs:400
+            ~avoidance ()
+        in
+        Alcotest.check_raises ("await A re-raises" ^ at)
+          (Failure "node 3 at seq 40") (fun () -> ignore (P.Pool.await a));
+        let rb = P.Pool.await b in
+        Alcotest.(check bool) ("B completes" ^ at) true
+          (rb.Report.outcome = Report.Completed);
+        Alcotest.(check int) ("B's data count" ^ at) seq.Report.data_messages
+          rb.data_messages;
+        Alcotest.(check int) ("B's sink count" ^ at) seq.Report.sink_data
+          rb.sink_data;
+        let c =
+          P.Pool.await
+            (P.Pool.submit pool ~graph:ga ~kernels:(pass ga) ~inputs:50
+               ~avoidance:Engine.No_avoidance ())
+        in
+        Alcotest.(check bool) ("a later instance completes" ^ at) true
+          (c.Report.outcome = Report.Completed && c.sink_data = 50))
+      [ 1; 2 ]
+
+(* No instance is starved: on a one-domain pool a long instance, whose
+   claims never run out of work, yields to a short one submitted after
+   it. The long source spins until the short instance is in the pool,
+   so the worker is inside a long claim when it arrives; the short
+   sink reads the long sink's count while the long instance is paused,
+   and that reading must fall short of the long instance's total. *)
+let test_no_instance_starved () =
+  let pass g = Filters.for_graph g (fun _ outs -> Filters.passthrough outs) in
+  let gl = Topo_gen.pipeline ~stages:8 ~cap:2 in
+  let gs = Topo_gen.pipeline ~stages:2 ~cap:2 in
+  let long_inputs = 4000 in
+  let go = Atomic.make false in
+  let long_sunk = Atomic.make 0 and seen = Atomic.make (-1) in
+  let long_k v =
+    let k = pass gl v in
+    if v = 0 then fun ~seq ~got ->
+      while not (Atomic.get go) do
+        Domain.cpu_relax ()
+      done;
+      k ~seq ~got
+    else if v = 8 then fun ~seq ~got ->
+      Atomic.incr long_sunk;
+      k ~seq ~got
+    else k
+  in
+  let short_k v =
+    let k = pass gs v in
+    if v = 2 then fun ~seq ~got ->
+      ignore (Atomic.compare_and_set seen (-1) (Atomic.get long_sunk));
+      k ~seq ~got
+    else k
+  in
+  let pool = P.Pool.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> P.Pool.shutdown pool) @@ fun () ->
+  let long =
+    P.Pool.submit pool ~graph:gl ~kernels:long_k ~inputs:long_inputs
+      ~avoidance:Engine.No_avoidance ()
+  in
+  let short =
+    P.Pool.submit pool ~graph:gs ~kernels:short_k ~inputs:10
+      ~avoidance:Engine.No_avoidance ()
+  in
+  Atomic.set go true;
+  let rs = P.Pool.await short and rl = P.Pool.await long in
+  Alcotest.(check bool) "both complete" true
+    (rs.Report.outcome = Report.Completed && rl.Report.outcome = Report.Completed);
+  Alcotest.(check int) "long delivers everything" long_inputs rl.sink_data;
+  Alcotest.(check bool) "short sink fired" true (Atomic.get seen >= 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "short ran before long finished (long at %d of %d)"
+       (Atomic.get seen) long_inputs)
+    true
+    (Atomic.get seen < long_inputs)
 
 let suite =
   [
@@ -575,6 +710,11 @@ let suite =
       test_cross_shard_chords;
     Alcotest.test_case "two threads await one job" `Quick
       test_await_from_two_threads;
+    Alcotest.test_case "a raising kernel stays in its instance" `Quick
+      test_raising_kernel_contained;
+    Alcotest.test_case "no instance is starved" `Quick test_no_instance_starved;
+    Alcotest.test_case "shutdown finishes live jobs" `Quick
+      test_shutdown_finishes_live_jobs;
     prop_no_avoidance_agrees;
     prop_non_propagation_agrees;
     prop_propagation_agrees;

@@ -176,7 +176,7 @@ let test_hundred_twenty_tenants_three_topologies () =
         (Serve.avoidance s == Serve.avoidance sessions.(i mod 3)))
     sessions;
   (* start every tenant before awaiting any: all 120 instances live on
-     the one pool at once, interleaved under the fair-share quota *)
+     the one pool at once, interleaved through its run queue *)
   Array.iteri
     (fun i s ->
       Serve.start t
